@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations, permutations
 
-from .errors import BudgetExceeded, InapplicableAxiom
+from .errors import BadSpec, BudgetExceeded, InapplicableAxiom
 from .preferences import RankingWithTies, Universe, UtilityVector
 from .profiles import Profile, _fisher_yates, synthetic_universe
 from .rules import (
@@ -116,7 +116,13 @@ def exhaustive(m: int, n: int) -> SearchSpace:
 
 
 def sampled(m: int, n: int, trials: int, seed: int) -> SearchSpace:
+    _require_trials(trials)
     return SearchSpace("sampled", m, n, trials, seed)
+
+
+def _require_trials(trials: int) -> None:
+    if trials < 1:
+        raise BadSpec(f"trials must be >= 1, got {trials}")
 
 
 @dataclass(frozen=True)
@@ -1179,6 +1185,7 @@ def may_coincidence_check(
     formula on every sampled profile, any divergence being the witness
     that a premise failure exists somewhere.
     """
+    _require_trials(trials)
     space = exhaustive(m, n)
     for premise in MAY_PREMISES:
         result = audit(rule, premise, space)

@@ -14,7 +14,7 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .errors import BudgetExceeded, FoldvoteError
+from .errors import BudgetExceeded, FoldvoteError, NotAnObject
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -47,9 +47,17 @@ def _emit(report: dict, out: str) -> None:
 
 def _read_json(path: str) -> dict:
     if path == "-":
-        return json.load(sys.stdin)
-    with open(path) as fh:
-        return json.load(fh)
+        obj = json.load(sys.stdin)
+    else:
+        with open(path) as fh:
+            obj = json.load(fh)
+    return _require_object(obj, path)
+
+
+def _require_object(obj, where: str) -> dict:
+    if not isinstance(obj, dict):
+        raise NotAnObject(f"{where}: expected a JSON object, got {type(obj).__name__}")
+    return obj
 
 
 def _load_profile(path: str):
@@ -57,7 +65,8 @@ def _load_profile(path: str):
 
     obj = _read_json(path)
     if "profile" in obj and "individuals" not in obj:
-        obj = obj["profile"]  # accept wrapped reports from synth
+        # accept wrapped reports from synth
+        obj = _require_object(obj["profile"], f"{path}: profile")
     return Profile.from_json_dict(obj)
 
 

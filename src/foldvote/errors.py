@@ -41,6 +41,10 @@ class UniverseMismatch(FoldvoteError):
     """Two objects are defined over different class universes."""
 
 
+class NonFiniteUtility(FoldvoteError):
+    """A utility value is NaN or infinite."""
+
+
 # ------------------------------------------------------------------ profiles
 
 class Incompatible(FoldvoteError):
@@ -81,6 +85,12 @@ class BudgetExceeded(FoldvoteError):
 
 class InapplicableAxiom(FoldvoteError):
     """The axiom does not apply to the rule's input mode."""
+
+
+# ---------------------------------------------------------------------- cli
+
+class NotAnObject(FoldvoteError):
+    """A JSON input's top level is not an object."""
 
 
 # -------------------------------------------------------------- restrictions

@@ -7,10 +7,11 @@ near-equal utilities.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .contacts import InteractionClass, InteractionInstance
-from .errors import MixedProteins, UniverseMismatch
+from .errors import MixedProteins, NonFiniteUtility, UniverseMismatch
 
 Universe = tuple[InteractionClass, ...]
 
@@ -24,6 +25,9 @@ class UtilityVector:
     def __post_init__(self) -> None:
         if set(self.values) != set(self.universe):
             raise UniverseMismatch("values must cover the universe exactly")
+        for cls, value in self.values.items():
+            if not math.isfinite(value):
+                raise NonFiniteUtility(f"utility of {cls.render()} is {value}")
 
     def as_list(self) -> list[float]:
         return [self.values[c] for c in self.universe]
@@ -54,6 +58,8 @@ class RankingWithTies:
 
     # tier index per class, filled lazily
     _positions: dict = field(default_factory=dict, repr=False, compare=False)
+    # tier index per universe slot, filled lazily
+    _slots: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         seen: list[InteractionClass] = []
@@ -70,6 +76,18 @@ class RankingWithTies:
                 for cls in tier:
                     self._positions[cls] = idx
         return self._positions
+
+    def slots(self) -> tuple[int, ...]:
+        """Tier index of each universe slot: slots()[i] is the tier of
+        universe[i], so rules can compare classes by integer position."""
+        if self._slots is None:
+            index = {c: i for i, c in enumerate(self.universe)}
+            slots = [0] * len(self.universe)
+            for idx, tier in enumerate(self.tiers):
+                for cls in tier:
+                    slots[index[cls]] = idx
+            object.__setattr__(self, "_slots", tuple(slots))
+        return self._slots
 
     def prefers(self, a: InteractionClass, b: InteractionClass) -> bool:
         pos = self.positions()

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations
 
 from .contacts import InteractionClass, class_universe
 from .errors import BadSpec, Incompatible, UniverseMismatch
@@ -114,10 +113,14 @@ def kendall_distance(a: RankingWithTies, b: RankingWithTies) -> float:
     """
     if a.universe != b.universe:
         raise UniverseMismatch("rankings over different universes")
-    total = 0.0
-    for x, y in combinations(a.universe, 2):
-        total += abs(a.pair_value(x, y) - b.pair_value(x, y))
-    return total
+    sa, sb = a.slots(), b.slots()
+    # in halves, v is 1 + sign(tier of y - tier of x), so each pair adds
+    # the absolute difference of its two signs
+    halves = 0
+    for i, (ai, bi) in enumerate(zip(sa, sb)):
+        for aj, bj in zip(sa[i + 1 :], sb[i + 1 :]):
+            halves += abs((aj > ai) - (aj < ai) - (bj > bi) + (bj < bi))
+    return halves / 2
 
 
 def profile_distance(a: Profile, b: Profile) -> float:

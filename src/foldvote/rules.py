@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 
 from .contacts import InteractionClass
 from .errors import BadIndex, TooLarge, WrongMode
@@ -142,14 +142,11 @@ def outcome_from_relation(
 
 
 def outcome_from_ranking(rule_name: str, ranking: RankingWithTies) -> AggregationOutcome:
-    pos = ranking.positions()
-    universe = ranking.universe
-    relation = tuple(
-        tuple(pos[a] <= pos[b] for b in universe) for a in universe
-    )
+    slots = ranking.slots()
+    relation = tuple(tuple(si <= sj for sj in slots) for si in slots)
     return AggregationOutcome(
         rule_name=rule_name,
-        universe=universe,
+        universe=ranking.universe,
         relation=relation,
         transitive=True,
         ranking=ranking,
@@ -174,18 +171,27 @@ def _require_mode(profile: Profile, mode: str, rule_name: str) -> None:
 
 
 def majority_tournament(profile: Profile) -> Tournament:
-    """Pairwise strict-preference counts N(a > b) over the profile."""
+    """Pairwise strict-preference counts N(a > b) over the profile.
+
+    Each individual's tiers are swept from last to first, so every class
+    gains one count against each class already swept: the work is the
+    number of strictly ordered pairs.
+    """
     _require_mode(profile, "ordinal", "majority_tournament")
-    universe = profile.universe
-    m = len(universe)
+    m = profile.m
     counts = [[0] * m for _ in range(m)]
     for ind in profile.individuals:
-        pos = ind.positions()
-        for i in range(m):
-            for j in range(m):
-                if i != j and pos[universe[i]] < pos[universe[j]]:
-                    counts[i][j] += 1
-    return Tournament(universe, tuple(tuple(row) for row in counts))
+        tiers: list[list[int]] = [[] for _ in ind.tiers]
+        for i, tier in enumerate(ind.slots()):
+            tiers[tier].append(i)
+        below: list[int] = []
+        for tier in reversed(tiers):
+            for i in tier:
+                row = counts[i]
+                for j in below:
+                    row[j] += 1
+            below += tier
+    return Tournament(profile.universe, tuple(tuple(row) for row in counts))
 
 
 def may_rule(profile: Profile) -> AggregationOutcome:
@@ -236,39 +242,61 @@ def _outcome_from_scores(
 def kemeny(profile: Profile) -> AggregationOutcome:
     """Strict order minimizing total Kendall distance to the profile.
 
-    Exhaustive over all orders (class count capped at 8); among distance
-    ties the lexicographically first order wins, so the result is
-    deterministic but deliberately not neutral on tie profiles.
+    Dynamic programming over subsets of classes on the majority
+    tournament (Betzler et al. 2009): O(2^m * m) once the tournament is
+    counted, so the search does not grow with the number of individuals
+    (class count capped at 8). Among distance ties the lexicographically
+    first order wins, as if all m! orders were scanned in permutation
+    order, so the result is deterministic but deliberately not neutral on
+    tie profiles.
     """
     _require_mode(profile, "ordinal", "kemeny")
     universe = profile.universe
     m = len(universe)
     if m > KEMENY_MAX_CLASSES:
         raise TooLarge(f"kemeny supports at most {KEMENY_MAX_CLASSES} classes")
-    pairs = list(combinations(range(m), 2))
-    # pair values per individual, aligned with `pairs`
-    ind_values = [
-        [ind.pair_value(universe[i], universe[j]) for i, j in pairs]
-        for ind in profile.individuals
-    ]
-    best_order = None
-    best_total = math.inf
-    for cand in permutations(range(m)):
-        pos = [0] * m
-        for rank, cls_idx in enumerate(cand):
-            pos[cls_idx] = rank
-        total = 0.0
-        for values in ind_values:
-            for (i, j), v in zip(pairs, values):
-                cand_v = 1.0 if pos[i] < pos[j] else 0.0
-                total += abs(cand_v - v)
-        if total < best_total:
-            best_total = total
-            best_order = cand
-    assert best_order is not None
-    ranking = RankingWithTies.from_strict_order(
-        "kemeny", universe, tuple(universe[i] for i in best_order)
-    )
+    counts = majority_tournament(profile).counts
+    n = profile.n
+    size = 1 << m
+    # lead[c][s]: distance, in halves, paid on the pairs {c, j} for j in bit
+    # set s when c is ranked above all of them; per pair that is 2 for each
+    # individual preferring j and 1 for each indifferent one
+    lead = []
+    for c, column in enumerate(zip(*counts)):
+        cost = [beats_c + n - beaten for beats_c, beaten in zip(column, counts[c])]
+        cost[c] = 0
+        row = [0] * size
+        for s in range(1, size):
+            low = s & -s
+            row[s] = row[s ^ low] + cost[low.bit_length() - 1]
+        lead.append(row)
+    # best[s]: least cost of ordering the classes of bit set s among
+    # themselves; the loops walk the set bits of s lowest first
+    best = [0] * size
+    for s in range(1, size):
+        rest, least = s, None
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            cand = lead[low.bit_length() - 1][s] + best[s ^ low]
+            if least is None or cand < least:
+                least = cand
+        best[s] = least
+    # the smallest class that still reaches the optimum goes next, which
+    # rebuilds the lexicographically first optimal order
+    order = []
+    left = size - 1
+    while left:
+        rest = left
+        while True:
+            low = rest & -rest
+            rest ^= low
+            c = low.bit_length() - 1
+            if lead[c][left] + best[left ^ low] == best[left]:
+                break
+        order.append(universe[c])
+        left ^= low
+    ranking = RankingWithTies.from_strict_order("kemeny", universe, tuple(order))
     return outcome_from_ranking("kemeny", ranking)
 
 

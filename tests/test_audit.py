@@ -24,7 +24,7 @@ from foldvote.audit import (
     standard_rules,
     verify_result,
 )
-from foldvote.errors import BudgetExceeded, InapplicableAxiom
+from foldvote.errors import BadSpec, BudgetExceeded, InapplicableAxiom
 from foldvote.profiles import Profile, SynthSpec, generate, synthetic_universe
 
 RULES = standard_rules()
@@ -224,6 +224,13 @@ class TestSampled:
         assert res.failed
         assert verify_result(RULES["may"], res)
         assert res.seed == 7
+
+    @pytest.mark.parametrize("trials", [0, -5])
+    def test_nonpositive_trials_rejected(self, trials):
+        with pytest.raises(BadSpec):
+            sampled(3, 3, trials, seed=0)
+        with pytest.raises(BadSpec):
+            may_coincidence_check(RULES["may"], 3, 3, trials, seed=0)
 
     def test_sampled_pass_is_not_a_theorem(self):
         res = audit(RULES["borda"], AxiomId.TRANSITIVITY, sampled(3, 3, 50, seed=0))

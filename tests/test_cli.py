@@ -116,6 +116,24 @@ class TestExitCodes:
         proc = run("aggregate", stdin="this is not json")
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("command", ["aggregate", "restrict"])
+    @pytest.mark.parametrize(
+        "text", ["[1, 2]", "3", '"profile"', "null", '{"profile": [1, 2]}']
+    )
+    def test_non_object_json_is_input_error(self, command, text):
+        proc = run(command, stdin=text)
+        assert proc.returncode == 2, proc.stderr
+        assert "NotAnObject" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_nonpositive_trials_is_input_error(self, trials):
+        for extra in (["--mode", "sampled", "--axioms", "iia"],
+                      ["--axioms", "may_coincidence"]):
+            proc = run("audit", "--rule", "may", "--trials", trials, *extra)
+            assert proc.returncode == 2, proc.stderr
+            assert "BadSpec" in proc.stderr and proc.stdout == ""
+
     def test_extract_without_inputs(self, tmp_path):
         empty = tmp_path / "empty"
         empty.mkdir()

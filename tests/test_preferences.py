@@ -1,18 +1,21 @@
 """Utility construction and ordinal collapse."""
 
+import json
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
 from foldvote.contacts import InteractionClass, Scorer
 from foldvote.contacts import InteractionInstance
-from foldvote.errors import MixedProteins, UniverseMismatch
+from foldvote.errors import MixedProteins, NonFiniteUtility, UniverseMismatch
 from foldvote.preferences import (
     RankingWithTies,
     UtilityVector,
     ordinal_from_utility,
     utility_from_instances,
 )
-from foldvote.profiles import synthetic_universe
+from foldvote.profiles import Profile, synthetic_universe
 
 
 def inst(pid, a, b, score):
@@ -172,3 +175,46 @@ class TestRankingValidation:
         u3 = synthetic_universe(3)
         u = vec(u3, {u3[0]: 1.25})
         assert UtilityVector.from_json_dict(u.to_json_dict()) == u
+
+
+class TestNonFiniteUtilities:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejected_in_process(self, bad):
+        u3 = synthetic_universe(3)
+        with pytest.raises(NonFiniteUtility):
+            vec(u3, {u3[1]: bad})
+
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    def test_rejected_from_json(self, bad):
+        u3 = synthetic_universe(3)
+        obj = json.loads(
+            json.dumps(vec(u3, {}).to_json_dict()).replace("0.0", bad, 1)
+        )
+        with pytest.raises(NonFiniteUtility):
+            UtilityVector.from_json_dict(obj)
+
+    def test_profile_json_with_opposite_infinities_rejected(self):
+        # the utilitarian sum of inf and -inf used to fail inside math.fsum
+        u3 = synthetic_universe(3)
+        obj = Profile(u3, (vec(u3, {}, "a"), vec(u3, {}, "b")), "utility").to_json_dict()
+        obj["individuals"][0]["values"][u3[0].render()] = math.inf
+        obj["individuals"][1]["values"][u3[0].render()] = -math.inf
+        with pytest.raises(NonFiniteUtility):
+            Profile.from_json_dict(obj)
+
+
+class TestSlots:
+    def test_tier_index_per_universe_slot(self):
+        u3 = synthetic_universe(3)
+        r = RankingWithTies("p", u3, ((u3[2],), (u3[0], u3[1])))
+        assert r.slots() == (1, 1, 0)
+        assert r.slots() is r.slots()
+
+    def test_cache_is_invisible(self):
+        u3 = synthetic_universe(3)
+        a = RankingWithTies("p", u3, ((u3[2],), (u3[0], u3[1])))
+        b = RankingWithTies("p", u3, ((u3[2],), (u3[0], u3[1])))
+        before = (repr(a), hash(a), a.to_json_dict())
+        a.slots()
+        assert a == b and hash(a) == hash(b)
+        assert (repr(a), hash(a), a.to_json_dict()) == before

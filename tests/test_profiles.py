@@ -1,6 +1,8 @@
 """Profiles, the tie-aware Kendall distance, and synthetic generators."""
 
 import math
+import random
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -167,3 +169,66 @@ class TestGenerate:
             synthetic_universe(0)
         with pytest.raises(BadSpec):
             synthetic_universe(211)
+
+
+# ---------------------------------------------------------------------------
+# differential tests: the slot-indexed distance against the pair-value sum it
+# replaced, kept here as the reference. Pair values are halves, so the float
+# sums are exact and compare with ==.
+
+
+def ref_kendall(a, b):
+    total = 0.0
+    for x, y in combinations(a.universe, 2):
+        total += abs(a.pair_value(x, y) - b.pair_value(x, y))
+    return total
+
+
+def from_labels(universe, labels, owner="w"):
+    """The weak order ranking classes by ascending label."""
+    return RankingWithTies(
+        owner,
+        universe,
+        tuple(
+            tuple(c for c, lab in zip(universe, labels) if lab == t)
+            for t in sorted(set(labels))
+        ),
+    )
+
+
+def all_weak_orders(m):
+    universe = synthetic_universe(m)
+    return [
+        from_labels(universe, labels)
+        for labels in product(range(m), repeat=m)
+        if set(labels) == set(range(max(labels) + 1))
+    ]
+
+
+@pytest.mark.parametrize("m,count", [(2, 3), (3, 13), (4, 75)])
+def test_kendall_matches_reference_on_all_weak_order_pairs(m, count):
+    rankings = all_weak_orders(m)
+    assert len(rankings) == count
+    for a in rankings:
+        for b in rankings:
+            got = kendall_distance(a, b)
+            assert type(got) is float and got == ref_kendall(a, b)
+
+
+def test_profile_distance_matches_reference_on_tied_profiles():
+    rng = random.Random(1404)
+    for m in range(2, 8):
+        universe = synthetic_universe(m)
+        for k in range(20):
+            p, q = (
+                Profile(
+                    universe,
+                    tuple(
+                        from_labels(universe, [rng.randrange(m) for _ in universe])
+                        for _ in range(2 + k % 7)
+                    ),
+                )
+                for _ in range(2)
+            )
+            want = sum(ref_kendall(a, b) for a, b in zip(p.individuals, q.individuals))
+            assert profile_distance(p, q) == want

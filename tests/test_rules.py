@@ -1,7 +1,7 @@
 """Aggregation rules against spec'd examples plus independent oracles."""
 
 import random
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -364,3 +364,121 @@ def test_utilitarian_anonymity(seed):
     rng.shuffle(shuffled)
     q = utility_profile(shuffled)
     assert utilitarian(p).relation == utilitarian(q).relation
+
+
+# ---------------------------------------------------------------------------
+# differential tests: the slot-indexed kernels against the class-keyed code
+# they replaced, kept here as references. Every count and pair value is an
+# integer or a half, so all comparisons are exact.
+
+
+def ref_tournament(profile):
+    universe = profile.universe
+    m = len(universe)
+    counts = [[0] * m for _ in range(m)]
+    for ind in profile.individuals:
+        pos = ind.positions()
+        for i in range(m):
+            for j in range(m):
+                if i != j and pos[universe[i]] < pos[universe[j]]:
+                    counts[i][j] += 1
+    return tuple(tuple(row) for row in counts)
+
+
+def ref_kemeny_order(profile):
+    """First order in permutations() order whose total distance is least."""
+    universe = profile.universe
+    m = len(universe)
+    pairs = list(combinations(range(m), 2))
+    ind_values = [
+        [ind.pair_value(universe[i], universe[j]) for i, j in pairs]
+        for ind in profile.individuals
+    ]
+    best_order, best_total = None, float("inf")
+    for cand in permutations(range(m)):
+        pos = [0] * m
+        for rank, cls_idx in enumerate(cand):
+            pos[cls_idx] = rank
+        total = 0.0
+        for values in ind_values:
+            for (i, j), v in zip(pairs, values):
+                total += abs((1.0 if pos[i] < pos[j] else 0.0) - v)
+        if total < best_total:
+            best_total, best_order = total, cand
+    return tuple(universe[i] for i in best_order)
+
+
+def ref_ranking_relation(ranking):
+    pos = ranking.positions()
+    return tuple(
+        tuple(pos[a] <= pos[b] for b in ranking.universe) for a in ranking.universe
+    )
+
+
+def assert_rules_match_reference(profile, kemeny_order=None):
+    m = profile.m
+    counts = ref_tournament(profile)
+    assert majority_tournament(profile).counts == counts
+    assert may_rule(profile).relation == tuple(
+        tuple(i == j or counts[i][j] >= counts[j][i] for j in range(m))
+        for i in range(m)
+    )
+    for outcome in (borda(profile), dictator(profile, profile.n)):
+        assert outcome.relation == ref_ranking_relation(outcome.ranking)
+    out = kemeny(profile)
+    want = kemeny_order or ref_kemeny_order(profile)
+    assert out.ranking.tiers == tuple((c,) for c in want)
+    assert out.relation == ref_ranking_relation(out.ranking)
+
+
+def random_weak_order(rng, universe, owner):
+    labels = [rng.randrange(len(universe)) for _ in universe]
+    ranks = sorted(set(labels))
+    return RankingWithTies(
+        owner,
+        universe,
+        tuple(
+            tuple(c for c, lab in zip(universe, labels) if lab == r) for r in ranks
+        ),
+    )
+
+
+@pytest.mark.parametrize("m,n", [(3, 2), (3, 3), (4, 2), (4, 3)])
+def test_slot_kernels_match_reference_on_strict_space(m, n):
+    universe = synthetic_universe(m)
+    orders = list(permutations(universe))
+    rankings = [
+        [strict(order, f"v{v + 1}", universe) for order in orders] for v in range(n)
+    ]
+    # the reference Kemeny sums over individuals, so its order depends only
+    # on the multiset of orders; computing it once per multiset keeps the
+    # 13824 profiles of (4, 3) affordable
+    kemeny_orders = {}
+    for combo in product(range(len(orders)), repeat=n):
+        profile = Profile(
+            universe, tuple(rankings[v][k] for v, k in enumerate(combo))
+        )
+        key = tuple(sorted(combo))
+        if key not in kemeny_orders:
+            kemeny_orders[key] = ref_kemeny_order(profile)
+        assert_rules_match_reference(profile, kemeny_orders[key])
+
+
+def test_slot_kernels_match_reference_on_tied_profiles():
+    rng = random.Random(2009)
+    # the reference Kemeny is O(m! n m^2), so fewer profiles at larger m
+    for m, count in ((2, 20), (3, 40), (4, 40), (5, 30), (6, 20), (7, 5)):
+        universe = synthetic_universe(m)
+        for k in range(count):
+            n = 2 + k % 7
+            profile = Profile(
+                universe,
+                tuple(random_weak_order(rng, universe, f"v{v}") for v in range(n)),
+            )
+            assert_rules_match_reference(profile)
+
+
+def test_kemeny_tie_break_is_lexicographic_on_all_tied_profile():
+    u = synthetic_universe(5)
+    p = Profile(u, tuple(RankingWithTies(f"v{v}", u, (u,)) for v in range(3)))
+    assert kemeny(p).ranking.tiers == tuple((c,) for c in u)
