@@ -5,32 +5,48 @@ profile spaces, applies each axiom's defining transformation, and hands
 back a pass-within-search verdict or a fail with a minimal witness that
 re-verifies by re-running the rule on the embedded profiles.
 
-Exhaustive ordinal spaces enumerate all strict-order profiles over the
-first m classes of the standard universe; exhaustive utility spaces
-enumerate vectors over the rational grid {0, 0.5, 1} per class. Sampled
-spaces draw from a seeded Mersenne Twister, so passes are always
-qualified by the space actually searched. Witness minimality: searches
-enumerate profiles lexicographically and report the first violation
-under (profile, partner profile, class pair) ordering.
-"""
+Each axiom is defined once, as an ``_Axiom`` subclass: its witness schema
+(the report keys in order) and its check, which reads one view per
+profile the axiom relates (each individual's slot positions or grid
+values, and the rule's outcome) plus the axiom's parameters (a class
+pair, a permutation, an individual), and returns the witness fields
+proving a violation, or None. Three callers share the check: the
+exhaustive driver, over every strict-order profile of the first m
+standard classes (or every utility profile over the grid {0, 0.5, 1})
+in lexicographic mixed-radix order; the sampled driver, drawing from a
+seeded Mersenne Twister in a fixed call order; and ``verify_result``,
+which re-runs the rule on the witness profiles and accepts the witness
+only if the check reproduces every field it claims.
 
+Witness minimality: exhaustive searches report the first profile with a
+violation, then the first class pair (anonymity and neutrality: the
+first permutation in itertools order; IIA and responsiveness: the
+smallest partner profile, then pair and uplifted individual; proximity:
+the smallest near, then far, profile). Sampled passes are qualified by
+the space actually searched.
+"""
 from __future__ import annotations
 
 import math
 import random
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations, permutations
+from functools import cached_property, partial
+from itertools import combinations, permutations, product
+from typing import Callable
 
+from .contacts import InteractionClass
 from .errors import BadSpec, BudgetExceeded, InapplicableAxiom
 from .preferences import RankingWithTies, Universe, UtilityVector
-from .profiles import Profile, _fisher_yates, synthetic_universe
+from .profiles import Profile, _fisher_yates, _kendall_slots, synthetic_universe
 from .rules import (
     AggregationOutcome,
     borda,
     dictator,
+    first_intransitive_triple,
     kemeny,
     may_rule,
+    outcome_distance,
     utilitarian,
 )
 
@@ -54,22 +70,11 @@ class AxiomId(str, Enum):
     CONTINUITY = "continuity"
 
 
-ORDINAL_AXIOMS = frozenset(
-    {
-        AxiomId.AGREEMENT,
-        AxiomId.TRANSITIVITY,
-        AxiomId.UNRESTRICTED_DOMAIN,
-        AxiomId.UNANIMITY,
-        AxiomId.ANONYMITY,
-        AxiomId.NON_DICTATORSHIP,
-        AxiomId.NEUTRALITY,
-        AxiomId.IIA,
-        AxiomId.PROXIMITY_PRESERVATION,
-        AxiomId.POSITIVE_RESPONSIVENESS,
-        AxiomId.MONOTONIC_RESPONSIVENESS,
-    }
-)
 UTILITY_AXIOMS = frozenset({AxiomId.UTILITY_IIA, AxiomId.STRICT_UNANIMITY})
+ORDINAL_AXIOMS = frozenset(AxiomId) - UTILITY_AXIOMS - {
+    AxiomId.MAY_COINCIDENCE,
+    AxiomId.CONTINUITY,
+}
 
 ARROW_AXIOMS = (
     AxiomId.AGREEMENT,
@@ -177,910 +182,784 @@ class AuditResult:
 
 
 # --------------------------------------------------------------------------
-# enumeration backends
+# views: what a check reads of one profile
 
 
-class _StrictSpace:
-    """All strict-order profiles over the first m standard classes,
-    enumerated lexicographically (itertools.product order)."""
+class _View:
+    """Each individual's prefs (slot positions of a strict order, or
+    utility values per slot) and the rule's outcome. An exhaustive view
+    runs the rule when the outcome is first read, as some checks decide
+    from the prefs alone."""
 
-    def __init__(self, m: int, n: int):
+    __slots__ = ("prefs", "_outcome", "_pending")
+
+    def __init__(self, prefs: tuple, outcome=None, pending=None):
+        self.prefs, self._outcome, self._pending = prefs, outcome, pending
+
+    @property
+    def outcome(self):
+        if self._pending is not None:
+            self._outcome, self._pending = self._pending(), None
+        return self._outcome
+
+
+def _outcome(rule: Rule, profile: Profile, catches: bool):
+    """The rule's outcome; with catches set, the exception it raised
+    instead, which is what unrestricted domain looks for."""
+    if not catches:
+        return rule(profile)
+    try:
+        return rule(profile)
+    except Exception as exc:  # any failure to produce an outcome
+        return exc
+
+
+def _prefers(prefs: tuple, i: int, j: int) -> bool:
+    return prefs[i] < prefs[j]
+
+
+def _prefs_distance(a: tuple, b: tuple) -> float:
+    """profile_distance on the prefs of two ordinal profiles."""
+    return sum(_kendall_slots(x, y) for x, y in zip(a, b))
+
+
+def _labels(universe: Universe, indices) -> list[str]:
+    return [universe[i].render() for i in indices]
+
+
+# --------------------------------------------------------------------------
+# exhaustive spaces and sampled trials
+
+
+class _Profiles:
+    """Profiles of n individuals over the first m standard classes, as
+    one rule sees them: individual k, owned by v{k+1}, holds an item, a
+    strict order of class indices (best first) or a utility vector."""
+
+    def __init__(self, m: int, n: int, rule: Rule, catches: bool):
         self.universe: Universe = synthetic_universe(m)
-        self.m = m
-        self.n = n
-        self.orders = list(permutations(range(m)))
-        self.P = len(self.orders)
-        self.count = self.P**n
-        self.positions = []
-        for order in self.orders:
-            pos = [0] * m
-            for rank, cls in enumerate(order):
-                pos[cls] = rank
-            self.positions.append(tuple(pos))
+        self.m, self.n = m, n
+        self.rule, self.catches = rule, catches
+
+    def individual(self, position: int, item):
+        owner, universe = f"v{position + 1}", self.universe
+        if self.rule.mode == "utility":
+            return UtilityVector(owner, universe, dict(zip(universe, item)))
+        order = tuple(universe[c] for c in item)
+        return RankingWithTies.from_strict_order(owner, universe, order)
+
+    def prefs_of(self, item) -> tuple:
+        if self.rule.mode == "utility":
+            return tuple(item)
+        pos = [0] * len(item)
+        for rank, cls in enumerate(item):
+            pos[cls] = rank
+        return tuple(pos)
+
+
+class _Space(_Profiles):
+    """Every profile, numbered lexicographically in mixed radix over the
+    space's items (all strict orders, or all vectors over the utility
+    grid) with individual 1 as the most significant digit. Views are
+    cached per profile number, up to a cap."""
+
+    CACHE_CAP = 100_000
+
+    def __init__(self, m: int, n: int, rule: Rule, catches: bool):
+        super().__init__(m, n, rule, catches)
+        if rule.mode == "utility":
+            self.items = list(product(UTILITY_GRID, repeat=m))
+        else:
+            self.items = list(permutations(range(m)))
+        self.prefs = [self.prefs_of(item) for item in self.items]
+        self.count = len(self.items) ** n
         self.pairs = list(combinations(range(m), 2))
-        self._rankings: dict[tuple[int, int], RankingWithTies] = {}
-        self._profiles: dict[int, Profile] = {}
+        self._individuals: dict[tuple[int, int], object] = {}
+        self._views: dict[int, _View] = {}
+        self._groups: dict[tuple, dict[tuple, list[int]]] = {}
+
+    def combos(self):
+        """Each profile's digits, in enumeration order."""
+        return product(range(len(self.items)), repeat=self.n)
 
     def combo_at(self, idx: int) -> tuple[int, ...]:
         out = [0] * self.n
         for i in range(self.n - 1, -1, -1):
-            idx, out[i] = divmod(idx, self.P)
+            idx, out[i] = divmod(idx, len(self.items))
         return tuple(out)
 
     def index_of(self, combo: tuple[int, ...]) -> int:
         idx = 0
         for digit in combo:
-            idx = idx * self.P + digit
+            idx = idx * len(self.items) + digit
         return idx
 
-    def strict_bit(self, order_idx: int, i: int, j: int) -> bool:
-        pos = self.positions[order_idx]
-        return pos[i] < pos[j]
+    def profile(self, idx: int) -> Profile:
+        return self._profile(self.combo_at(idx))
 
-    def ranking(self, position: int, order_idx: int) -> RankingWithTies:
-        key = (position, order_idx)
-        ranking = self._rankings.get(key)
-        if ranking is None:
-            order = self.orders[order_idx]
-            ranking = RankingWithTies.from_strict_order(
-                f"v{position + 1}",
-                self.universe,
-                tuple(self.universe[c] for c in order),
-            )
-            self._rankings[key] = ranking
-        return ranking
+    def _profile(self, combo: tuple[int, ...]) -> Profile:
+        individuals = []
+        for position, digit in enumerate(combo):
+            ind = self._individuals.get((position, digit))
+            if ind is None:
+                ind = self.individual(position, self.items[digit])
+                self._individuals[position, digit] = ind
+            individuals.append(ind)
+        return Profile(self.universe, tuple(individuals), self.rule.mode)
 
-    def profile_at(self, idx: int) -> Profile:
-        profile = self._profiles.get(idx)
-        if profile is None:
-            combo = self.combo_at(idx)
-            profile = Profile(
-                self.universe,
-                tuple(self.ranking(i, k) for i, k in enumerate(combo)),
-                "ordinal",
-            )
-            if len(self._profiles) < 100_000:
-                self._profiles[idx] = profile
-        return profile
+    def _evaluate(self, combo: tuple[int, ...]):
+        return _outcome(self.rule, self._profile(combo), self.catches)
 
+    def view(self, idx: int, combo: tuple[int, ...] | None = None) -> _View:
+        view = self._views.get(idx)
+        if view is None:
+            combo = combo or self.combo_at(idx)
+            prefs = tuple(map(self.prefs.__getitem__, combo))
+            view = _View(prefs, pending=partial(self._evaluate, combo))
+            if len(self._views) < self.CACHE_CAP:
+                self._views[idx] = view
+        return view
 
-class _GridSpace:
-    """All utility profiles over the rational grid, enumerated
-    lexicographically by (individual, class) digit."""
+    def key(self, combo: tuple[int, ...], stance, pair) -> tuple:
+        """Each individual's stance on the pair."""
+        return tuple(stance(self.prefs[d], *pair) for d in combo)
 
-    def __init__(self, m: int, n: int):
-        self.universe: Universe = synthetic_universe(m)
-        self.m = m
-        self.n = n
-        self.V = len(UTILITY_GRID) ** m
-        self.count = self.V**n
-        self.pairs = list(combinations(range(m), 2))
-        self._profiles: dict[int, Profile] = {}
+    def groups(self, stance, pair) -> dict[tuple, list[int]]:
+        """Profile numbers by key, each group in enumeration order."""
+        groups = self._groups.get((stance, pair))
+        if groups is None:
+            groups = self._groups[stance, pair] = {}
+            for idx, combo in enumerate(self.combos()):
+                groups.setdefault(self.key(combo, stance, pair), []).append(idx)
+        return groups
 
-    def values_at(self, vec_idx: int) -> tuple[float, ...]:
-        base = len(UTILITY_GRID)
-        out = [0.0] * self.m
-        for i in range(self.m - 1, -1, -1):
-            vec_idx, digit = divmod(vec_idx, base)
-            out[i] = UTILITY_GRID[digit]
-        return tuple(out)
-
-    def combo_at(self, idx: int) -> tuple[int, ...]:
-        out = [0] * self.n
-        for i in range(self.n - 1, -1, -1):
-            idx, out[i] = divmod(idx, self.V)
-        return tuple(out)
-
-    def profile_at(self, idx: int) -> Profile:
-        profile = self._profiles.get(idx)
-        if profile is None:
-            combo = self.combo_at(idx)
-            individuals = tuple(
-                UtilityVector(
-                    f"v{i + 1}",
-                    self.universe,
-                    dict(zip(self.universe, self.values_at(v))),
-                )
-                for i, v in enumerate(combo)
-            )
-            profile = Profile(self.universe, individuals, "utility")
-            if len(self._profiles) < 100_000:
-                self._profiles[idx] = profile
-        return profile
+    @cached_property
+    def number(self) -> dict[tuple, int]:
+        return {item: d for d, item in enumerate(self.items)}
 
 
-class _Evaluator:
-    """Caches rule outcomes per profile index."""
+class _Trials(_Profiles):
+    """The seeded draws of one sampled audit. Orders are drawn as class
+    indices (a Fisher-Yates shuffle consumes the generator the same way
+    whatever it shuffles), and each profile drawn is evaluated at once:
+    a trial runs the rule on everything it draws."""
 
-    def __init__(self, space, rule: Rule):
-        self.space = space
-        self.rule = rule
-        self._cache: dict[int, AggregationOutcome] = {}
+    def __init__(self, rule: Rule, space: SearchSpace, catches: bool):
+        super().__init__(space.m, space.n, rule, catches)
+        self.rng = random.Random(space.seed)
 
-    def outcome(self, idx: int) -> AggregationOutcome:
-        out = self._cache.get(idx)
-        if out is None:
-            out = self.rule(self.space.profile_at(idx))
-            if len(self._cache) < 100_000:
-                self._cache[idx] = out
-        return out
+    def order(self) -> tuple[int, ...]:
+        return tuple(_fisher_yates(self.rng, list(range(self.m))))
 
-    def value(self, idx: int, i: int, j: int) -> float:
-        return self.outcome(idx).pair_value(i, j)
+    def pair(self) -> tuple[int, int]:
+        pairs = list(combinations(range(self.m), 2))
+        return pairs[self.rng.randrange(len(pairs))]
 
+    def grid_vector(self) -> list[float]:
+        grid = UTILITY_GRID
+        return [grid[self.rng.randrange(len(grid))] for _ in range(self.m)]
 
-def _profile_json(profile: Profile) -> dict:
-    return profile.to_json_dict()
+    def profile(self, items) -> tuple[Profile, _View]:
+        individuals = tuple(self.individual(k, item) for k, item in enumerate(items))
+        profile = Profile(self.universe, individuals, self.rule.mode)
+        prefs = tuple(self.prefs_of(item) for item in items)
+        return profile, _View(prefs, _outcome(self.rule, profile, self.catches))
 
-
-def _pair_label(universe: Universe, i: int, j: int) -> list[str]:
-    return [universe[i].render(), universe[j].render()]
+    def base(self) -> tuple[list, tuple[Profile, _View]]:
+        """n uniform strict orders, and their profile."""
+        orders = [self.order() for _ in range(self.n)]
+        return orders, self.profile(orders)
 
 
 # --------------------------------------------------------------------------
-# exhaustive ordinal audits
+# the axioms
+
+_AXIOMS: dict[AxiomId, _Axiom] = {}
 
 
-def _audit_agreement(space: _StrictSpace, ev: _Evaluator):
-    for idx in range(space.count):
-        relation = ev.outcome(idx).relation
-        for i, j in space.pairs:
-            if not (relation[i][j] or relation[j][i]):
-                return FAIL, {
-                    "profile": _profile_json(space.profile_at(idx)),
-                    "incomparable_pair": _pair_label(space.universe, i, j),
-                }
-    return PASS, None
+class _Axiom:
+    """One axiom: its witness schema, its check, and the way the
+    exhaustive and sampled drivers reach the check. Defining a subclass
+    with an `axiom` registers it."""
 
+    axiom: AxiomId
+    fields: str  # witness keys in report order; keys naming a profile hold one
+    params: tuple[str, ...] = ()  # witness keys holding the check's parameters
+    catches = False  # the check reads the rule's exceptions
+    notes: str | None = None
 
-def _find_intransitive_triple(relation) -> tuple[int, int, int] | None:
-    m = len(relation)
-    for i in range(m):
-        for j in range(m):
-            if i == j or not relation[i][j]:
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if hasattr(cls, "axiom"):
+            cls.keys = cls.fields.split()
+            cls.profile_keys = [key for key in cls.keys if "profile" in key]
+            _AXIOMS[cls.axiom] = cls()
+
+    def check(self, universe: Universe, views: list[_View], *params) -> dict | None:
+        """The witness fields proving a violation, or None."""
+        raise NotImplementedError
+
+    def cost(self, m: int, n: int, count: int) -> int:
+        """Enumerations per profile of an exhaustive space."""
+        return 1
+
+    def search(self, space: _Space):
+        """The first profile, in enumeration order, that the check flags:
+        (profile numbers, witness fields) or None."""
+        for idx, combo in enumerate(space.combos()):
+            detail = self.check(space.universe, [space.view(idx, combo)])
+            if detail is not None:
+                return (idx,), detail
+        return None
+
+    def draw(self, trials: _Trials):
+        """One trial's ((profile, view) pairs, params), or None."""
+        return [trials.base()[1]], ()
+
+    def sample(self, rule: Rule, space: SearchSpace):
+        """Each trial draws what the axiom quantifies over (a profile, a
+        profile pair with the premise imposed, or a triple) and checks it:
+        (profiles, witness fields) of the first violation, or None."""
+        trials = _Trials(rule, space, self.catches)
+        for _ in range(space.trials):
+            drawn = self.draw(trials)
+            if drawn is None:
                 continue
-            for k in range(m):
-                if k not in (i, j) and relation[j][k] and not relation[i][k]:
-                    return i, j, k
+            profiles, params = drawn
+            detail = self.check(trials.universe, [v for _, v in profiles], *params)
+            if detail is not None:
+                return [profile for profile, _ in profiles], detail
+        return None
+
+
+class _Agreement(_Axiom):
+    axiom = AxiomId.AGREEMENT
+    fields = "profile incomparable_pair"
+
+    def check(self, universe, views):
+        relation = views[0].outcome.relation
+        for i, j in combinations(range(len(universe)), 2):
+            if not (relation[i][j] or relation[j][i]):
+                return {"incomparable_pair": _labels(universe, (i, j))}
+        return None
+
+
+class _Transitivity(_Axiom):
+    axiom = AxiomId.TRANSITIVITY
+    fields = "profile violating_triple"
+
+    def check(self, universe, views):
+        triple = first_intransitive_triple(views[0].outcome.relation)
+        if triple is None:
+            return None
+        return {"violating_triple": _labels(universe, triple)}
+
+
+class _UnrestrictedDomain(_Axiom):
+    axiom = AxiomId.UNRESTRICTED_DOMAIN
+    fields = "profile error"
+    catches = True
+
+    def check(self, universe, views):
+        outcome = views[0].outcome
+        if isinstance(outcome, Exception):
+            return {"error": f"{type(outcome).__name__}: {outcome}"}
+        return None
+
+
+class _Unanimity(_Axiom):
+    """The axioms that fix the outcome on a pair from the individuals'
+    stances alone (unanimity, strict unanimity, May's majority formula).
+    The check walks its pairs (all, unless given) for the first outcome
+    that differs; a witness names one pair, which verification re-checks."""
+
+    axiom = AxiomId.UNANIMITY
+    fields = "profile pair unanimous_value outcome_value"
+    params = ("pair",)
+    expected_key, got_key = "unanimous_value", "outcome_value"
+
+    def check(self, universe, views, *pairs):
+        for i, j in pairs or combinations(range(len(universe)), 2):
+            found = self.expect(views[0].prefs, i, j)
+            if found is not None:
+                a, b, expected = found
+                got = views[0].outcome.pair_value(a, b)
+                if got != expected:
+                    return {
+                        "pair": _labels(universe, (a, b)),
+                        self.expected_key: expected,
+                        self.got_key: got,
+                    }
+        return None
+
+    def expect(self, prefs, i, j) -> tuple[int, int, float] | None:
+        """(a, b, the outcome value a must get against b), or None."""
+        if all(p[i] < p[j] for p in prefs):
+            return i, j, 1.0
+        if all(p[j] < p[i] for p in prefs):
+            return j, i, 1.0
+        return None
+
+
+class _StrictUnanimity(_Unanimity):
+    axiom = AxiomId.STRICT_UNANIMITY
+    fields = "profile pair expected_value outcome_value"
+    expected_key = "expected_value"
+
+    def expect(self, values, i, j):
+        ge = all(v[i] >= v[j] for v in values)
+        le = all(v[i] <= v[j] for v in values)
+        if ge and le:  # exact unanimity of values
+            return i, j, 0.5
+        if ge:
+            return i, j, 1.0
+        if le:
+            return j, i, 1.0
+        return None
+
+    def draw(self, trials):
+        # a sampled trial checks one pair, every individual valuing its
+        # first class at least as much as its second
+        i, j = sorted(trials.rng.sample(range(trials.m), 2))
+        grid = UTILITY_GRID
+        vectors = []
+        for _ in range(trials.n):
+            vec = trials.grid_vector()
+            delta = grid[trials.rng.randrange(len(grid))]
+            vec[i] = min(vec[j] + delta, max(grid))
+            vectors.append(vec)
+        return [trials.profile(vectors)], [(i, j)]
+
+
+class _MayCoincidence(_Unanimity):
+    axiom = AxiomId.MAY_COINCIDENCE
+    fields = "profile pair rule_value formula_value"
+    expected_key, got_key = "formula_value", "rule_value"
+
+    def expect(self, prefs, i, j):
+        margin = sum(p[i] < p[j] for p in prefs) - sum(p[j] < p[i] for p in prefs)
+        return i, j, 1.0 if margin > 0 else 0.0 if margin < 0 else 0.5
+
+
+class _Symmetry(_Axiom):
+    """Anonymity and neutrality: moving a profile by a permutation, of
+    its individuals or of the class labels, must move the outcome alike.
+    Subclasses give size(m, n), how many things are permuted, and
+    move(orders, perm), the orders of the moved profile. Permutations
+    form a group, so checking a profile against all of them covers its
+    whole orbit; a profile whose orbit holds an earlier profile cannot be
+    the first violation, and is skipped."""
+
+    def moved(self, space: _Space, combo: tuple, perm: tuple) -> int:
+        """The number of the moved profile."""
+        orders = self.move([space.items[d] for d in combo], perm)
+        return space.index_of([space.number[order] for order in orders])
+
+    def cost(self, m, n, count):
+        return math.factorial(self.size(m, n))
+
+    def search(self, space):
+        perms = list(permutations(range(self.size(space.m, space.n))))
+        for idx, combo in enumerate(space.combos()):
+            others = [self.moved(space, combo, perm) for perm in perms]
+            if min(others) < idx:
+                continue
+            base = space.view(idx, combo)  # the identity reads its outcome
+            for perm, other in zip(perms, others):
+                detail = self.check(space.universe, (base, space.view(other)), perm)
+                if detail is not None:
+                    return (idx, other), detail
+        return None
+
+    def draw(self, trials):
+        orders, base = trials.base()
+        perm = _fisher_yates(trials.rng, list(range(self.size(trials.m, trials.n))))
+        return [base, trials.profile(self.move(orders, perm))], (perm,)
+
+
+class _Anonymity(_Symmetry):
+    axiom = AxiomId.ANONYMITY
+    fields = "profile individual_permutation permuted_profile"
+    params = ("individual_permutation",)
+
+    def size(self, m, n):
+        return n
+
+    def move(self, orders, sigma):
+        return [orders[s] for s in sigma]
+
+    def moved(self, space, combo, sigma):
+        return space.index_of(self.move(combo, sigma))  # digits move as orders do
+
+    def check(self, universe, views, sigma):
+        if views[1].outcome.relation == views[0].outcome.relation:
+            return None
+        return {"individual_permutation": list(sigma)}
+
+
+class _Neutrality(_Symmetry):
+    axiom = AxiomId.NEUTRALITY
+    fields = (
+        "profile class_permutation relabeled_profile expected_relation "
+        "actual_relation"
+    )
+    params = ("class_permutation",)
+
+    def size(self, m, n):
+        return m
+
+    def move(self, orders, pi):
+        return [tuple(pi[c] for c in order) for order in orders]
+
+    def check(self, universe, views, pi):
+        relation = views[0].outcome.relation
+        m = len(relation)
+        inv = [0] * m
+        for old, new in enumerate(pi):
+            inv[new] = old
+        expected = tuple(
+            tuple(relation[inv[x]][inv[y]] for y in range(m)) for x in range(m)
+        )
+        got = views[1].outcome.relation
+        if got == expected:
+            return None
+        return {
+            "class_permutation": list(pi),
+            "expected_relation": [list(map(bool, r)) for r in expected],
+            "actual_relation": [list(map(bool, r)) for r in got],
+        }
+
+
+class _NonDictatorship(_Axiom):
+    """A search finds an individual k whom no profile overrules; the
+    demo profile shows it, k being followed there against opposition."""
+
+    axiom = AxiomId.NON_DICTATORSHIP
+    fields = "dictator_index demo_profile demo_outcome_tiers"
+    params = ("dictator_index",)
+
+    def check(self, universe, views, index):
+        k, prefs = index - 1, views[0].prefs
+        pairs = combinations(range(len(universe)), 2)
+        if _follows(views[0], k, pairs) and any(p != prefs[k] for p in prefs):
+            return {"dictator_index": index}
+        return None
+
+    def search(self, space):
+        overruled = [False] * space.n
+        for idx, combo in enumerate(space.combos()):
+            _overrule(space.view(idx, combo), overruled, space.pairs)
+            if all(overruled):
+                return None
+        # the never-overruled individual gets the lexicographic order,
+        # everyone else its reverse, so the outcome visibly follows k0
+        k0 = overruled.index(False)
+        reverse = space.items.index(tuple(reversed(space.items[0])))
+        demo = space.index_of(tuple(0 if i == k0 else reverse for i in range(space.n)))
+        tiers = space.view(demo).outcome.to_json_dict()["tiers"]
+        return (demo,), {"dictator_index": k0 + 1, "demo_outcome_tiers": tiers}
+
+    def sample(self, rule, space):
+        trials = _Trials(rule, space, self.catches)
+        pairs = list(combinations(range(space.m), 2))
+        overruled = [False] * space.n
+        demo = [None] * space.n  # first profile where someone differs from k
+        for _ in range(space.trials):
+            profile, view = trials.base()[1]
+            _overrule(view, overruled, pairs)
+            for k, mine in enumerate(view.prefs):
+                if demo[k] is None and any(p != mine for p in view.prefs):
+                    demo[k] = profile
+        for k in range(space.n):
+            if not overruled[k] and demo[k] is not None:
+                return [demo[k]], {"dictator_index": k + 1, "demo_outcome_tiers": None}
+        return None
+
+
+def _follows(view: _View, k: int, pairs) -> bool:
+    """The outcome strictly agrees with individual k on every pair, so
+    the profile does not overrule k."""
+    mine, outcome = view.prefs[k], view.outcome
+    return all(
+        outcome.pair_value(*((i, j) if mine[i] < mine[j] else (j, i))) == 1.0
+        for i, j in pairs
+    )
+
+
+def _overrule(view: _View, overruled: list[bool], pairs) -> None:
+    for k, done in enumerate(overruled):
+        if not done and not _follows(view, k, pairs):
+            overruled[k] = True
+
+
+class _IIA(_Axiom):
+    """Profiles sharing every individual's stance on a pair must get the
+    same outcome on it."""
+
+    axiom = AxiomId.IIA
+    fields = "profile_a profile_b pair value_a value_b"
+    params = ("pair",)
+    stance = staticmethod(_prefers)
+
+    def check(self, universe, views, pair):
+        value_a = views[0].outcome.pair_value(*pair)
+        value_b = views[1].outcome.pair_value(*pair)
+        if value_a == value_b:
+            return None
+        return {"pair": _labels(universe, pair), "value_a": value_a, "value_b": value_b}
+
+    def cost(self, m, n, count):
+        return count
+
+    def search(self, space):
+        # The smallest profile with a disagreeing partner is the first
+        # member of some group holding a disagreement.
+        mixed = []
+        for pair in space.pairs:
+            for members in space.groups(self.stance, pair).values():
+                # every member meets the check, so every outcome is read
+                first = space.view(members[0])
+                views = [(first, space.view(idx)) for idx in members]
+                if [v for v in views if self.check(space.universe, v, pair)]:
+                    mixed.append(members[0])
+        if not mixed:
+            return None
+        first = min(mixed)
+        candidates = []
+        for p_idx, pair in enumerate(space.pairs):
+            key = space.key(space.combo_at(first), self.stance, pair)
+            group = space.groups(self.stance, pair)[key]
+            for other in group:
+                views = (space.view(first), space.view(other))
+                detail = self.check(space.universe, views, pair)
+                if detail:
+                    candidates.append((other, p_idx, detail))
+                    break
+        other, _, detail = min(candidates)
+        return (first, other), detail
+
+    def draw(self, trials):
+        orders, base = trials.base()
+        a, b = trials.pair()
+        return [base, _partner(trials, orders, a, b)], ((a, b),)
+
+
+class _UtilityIIA(_IIA):
+    axiom = AxiomId.UTILITY_IIA
+
+    @staticmethod
+    def stance(values: tuple, i: int, j: int) -> tuple:
+        return values[i], values[j]
+
+    def draw(self, trials):
+        i, j = sorted(trials.rng.sample(range(trials.m), 2))
+        vectors = [trials.grid_vector() for _ in range(trials.n)]
+        partner = [trials.grid_vector() for _ in vectors]
+        for vec, redraw in zip(vectors, partner):
+            redraw[i], redraw[j] = vec[i], vec[j]
+        return [trials.profile(vectors), trials.profile(partner)], ((i, j),)
+
+
+def _partner(trials: _Trials, orders: list, a: int, b: int, lifted=None):
+    """Fresh orders, each drawn until it keeps its individual's stance on
+    (a, b), except that individual `lifted` comes to prefer a."""
+    partner = []
+    for pos, order in enumerate(orders):
+        bit = pos == lifted or order.index(a) < order.index(b)
+        while True:
+            fresh = trials.order()
+            if (fresh.index(a) < fresh.index(b)) == bit:
+                break
+        partner.append(fresh)
+    return trials.profile(partner)
+
+
+class _PositiveResponsiveness(_Axiom):
+    """Premise: exactly one individual's (a, b) relation moves, strictly
+    upward for a; everyone else keeps their (a, b) relation while their
+    other pairs may move freely. Conclusion: a weakly on top before
+    implies a strictly on top after (monotonic: still weakly)."""
+
+    axiom = AxiomId.POSITIVE_RESPONSIVENESS
+    fields = (
+        "profile_before profile_after uplifted_individual pair value_before "
+        "value_after"
+    )
+    params = ("uplifted_individual", "pair")
+    required = 1.0  # the least outcome value for a after the uplift
+
+    def check(self, universe, views, uplifted, pair):
+        before = views[0].outcome.pair_value(*pair)
+        after = views[1].outcome.pair_value(*pair)
+        if not (_armed(before) and after < self.required):
+            return None
+        return {
+            "uplifted_individual": uplifted,
+            "pair": _labels(universe, pair),
+            "value_before": before,
+            "value_after": after,
+        }
+
+    def cost(self, m, n, count):
+        return count
+
+    def search(self, space):
+        # A base's partners for an uplift form the group of its (a, b)
+        # stances with the uplifted individual's flipped; the group's
+        # first member that the check flags serves every base lifting
+        # into it, as the flag depends on the base only through arming.
+        ordered_pairs = sorted(space.pairs + [(j, i) for i, j in space.pairs])
+        flagged: dict[tuple, int | None] = {}
+        for idx, combo in enumerate(space.combos()):
+            base = space.view(idx, combo)
+            candidates = []
+            for p_rank, pair in enumerate(ordered_pairs):
+                if not _armed(base.outcome.pair_value(*pair)):
+                    continue
+                key = space.key(combo, _prefers, pair)
+                for uplifted in range(space.n):
+                    if key[uplifted]:
+                        continue  # already prefers a; no strict uplift
+                    lifted = key[:uplifted] + (True,) + key[uplifted + 1 :]
+                    if (pair, lifted) not in flagged:
+                        flagged[pair, lifted] = None
+                        for other in space.groups(_prefers, pair).get(lifted, ()):
+                            views = (base, space.view(other))
+                            if self.check(space.universe, views, uplifted + 1, pair):
+                                flagged[pair, lifted] = other
+                                break
+                    other = flagged[pair, lifted]
+                    if other is not None:
+                        candidates.append((other, p_rank, uplifted, pair))
+            if candidates:
+                other, _, uplifted, pair = min(candidates)
+                views = (base, space.view(other))
+                detail = self.check(space.universe, views, uplifted + 1, pair)
+                return (idx, other), detail
+        return None
+
+    def draw(self, trials):
+        orders, base = trials.base()
+        a, b = trials.pair()
+        if trials.rng.randrange(2):
+            a, b = b, a
+        if not _armed(base[1].outcome.pair_value(a, b)):
+            return None
+        losers = [pos for pos, o in enumerate(orders) if o.index(b) < o.index(a)]
+        if not losers:
+            return None
+        uplifted = losers[trials.rng.randrange(len(losers))]
+        partner = _partner(trials, orders, a, b, lifted=uplifted)
+        return [base, partner], (uplifted + 1, (a, b))
+
+
+class _MonotonicResponsiveness(_PositiveResponsiveness):
+    axiom = AxiomId.MONOTONIC_RESPONSIVENESS
+    required = 0.5
+
+
+def _armed(before: float) -> bool:
+    """Responsiveness speaks only when a is weakly on top before."""
+    return before >= 0.5
+
+
+class _ProximityPreservation(_Axiom):
+    axiom = AxiomId.PROXIMITY_PRESERVATION
+    fields = "profile_base profile_near_input profile_far_input D_near D_far d_near d_far"
+    notes = PROXIMITY_NOTE
+
+    def check(self, universe, views):
+        base, near, far = views
+        return _proximity_violation(
+            _prefs_distance(base.prefs, near.prefs),
+            _prefs_distance(base.prefs, far.prefs),
+            outcome_distance(base.outcome, near.outcome),
+            outcome_distance(base.outcome, far.outcome),
+        )
+
+    def cost(self, m, n, count):
+        return count
+
+    def search(self, space):
+        # Tables first: per-individual order distances and outcome pair
+        # values; then per base profile ask whether input-closer ever
+        # maps to output-farther, sorting by input distance before
+        # trying pairs.
+        order_dist = [[_kendall_slots(a, b) for b in space.prefs] for a in space.prefs]
+        count = space.count
+        combos = list(space.combos())
+        values = [
+            [space.view(idx).outcome.pair_value(*pair) for pair in space.pairs]
+            for idx in range(count)
+        ]
+        for base in range(count):
+            D = [
+                sum(order_dist[a][b] for a, b in zip(combos[base], combo))
+                for combo in combos
+            ]
+            d = [sum(abs(u - v) for u, v in zip(values[base], row)) for row in values]
+            by_D: dict[float, list[float]] = {}
+            for other in range(count):
+                by_D.setdefault(D[other], []).append(d[other])
+            farthest = -math.inf  # over input distances up to this one
+            for D_value in sorted(by_D):
+                farthest = max(farthest, *by_D[D_value])
+                if farthest > min(by_D[D_value]):
+                    break
+            else:
+                continue
+            for near in range(count):
+                for far in range(count):
+                    detail = _proximity_violation(D[near], D[far], d[near], d[far])
+                    if detail is not None:
+                        return (base, near, far), detail
+        return None
+
+    def draw(self, trials):
+        base = trials.base()[1]
+        near, far = trials.base()[1], trials.base()[1]
+        prefs = base[1].prefs
+        if _prefs_distance(prefs, near[1].prefs) > _prefs_distance(prefs, far[1].prefs):
+            near, far = far, near
+        return [base, near, far], ()
+
+
+def _proximity_violation(D_near, D_far, d_near, d_far):
+    """A profile closer to the base has an outcome farther from it."""
+    if D_near <= D_far and d_near > d_far:
+        return {"D_near": D_near, "D_far": D_far, "d_near": d_near, "d_far": d_far}
     return None
 
 
-def _audit_transitivity(space: _StrictSpace, ev: _Evaluator):
-    for idx in range(space.count):
-        triple = _find_intransitive_triple(ev.outcome(idx).relation)
-        if triple is not None:
-            i, j, k = triple
-            return FAIL, {
-                "profile": _profile_json(space.profile_at(idx)),
-                "violating_triple": [
-                    space.universe[i].render(),
-                    space.universe[j].render(),
-                    space.universe[k].render(),
-                ],
-            }
-    return PASS, None
+# --------------------------------------------------------------------------
+# entry points
 
 
-def _audit_unrestricted_domain(space, ev: _Evaluator):
-    for idx in range(space.count):
-        try:
-            ev.outcome(idx)
-        except Exception as exc:  # any failure to produce an outcome
-            return FAIL, {
-                "profile": _profile_json(space.profile_at(idx)),
-                "error": f"{type(exc).__name__}: {exc}",
-            }
-    return PASS, None
-
-
-def _audit_unanimity(space: _StrictSpace, ev: _Evaluator):
-    for idx in range(space.count):
-        combo = space.combo_at(idx)
-        for i, j in space.pairs:
-            bits = [space.strict_bit(o, i, j) for o in combo]
-            if all(bits):
-                a, b = i, j
-            elif not any(bits):
-                a, b = j, i
-            else:
-                continue
-            got = ev.value(idx, a, b)
-            if got != 1.0:
-                return FAIL, {
-                    "profile": _profile_json(space.profile_at(idx)),
-                    "pair": _pair_label(space.universe, a, b),
-                    "unanimous_value": 1.0,
-                    "outcome_value": got,
-                }
-    return PASS, None
-
-
-def _audit_anonymity(space: _StrictSpace, ev: _Evaluator):
-    for idx in range(space.count):
-        combo = space.combo_at(idx)
-        base_relation = ev.outcome(idx).relation
-        for sigma in permutations(range(space.n)):
-            permuted = tuple(combo[s] for s in sigma)
-            if permuted == combo:
-                continue
-            other_idx = space.index_of(permuted)
-            if ev.outcome(other_idx).relation != base_relation:
-                return FAIL, {
-                    "profile": _profile_json(space.profile_at(idx)),
-                    "individual_permutation": list(sigma),
-                    "permuted_profile": _profile_json(space.profile_at(other_idx)),
-                }
-    return PASS, None
-
-
-def _audit_neutrality(space: _StrictSpace, ev: _Evaluator):
-    order_index = {order: k for k, order in enumerate(space.orders)}
-    m = space.m
-    identity = tuple(range(m))
-    for idx in range(space.count):
-        combo = space.combo_at(idx)
-        relation = ev.outcome(idx).relation
-        for pi in permutations(range(m)):
-            if pi == identity:
-                continue
-            inv = [0] * m
-            for old, new in enumerate(pi):
-                inv[new] = old
-            relabeled = tuple(
-                order_index[tuple(pi[c] for c in space.orders[o])] for o in combo
-            )
-            expected = tuple(
-                tuple(relation[inv[x]][inv[y]] for y in range(m)) for x in range(m)
-            )
-            relabeled_idx = space.index_of(relabeled)
-            got = ev.outcome(relabeled_idx).relation
-            if got != expected:
-                return FAIL, {
-                    "profile": _profile_json(space.profile_at(idx)),
-                    "class_permutation": list(pi),
-                    "relabeled_profile": _profile_json(
-                        space.profile_at(relabeled_idx)
-                    ),
-                    "expected_relation": [list(map(bool, r)) for r in expected],
-                    "actual_relation": [list(map(bool, r)) for r in got],
-                }
-    return PASS, None
-
-
-def _audit_non_dictatorship(space: _StrictSpace, ev: _Evaluator):
-    overruled = [False] * space.n
-    for idx in range(space.count):
-        combo = space.combo_at(idx)
-        for k in range(space.n):
-            if overruled[k]:
-                continue
-            for i, j in space.pairs:
-                a, b = (i, j) if space.strict_bit(combo[k], i, j) else (j, i)
-                if ev.value(idx, a, b) != 1.0:
-                    overruled[k] = True
-                    break
-        if all(overruled):
-            return PASS, None
-    k0 = overruled.index(False)
-    demo_idx = _dictator_demo(space, k0)
-    outcome = ev.outcome(demo_idx)
-    return FAIL, {
-        "dictator_index": k0 + 1,
-        "demo_profile": _profile_json(space.profile_at(demo_idx)),
-        "demo_outcome_tiers": (
-            [[c.render() for c in t] for t in outcome.ranking.tiers]
-            if outcome.ranking is not None
-            else None
-        ),
-    }
-
-
-def _dictator_demo(space: _StrictSpace, k0: int) -> int:
-    # the never-overruled individual gets the lexicographic order,
-    # everyone else its reverse, so the outcome visibly follows k0
-    reverse = space.orders.index(tuple(reversed(space.orders[0])))
-    combo = tuple(0 if i == k0 else reverse for i in range(space.n))
-    return space.index_of(combo)
-
-
-def _audit_iia(space: _StrictSpace, ev: _Evaluator):
-    # Group profiles by the per-individual relation on each pair; any two
-    # profiles of a group satisfy the premise, so their outcomes must
-    # agree on that pair.
-    mixed_min: list[int] = []
-    groups_by_pair: list[dict[tuple[bool, ...], list[int]]] = []
-    for i, j in space.pairs:
-        groups: dict[tuple[bool, ...], list[int]] = {}
-        for idx in range(space.count):
-            combo = space.combo_at(idx)
-            key = tuple(space.strict_bit(o, i, j) for o in combo)
-            groups.setdefault(key, []).append(idx)
-        groups_by_pair.append(groups)
-        for members in groups.values():
-            if len({ev.value(idx, i, j) for idx in members}) > 1:
-                mixed_min.append(members[0])
-    if not mixed_min:
-        return PASS, None
-    first = min(mixed_min)
-    combo = space.combo_at(first)
-    candidates = []
-    for p_idx, (i, j) in enumerate(space.pairs):
-        key = tuple(space.strict_bit(o, i, j) for o in combo)
-        base_value = ev.value(first, i, j)
-        for other in groups_by_pair[p_idx][key]:
-            if other != first and ev.value(other, i, j) != base_value:
-                candidates.append((other, p_idx, i, j))
-                break
-    other, _, i, j = min(candidates)
-    return FAIL, {
-        "profile_a": _profile_json(space.profile_at(first)),
-        "profile_b": _profile_json(space.profile_at(other)),
-        "pair": _pair_label(space.universe, i, j),
-        "value_a": ev.value(first, i, j),
-        "value_b": ev.value(other, i, j),
-    }
-
-
-def _audit_responsiveness(space: _StrictSpace, ev: _Evaluator, positive: bool):
-    # Premise: exactly one individual's (a, b) relation moves, strictly
-    # upward for a; everyone else keeps their (a, b) relation while their
-    # other pairs may move freely. Conclusion: a weakly on top before
-    # implies a strictly (positive) or still weakly (monotonic) on top
-    # after the uplift.
-    ordered_pairs = sorted(
-        [(i, j) for i, j in space.pairs] + [(j, i) for i, j in space.pairs]
+def _result(rule: Rule, axiom_id: AxiomId, found, budget: str, seed) -> AuditResult:
+    """The verdict on what a driver found, (profiles, witness fields) or
+    None; a fail is re-verified before it is returned."""
+    axiom = _AXIOMS[axiom_id]
+    witness = None
+    if found is not None:
+        given = dict(zip(axiom.profile_keys, found[0]))
+        witness = {
+            key: given[key].to_json_dict() if key in given else found[1][key]
+            for key in axiom.keys
+        }
+    result = AuditResult(
+        rule_name=rule.name,
+        axiom=axiom_id,
+        verdict=PASS if witness is None else FAIL,
+        witness=witness,
+        search_budget=budget,
+        seed=seed,
+        notes=axiom.notes,
     )
-    group_cache: dict[tuple[int, int], dict[tuple[bool, ...], list[int]]] = {}
-
-    def groups_for(a: int, b: int):
-        got = group_cache.get((a, b))
-        if got is None:
-            got = {}
-            for idx in range(space.count):
-                combo = space.combo_at(idx)
-                key = tuple(space.strict_bit(o, a, b) for o in combo)
-                got.setdefault(key, []).append(idx)
-            group_cache[(a, b)] = got
-        return got
-
-    for idx in range(space.count):
-        candidates = []
-        combo = space.combo_at(idx)
-        for p_rank, (a, b) in enumerate(ordered_pairs):
-            if ev.value(idx, a, b) < 0.5:
-                continue  # conclusion unarmed
-            key = tuple(space.strict_bit(o, a, b) for o in combo)
-            groups = groups_for(a, b)
-            for uplift_j in range(space.n):
-                if key[uplift_j]:
-                    continue  # already prefers a; no strict uplift
-                lifted = key[:uplift_j] + (True,) + key[uplift_j + 1 :]
-                for other in groups.get(lifted, ()):
-                    after = ev.value(other, a, b)
-                    bad = (after != 1.0) if positive else (after < 0.5)
-                    if bad:
-                        candidates.append((other, p_rank, uplift_j, a, b, after))
-                        break
-        if candidates:
-            other, _, uplift_j, a, b, after = min(candidates)
-            return FAIL, {
-                "profile_before": _profile_json(space.profile_at(idx)),
-                "profile_after": _profile_json(space.profile_at(other)),
-                "uplifted_individual": uplift_j + 1,
-                "pair": _pair_label(space.universe, a, b),
-                "value_before": ev.value(idx, a, b),
-                "value_after": after,
-            }
-    return PASS, None
-
-
-def _audit_proximity(space: _StrictSpace, ev: _Evaluator):
-    # Tables first: per-individual order distances and outcome pair
-    # values; then per base profile ask whether input-closer ever maps
-    # to output-farther.
-    P = space.P
-    order_dist = [[0.0] * P for _ in range(P)]
-    for o1 in range(P):
-        for o2 in range(o1 + 1, P):
-            d = sum(
-                abs(
-                    float(space.strict_bit(o1, i, j))
-                    - float(space.strict_bit(o2, i, j))
-                )
-                for i, j in space.pairs
-            )
-            order_dist[o1][o2] = order_dist[o2][o1] = d
-
-    count = space.count
-    combos = [space.combo_at(idx) for idx in range(count)]
-    out_values = [
-        [ev.value(idx, i, j) for i, j in space.pairs] for idx in range(count)
-    ]
-
-    def profile_d(x: int, y: int) -> float:
-        return sum(order_dist[a][b] for a, b in zip(combos[x], combos[y]))
-
-    def outcome_d(x: int, y: int) -> float:
-        return sum(abs(u - v) for u, v in zip(out_values[x], out_values[y]))
-
-    def base_violated(base: int) -> bool:
-        by_D: dict[float, list[float]] = {}
-        for other in range(count):
-            by_D.setdefault(profile_d(base, other), []).append(
-                outcome_d(base, other)
-            )
-        running_max = None
-        for D in sorted(by_D):
-            ds = by_D[D]
-            if max(ds) != min(ds):
-                return True  # equal input distance, unequal output distance
-            if running_max is not None and running_max > ds[0]:
-                return True  # closer input, farther output
-            running_max = ds[0] if running_max is None else max(running_max, ds[0])
-        return False
-
-    for base in range(count):
-        if not base_violated(base):
-            continue
-        for j in range(count):
-            Dj, dj = profile_d(base, j), outcome_d(base, j)
-            for k in range(count):
-                if Dj <= profile_d(base, k) and dj > outcome_d(base, k):
-                    return FAIL, {
-                        "profile_base": _profile_json(space.profile_at(base)),
-                        "profile_near_input": _profile_json(space.profile_at(j)),
-                        "profile_far_input": _profile_json(space.profile_at(k)),
-                        "D_near": Dj,
-                        "D_far": profile_d(base, k),
-                        "d_near": dj,
-                        "d_far": outcome_d(base, k),
-                    }
-    return PASS, None
-
-
-# --------------------------------------------------------------------------
-# exhaustive utility audits
-
-
-def _audit_strict_unanimity(space: _GridSpace, ev: _Evaluator):
-    for idx in range(space.count):
-        combo = space.combo_at(idx)
-        vectors = [space.values_at(v) for v in combo]
-        for i, j in space.pairs:
-            ge = all(vec[i] >= vec[j] for vec in vectors)
-            le = all(vec[i] <= vec[j] for vec in vectors)
-            if ge and le:  # exact unanimity of values
-                expected = 0.5
-                a, b = i, j
-            elif ge:
-                expected = 1.0
-                a, b = i, j
-            elif le:
-                expected = 1.0
-                a, b = j, i
-            else:
-                continue
-            got = ev.value(idx, a, b)
-            if got != expected:
-                return FAIL, {
-                    "profile": _profile_json(space.profile_at(idx)),
-                    "pair": _pair_label(space.universe, a, b),
-                    "expected_value": expected,
-                    "outcome_value": got,
-                }
-    return PASS, None
-
-
-def _audit_utility_iia(space: _GridSpace, ev: _Evaluator):
-    mixed_min: list[int] = []
-    groups_by_pair: list[dict[tuple, list[int]]] = []
-    for i, j in space.pairs:
-        groups: dict[tuple, list[int]] = {}
-        for idx in range(space.count):
-            combo = space.combo_at(idx)
-            key = tuple(
-                (space.values_at(v)[i], space.values_at(v)[j]) for v in combo
-            )
-            groups.setdefault(key, []).append(idx)
-        groups_by_pair.append(groups)
-        for members in groups.values():
-            if len({ev.value(idx, i, j) for idx in members}) > 1:
-                mixed_min.append(members[0])
-    if not mixed_min:
-        return PASS, None
-    first = min(mixed_min)
-    combo = space.combo_at(first)
-    candidates = []
-    for p_idx, (i, j) in enumerate(space.pairs):
-        key = tuple((space.values_at(v)[i], space.values_at(v)[j]) for v in combo)
-        base_value = ev.value(first, i, j)
-        for other in groups_by_pair[p_idx][key]:
-            if other != first and ev.value(other, i, j) != base_value:
-                candidates.append((other, p_idx, i, j))
-                break
-    other, _, i, j = min(candidates)
-    return FAIL, {
-        "profile_a": _profile_json(space.profile_at(first)),
-        "profile_b": _profile_json(space.profile_at(other)),
-        "pair": _pair_label(space.universe, i, j),
-        "value_a": ev.value(first, i, j),
-        "value_b": ev.value(other, i, j),
-    }
-
-
-# --------------------------------------------------------------------------
-# sampled audits
-
-# Sampled semantics per axiom: each trial draws the base object(s) the
-# axiom quantifies over (profile, profile pair with the premise imposed,
-# or triple) from the seeded generator and tests the implication once.
-
-
-def _random_order(rng: random.Random, universe: Universe) -> tuple:
-    return tuple(_fisher_yates(rng, list(universe)))
-
-
-def _random_profile(rng: random.Random, universe: Universe, n: int) -> Profile:
-    individuals = tuple(
-        RankingWithTies.from_strict_order(
-            f"v{i + 1}", universe, _random_order(rng, universe)
+    if result.failed and not verify_result(rule, result):
+        raise AssertionError(
+            f"internal error: {axiom_id.value} witness failed re-verification"
         )
-        for i in range(n)
-    )
-    return Profile(universe, individuals, "ordinal")
-
-
-def _random_order_with_bit(
-    rng: random.Random, universe: Universe, a, b, bit: bool
-) -> tuple:
-    while True:
-        order = _random_order(rng, universe)
-        if (order.index(a) < order.index(b)) == bit:
-            return order
-
-
-def _replace_individual(profile: Profile, position: int, order: tuple) -> Profile:
-    individuals = list(profile.individuals)
-    individuals[position] = RankingWithTies.from_strict_order(
-        f"v{position + 1}", profile.universe, order
-    )
-    return Profile(profile.universe, tuple(individuals), "ordinal")
-
-
-def _sampled_ordinal(rule: Rule, axiom: AxiomId, space: SearchSpace):
-    rng = random.Random(space.seed)
-    universe = synthetic_universe(space.m)
-    n = space.n
-    trials = space.trials or 0
-    class_pairs = list(combinations(universe, 2))
-
-    def out_value(outcome: AggregationOutcome, a, b) -> float:
-        i = universe.index(a)
-        j = universe.index(b)
-        return outcome.pair_value(i, j)
-
-    overruled = [False] * n
-    opposed_demo = [None] * n
-
-    for _ in range(trials):
-        profile = _random_profile(rng, universe, n)
-        outcome = rule(profile)
-
-        if axiom == AxiomId.AGREEMENT:
-            for i, j in combinations(range(space.m), 2):
-                if not (outcome.relation[i][j] or outcome.relation[j][i]):
-                    return FAIL, {
-                        "profile": _profile_json(profile),
-                        "incomparable_pair": _pair_label(universe, i, j),
-                    }
-        elif axiom == AxiomId.TRANSITIVITY:
-            triple = _find_intransitive_triple(outcome.relation)
-            if triple is not None:
-                i, j, k = triple
-                return FAIL, {
-                    "profile": _profile_json(profile),
-                    "violating_triple": [
-                        universe[i].render(),
-                        universe[j].render(),
-                        universe[k].render(),
-                    ],
-                }
-        elif axiom == AxiomId.UNRESTRICTED_DOMAIN:
-            pass  # reaching here means the rule returned an outcome
-        elif axiom == AxiomId.UNANIMITY:
-            for a, b in class_pairs:
-                values = [ind.pair_value(a, b) for ind in profile.individuals]
-                if all(v == 1.0 for v in values) and out_value(outcome, a, b) != 1.0:
-                    return FAIL, {
-                        "profile": _profile_json(profile),
-                        "pair": [a.render(), b.render()],
-                        "unanimous_value": 1.0,
-                        "outcome_value": out_value(outcome, a, b),
-                    }
-                if all(v == 0.0 for v in values) and out_value(outcome, b, a) != 1.0:
-                    return FAIL, {
-                        "profile": _profile_json(profile),
-                        "pair": [b.render(), a.render()],
-                        "unanimous_value": 1.0,
-                        "outcome_value": out_value(outcome, b, a),
-                    }
-        elif axiom == AxiomId.ANONYMITY:
-            sigma = _fisher_yates(rng, list(range(n)))
-            permuted = Profile(
-                universe,
-                tuple(
-                    RankingWithTies.from_strict_order(
-                        f"v{i + 1}",
-                        universe,
-                        tuple(
-                            t[0]
-                            for t in profile.individuals[sigma[i]].tiers
-                        ),
-                    )
-                    for i in range(n)
-                ),
-                "ordinal",
-            )
-            if rule(permuted).relation != outcome.relation:
-                return FAIL, {
-                    "profile": _profile_json(profile),
-                    "individual_permutation": list(sigma),
-                    "permuted_profile": _profile_json(permuted),
-                }
-        elif axiom == AxiomId.NEUTRALITY:
-            pi = _fisher_yates(rng, list(range(space.m)))
-            mapping = {universe[old]: universe[pi[old]] for old in range(space.m)}
-            relabeled = Profile(
-                universe,
-                tuple(
-                    RankingWithTies.from_strict_order(
-                        ind.owner,
-                        universe,
-                        tuple(mapping[t[0]] for t in ind.tiers),
-                    )
-                    for ind in profile.individuals
-                ),
-                "ordinal",
-            )
-            inv = [0] * space.m
-            for old, new in enumerate(pi):
-                inv[new] = old
-            expected = tuple(
-                tuple(outcome.relation[inv[x]][inv[y]] for y in range(space.m))
-                for x in range(space.m)
-            )
-            got = rule(relabeled).relation
-            if got != expected:
-                return FAIL, {
-                    "profile": _profile_json(profile),
-                    "class_permutation": list(pi),
-                    "relabeled_profile": _profile_json(relabeled),
-                    "expected_relation": [list(map(bool, r)) for r in expected],
-                    "actual_relation": [list(map(bool, r)) for r in got],
-                }
-        elif axiom == AxiomId.NON_DICTATORSHIP:
-            for k in range(n):
-                ind = profile.individuals[k]
-                for a, b in class_pairs:
-                    if ind.pair_value(a, b) == 1.0:
-                        x, y = a, b
-                    else:
-                        x, y = b, a
-                    if out_value(outcome, x, y) != 1.0:
-                        overruled[k] = True
-                    opposed = any(
-                        other.pair_value(x, y) == 0.0
-                        for idx2, other in enumerate(profile.individuals)
-                        if idx2 != k
-                    )
-                    if (
-                        opposed
-                        and opposed_demo[k] is None
-                        and out_value(outcome, x, y) == 1.0
-                    ):
-                        opposed_demo[k] = profile
-        elif axiom == AxiomId.IIA:
-            a, b = class_pairs[rng.randrange(len(class_pairs))]
-            partner = profile
-            for pos in range(n):
-                bit = profile.individuals[pos].pair_value(a, b) == 1.0
-                partner = _replace_individual(
-                    partner,
-                    pos,
-                    _random_order_with_bit(rng, universe, a, b, bit),
-                )
-            got_a = out_value(outcome, a, b)
-            got_b = out_value(rule(partner), a, b)
-            if got_a != got_b:
-                return FAIL, {
-                    "profile_a": _profile_json(profile),
-                    "profile_b": _profile_json(partner),
-                    "pair": [a.render(), b.render()],
-                    "value_a": got_a,
-                    "value_b": got_b,
-                }
-        elif axiom in (
-            AxiomId.POSITIVE_RESPONSIVENESS,
-            AxiomId.MONOTONIC_RESPONSIVENESS,
-        ):
-            a, b = class_pairs[rng.randrange(len(class_pairs))]
-            if rng.randrange(2):
-                a, b = b, a
-            if out_value(outcome, a, b) < 0.5:
-                continue
-            losers = [
-                pos
-                for pos in range(n)
-                if profile.individuals[pos].pair_value(a, b) == 0.0
-            ]
-            if not losers:
-                continue
-            uplift_j = losers[rng.randrange(len(losers))]
-            partner = profile
-            for pos in range(n):
-                if pos == uplift_j:
-                    order = _random_order_with_bit(rng, universe, a, b, True)
-                else:
-                    bit = profile.individuals[pos].pair_value(a, b) == 1.0
-                    order = _random_order_with_bit(rng, universe, a, b, bit)
-                partner = _replace_individual(partner, pos, order)
-            after = out_value(rule(partner), a, b)
-            positive = axiom == AxiomId.POSITIVE_RESPONSIVENESS
-            bad = (after != 1.0) if positive else (after < 0.5)
-            if bad:
-                return FAIL, {
-                    "profile_before": _profile_json(profile),
-                    "profile_after": _profile_json(partner),
-                    "uplifted_individual": uplift_j + 1,
-                    "pair": [a.render(), b.render()],
-                    "value_before": out_value(outcome, a, b),
-                    "value_after": after,
-                }
-        elif axiom == AxiomId.PROXIMITY_PRESERVATION:
-            near = _random_profile(rng, universe, n)
-            far = _random_profile(rng, universe, n)
-            from .profiles import profile_distance as _pd
-
-            D_near, D_far = _pd(profile, near), _pd(profile, far)
-            if D_near > D_far:
-                near, far = far, near
-                D_near, D_far = D_far, D_near
-            from .rules import outcome_distance as _od
-
-            d_near = _od(outcome, rule(near))
-            d_far = _od(outcome, rule(far))
-            if d_near > d_far:
-                return FAIL, {
-                    "profile_base": _profile_json(profile),
-                    "profile_near_input": _profile_json(near),
-                    "profile_far_input": _profile_json(far),
-                    "D_near": D_near,
-                    "D_far": D_far,
-                    "d_near": d_near,
-                    "d_far": d_far,
-                }
-        else:  # pragma: no cover
-            raise InapplicableAxiom(f"no sampled semantics for {axiom}")
-
-    if axiom == AxiomId.NON_DICTATORSHIP:
-        for k in range(n):
-            if not overruled[k] and opposed_demo[k] is not None:
-                demo = opposed_demo[k]
-                return FAIL, {
-                    "dictator_index": k + 1,
-                    "demo_profile": _profile_json(demo),
-                    "demo_outcome_tiers": None,
-                }
-    return PASS, None
-
-
-def _random_grid_vector(rng: random.Random, m: int) -> list[float]:
-    return [UTILITY_GRID[rng.randrange(len(UTILITY_GRID))] for _ in range(m)]
-
-
-def _sampled_utility(rule: Rule, axiom: AxiomId, space: SearchSpace):
-    rng = random.Random(space.seed)
-    universe = synthetic_universe(space.m)
-    m, n = space.m, space.n
-    trials = space.trials or 0
-
-    def profile_from(vectors: list[list[float]]) -> Profile:
-        return Profile(
-            universe,
-            tuple(
-                UtilityVector(f"v{i + 1}", universe, dict(zip(universe, vec)))
-                for i, vec in enumerate(vectors)
-            ),
-            "utility",
-        )
-
-    for _ in range(trials):
-        if axiom == AxiomId.STRICT_UNANIMITY:
-            i, j = sorted(rng.sample(range(m), 2))
-            vectors = []
-            deltas = []
-            for _k in range(n):
-                vec = _random_grid_vector(rng, m)
-                delta = UTILITY_GRID[rng.randrange(len(UTILITY_GRID))]
-                vec[i] = min(vec[j] + delta, max(UTILITY_GRID))
-                deltas.append(vec[i] - vec[j])
-                vectors.append(vec)
-            profile = profile_from(vectors)
-            outcome = rule(profile)
-            got = outcome.pair_value(i, j)
-            if all(d == 0 for d in deltas):
-                expected = 0.5
-            else:
-                expected = 1.0
-            if got != expected:
-                return FAIL, {
-                    "profile": _profile_json(profile),
-                    "pair": _pair_label(universe, i, j),
-                    "expected_value": expected,
-                    "outcome_value": got,
-                }
-        elif axiom == AxiomId.UTILITY_IIA:
-            i, j = sorted(rng.sample(range(m), 2))
-            vectors = [_random_grid_vector(rng, m) for _ in range(n)]
-            partner = []
-            for vec in vectors:
-                redraw = _random_grid_vector(rng, m)
-                redraw[i], redraw[j] = vec[i], vec[j]
-                partner.append(redraw)
-            profile_a = profile_from(vectors)
-            profile_b = profile_from(partner)
-            got_a = rule(profile_a).pair_value(i, j)
-            got_b = rule(profile_b).pair_value(i, j)
-            if got_a != got_b:
-                return FAIL, {
-                    "profile_a": _profile_json(profile_a),
-                    "profile_b": _profile_json(profile_b),
-                    "pair": _pair_label(universe, i, j),
-                    "value_a": got_a,
-                    "value_b": got_b,
-                }
-        else:  # pragma: no cover
-            raise InapplicableAxiom(f"no sampled semantics for {axiom}")
-    return PASS, None
-
-
-# --------------------------------------------------------------------------
-# budget, dispatch, verification
-
-
-def _notional_cost(axiom: AxiomId, space: SearchSpace) -> int:
-    if space.mode == "sampled":
-        return int(space.trials or 0)
-    if axiom in UTILITY_AXIOMS:
-        base = (len(UTILITY_GRID) ** space.m) ** space.n
-    else:
-        base = math.factorial(space.m) ** space.n
-    if axiom in (
-        AxiomId.IIA,
-        AxiomId.POSITIVE_RESPONSIVENESS,
-        AxiomId.MONOTONIC_RESPONSIVENESS,
-        AxiomId.PROXIMITY_PRESERVATION,
-        AxiomId.UTILITY_IIA,
-    ):
-        return base * base
-    if axiom == AxiomId.ANONYMITY:
-        return base * math.factorial(space.n)
-    if axiom == AxiomId.NEUTRALITY:
-        return base * math.factorial(space.m)
-    return base
-
-
-_EXHAUSTIVE_ORDINAL = {
-    AxiomId.AGREEMENT: _audit_agreement,
-    AxiomId.TRANSITIVITY: _audit_transitivity,
-    AxiomId.UNRESTRICTED_DOMAIN: _audit_unrestricted_domain,
-    AxiomId.UNANIMITY: _audit_unanimity,
-    AxiomId.ANONYMITY: _audit_anonymity,
-    AxiomId.NEUTRALITY: _audit_neutrality,
-    AxiomId.NON_DICTATORSHIP: _audit_non_dictatorship,
-    AxiomId.IIA: _audit_iia,
-    AxiomId.PROXIMITY_PRESERVATION: _audit_proximity,
-}
+    return result
 
 
 def audit(rule: Rule, axiom: AxiomId, space: SearchSpace) -> AuditResult:
@@ -1099,67 +978,36 @@ def audit(rule: Rule, axiom: AxiomId, space: SearchSpace) -> AuditResult:
         raise InapplicableAxiom(
             f"{axiom.value} is checked by its dedicated operation, not audit()"
         )
-    cost = _notional_cost(axiom, space)
+    spec = _AXIOMS[axiom]
+    m, n = space.m, space.n
+    utility = axiom in UTILITY_AXIOMS
+    if space.mode == "sampled":
+        cost = int(space.trials or 0)
+    else:
+        count = (len(UTILITY_GRID) ** m if utility else math.factorial(m)) ** n
+        cost = count * spec.cost(m, n, count)
     if cost > BUDGET_LIMIT:
         raise BudgetExceeded(
-            f"{axiom.value} over m={space.m} n={space.n} needs {cost} "
+            f"{axiom.value} over m={m} n={n} needs {cost} "
             f"enumerations (limit {BUDGET_LIMIT})"
         )
 
     if space.mode == "exhaustive":
-        if axiom in UTILITY_AXIOMS:
-            grid = _GridSpace(space.m, space.n)
-            ev = _Evaluator(grid, rule)
-            fn = (
-                _audit_strict_unanimity
-                if axiom == AxiomId.STRICT_UNANIMITY
-                else _audit_utility_iia
-            )
-            verdict, witness = fn(grid, ev)
-            budget = (
-                f"exhaustive grid-utility profiles m={space.m} n={space.n} "
-                f"(grid {UTILITY_GRID}, {grid.count} profiles)"
-            )
-        else:
-            strict = _StrictSpace(space.m, space.n)
-            ev = _Evaluator(strict, rule)
-            if axiom == AxiomId.POSITIVE_RESPONSIVENESS:
-                verdict, witness = _audit_responsiveness(strict, ev, True)
-            elif axiom == AxiomId.MONOTONIC_RESPONSIVENESS:
-                verdict, witness = _audit_responsiveness(strict, ev, False)
-            else:
-                verdict, witness = _EXHAUSTIVE_ORDINAL[axiom](strict, ev)
-            budget = (
-                f"exhaustive strict-order profiles m={space.m} n={space.n} "
-                f"({strict.count} profiles)"
-            )
+        grid = _Space(m, n, rule, spec.catches)
+        found = spec.search(grid)
+        if found is not None:
+            found = [grid.profile(idx) for idx in found[0]], found[1]
+        kind = "grid-utility" if utility else "strict-order"
+        grid_note = f"grid {UTILITY_GRID}, " if utility else ""
+        budget = (
+            f"exhaustive {kind} profiles m={m} n={n} ({grid_note}{grid.count} profiles)"
+        )
     else:
         if space.trials is None or space.seed is None:
             raise ValueError("sampled spaces need trials and seed")
-        if axiom in UTILITY_AXIOMS:
-            verdict, witness = _sampled_utility(rule, axiom, space)
-        else:
-            verdict, witness = _sampled_ordinal(rule, axiom, space)
-        budget = (
-            f"sampled {space.trials} trials m={space.m} n={space.n} "
-            f"seed={space.seed}"
-        )
-
-    notes = PROXIMITY_NOTE if axiom == AxiomId.PROXIMITY_PRESERVATION else None
-    result = AuditResult(
-        rule_name=rule.name,
-        axiom=axiom,
-        verdict=verdict,
-        witness=witness,
-        search_budget=budget,
-        seed=space.seed,
-        notes=notes,
-    )
-    if result.failed and not verify_result(rule, result):
-        raise AssertionError(
-            f"internal error: {axiom.value} witness failed re-verification"
-        )
-    return result
+        found = spec.sample(rule, space)
+        budget = f"sampled {space.trials} trials m={m} n={n} seed={space.seed}"
+    return _result(rule, axiom, found, budget, space.seed)
 
 
 def arrow_audit(rule: Rule, m: int, n: int) -> list[AuditResult]:
@@ -1191,76 +1039,12 @@ def may_coincidence_check(
         result = audit(rule, premise, space)
         if result.failed:
             return result
-
-    rng = random.Random(seed)
-    universe = synthetic_universe(m)
-    pair_indices = list(combinations(range(m), 2))
-    for _ in range(trials):
-        profile = _random_profile(rng, universe, n)
-        outcome = rule(profile)
-        for i, j in pair_indices:
-            wins_i = sum(
-                1
-                for ind in profile.individuals
-                if ind.pair_value(universe[i], universe[j]) == 1.0
-            )
-            wins_j = sum(
-                1
-                for ind in profile.individuals
-                if ind.pair_value(universe[i], universe[j]) == 0.0
-            )
-            if wins_i > wins_j:
-                formula = 1.0
-            elif wins_j > wins_i:
-                formula = 0.0
-            else:
-                formula = 0.5
-            got = outcome.pair_value(i, j)
-            if got != formula:
-                result = AuditResult(
-                    rule_name=rule.name,
-                    axiom=AxiomId.MAY_COINCIDENCE,
-                    verdict=FAIL,
-                    witness={
-                        "profile": _profile_json(profile),
-                        "pair": _pair_label(universe, i, j),
-                        "rule_value": got,
-                        "formula_value": formula,
-                    },
-                    search_budget=(
-                        f"premises exhaustive m={m} n={n}; coincidence sampled "
-                        f"{trials} trials seed={seed}"
-                    ),
-                    seed=seed,
-                )
-                if not verify_result(rule, result):
-                    raise AssertionError(
-                        "internal error: coincidence witness failed re-verification"
-                    )
-                return result
-    return AuditResult(
-        rule_name=rule.name,
-        axiom=AxiomId.MAY_COINCIDENCE,
-        verdict=PASS,
-        witness=None,
-        search_budget=(
-            f"premises exhaustive m={m} n={n}; coincidence sampled "
-            f"{trials} trials seed={seed}"
-        ),
-        seed=seed,
+    found = _AXIOMS[AxiomId.MAY_COINCIDENCE].sample(rule, sampled(m, n, trials, seed))
+    budget = (
+        f"premises exhaustive m={m} n={n}; coincidence sampled "
+        f"{trials} trials seed={seed}"
     )
-
-
-# --------------------------------------------------------------------------
-# witness re-verification
-
-
-def _value_of(outcome: AggregationOutcome, universe: Universe, pair: list) -> float:
-    from .contacts import InteractionClass
-
-    a = universe.index(InteractionClass.parse(pair[0]))
-    b = universe.index(InteractionClass.parse(pair[1]))
-    return outcome.pair_value(a, b)
+    return _result(rule, AxiomId.MAY_COINCIDENCE, found, budget, seed)
 
 
 def verify_result(rule: Rule, result: AuditResult) -> bool:
@@ -1268,124 +1052,24 @@ def verify_result(rule: Rule, result: AuditResult) -> bool:
     the claimed violation; pass verdicts verify vacuously."""
     if not result.failed:
         return True
+    axiom = _AXIOMS.get(result.axiom)
     w = result.witness
-    if w is None:
+    if w is None or axiom is None:
         return False
-    axiom = result.axiom
-
-    if axiom in (AxiomId.AGREEMENT, AxiomId.TRANSITIVITY):
-        profile = Profile.from_json_dict(w["profile"])
-        relation = rule(profile).relation
-        universe = profile.universe
-        if axiom == AxiomId.AGREEMENT:
-            from .contacts import InteractionClass
-
-            i = universe.index(InteractionClass.parse(w["incomparable_pair"][0]))
-            j = universe.index(InteractionClass.parse(w["incomparable_pair"][1]))
-            return not (relation[i][j] or relation[j][i])
-        from .contacts import InteractionClass
-
-        x, y, z = (
-            universe.index(InteractionClass.parse(c)) for c in w["violating_triple"]
-        )
-        return relation[x][y] and relation[y][z] and not relation[x][z]
-
-    if axiom == AxiomId.UNRESTRICTED_DOMAIN:
-        profile = Profile.from_json_dict(w["profile"])
-        try:
-            rule(profile)
-        except Exception:
-            return True
-        return False
-
-    if axiom in (AxiomId.UNANIMITY, AxiomId.STRICT_UNANIMITY):
-        profile = Profile.from_json_dict(w["profile"])
-        outcome = rule(profile)
-        expected = w.get("unanimous_value", w.get("expected_value"))
-        return _value_of(outcome, profile.universe, w["pair"]) != expected
-
-    if axiom == AxiomId.ANONYMITY:
-        profile = Profile.from_json_dict(w["profile"])
-        permuted = Profile.from_json_dict(w["permuted_profile"])
-        return rule(profile).relation != rule(permuted).relation
-
-    if axiom == AxiomId.NEUTRALITY:
-        profile = Profile.from_json_dict(w["profile"])
-        relabeled = Profile.from_json_dict(w["relabeled_profile"])
-        pi = w["class_permutation"]
-        m = len(profile.universe)
-        inv = [0] * m
-        for old, new in enumerate(pi):
-            inv[new] = old
-        relation = rule(profile).relation
-        expected = tuple(
-            tuple(relation[inv[x]][inv[y]] for y in range(m)) for x in range(m)
-        )
-        return rule(relabeled).relation != expected
-
-    if axiom == AxiomId.NON_DICTATORSHIP:
-        profile = Profile.from_json_dict(w["demo_profile"])
-        outcome = rule(profile)
-        k = w["dictator_index"] - 1
-        ind = profile.individuals[k]
-        followed = all(
-            outcome.pair_value(i, j)
-            == ind.pair_value(profile.universe[i], profile.universe[j])
-            for i, j in combinations(range(len(profile.universe)), 2)
-        )
-        opposed = any(
-            other.pair_value(a, b) != ind.pair_value(a, b)
-            for pos, other in enumerate(profile.individuals)
-            if pos != k
-            for a, b in combinations(profile.universe, 2)
-        )
-        return followed and opposed
-
-    if axiom in (AxiomId.IIA, AxiomId.UTILITY_IIA):
-        profile_a = Profile.from_json_dict(w["profile_a"])
-        profile_b = Profile.from_json_dict(w["profile_b"])
-        value_a = _value_of(rule(profile_a), profile_a.universe, w["pair"])
-        value_b = _value_of(rule(profile_b), profile_b.universe, w["pair"])
-        return value_a != value_b and value_a == w["value_a"] and value_b == w["value_b"]
-
-    if axiom in (
-        AxiomId.POSITIVE_RESPONSIVENESS,
-        AxiomId.MONOTONIC_RESPONSIVENESS,
-    ):
-        before = Profile.from_json_dict(w["profile_before"])
-        after = Profile.from_json_dict(w["profile_after"])
-        value_before = _value_of(rule(before), before.universe, w["pair"])
-        value_after = _value_of(rule(after), after.universe, w["pair"])
-        if value_before < 0.5:
-            return False
-        if axiom == AxiomId.POSITIVE_RESPONSIVENESS:
-            return value_after != 1.0
-        return value_after < 0.5
-
-    if axiom == AxiomId.PROXIMITY_PRESERVATION:
-        from .profiles import profile_distance
-        from .rules import outcome_distance
-
-        base = Profile.from_json_dict(w["profile_base"])
-        near = Profile.from_json_dict(w["profile_near_input"])
-        far = Profile.from_json_dict(w["profile_far_input"])
-        D_near = profile_distance(base, near)
-        D_far = profile_distance(base, far)
-        out_base = rule(base)
-        d_near = outcome_distance(out_base, rule(near))
-        d_far = outcome_distance(out_base, rule(far))
-        return (
-            D_near == w["D_near"]
-            and D_far == w["D_far"]
-            and d_near == w["d_near"]
-            and d_far == w["d_far"]
-            and D_near <= D_far
-            and d_near > d_far
-        )
-
-    if axiom == AxiomId.MAY_COINCIDENCE:
-        profile = Profile.from_json_dict(w["profile"])
-        got = _value_of(rule(profile), profile.universe, w["pair"])
-        return got == w["rule_value"] and got != w["formula_value"]
-
-    return False
+    profiles = [Profile.from_json_dict(w[key]) for key in axiom.profile_keys]
+    universe = profiles[0].universe
+    views = []
+    for profile in profiles:
+        if profile.mode == "ordinal":
+            prefs = tuple(ind.slots() for ind in profile.individuals)
+        else:
+            prefs = tuple(tuple(ind.as_list()) for ind in profile.individuals)
+        views.append(_View(prefs, _outcome(rule, profile, axiom.catches)))
+    params = [
+        tuple(universe.index(InteractionClass.parse(c)) for c in w[key])
+        if key == "pair"  # a class pair is named by its labels
+        else w[key]
+        for key in axiom.params
+    ]
+    detail = axiom.check(universe, views, *params)
+    return detail is not None and all(w.get(k) == v for k, v in detail.items())

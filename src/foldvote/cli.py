@@ -234,6 +234,7 @@ def _cmd_audit(args, parser: _Parser) -> int:
     from .audit import (
         ARROW_AXIOMS,
         AxiomId,
+        _require_trials,
         audit as run_audit,
         exhaustive,
         may_coincidence_check,
@@ -255,6 +256,7 @@ def _cmd_audit(args, parser: _Parser) -> int:
         parser.error("rule mean-direction supports only the continuity axiom")
     if args.rule != "mean-direction" and "continuity" in tokens:
         parser.error("the continuity axiom applies to rule mean-direction")
+    _require_trials(args.trials)
 
     resolved = {
         "command": "audit",

@@ -55,6 +55,10 @@ class BadSpec(FoldvoteError):
     """A synthetic-profile request is inconsistent."""
 
 
+class MalformedProfile(FoldvoteError):
+    """A profile's JSON holds a field of the wrong shape."""
+
+
 # --------------------------------------------------------------------- rules
 
 class WrongMode(FoldvoteError):

@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass
 
 from .contacts import InteractionClass, class_universe
-from .errors import BadSpec, Incompatible, UniverseMismatch
+from .errors import BadSpec, Incompatible, MalformedProfile, UniverseMismatch
 from .preferences import RankingWithTies, Universe, UtilityVector
 
 SYNTH_KINDS = ("impartial_culture", "single_peaked", "condorcet_cycle", "custom")
@@ -84,23 +84,46 @@ class Profile:
 
     @staticmethod
     def from_json_dict(obj: dict) -> Profile:
-        universe = tuple(InteractionClass.parse(c) for c in obj["universe"])
+        universe = tuple(_parse_labels(obj["universe"], "universe"))
         mode = obj.get("mode", "ordinal")
         individuals = []
-        for ind in obj["individuals"]:
+        for ind in _shaped(obj["individuals"], list, "individuals"):
+            _shaped(ind, dict, "an individual")
             if mode == "ordinal":
                 tiers = tuple(
-                    tuple(InteractionClass.parse(c) for c in t)
-                    for t in ind["tiers"]
+                    tuple(_parse_labels(t, "a tier"))
+                    for t in _shaped(ind["tiers"], list, "tiers")
                 )
                 individuals.append(RankingWithTies(ind["owner"], universe, tiers))
             else:
-                values = {
-                    InteractionClass.parse(c): float(v)
-                    for c, v in ind["values"].items()
-                }
+                values = {}
+                for c, v in _shaped(ind["values"], dict, "values").items():
+                    _shaped(v, (int, float), f"the value of {c}")
+                    values[InteractionClass.parse(c)] = float(v)
                 individuals.append(UtilityVector(ind["owner"], universe, values))
         return Profile(universe, tuple(individuals), mode)
+
+
+_JSON_KINDS = {
+    list: "a list",
+    dict: "an object",
+    str: "a string",
+    (int, float): "a number",
+}
+
+
+def _shaped(value, kind, what: str):
+    """The JSON value, if it has the expected Python type."""
+    if not isinstance(value, kind):
+        raise MalformedProfile(f"{what} must be {_JSON_KINDS[kind]}, got {value!r}")
+    return value
+
+
+def _parse_labels(labels, what: str):
+    return (
+        InteractionClass.parse(_shaped(c, str, "a class label"))
+        for c in _shaped(labels, list, what)
+    )
 
 
 def kendall_distance(a: RankingWithTies, b: RankingWithTies) -> float:
@@ -113,7 +136,11 @@ def kendall_distance(a: RankingWithTies, b: RankingWithTies) -> float:
     """
     if a.universe != b.universe:
         raise UniverseMismatch("rankings over different universes")
-    sa, sb = a.slots(), b.slots()
+    return _kendall_slots(a.slots(), b.slots())
+
+
+def _kendall_slots(sa: tuple[int, ...], sb: tuple[int, ...]) -> float:
+    """kendall_distance on two rankings given by their slots()."""
     # in halves, v is 1 + sign(tier of y - tier of x), so each pair adds
     # the absolute difference of its two signs
     halves = 0

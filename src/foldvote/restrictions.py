@@ -14,7 +14,7 @@ from itertools import permutations
 from .contacts import InteractionClass
 from .errors import TiesUnsupported, TooLarge
 from .profiles import Profile
-from .rules import AggregationOutcome
+from .rules import AggregationOutcome, first_intransitive_triple
 
 Axis = tuple[InteractionClass, ...]
 
@@ -103,14 +103,8 @@ def is_quasi_transitive(outcome: AggregationOutcome) -> bool:
     intransitive indifference is allowed."""
     relation = outcome.relation
     m = len(relation)
-
-    def strict(i: int, j: int) -> bool:
-        return relation[i][j] and not relation[j][i]
-
-    for i in range(m):
-        for j in range(m):
-            if i != j and strict(i, j):
-                for k in range(m):
-                    if k not in (i, j) and strict(j, k) and not strict(i, k):
-                        return False
-    return True
+    strict = tuple(
+        tuple(relation[i][j] and not relation[j][i] for j in range(m))
+        for i in range(m)
+    )
+    return first_intransitive_triple(strict) is None

@@ -34,6 +34,8 @@ class AggregationOutcome:
     relation: Relation
     transitive: bool
     ranking: RankingWithTies | None
+    # first (x, y, z) with x >= y >= z but not x >= z; see
+    # first_intransitive_triple
     cycle_witness: tuple[InteractionClass, ...] | None
 
     def pair_value(self, i: int, j: int) -> float:
@@ -73,35 +75,22 @@ class UtilityTransform:
             raise ValueError("scale_alpha must be positive")
 
 
-def is_transitive(relation: Relation) -> bool:
+def first_intransitive_triple(relation: Relation) -> tuple[int, int, int] | None:
+    """Lexicographically first triple of distinct indices (x, y, z) with
+    x >= y and y >= z but not x >= z, or None when the relation is
+    transitive. In a complete relation not x >= z means z > x, so the
+    triple is a cycle; in an incomplete one x and z may be incomparable."""
     m = len(relation)
-    for i in range(m):
-        for j in range(m):
-            if i == j or not relation[i][j]:
+    for x in range(m):
+        row_x = relation[x]
+        for y in range(m):
+            if y == x or not row_x[y]:
                 continue
-            row_i, row_j = relation[i], relation[j]
-            for k in range(m):
-                if row_j[k] and not row_i[k]:
-                    return False
-    return True
-
-
-def _cycle_witness(
-    universe: Universe, relation: Relation
-) -> tuple[InteractionClass, ...]:
-    """Lexicographically first triple (x, y, z) with x >= y >= z yet z > x
-    strictly; every intransitivity of a complete relation contains one."""
-    m = len(universe)
-    for i in range(m):
-        for j in range(m):
-            if i == j or not relation[i][j]:
-                continue
-            for k in range(m):
-                if k in (i, j):
-                    continue
-                if relation[j][k] and not relation[i][k] and relation[k][i]:
-                    return (universe[i], universe[j], universe[k])
-    raise AssertionError("no witness in an intransitive relation")
+            row_y = relation[y]
+            for z in range(m):
+                if row_y[z] and not row_x[z] and z != x and z != y:
+                    return x, y, z
+    return None
 
 
 def _ranking_from_relation(
@@ -126,7 +115,8 @@ def _ranking_from_relation(
 def outcome_from_relation(
     rule_name: str, universe: Universe, relation: Relation
 ) -> AggregationOutcome:
-    transitive = is_transitive(relation)
+    triple = first_intransitive_triple(relation)
+    transitive = triple is None
     return AggregationOutcome(
         rule_name=rule_name,
         universe=universe,
@@ -137,7 +127,7 @@ def outcome_from_relation(
             if transitive
             else None
         ),
-        cycle_witness=None if transitive else _cycle_witness(universe, relation),
+        cycle_witness=None if transitive else tuple(universe[i] for i in triple),
     )
 
 

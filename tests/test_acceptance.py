@@ -6,11 +6,13 @@ Run with -s (or read the -v test lines) to see the verdict lines.
 
 import json
 import math
+import os
 import random
 import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 from foldvote.audit import (
     AxiomId,
@@ -42,6 +44,7 @@ from foldvote.rules import (
 )
 
 CLI = [sys.executable, "-m", "foldvote.cli"]
+SRC = Path(__file__).resolve().parents[1] / "src"
 RULES = standard_rules()
 
 
@@ -51,7 +54,12 @@ def announce(n, text):
 
 def cli(*args, stdin=None):
     proc = subprocess.run(
-        CLI + list(args), input=stdin, capture_output=True, text=True, timeout=120
+        CLI + list(args),
+        input=stdin,
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout

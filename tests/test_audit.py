@@ -15,6 +15,7 @@ from foldvote.audit import (
     PASS,
     AuditResult,
     AxiomId,
+    Rule,
     arrow_audit,
     arrow_contradiction,
     audit,
@@ -236,6 +237,20 @@ class TestSampled:
         res = audit(RULES["borda"], AxiomId.TRANSITIVITY, sampled(3, 3, 50, seed=0))
         assert res.verdict == PASS
         assert "sampled" in res.search_budget
+
+
+class TestUnrestrictedDomain:
+    def test_sampled_search_reports_a_raising_rule(self):
+        def fragile(profile):
+            if profile.individuals[0].tiers == profile.individuals[-1].tiers:
+                raise ValueError("first and last individual agree")
+            return RULES["may"](profile)
+
+        rule = Rule("fragile", fragile)
+        res = audit(rule, AxiomId.UNRESTRICTED_DOMAIN, sampled(3, 2, 100, seed=0))
+        assert res.failed
+        assert res.witness["error"] == "ValueError: first and last individual agree"
+        assert verify_result(rule, res)
 
 
 class TestVerification:

@@ -5,15 +5,18 @@ finding), 1 usage, 2 unreadable or invalid input, 3 budget refusal.
 """
 
 import json
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from foldvote.data import four_residue_pdb_path
 
 CLI = [sys.executable, "-m", "foldvote.cli"]
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(*args, stdin=None, check=None):
@@ -23,6 +26,7 @@ def run(*args, stdin=None, check=None):
         capture_output=True,
         text=True,
         timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
     )
     if check is not None:
         assert proc.returncode == check, proc.stderr
@@ -126,10 +130,29 @@ class TestExitCodes:
         assert "NotAnObject" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("command", ["aggregate", "restrict"])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"universe": [1], "individuals": []}',
+            '{"universe": "A-A", "individuals": []}',
+            '{"universe": ["A-A"], "individuals": [5]}',
+            '{"universe": ["A-A"], "individuals": [{"owner": "p", "tiers": "A-A"}]}',
+            '{"universe": ["A-A"], "mode": "utility",'
+            ' "individuals": [{"owner": "p", "values": [1]}]}',
+        ],
+    )
+    def test_malformed_profile_is_input_error(self, command, text):
+        proc = run(command, stdin=text)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: MalformedProfile")
+        assert "Traceback" not in proc.stderr
+
     @pytest.mark.parametrize("trials", ["0", "-5"])
     def test_nonpositive_trials_is_input_error(self, trials):
         for extra in (["--mode", "sampled", "--axioms", "iia"],
-                      ["--axioms", "may_coincidence"]):
+                      ["--axioms", "may_coincidence"],
+                      ["--axioms", "unanimity"]):
             proc = run("audit", "--rule", "may", "--trials", trials, *extra)
             assert proc.returncode == 2, proc.stderr
             assert "BadSpec" in proc.stderr and proc.stdout == ""

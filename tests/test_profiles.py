@@ -7,7 +7,7 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from foldvote.errors import BadSpec, Incompatible, UniverseMismatch
+from foldvote.errors import BadSpec, Incompatible, MalformedProfile, UniverseMismatch
 from foldvote.preferences import RankingWithTies
 from foldvote.profiles import (
     Profile,
@@ -113,6 +113,30 @@ class TestProfileModel:
     def test_json_roundtrip(self):
         p = Profile(U3, (tiers((X, Y), (Z,), owner="a"), strict((Z, X, Y), "b")))
         assert Profile.from_json_dict(p.to_json_dict()) == p
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("universe", "A-A"),
+            ("universe", [1, 2, 3]),
+            ("individuals", {"owner": "a"}),
+            ("individuals", [5, 6]),
+            ("individuals", [{"owner": "a", "tiers": "A-A"}] * 2),
+            ("individuals", [{"owner": "a", "tiers": [[1]]}] * 2),
+        ],
+    )
+    def test_json_field_shapes_checked(self, field, value):
+        obj = Profile(U3, (strict((X, Y, Z), "a"), strict((Z, X, Y), "b"))).to_json_dict()
+        obj[field] = value
+        with pytest.raises(MalformedProfile):
+            Profile.from_json_dict(obj)
+
+    @pytest.mark.parametrize("values", [[0.0, 1.0, 2.0], {"A-A": "high"}])
+    def test_json_utility_values_checked(self, values):
+        obj = {"universe": ["A-A"], "mode": "utility"}
+        obj["individuals"] = [{"owner": "a", "values": values}] * 2
+        with pytest.raises(MalformedProfile):
+            Profile.from_json_dict(obj)
 
 
 class TestGenerate:

@@ -15,15 +15,18 @@ from foldvote.profiles import (
     kendall_distance,
     synthetic_universe,
 )
+from foldvote.restrictions import is_quasi_transitive
 from foldvote.rules import (
     UtilityTransform,
     apply_transform,
     borda,
     dictator,
+    first_intransitive_triple,
     kemeny,
     majority_tournament,
     may_rule,
     outcome_distance,
+    outcome_from_relation,
     utilitarian,
 )
 
@@ -482,3 +485,89 @@ def test_kemeny_tie_break_is_lexicographic_on_all_tied_profile():
     u = synthetic_universe(5)
     p = Profile(u, tuple(RankingWithTies(f"v{v}", u, (u,)) for v in range(3)))
     assert kemeny(p).ranking.tiers == tuple((c,) for c in u)
+
+
+# The four triple scans that first_intransitive_triple replaced, kept as
+# references: rules.is_transitive, rules._cycle_witness (as indices),
+# audit._find_intransitive_triple and restrictions.is_quasi_transitive.
+
+
+def old_is_transitive(relation):
+    m = len(relation)
+    for i in range(m):
+        for j in range(m):
+            if i == j or not relation[i][j]:
+                continue
+            row_i, row_j = relation[i], relation[j]
+            for k in range(m):
+                if row_j[k] and not row_i[k]:
+                    return False
+    return True
+
+
+def old_cycle_witness(relation):
+    m = len(relation)
+    for i in range(m):
+        for j in range(m):
+            if i == j or not relation[i][j]:
+                continue
+            for k in range(m):
+                if k in (i, j):
+                    continue
+                if relation[j][k] and not relation[i][k] and relation[k][i]:
+                    return (i, j, k)
+    raise AssertionError("no witness in an intransitive relation")
+
+
+def old_find_intransitive_triple(relation):
+    m = len(relation)
+    for i in range(m):
+        for j in range(m):
+            if i == j or not relation[i][j]:
+                continue
+            for k in range(m):
+                if k not in (i, j) and relation[j][k] and not relation[i][k]:
+                    return i, j, k
+    return None
+
+
+def old_is_quasi_transitive(relation):
+    m = len(relation)
+
+    def strict(i, j):
+        return relation[i][j] and not relation[j][i]
+
+    for i in range(m):
+        for j in range(m):
+            if i != j and strict(i, j):
+                for k in range(m):
+                    if k not in (i, j) and strict(j, k) and not strict(i, k):
+                        return False
+    return True
+
+
+class TestIntransitivityScan:
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_matches_old_scans_on_every_reflexive_relation(self, m):
+        universe = synthetic_universe(m)
+        off = [(i, j) for i in range(m) for j in range(m) if i != j]
+        for bits in product((False, True), repeat=len(off)):
+            rows = [[i == j for j in range(m)] for i in range(m)]
+            for (i, j), bit in zip(off, bits):
+                rows[i][j] = bit
+            relation = tuple(map(tuple, rows))
+            triple = first_intransitive_triple(relation)
+            assert triple == old_find_intransitive_triple(relation)
+            assert (triple is None) == old_is_transitive(relation)
+            complete = all(relation[i][j] or relation[j][i] for i, j in off)
+            if complete and triple is not None:
+                assert triple == old_cycle_witness(relation)
+            outcome = outcome_from_relation("t", universe, relation)
+            assert is_quasi_transitive(outcome) == old_is_quasi_transitive(relation)
+
+    def test_incomplete_intransitive_relation_gets_a_witness(self):
+        # X >= Y and Y >= Z, with X and Z incomparable
+        T, F = True, False
+        out = outcome_from_relation("t", U3, ((T, T, F), (F, T, T), (F, F, T)))
+        assert not out.transitive and out.ranking is None
+        assert out.cycle_witness == (X, Y, Z)
