@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, partial
 from itertools import combinations, permutations, product
-from typing import Callable
 
 from .contacts import InteractionClass
 from .errors import BadSpec, BudgetExceeded, InapplicableAxiom

@@ -135,11 +135,7 @@ class TestExitCodes:
         "text",
         [
             '{"universe": [1], "individuals": []}',
-            '{"universe": "A-A", "individuals": []}',
             '{"universe": ["A-A"], "individuals": [5]}',
-            '{"universe": ["A-A"], "individuals": [{"owner": "p", "tiers": "A-A"}]}',
-            '{"universe": ["A-A"], "mode": "utility",'
-            ' "individuals": [{"owner": "p", "values": [1]}]}',
         ],
     )
     def test_malformed_profile_is_input_error(self, command, text):
