@@ -8,9 +8,9 @@ shared definition, and a restructuring of ``foldvote.audit`` has to
 reproduce every one of them.
 
 Besides the standard rules, a few probe rules (defined below) make the
-fail path of every axiom run: no standard rule fails agreement,
-unanimity, unrestricted domain, monotonic responsiveness or the two
-utility axioms on these spaces.
+fail path of every axiom run: over the exhaustive spaces no standard
+rule fails agreement, unanimity, unrestricted domain, monotonic
+responsiveness or the two utility axioms.
 """
 
 import hashlib
