@@ -16,7 +16,9 @@ standard classes (or every utility profile over the grid {0, 0.5, 1})
 in lexicographic mixed-radix order; the sampled driver, drawing from a
 seeded Mersenne Twister in a fixed call order; and ``verify_result``,
 which re-runs the rule on the witness profiles and accepts the witness
-only if the check reproduces every field it claims.
+only if they meet the axiom's premise (a partner keeping the stances,
+a permuted or relabeled copy) and the check reproduces every field it
+claims.
 
 Witness minimality: exhaustive searches report the first profile with a
 violation, then the first class pair (anonymity and neutrality: the
@@ -217,6 +219,22 @@ def _prefers(prefs: tuple, i: int, j: int) -> bool:
     return prefs[i] < prefs[j]
 
 
+def _relation(prefs: tuple, i: int, j: int) -> int:
+    """1 if i is above j, -1 if below, 0 on a tie."""
+    return (prefs[i] < prefs[j]) - (prefs[j] < prefs[i])
+
+
+def _kept(views: list[_View], stance, pair, lifted: int | None = None) -> bool:
+    """Every individual takes the same stance on the pair in both
+    profiles, except that individual `lifted` (0-based) moves it up."""
+    return all(
+        stance(b, *pair) > stance(a, *pair)
+        if k == lifted
+        else stance(b, *pair) == stance(a, *pair)
+        for k, (a, b) in enumerate(zip(views[0].prefs, views[1].prefs))
+    )
+
+
 def _prefs_distance(a: tuple, b: tuple) -> float:
     """profile_distance on the prefs of two ordinal profiles."""
     return sum(_kendall_slots(x, y) for x, y in zip(a, b))
@@ -397,6 +415,12 @@ class _Axiom:
     def check(self, universe: Universe, views: list[_View], *params) -> dict | None:
         """The witness fields proving a violation, or None."""
         raise NotImplementedError
+
+    def premise(self, universe: Universe, views: list[_View], *params) -> bool:
+        """Whether the profiles relate as the axiom requires (a partner
+        keeping stances, a permuted copy). The drivers build them so;
+        verification has to check it."""
+        return True
 
     def cost(self, m: int, n: int, count: int) -> int:
         """Enumerations per profile of an exhaustive space."""
@@ -590,6 +614,12 @@ class _Anonymity(_Symmetry):
     def moved(self, space, combo, sigma):
         return space.index_of(self.move(combo, sigma))  # digits move as orders do
 
+    def premise(self, universe, views, sigma):
+        base, permuted = views[0].prefs, views[1].prefs
+        if sorted(sigma) != list(range(len(base))):
+            return False
+        return list(permuted) == self.move(base, sigma)
+
     def check(self, universe, views, sigma):
         if views[1].outcome.relation == views[0].outcome.relation:
             return None
@@ -609,6 +639,16 @@ class _Neutrality(_Symmetry):
 
     def move(self, orders, pi):
         return [tuple(pi[c] for c in order) for order in orders]
+
+    def premise(self, universe, views, pi):
+        if sorted(pi) != list(range(len(universe))):
+            return False
+        # class c's place in an individual's order passes to class pi[c]
+        return all(
+            b[new] == a[old]
+            for a, b in zip(views[0].prefs, views[1].prefs)
+            for old, new in enumerate(pi)
+        )
 
     def check(self, universe, views, pi):
         relation = views[0].outcome.relation
@@ -666,6 +706,8 @@ class _NonDictatorship(_Axiom):
         for _ in range(space.trials):
             profile, view = trials.base()[1]
             _overrule(view, overruled, pairs)
+            if all(overruled):
+                return None  # no later trial can change the verdict
             for k, mine in enumerate(view.prefs):
                 if demo[k] is None and any(p != mine for p in view.prefs):
                     demo[k] = profile
@@ -698,7 +740,11 @@ class _IIA(_Axiom):
     axiom = AxiomId.IIA
     fields = "profile_a profile_b pair value_a value_b"
     params = ("pair",)
-    stance = staticmethod(_prefers)
+    stance = staticmethod(_prefers)  # groups strict orders by stance
+    kept = staticmethod(_relation)  # what the premise compares, ties too
+
+    def premise(self, universe, views, pair):
+        return _kept(views, self.kept, pair)
 
     def check(self, universe, views, pair):
         value_a = views[0].outcome.pair_value(*pair)
@@ -750,6 +796,8 @@ class _UtilityIIA(_IIA):
     def stance(values: tuple, i: int, j: int) -> tuple:
         return values[i], values[j]
 
+    kept = stance
+
     def draw(self, trials):
         i, j = sorted(trials.rng.sample(range(trials.m), 2))
         vectors = [trials.grid_vector() for _ in range(trials.n)]
@@ -786,6 +834,10 @@ class _PositiveResponsiveness(_Axiom):
     )
     params = ("uplifted_individual", "pair")
     required = 1.0  # the least outcome value for a after the uplift
+
+    def premise(self, universe, views, uplifted, pair):
+        lifted = uplifted - 1
+        return 0 <= lifted < len(views[0].prefs) and _kept(views, _relation, pair, lifted)
 
     def check(self, universe, views, uplifted, pair):
         before = views[0].outcome.pair_value(*pair)
@@ -1048,7 +1100,8 @@ def may_coincidence_check(
 
 def verify_result(rule: Rule, result: AuditResult) -> bool:
     """Re-run the rule on a fail witness's embedded profiles and re-check
-    the claimed violation; pass verdicts verify vacuously."""
+    the claimed violation, after checking that the profiles meet the
+    axiom's premise; pass verdicts verify vacuously."""
     if not result.failed:
         return True
     axiom = _AXIOMS.get(result.axiom)
@@ -1056,7 +1109,9 @@ def verify_result(rule: Rule, result: AuditResult) -> bool:
     if w is None or axiom is None:
         return False
     profiles = [Profile.from_json_dict(w[key]) for key in axiom.profile_keys]
-    universe = profiles[0].universe
+    universe, n = profiles[0].universe, profiles[0].n
+    if any(p.universe != universe or p.n != n for p in profiles):
+        return False
     views = []
     for profile in profiles:
         if profile.mode == "ordinal":
@@ -1070,5 +1125,7 @@ def verify_result(rule: Rule, result: AuditResult) -> bool:
         else w[key]
         for key in axiom.params
     ]
+    if not axiom.premise(universe, views, *params):
+        return False
     detail = axiom.check(universe, views, *params)
     return detail is not None and all(w.get(k) == v for k, v in detail.items())

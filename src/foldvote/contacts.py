@@ -16,7 +16,7 @@ import numpy as np
 
 from .aminoacids import LETTER_INDEX, ONE_LETTER
 from .errors import BadTable, MissingAtom
-from .pdb import DISTANCE_MODES, ProteinStructure, residue_distance
+from .pdb import DISTANCE_MODES, ProteinStructure
 
 
 @dataclass(frozen=True, order=True)
@@ -163,75 +163,110 @@ def extract_instances(
     sorted by residue coordinates, so extraction is deterministic.
     """
     flat = structure.residues()
-    n = len(flat)
-
-    # Candidate pairs by chain/separation predicates, before distances.
-    candidates: list[tuple[int, int]] = []
-    for i in range(n):
-        chain_i, res_i = flat[i]
-        for j in range(i + 1, n):
-            chain_j, res_j = flat[j]
-            if chain_i == chain_j:
-                if abs(res_i.seq_index - res_j.seq_index) < config.min_seq_separation:
-                    continue
-            elif not config.cross_chain:
-                continue
-            candidates.append((i, j))
-
-    distances = _candidate_distances(flat, candidates, config.mode)
-
+    ii, jj, distances = _contacts(flat, config)
+    keys = [(chain, res.seq_index) for chain, res in flat]
+    letters = [res.one_letter_code for _, res in flat]
+    labels: dict[tuple[str, str], tuple[InteractionClass, float]] = {}
     instances = []
-    for (i, j), dist in zip(candidates, distances):
-        if dist > config.threshold_tau:
-            continue
-        chain_i, res_i = flat[i]
-        chain_j, res_j = flat[j]
-        cls = InteractionClass.of(res_i.one_letter_code, res_j.one_letter_code)
-        first, second = sorted(
-            [(chain_i, res_i.seq_index), (chain_j, res_j.seq_index)]
-        )
+    for i, j, dist in zip(ii.tolist(), jj.tolist(), distances.tolist()):
+        pair = letters[i], letters[j]
+        label = labels.get(pair)
+        if label is None:
+            cls = InteractionClass.of(*pair)
+            label = labels[pair] = (cls, scorer.score(cls))
+        cls, score = label
+        a, b = keys[i], keys[j]
         instances.append(
             InteractionInstance(
                 protein_id=structure.id,
                 interaction_class=cls,
-                residues=(first, second),
-                distance=float(dist),
-                score=scorer.score(cls),
+                residues=(b, a) if b < a else (a, b),
+                distance=dist,
+                score=score,
             )
         )
     instances.sort(key=lambda inst: inst.residues)
     return instances
 
 
-def _candidate_distances(
-    flat: list, candidates: list[tuple[int, int]], mode: str
-) -> np.ndarray:
-    """Distances for candidate pairs; vectorized for point-like modes."""
-    if not candidates:
-        return np.empty(0)
-    if mode in ("c_alpha", "centroid"):
-        reps = np.full((len(flat), 3), np.nan)
+_BLOCK = 64  # rows of the residue-pair matrix handled at once
+_SLACK = 1e-6  # Angstrom; the prefilters' allowance for rounding
+
+
+def _contacts(
+    flat: list, config: ContactConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat indices i < j of the residue pairs in contact, in row-major
+    order, and their distances.
+
+    The pair matrix is walked a block of rows at a time. A prefilter
+    drops pairs whose representative points (CA or centroid) lie farther
+    apart than tau, or for heavy_min farther than tau plus both
+    residues' bounding radii; the chain and separation predicates then
+    apply to the survivors, and their exact distance is taken with the
+    expressions of ``residue_distance``, so every float equals its value
+    there.
+    """
+    n, tau, mode = len(flat), config.threshold_tau, config.mode
+    chain_ids: dict[str, int] = {}
+    chains = np.array([chain_ids.setdefault(c, len(chain_ids)) for c, _ in flat])
+    seqs = np.array([res.seq_index for _, res in flat])
+    index = np.arange(n)
+
+    def allowed(i, j):
+        apart = np.abs(seqs[i] - seqs[j]) >= config.min_seq_separation
+        return np.where(chains[i] == chains[j], apart, config.cross_chain)
+
+    reps = np.full((n, 3), np.nan)
+    if mode == "c_alpha":
         for k, (_, res) in enumerate(flat):
-            if mode == "c_alpha":
-                ca = res.atom("CA")
-                if ca is not None:
-                    reps[k] = ca.position
-            else:
-                reps[k] = res.coordinates().mean(axis=0)
-        ii = np.array([i for i, _ in candidates])
-        jj = np.array([j for _, j in candidates])
-        touched = np.unique(np.concatenate([ii, jj]))
-        bad = touched[np.isnan(reps[touched]).any(axis=1)]
-        if bad.size:
-            seq = flat[int(bad[0])][1].seq_index
-            raise MissingAtom(f"residue {seq} has no CA atom")
-        return np.linalg.norm(reps[ii] - reps[jj], axis=1)
-    return np.array(
-        [
-            residue_distance(flat[i][1], flat[j][1], mode)
-            for i, j in candidates
-        ]
-    )
+            ca = res.atom("CA")
+            if ca is not None:
+                reps[k] = ca.position
+        for k in np.flatnonzero(np.isnan(reps[:, 0])):
+            if allowed(k, np.delete(index, k)).any():
+                raise MissingAtom(f"residue {flat[k][1].seq_index} has no CA atom")
+    else:
+        coords = [res.coordinates() for _, res in flat]
+        for k, xyz in enumerate(coords):
+            reps[k] = xyz.mean(axis=0)
+    if mode == "heavy_min":
+        # atoms padded to a common width, with +inf on a pair's first
+        # residue and -inf on its second, so padding is never nearest
+        radii = np.array(
+            [np.sqrt(((xyz - c) ** 2).sum(axis=1)).max() for xyz, c in zip(coords, reps)]
+        )
+        width = max((len(xyz) for xyz in coords), default=0)
+        atoms_i = np.full((3, n, width), np.inf)
+        for k, xyz in enumerate(coords):
+            atoms_i[:, k, : len(xyz)] = xyz.T
+        atoms_j = np.where(np.isinf(atoms_i), -np.inf, atoms_i)
+
+    axes = [np.ascontiguousarray(reps[:, axis]) for axis in range(3)]
+    found = []
+    for lo in range(0, n, _BLOCK):
+        gap = sum((x[lo : lo + _BLOCK, None] - x[None, lo:]) ** 2 for x in axes)
+        if mode == "heavy_min":
+            reach = radii[lo : lo + _BLOCK, None] + radii[None, lo:] + tau + _SLACK
+            near = gap <= reach**2
+        else:
+            near = gap <= (tau + _SLACK) ** 2
+        ii, jj = np.nonzero(near)
+        ii, jj = ii + lo, jj + lo
+        candidate = (jj > ii) & allowed(ii, jj)
+        ii, jj = ii[candidate], jj[candidate]
+        if mode == "heavy_min":
+            atom_gaps = sum(
+                (a[ii][:, :, None] - b[jj][:, None, :]) ** 2 for a, b in zip(atoms_i, atoms_j)
+            )
+            dist = np.sqrt(atom_gaps).min(axis=(1, 2))
+        else:
+            dist = np.linalg.norm(reps[ii] - reps[jj], axis=1)
+        keep = dist <= tau
+        found.append((ii[keep], jj[keep], dist[keep]))
+    if not found:
+        return np.empty(0, dtype=int), np.empty(0, dtype=int), np.empty(0)
+    return tuple(np.concatenate(parts) for parts in zip(*found))
 
 
 CSV_HEADER = "protein_id,class,chain_i,seq_i,chain_j,seq_j,distance,score"

@@ -2,8 +2,10 @@
 
 Only ATOM records are honored; HETATM, waters, and everything after the
 first ENDMDL are ignored. Alternate locations keep the blank/'A'
-conformer, nonstandard residues are dropped, insertion codes are ignored
-and a duplicated (chain, resSeq) keeps its first occurrence.
+conformer and nonstandard residues are dropped. A (chain, resSeq) belongs
+to the first residue claiming it, told apart by residue name and
+insertion code: the records of an inserted residue (52A after 52) or of
+a duplicated number are dropped.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ _ALTLOC = slice(16, 17)
 _RESNAME = slice(17, 20)
 _CHAIN = slice(21, 22)
 _RESSEQ = slice(22, 26)
+_ICODE = slice(26, 27)
 _X = slice(30, 38)
 _Y = slice(38, 46)
 _Z = slice(46, 54)
@@ -70,7 +73,9 @@ class ProteinStructure:
         return out
 
 
-def _parse_atom_line(line: str) -> tuple[str, str, str, str, int, np.ndarray]:
+def _parse_atom_line(
+    line: str,
+) -> tuple[str, str, str, str, int, str, np.ndarray]:
     # A line claiming to be ATOM must satisfy the fixed-column grammar.
     if len(line) < 54:
         raise MalformedRecord(f"ATOM line shorter than 54 columns: {line!r}")
@@ -85,7 +90,7 @@ def _parse_atom_line(line: str) -> tuple[str, str, str, str, int, np.ndarray]:
     altloc = line[_ALTLOC]
     resname = line[_RESNAME].strip()
     chain = line[_CHAIN]
-    return name, altloc, resname, chain, seq, pos
+    return name, altloc, resname, chain, seq, line[_ICODE], pos
 
 
 def parse_pdb(text: str, id: str) -> ProteinStructure:
@@ -95,9 +100,9 @@ def parse_pdb(text: str, id: str) -> ProteinStructure:
     standard residue survives the filters.
     """
     chains: dict[str, dict[int, Residue]] = {}
-    # (chain, resSeq) pairs claimed by a residue name we skipped or by an
-    # earlier occurrence; later claimants are dropped.
-    claimed: dict[tuple[str, int], str] = {}
+    # (chain, resSeq) pairs claimed by a (residue name, insertion code)
+    # we skipped or by an earlier occurrence; later claimants are dropped.
+    claimed: dict[tuple[str, int], tuple[str, str]] = {}
 
     for line in text.splitlines():
         record = line[:6]
@@ -105,16 +110,11 @@ def parse_pdb(text: str, id: str) -> ProteinStructure:
             break  # first model only
         if not record.startswith("ATOM"):
             continue
-        name, altloc, resname, chain, seq, pos = _parse_atom_line(line)
+        name, altloc, resname, chain, seq, icode, pos = _parse_atom_line(line)
         if altloc not in (" ", "A", ""):
             continue
-        key = (chain, seq)
-        owner = claimed.get(key)
-        if owner is None:
-            claimed[key] = resname
-            owner = resname
-        if owner != resname:
-            continue  # duplicate (chain, resSeq) keeps the first occurrence
+        if claimed.setdefault((chain, seq), (resname, icode)) != (resname, icode):
+            continue  # an insertion or duplicate; the first occurrence keeps it
         one = THREE_TO_ONE.get(resname)
         if one is None:
             continue  # nonstandard residue

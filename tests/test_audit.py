@@ -36,6 +36,32 @@ def tiers_of(profile_json):
     return [ind["tiers"] for ind in profile_json["individuals"]]
 
 
+def reverse_orders(profile_json, only=None):
+    """The profile with every individual's order (or individual `only`'s)
+    turned upside down."""
+    individuals = [
+        {**ind, "tiers": ind["tiers"][::-1]} if only in (None, k) else ind
+        for k, ind in enumerate(profile_json["individuals"])
+    ]
+    return {**profile_json, "individuals": individuals}
+
+
+def pair_indices(witness):
+    labels = witness.get("profile_a", witness.get("profile_before"))["universe"]
+    return tuple(labels.index(c) for c in witness["pair"])
+
+
+def retouch(result, **fields):
+    """The result with some witness fields replaced."""
+    return AuditResult(
+        rule_name=result.rule_name,
+        axiom=result.axiom,
+        verdict=result.verdict,
+        witness={**result.witness, **fields},
+        search_budget=result.search_budget,
+    )
+
+
 class TestArrowAudits:
     # the classical impossibility set: each rule trades away exactly one
     # member over these spaces, stable across n = 2 and n = 3
@@ -268,6 +294,83 @@ class TestVerification:
         )
         assert verify_result(RULES["may"], res)
         assert not verify_result(RULES["may"], tampered)
+
+    def test_iia_partner_must_keep_every_stance(self):
+        # borda's witness with profile_b turned upside down: the values
+        # on the pair still differ, but the individuals no longer hold
+        # their stances on it
+        res = audit(RULES["borda"], AxiomId.IIA, exhaustive(3, 2))
+        w = res.witness
+        reversed_b = reverse_orders(w["profile_b"])
+        value_b = RULES["borda"](Profile.from_json_dict(reversed_b)).pair_value(
+            *pair_indices(w)
+        )
+        assert value_b != w["value_a"]
+        assert verify_result(RULES["borda"], res)
+        tampered = retouch(res, profile_b=reversed_b, value_b=value_b)
+        assert not verify_result(RULES["borda"], tampered)
+
+    def test_responsiveness_partner_moves_only_the_uplifted_stance(self):
+        # profile_after replaced by profile_before reversed: the uplifted
+        # individual now prefers a, but so does no one else who did
+        res = audit(RULES["borda"], AxiomId.POSITIVE_RESPONSIVENESS, exhaustive(3, 3))
+        w = res.witness
+        after = reverse_orders(w["profile_before"])
+        value_after = RULES["borda"](Profile.from_json_dict(after)).pair_value(
+            *pair_indices(w)
+        )
+        assert value_after < 1.0
+        assert verify_result(RULES["borda"], res)
+        tampered = retouch(res, profile_after=after, value_after=value_after)
+        assert not verify_result(RULES["borda"], tampered)
+        for uplifted in (0, 4):
+            out_of_range = retouch(res, uplifted_individual=uplifted)
+            assert not verify_result(RULES["borda"], out_of_range)
+
+    def test_anonymity_needs_a_permuted_profile(self):
+        # dictator's witness with v1's order reversed in place of the
+        # permuted profile: the outcome still changes, but no permutation
+        # of the individuals gives that profile
+        res = audit(RULES["dictator"], AxiomId.ANONYMITY, exhaustive(3, 2))
+        w = res.witness
+        other = reverse_orders(w["profile"], only=0)
+        assert verify_result(RULES["dictator"], res)
+        tampered = retouch(res, permuted_profile=other)
+        assert not verify_result(RULES["dictator"], tampered)
+
+    def test_neutrality_needs_a_relabeled_profile(self):
+        res = audit(RULES["kemeny"], AxiomId.NEUTRALITY, exhaustive(3, 2))
+        w = res.witness
+        other = reverse_orders(w["profile"])
+        relation = RULES["kemeny"](Profile.from_json_dict(other)).relation
+        actual = [list(map(bool, row)) for row in relation]
+        assert actual != w["expected_relation"]
+        assert verify_result(RULES["kemeny"], res)
+        tampered = retouch(res, relabeled_profile=other, actual_relation=actual)
+        assert not verify_result(RULES["kemeny"], tampered)
+
+    def test_sampled_non_dictatorship_stops_once_all_overruled(self):
+        # every individual of the first trial is overruled, so the other
+        # 999 trials cannot change the verdict and are not run
+        calls = []
+
+        def counted(profile):
+            calls.append(1)
+            return RULES["may"](profile)
+
+        res = audit(
+            Rule("may", counted), AxiomId.NON_DICTATORSHIP, sampled(5, 4, 1000, seed=3)
+        )
+        assert res.to_json_dict() == {
+            "rule_name": "may",
+            "axiom": "non_dictatorship",
+            "verdict": PASS,
+            "witness": None,
+            "search_budget": "sampled 1000 trials m=5 n=4 seed=3",
+            "seed": 3,
+            "notes": None,
+        }
+        assert len(calls) == 1
 
     def test_pass_results_verify_trivially(self):
         res = audit(RULES["borda"], AxiomId.UNANIMITY, exhaustive(3, 2))

@@ -8,6 +8,7 @@ from foldvote.aminoacids import ONE_LETTER
 from foldvote.contacts import (
     ContactConfig,
     InteractionClass,
+    InteractionInstance,
     Scorer,
     class_universe,
     extract_instances,
@@ -151,29 +152,230 @@ class TestExtract:
 
     @given(st.integers(0, 2**31 - 1))
     def test_brute_force_equivalence(self, seed):
-        # random <= 12-residue single-chain structure vs an all-pairs oracle
+        # a random structure and configuration against the all-pairs
+        # reference, compared exactly
         rng = np.random.default_rng(seed)
-        n = int(rng.integers(2, 12))
-        seqs = sorted(rng.choice(np.arange(1, 40), size=n, replace=False).tolist())
-        spec = [
-            ("A", ONE_LETTER[int(rng.integers(20))], s, tuple(rng.uniform(0, 15, 3)))
-            for s in seqs
-        ]
-        s = ca_structure(spec)
-        config = ContactConfig(threshold_tau=7.0, min_seq_separation=2)
-        got = {
-            i.residues for i in extract_instances(s, config, Scorer("unit_count"))
-        }
-        residues = s.chains[0][1]
-        want = set()
-        for i in range(n):
-            for j in range(i + 1, n):
-                a, b = residues[i], residues[j]
-                if abs(a.seq_index - b.seq_index) < 2:
+        structure = random_structure(rng, int(rng.integers(1, 4)))
+        config = ContactConfig(
+            threshold_tau=float(rng.uniform(3.0, 10.0)),
+            mode=str(rng.choice(["c_alpha", "centroid", "heavy_min"])),
+            min_seq_separation=int(rng.integers(0, 5)),
+            cross_chain=bool(rng.integers(2)),
+        )
+        assert_matches_reference(structure, config)
+
+
+def reference_extract(structure, config, scorer):
+    """All-pairs extraction: every candidate pair the chain and separation
+    predicates allow, then its distance, kept at or below tau."""
+    flat = structure.residues()
+    n = len(flat)
+    candidates = []
+    for i in range(n):
+        chain_i, res_i = flat[i]
+        for j in range(i + 1, n):
+            chain_j, res_j = flat[j]
+            if chain_i == chain_j:
+                if abs(res_i.seq_index - res_j.seq_index) < config.min_seq_separation:
                     continue
-                if residue_distance(a, b, "c_alpha") <= 7.0:
-                    want.add((("A", a.seq_index), ("A", b.seq_index)))
-        assert got == want
+            elif not config.cross_chain:
+                continue
+            candidates.append((i, j))
+
+    distances = reference_distances(flat, candidates, config.mode)
+
+    instances = []
+    for (i, j), dist in zip(candidates, distances):
+        if dist > config.threshold_tau:
+            continue
+        chain_i, res_i = flat[i]
+        chain_j, res_j = flat[j]
+        cls = InteractionClass.of(res_i.one_letter_code, res_j.one_letter_code)
+        first, second = sorted(
+            [(chain_i, res_i.seq_index), (chain_j, res_j.seq_index)]
+        )
+        instances.append(
+            InteractionInstance(
+                protein_id=structure.id,
+                interaction_class=cls,
+                residues=(first, second),
+                distance=float(dist),
+                score=scorer.score(cls),
+            )
+        )
+    instances.sort(key=lambda inst: inst.residues)
+    return instances
+
+
+def reference_distances(flat, candidates, mode):
+    if not candidates:
+        return np.empty(0)
+    if mode in ("c_alpha", "centroid"):
+        reps = np.full((len(flat), 3), np.nan)
+        for k, (_, res) in enumerate(flat):
+            if mode == "c_alpha":
+                ca = res.atom("CA")
+                if ca is not None:
+                    reps[k] = ca.position
+            else:
+                reps[k] = res.coordinates().mean(axis=0)
+        ii = np.array([i for i, _ in candidates])
+        jj = np.array([j for _, j in candidates])
+        touched = np.unique(np.concatenate([ii, jj]))
+        bad = touched[np.isnan(reps[touched]).any(axis=1)]
+        if bad.size:
+            seq = flat[int(bad[0])][1].seq_index
+            raise MissingAtom(f"residue {seq} has no CA atom")
+        return np.linalg.norm(reps[ii] - reps[jj], axis=1)
+    return np.array(
+        [residue_distance(flat[i][1], flat[j][1], mode) for i, j in candidates]
+    )
+
+
+ATOM_NAMES = ("CA", "CB", "CG", "CD", "CE", "NZ", "OH", "CZ2", "CH2", "NE1")
+
+
+def random_structure(rng, n_chains, max_residues=16, ca=True):
+    """Chains in a shuffled id order with gapped, partly negative
+    numbering; each residue holds 1-10 atoms scattered around a point of
+    an 18 A box, its first atom a CA unless `ca` is false."""
+    ids = list(rng.permutation(["A", "B", "C"])[:n_chains])
+    chains = []
+    for chain_id in ids:
+        n = int(rng.integers(1, max_residues))
+        seqs = np.sort(rng.choice(np.arange(-5, 60), size=n, replace=False))
+        residues = []
+        for seq in seqs.tolist():
+            centre = rng.uniform(0, 18, 3)
+            k = int(rng.integers(1, len(ATOM_NAMES) + 1))
+            names = ATOM_NAMES[:k] if ca else ATOM_NAMES[1 : k + 1]
+            atoms = [
+                AtomRecord(name=name, position=centre + rng.normal(0, 1.5, 3))
+                for name in names
+            ]
+            code = ONE_LETTER[int(rng.integers(20))]
+            residues.append(Residue(one_letter_code=code, seq_index=seq, atoms=atoms))
+        chains.append((str(chain_id), residues))
+    return ProteinStructure(id="rand", chains=chains)
+
+
+def random_scorer(rng):
+    table = rng.normal(size=(20, 20))
+    return Scorer("table", table + table.T, negate=bool(rng.integers(2)))
+
+
+def assert_matches_reference(structure, config, scorer=Scorer()):
+    got = extract_instances(structure, config, scorer)
+    assert got == reference_extract(structure, config, scorer)
+    return got
+
+
+class TestReferenceExtract:
+    """The pair search against the all-pairs reference; instances compare
+    with ==, so distances and scores must match to the last bit."""
+
+    @pytest.mark.parametrize("mode", ["c_alpha", "centroid", "heavy_min"])
+    @pytest.mark.parametrize("min_sep", [0, 1, 3])
+    @pytest.mark.parametrize("cross_chain", [False, True])
+    @pytest.mark.parametrize("n_chains", [1, 2, 3])
+    def test_matches_reference(self, mode, min_sep, cross_chain, n_chains):
+        for seed in range(3):
+            rng = np.random.default_rng([seed, n_chains, min_sep])
+            structure = random_structure(rng, n_chains, max_residues=30)
+            config = ContactConfig(
+                threshold_tau=float(rng.choice([4.5, 6.0, 8.0])),
+                mode=mode,
+                min_seq_separation=min_sep,
+                cross_chain=cross_chain,
+            )
+            scorer = random_scorer(rng) if seed else Scorer()
+            assert_matches_reference(structure, config, scorer)
+
+    def test_long_chain_spans_blocks(self):
+        # more residues than one block of the pair search holds
+        rng = np.random.default_rng(7)
+        spec = [
+            ("A", ONE_LETTER[k % 20], k, tuple(rng.uniform(0, 30, 3)))
+            for k in range(300)
+        ]
+        got = assert_matches_reference(ca_structure(spec), ContactConfig())
+        assert len(got) > 100
+
+    @pytest.mark.parametrize("mode", ["c_alpha", "centroid", "heavy_min"])
+    def test_pair_at_exactly_tau_is_kept(self, mode):
+        # tau set to one pair's distance as the extractor computes it, so
+        # a prefilter without a rounding allowance could drop the pair
+        def point(res):
+            if mode == "c_alpha":
+                return res.atom("CA").position
+            return res.coordinates().mean(axis=0)
+
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            structure = random_structure(rng, 1, max_residues=12)
+            chain, residues = structure.chains[0]
+            a, b = residues[0], residues[-1]
+            if mode == "heavy_min":
+                tau = residue_distance(a, b, mode)
+            else:
+                tau = float(np.linalg.norm((point(a) - point(b))[None], axis=1)[0])
+            if tau == 0:
+                continue
+            config = ContactConfig(threshold_tau=tau, mode=mode, min_seq_separation=0)
+            got = assert_matches_reference(structure, config)
+            pair = ((chain, a.seq_index), (chain, b.seq_index))
+            assert [i.distance for i in got if i.residues == pair] == [tau]
+        exact = ca_structure([("A", "A", 1, (0, 0, 0)), ("A", "G", 9, (3, 4, 0))])
+        (inst,) = extract_instances(exact, ContactConfig(threshold_tau=5.0))
+        assert inst.distance == 5.0
+
+    def test_missing_ca_without_partner_is_ignored(self):
+        # seq 1 lacks a CA but is within the separation minimum of every
+        # other residue, so no candidate pair needs its CA
+        spec = [("A", "A", 2, (0, 0, 0)), ("A", "G", 3, (2, 0, 0))]
+        structure = ca_structure(spec)
+        lone = Residue("V", 1, [AtomRecord(name="CB", position=np.zeros(3))])
+        structure.chains[0][1].insert(0, lone)
+        config = ContactConfig(min_seq_separation=3)
+        assert assert_matches_reference(structure, config) == []
+
+    @pytest.mark.parametrize("cross_chain", [False, True])
+    def test_missing_ca_message_matches_reference(self, cross_chain):
+        # A10 lacks a CA and has a partner only across chains; B2 lacks
+        # one and has partner B9 within its chain. The error names the
+        # first CA-less residue, in flat order, that has a partner.
+        def without_ca(code, seq):
+            return Residue(code, seq, [AtomRecord(name="CB", position=np.ones(3))])
+
+        def with_ca(code, seq, x):
+            return Residue(code, seq, [AtomRecord(name="CA", position=np.full(3, x))])
+
+        structure = ProteinStructure(
+            id="holes",
+            chains=[
+                ("A", [without_ca("A", 10), with_ca("G", 11, 0.0)]),
+                ("B", [with_ca("L", 1, 1.0), without_ca("V", 2), with_ca("W", 9, 2.0)]),
+            ],
+        )
+        config = ContactConfig(cross_chain=cross_chain)
+        with pytest.raises(MissingAtom) as want:
+            reference_extract(structure, config, Scorer())
+        with pytest.raises(MissingAtom) as got:
+            extract_instances(structure, config, Scorer())
+        assert str(got.value) == str(want.value)
+        assert str(got.value) == (
+            "residue 10 has no CA atom" if cross_chain else "residue 2 has no CA atom"
+        )
+
+    def test_all_missing_ca_heavy_min_and_centroid(self):
+        # only c_alpha reads the CA; the other modes use every atom
+        rng = np.random.default_rng(11)
+        structure = random_structure(rng, 2, max_residues=20, ca=False)
+        for mode in ("centroid", "heavy_min"):
+            config = ContactConfig(mode=mode, cross_chain=True)
+            assert assert_matches_reference(structure, config)
+        with pytest.raises(MissingAtom):
+            extract_instances(structure, ContactConfig(cross_chain=True))
 
 
 def table_csv(value_fn):

@@ -6,9 +6,11 @@ from foldvote.errors import EmptyStructure, MalformedRecord, MissingAtom
 from foldvote.pdb import AtomRecord, Residue, parse_pdb, residue_distance
 
 
-def atom_line(serial, name, res, chain, seq, x, y, z, record="ATOM  ", altloc=" "):
+def atom_line(
+    serial, name, res, chain, seq, x, y, z, record="ATOM  ", altloc=" ", icode=" "
+):
     return (
-        f"{record}{serial:>5} {name:<4}{altloc}{res:>3} {chain}{seq:>4}    "
+        f"{record}{serial:>5} {name:<4}{altloc}{res:>3} {chain}{seq:>4}{icode}   "
         f"{x:8.3f}{y:8.3f}{z:8.3f}  1.00  0.00           C"
     )
 
@@ -90,6 +92,38 @@ class TestParse:
         residues = s.chains[0][1]
         assert len(residues) == 1
         assert residues[0].one_letter_code == "A"
+
+    def test_inserted_residue_dropped(self):
+        # 52A has the same residue name as 52; reading the insertion code
+        # keeps its atoms out of residue 52, which used to get two CAs
+        text = "\n".join(
+            [
+                atom_line(1, " CA ", "ALA", "A", 52, 0, 0, 0),
+                atom_line(2, " CB ", "ALA", "A", 52, 1, 0, 0),
+                atom_line(3, " CA ", "ALA", "A", 52, 5, 0, 0, icode="A"),
+                atom_line(4, " CB ", "ALA", "A", 52, 6, 0, 0, icode="A"),
+                atom_line(5, " CA ", "GLY", "A", 53, 9, 0, 0),
+            ]
+        )
+        residues = parse_pdb(text, "ins").chains[0][1]
+        assert [(r.one_letter_code, r.seq_index) for r in residues] == [
+            ("A", 52),
+            ("G", 53),
+        ]
+        assert [(a.name, a.position[0]) for a in residues[0].atoms] == [
+            ("CA", 0.0),
+            ("CB", 1.0),
+        ]
+
+    def test_first_insertion_code_claims_the_number(self):
+        text = "\n".join(
+            [
+                atom_line(1, " CA ", "SER", "A", 7, 0, 0, 0, icode="B"),
+                atom_line(2, " CA ", "SER", "A", 7, 4, 0, 0),
+            ]
+        )
+        (residue,) = parse_pdb(text, "ins").chains[0][1]
+        assert [a.position[0] for a in residue.atoms] == [0.0]
 
     def test_malformed_atom_line(self):
         with pytest.raises(MalformedRecord):
