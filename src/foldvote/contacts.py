@@ -223,14 +223,17 @@ def _contacts(
             ca = res.atom("CA")
             if ca is not None:
                 reps[k] = ca.position
-        for k in np.flatnonzero(np.isnan(reps[:, 0])):
-            if allowed(k, np.delete(index, k)).any():
-                raise MissingAtom(f"residue {flat[k][1].seq_index} has no CA atom")
     else:
         coords = [res.coordinates() for _, res in flat]
         for k, xyz in enumerate(coords):
             reps[k] = xyz.mean(axis=0)
-    if mode == "heavy_min":
+    if mode != "heavy_min":
+        # a point that is missing (or not a number) is an error only for
+        # a residue with a candidate partner
+        for k in np.flatnonzero(np.isnan(reps).any(axis=1)):
+            if allowed(k, np.delete(index, k)).any():
+                raise MissingAtom(f"residue {flat[k][1].seq_index} has no CA atom")
+    else:
         # atoms padded to a common width, with +inf on a pair's first
         # residue and -inf on its second, so padding is never nearest
         radii = np.array(
@@ -238,9 +241,9 @@ def _contacts(
         )
         width = max((len(xyz) for xyz in coords), default=0)
         atoms_i = np.full((3, n, width), np.inf)
+        atoms_j = np.full((3, n, width), -np.inf)
         for k, xyz in enumerate(coords):
-            atoms_i[:, k, : len(xyz)] = xyz.T
-        atoms_j = np.where(np.isinf(atoms_i), -np.inf, atoms_i)
+            atoms_i[:, k, : len(xyz)] = atoms_j[:, k, : len(xyz)] = xyz.T
 
     axes = [np.ascontiguousarray(reps[:, axis]) for axis in range(3)]
     found = []

@@ -367,6 +367,20 @@ class TestReferenceExtract:
             "residue 10 has no CA atom" if cross_chain else "residue 2 has no CA atom"
         )
 
+    @pytest.mark.parametrize("mode", ["c_alpha", "centroid"])
+    def test_point_not_a_number_raises_like_reference(self, mode):
+        spec = [
+            ("A", "A", 1, (0, 0, 0)),
+            ("A", "G", 5, (0, np.nan, 0)),
+            ("A", "V", 9, (4, 0, 0)),
+        ]
+        structure = ca_structure(spec)
+        with pytest.raises(MissingAtom) as want:
+            reference_extract(structure, ContactConfig(mode=mode), Scorer())
+        with pytest.raises(MissingAtom) as got:
+            extract_instances(structure, ContactConfig(mode=mode))
+        assert str(got.value) == str(want.value) == "residue 5 has no CA atom"
+
     def test_all_missing_ca_heavy_min_and_centroid(self):
         # only c_alpha reads the CA; the other modes use every atom
         rng = np.random.default_rng(11)
