@@ -21,7 +21,8 @@ universe = class_universe(include_homopairs=True)
 print(f"universe size: {len(universe)} classes")
 
 utility = utility_from_instances(instances, universe, combine="sum")
-nonzero = {c.render(): v for c, v in utility.values.items() if v != 0.0}
+# values are held in universe order: values[i] is the utility of universe[i]
+nonzero = {c.render(): v for c, v in zip(universe, utility.values) if v != 0.0}
 print(f"nonzero utilities for {utility.protein_id}: {nonzero}")
 
 ranking = ordinal_from_utility(utility)
@@ -41,6 +42,6 @@ for eps in (0.0, 0.5):
     print(f"tie_epsilon={eps}: {shape}")
 
 # rankings ignore any order-preserving rescaling of the utilities
-doubled = UtilityVector("toy", u3, {c: 2 * v + 7 for c, v in spread.values.items()})
+doubled = UtilityVector("toy", u3, tuple(2 * v + 7 for v in spread.values))
 assert ordinal_from_utility(doubled).tiers == ordinal_from_utility(spread).tiers
 print("ranking invariant under u -> 2u + 7")

@@ -204,6 +204,15 @@ class _View:
         return self._outcome
 
 
+def _prefs(individuals) -> tuple:
+    """What a check reads of each individual: its slot positions, or its
+    utility values in universe order."""
+    return tuple(
+        ind.values if isinstance(ind, UtilityVector) else ind.slots()
+        for ind in individuals
+    )
+
+
 def _outcome(rule: Rule, profile: Profile, catches: bool):
     """The rule's outcome; with catches set, the exception it raised
     instead, which is what unrestricted domain looks for."""
@@ -261,17 +270,9 @@ class _Profiles:
     def individual(self, position: int, item):
         owner, universe = f"v{position + 1}", self.universe
         if self.rule.mode == "utility":
-            return UtilityVector(owner, universe, dict(zip(universe, item)))
+            return UtilityVector(owner, universe, item)
         order = tuple(universe[c] for c in item)
         return RankingWithTies.from_strict_order(owner, universe, order)
-
-    def prefs_of(self, item) -> tuple:
-        if self.rule.mode == "utility":
-            return tuple(item)
-        pos = [0] * len(item)
-        for rank, cls in enumerate(item):
-            pos[cls] = rank
-        return tuple(pos)
 
 
 class _Space(_Profiles):
@@ -288,7 +289,7 @@ class _Space(_Profiles):
             self.items = list(product(UTILITY_GRID, repeat=m))
         else:
             self.items = list(permutations(range(m)))
-        self.prefs = [self.prefs_of(item) for item in self.items]
+        self.prefs = _prefs(self.individual(0, item) for item in self.items)
         self.count = len(self.items) ** n
         self.pairs = list(combinations(range(m), 2))
         self._individuals: dict[tuple[int, int], object] = {}
@@ -379,8 +380,8 @@ class _Trials(_Profiles):
     def profile(self, items) -> tuple[Profile, _View]:
         individuals = tuple(self.individual(k, item) for k, item in enumerate(items))
         profile = Profile(self.universe, individuals, self.rule.mode)
-        prefs = tuple(self.prefs_of(item) for item in items)
-        return profile, _View(prefs, _outcome(self.rule, profile, self.catches))
+        view = _View(_prefs(individuals), _outcome(self.rule, profile, self.catches))
+        return profile, view
 
     def base(self) -> tuple[list, tuple[Profile, _View]]:
         """n uniform strict orders, and their profile."""
@@ -1112,13 +1113,9 @@ def verify_result(rule: Rule, result: AuditResult) -> bool:
     universe, n = profiles[0].universe, profiles[0].n
     if any(p.universe != universe or p.n != n for p in profiles):
         return False
-    views = []
-    for profile in profiles:
-        if profile.mode == "ordinal":
-            prefs = tuple(ind.slots() for ind in profile.individuals)
-        else:
-            prefs = tuple(tuple(ind.as_list()) for ind in profile.individuals)
-        views.append(_View(prefs, _outcome(rule, profile, axiom.catches)))
+    views = [
+        _View(_prefs(p.individuals), _outcome(rule, p, axiom.catches)) for p in profiles
+    ]
     params = [
         tuple(universe.index(InteractionClass.parse(c)) for c in w[key])
         if key == "pair"  # a class pair is named by its labels

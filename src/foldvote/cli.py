@@ -233,6 +233,8 @@ _AXIOM_ALIASES = ("arrow", "may_coincidence", "continuity")
 def _cmd_audit(args, parser: _Parser) -> int:
     from .audit import (
         ARROW_AXIOMS,
+        FAIL,
+        AuditResult,
         AxiomId,
         _require_trials,
         audit as run_audit,
@@ -271,61 +273,60 @@ def _cmd_audit(args, parser: _Parser) -> int:
         "epsilon": args.epsilon if args.rule == "mean-direction" else None,
     }
 
+    results = []
     if args.rule == "mean-direction":
         from .directions import continuity_probe
 
         witness = continuity_probe(args.m, args.epsilon, args.seed)
-        results = [
-            {
-                "rule_name": "mean-direction",
-                "axiom": "continuity",
-                "verdict": "fail",
-                "witness": witness.to_json_dict(),
-                "search_budget": (
+        if not witness.verify():
+            raise AssertionError(
+                "internal error: continuity witness failed re-verification"
+            )
+        results.append(
+            AuditResult(
+                rule_name="mean-direction",
+                axiom=AxiomId.CONTINUITY,
+                verdict=FAIL,
+                witness=witness.to_json_dict(),
+                search_budget=(
                     f"constructive probe dimension={args.m} "
                     f"epsilon={args.epsilon} seed={args.seed}"
                 ),
-                "seed": args.seed,
-                "notes": "witness verified by re-running the aggregator",
-            }
-        ]
-        _emit(
-            {"config": resolved, "timestamp": _timestamp(), "results": results},
-            args.out,
+                seed=args.seed,
+                notes="witness verified by re-running the aggregator",
+            )
         )
-        return EXIT_OK
-
-    rule = standard_rules(args.dictator_k)[args.rule]
-    space = (
-        exhaustive(args.m, args.n)
-        if args.mode == "exhaustive"
-        else sampled(args.m, args.n, args.trials, args.seed)
-    )
-
-    results = []
-    try:
-        for token in tokens:
-            if token == "arrow":
-                for axiom in ARROW_AXIOMS:
-                    results.append(run_audit(rule, axiom, exhaustive(args.m, args.n)))
-            elif token == "may_coincidence":
-                results.append(
-                    may_coincidence_check(
-                        rule, args.m, args.n, args.trials, args.seed
+    else:
+        rule = standard_rules(args.dictator_k)[args.rule]
+        space = (
+            exhaustive(args.m, args.n)
+            if args.mode == "exhaustive"
+            else sampled(args.m, args.n, args.trials, args.seed)
+        )
+        try:
+            for token in tokens:
+                if token == "arrow":
+                    for axiom in ARROW_AXIOMS:
+                        full = exhaustive(args.m, args.n)
+                        results.append(run_audit(rule, axiom, full))
+                elif token == "may_coincidence":
+                    results.append(
+                        may_coincidence_check(
+                            rule, args.m, args.n, args.trials, args.seed
+                        )
                     )
-                )
-            else:
-                results.append(run_audit(rule, AxiomId(token), space))
-    except BudgetExceeded as exc:
-        report = {
-            "config": resolved,
-            "timestamp": _timestamp(),
-            "results": [r.to_json_dict() for r in results],
-            "error": f"BudgetExceeded: {exc}",
-        }
-        _emit(report, args.out)
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+                else:
+                    results.append(run_audit(rule, AxiomId(token), space))
+        except BudgetExceeded as exc:
+            report = {
+                "config": resolved,
+                "timestamp": _timestamp(),
+                "results": [r.to_json_dict() for r in results],
+                "error": f"BudgetExceeded: {exc}",
+            }
+            _emit(report, args.out)
+            print(f"budget exceeded: {exc}", file=sys.stderr)
+            return EXIT_BUDGET
 
     report = {
         "config": resolved,

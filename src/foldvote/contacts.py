@@ -16,7 +16,7 @@ import numpy as np
 
 from .aminoacids import LETTER_INDEX, ONE_LETTER
 from .errors import BadTable, MissingAtom
-from .pdb import DISTANCE_MODES, ProteinStructure
+from .pdb import DISTANCE_MODES, ProteinStructure, point_distance
 
 
 @dataclass(frozen=True, order=True)
@@ -264,7 +264,7 @@ def _contacts(
             )
             dist = np.sqrt(atom_gaps).min(axis=(1, 2))
         else:
-            dist = np.linalg.norm(reps[ii] - reps[jj], axis=1)
+            dist = point_distance(reps[ii], reps[jj])
         keep = dist <= tau
         found.append((ii[keep], jj[keep], dist[keep]))
     if not found:

@@ -45,10 +45,9 @@ def euclidean(a: tuple[float, ...], b: tuple[float, ...]) -> float:
 
 def direction_from_utility(u: UtilityVector) -> DirectionPoint:
     """Normalize a utility vector onto the unit sphere (universe order)."""
-    vector = tuple(u.values[c] for c in u.universe)
-    if math.sqrt(math.fsum(x * x for x in vector)) < DEGENERATE_NORM:
+    if math.sqrt(math.fsum(x * x for x in u.values)) < DEGENERATE_NORM:
         raise ZeroVector(f"utility vector of {u.protein_id!r} has no direction")
-    return DirectionPoint(_normalize(vector))
+    return DirectionPoint(_normalize(u.values))
 
 
 def aggregate_directions(directions: list[DirectionPoint]) -> DirectionPoint:

@@ -10,6 +10,7 @@ a duplicated number are dropped.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,16 +82,16 @@ def _parse_atom_line(
         raise MalformedRecord(f"ATOM line shorter than 54 columns: {line!r}")
     try:
         seq = int(line[_RESSEQ])
-        pos = np.array(
-            [float(line[_X]), float(line[_Y]), float(line[_Z])], dtype=float
-        )
+        xyz = [float(line[_X]), float(line[_Y]), float(line[_Z])]
     except ValueError as exc:
         raise MalformedRecord(f"unparseable ATOM fields: {line!r}") from exc
+    if not all(map(math.isfinite, xyz)):
+        raise MalformedRecord(f"non-finite coordinate in ATOM line: {line!r}")
     name = line[_NAME].strip()
     altloc = line[_ALTLOC]
     resname = line[_RESNAME].strip()
     chain = line[_CHAIN]
-    return name, altloc, resname, chain, seq, line[_ICODE], pos
+    return name, altloc, resname, chain, seq, line[_ICODE], np.array(xyz)
 
 
 def parse_pdb(text: str, id: str) -> ProteinStructure:
@@ -134,6 +135,13 @@ def parse_pdb(text: str, id: str) -> ProteinStructure:
     return ProteinStructure(id=id, chains=ordered)
 
 
+def point_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Euclidean distance between two points, or row by row between two
+    stacks of them; extraction and residue_distance both use it, so they
+    agree to the last bit (a 1-D norm without an axis rounds otherwise)."""
+    return np.linalg.norm(a - b, axis=-1)
+
+
 def residue_distance(a: Residue, b: Residue, mode: str = "c_alpha") -> float:
     """Distance between two residues under the given mode.
 
@@ -146,11 +154,11 @@ def residue_distance(a: Residue, b: Residue, mode: str = "c_alpha") -> float:
             raise MissingAtom(f"residue {a.seq_index} has no CA atom")
         if ca_b is None:
             raise MissingAtom(f"residue {b.seq_index} has no CA atom")
-        return float(np.linalg.norm(ca_a.position - ca_b.position))
+        return float(point_distance(ca_a.position, ca_b.position))
     if mode == "centroid":
         ca = a.coordinates().mean(axis=0)
         cb = b.coordinates().mean(axis=0)
-        return float(np.linalg.norm(ca - cb))
+        return float(point_distance(ca, cb))
     if mode == "heavy_min":
         pa, pb = a.coordinates(), b.coordinates()
         diffs = pa[:, None, :] - pb[None, :, :]

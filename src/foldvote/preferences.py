@@ -8,6 +8,7 @@ near-equal utilities.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from .contacts import InteractionClass, InteractionInstance
@@ -16,27 +17,50 @@ from .errors import MixedProteins, NonFiniteUtility, UniverseMismatch
 Universe = tuple[InteractionClass, ...]
 
 
+def slot_index(
+    universe: Universe, error: type[Exception] = UniverseMismatch
+) -> dict[InteractionClass, int]:
+    """The universe slot of each class; a universe that repeats a class
+    raises `error` naming it."""
+    index = {c: i for i, c in enumerate(universe)}
+    if len(index) != len(universe):
+        repeated = next(c for i, c in enumerate(universe) if index[c] != i)
+        raise error(f"universe repeats {repeated.render()}")
+    return index
+
+
 @dataclass(frozen=True)
 class UtilityVector:
+    """One protein's utilities in universe order (values[i] is that of
+    universe[i]), given as a class -> value mapping or in that order."""
+
     protein_id: str
     universe: Universe
-    values: dict[InteractionClass, float]
+    values: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if set(self.values) != set(self.universe):
+        index = slot_index(self.universe)
+        values = self.values
+        if isinstance(values, Mapping):
+            if set(values) != set(index):
+                raise UniverseMismatch("values must cover the universe exactly")
+            values = map(values.__getitem__, self.universe)
+        values = tuple(values)
+        if len(values) != len(index):
             raise UniverseMismatch("values must cover the universe exactly")
-        for cls, value in self.values.items():
+        for cls, value in zip(self.universe, values):
             if not math.isfinite(value):
                 raise NonFiniteUtility(f"utility of {cls.render()} is {value}")
+        object.__setattr__(self, "values", values)
 
     def as_list(self) -> list[float]:
-        return [self.values[c] for c in self.universe]
+        return list(self.values)
 
     def to_json_dict(self) -> dict:
         return {
             "owner": self.protein_id,
             "universe": [c.render() for c in self.universe],
-            "values": {c.render(): self.values[c] for c in self.universe},
+            "values": {c.render(): v for c, v in zip(self.universe, self.values)},
         }
 
     @staticmethod
@@ -56,46 +80,38 @@ class RankingWithTies:
     universe: Universe
     tiers: tuple[tuple[InteractionClass, ...], ...]
 
-    # tier index per class, filled lazily
-    _positions: dict = field(default_factory=dict, repr=False, compare=False)
-    # tier index per universe slot, filled lazily
-    _slots: tuple | None = field(default=None, repr=False, compare=False)
+    # tier index per universe slot, filled from the tiers
+    _slots: tuple = field(default=(), repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        seen: list[InteractionClass] = []
-        for tier in self.tiers:
-            if not tier:
-                raise ValueError("empty tier")
-            seen.extend(tier)
-        if len(seen) != len(set(seen)) or set(seen) != set(self.universe):
+        if not all(self.tiers):
+            raise ValueError("empty tier")
+        # one pass fills the slots and checks that the tiers partition
+        # the universe: every class lands in a slot exactly once
+        index = slot_index(self.universe)
+        slots: list[int | None] = [None] * len(index)
+        for idx, tier in enumerate(self.tiers):
+            for cls in tier:
+                i = index.get(cls)
+                if i is None or slots[i] is not None:
+                    raise ValueError("tiers must partition the universe")
+                slots[i] = idx
+        if None in slots:
             raise ValueError("tiers must partition the universe")
-
-    def positions(self) -> dict[InteractionClass, int]:
-        if not self._positions:
-            for idx, tier in enumerate(self.tiers):
-                for cls in tier:
-                    self._positions[cls] = idx
-        return self._positions
+        object.__setattr__(self, "_slots", tuple(slots))
 
     def slots(self) -> tuple[int, ...]:
         """Tier index of each universe slot: slots()[i] is the tier of
         universe[i], so rules can compare classes by integer position."""
-        if self._slots is None:
-            index = {c: i for i, c in enumerate(self.universe)}
-            slots = [0] * len(self.universe)
-            for idx, tier in enumerate(self.tiers):
-                for cls in tier:
-                    slots[index[cls]] = idx
-            object.__setattr__(self, "_slots", tuple(slots))
         return self._slots
+
+    def positions(self) -> dict[InteractionClass, int]:
+        """Tier index of each class, as a dict over slots()."""
+        return dict(zip(self.universe, self._slots))
 
     def prefers(self, a: InteractionClass, b: InteractionClass) -> bool:
         pos = self.positions()
         return pos[a] < pos[b]
-
-    def indifferent(self, a: InteractionClass, b: InteractionClass) -> bool:
-        pos = self.positions()
-        return pos[a] == pos[b]
 
     @property
     def is_strict(self) -> bool:
@@ -160,17 +176,17 @@ def utility_from_instances(
             )
         by_class.setdefault(inst.interaction_class, []).append(inst.score)
 
-    values = {}
+    values = []
     for cls in universe:
         scores = by_class.get(cls)
         if not scores:
-            values[cls] = 0.0
+            values.append(0.0)
         elif combine == "sum":
-            values[cls] = float(sum(scores))
+            values.append(float(sum(scores)))
         elif combine == "mean":
-            values[cls] = float(sum(scores) / len(scores))
+            values.append(float(sum(scores) / len(scores)))
         else:
-            values[cls] = float(len(scores))
+            values.append(float(len(scores)))
     return UtilityVector(protein_id, universe, values)
 
 
@@ -186,11 +202,10 @@ def ordinal_from_utility(
     """
     if tie_epsilon < 0:
         raise ValueError("tie_epsilon must be >= 0")
-    ordered = sorted(u.universe, key=lambda c: (-u.values[c], c))
+    ordered = sorted(zip(u.universe, u.values), key=lambda cv: (-cv[1], cv[0]))
     tiers: list[list[InteractionClass]] = []
     prev = None
-    for cls in ordered:
-        val = u.values[cls]
+    for cls, val in ordered:
         if prev is not None and prev - val <= tie_epsilon:
             tiers[-1].append(cls)
         else:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .contacts import InteractionClass, class_universe
 from .errors import BadSpec, Incompatible, MalformedProfile, UniverseMismatch
-from .preferences import RankingWithTies, Universe, UtilityVector
+from .preferences import RankingWithTies, Universe, UtilityVector, slot_index
 
 SYNTH_KINDS = ("impartial_culture", "single_peaked", "condorcet_cycle", "custom")
 
@@ -58,24 +58,11 @@ class Profile:
         return len(self.universe)
 
     def to_json_dict(self) -> dict:
-        individuals = []
-        for ind in self.individuals:
-            if self.mode == "ordinal":
-                individuals.append(
-                    {
-                        "owner": ind.owner,
-                        "tiers": [[c.render() for c in t] for t in ind.tiers],
-                    }
-                )
-            else:
-                individuals.append(
-                    {
-                        "owner": ind.protein_id,
-                        "values": {
-                            c.render(): ind.values[c] for c in self.universe
-                        },
-                    }
-                )
+        # each individual as it renders itself, less the shared universe
+        individuals = [
+            {k: v for k, v in ind.to_json_dict().items() if k != "universe"}
+            for ind in self.individuals
+        ]
         return {
             "universe": [c.render() for c in self.universe],
             "mode": self.mode,
@@ -85,6 +72,7 @@ class Profile:
     @staticmethod
     def from_json_dict(obj: dict) -> Profile:
         universe = tuple(_parse_labels(obj["universe"], "universe"))
+        slot_index(universe, MalformedProfile)
         mode = obj.get("mode", "ordinal")
         individuals = []
         for ind in _shaped(obj["individuals"], list, "individuals"):

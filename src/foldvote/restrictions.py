@@ -13,6 +13,7 @@ from itertools import permutations
 
 from .contacts import InteractionClass
 from .errors import TiesUnsupported, TooLarge
+from .preferences import slot_index
 from .profiles import Profile
 from .rules import AggregationOutcome, first_intransitive_triple
 
@@ -32,27 +33,28 @@ class SinglePeakedReport:
         return self.single_peaked
 
 
-def _preference_heights(profile: Profile, axis: Axis) -> list[tuple[str, list[int]]]:
+def _strict_slots(profile: Profile, axis: Axis) -> tuple[list, list[int]]:
+    """Each individual's slots() and the universe slot of each axis class,
+    once the individuals are known to be strict and the axis valid."""
     if profile.mode != "ordinal":
         raise TiesUnsupported("single-peakedness is defined for ordinal profiles")
     if tuple(sorted(axis)) != tuple(sorted(profile.universe)):
         raise ValueError("axis must be a permutation of the profile universe")
-    rows = []
     for ind in profile.individuals:
         if not ind.is_strict:
             raise TiesUnsupported(f"individual {ind.owner!r} has tied classes")
-        pos = ind.positions()
-        rows.append((ind.owner, [len(axis) - pos[c] for c in axis]))
-    return rows
+    index = slot_index(profile.universe)
+    return [ind.slots() for ind in profile.individuals], [index[c] for c in axis]
 
 
-def _first_valley(heights: list[int]) -> tuple[int, int, int] | None:
-    m = len(heights)
+def _first_valley(ranks: list[int]) -> tuple[int, int, int] | None:
+    """First (left, j, right): a place j ranked below a place on each side."""
+    m = len(ranks)
     for j in range(1, m - 1):
-        left = next((i for i in range(j) if heights[i] > heights[j]), None)
+        left = next((i for i in range(j) if ranks[i] < ranks[j]), None)
         if left is None:
             continue
-        right = next((k for k in range(j + 1, m) if heights[k] > heights[j]), None)
+        right = next((k for k in range(j + 1, m) if ranks[k] < ranks[j]), None)
         if right is not None:
             return left, j, right
     return None
@@ -64,14 +66,15 @@ def is_single_peaked_on(profile: Profile, axis: Axis) -> SinglePeakedReport:
     Strict orders only. A violation is a valley: some class on the axis
     with a strictly more preferred class on each side of it.
     """
+    rows, at = _strict_slots(profile, axis)
     violations = []
-    for owner, heights in _preference_heights(profile, axis):
-        valley = _first_valley(heights)
+    for ind, slots in zip(profile.individuals, rows):
+        valley = _first_valley([slots[i] for i in at])
         if valley is not None:
             i, j, k = valley
             violations.append(
                 {
-                    "owner": owner,
+                    "owner": ind.owner,
                     "valley": axis[j].render(),
                     "higher_left": axis[i].render(),
                     "higher_right": axis[k].render(),
@@ -89,12 +92,13 @@ def find_axis(profile: Profile) -> Axis | None:
             f"axis search enumerates m! arrangements; m={m} exceeds "
             f"{FIND_AXIS_MAX_CLASSES}"
         )
-    # validate strictness once up front so the error does not depend on
-    # how early the axis scan fails
-    _preference_heights(profile, profile.universe)
-    for axis in permutations(sorted(profile.universe)):
-        if is_single_peaked_on(profile, axis).single_peaked:
-            return axis
+    universe = profile.universe
+    rows, _ = _strict_slots(profile, universe)
+    # slot indices in class order, so permutations come in the order of
+    # the class axes they stand for
+    for at in permutations(sorted(range(m), key=universe.__getitem__)):
+        if all(_first_valley([s[i] for i in at]) is None for s in rows):
+            return tuple(universe[i] for i in at)
     return None
 
 

@@ -93,22 +93,13 @@ def first_intransitive_triple(relation: Relation) -> tuple[int, int, int] | None
     return None
 
 
-def _ranking_from_relation(
-    rule_name: str, universe: Universe, relation: Relation
-) -> RankingWithTies:
-    # For a complete transitive relation, classes strictly dominating the
-    # same number of others form exactly the indifference tiers.
-    m = len(universe)
-    dom = [
-        sum(1 for j in range(m) if j != i and relation[i][j] and not relation[j][i])
-        for i in range(m)
-    ]
-    tiers: dict[int, list[InteractionClass]] = {}
-    for i, cls in enumerate(universe):
-        tiers.setdefault(dom[i], []).append(cls)
-    ordered = tuple(
-        tuple(tiers[score]) for score in sorted(tiers, reverse=True)
-    )
+def _ranking_by_key(rule_name: str, universe: Universe, key) -> RankingWithTies:
+    """The universe's classes in tiers of equal key (one key per slot),
+    highest key first, each tier in universe order."""
+    tiers: dict = {}
+    for cls, k in zip(universe, key):
+        tiers.setdefault(k, []).append(cls)
+    ordered = tuple(tuple(tiers[k]) for k in sorted(tiers, reverse=True))
     return RankingWithTies(owner=rule_name, universe=universe, tiers=ordered)
 
 
@@ -116,18 +107,23 @@ def outcome_from_relation(
     rule_name: str, universe: Universe, relation: Relation
 ) -> AggregationOutcome:
     triple = first_intransitive_triple(relation)
-    transitive = triple is None
+    ranking = None
+    if triple is None:
+        # For a complete transitive relation, classes strictly dominating
+        # the same number of others form exactly the indifference tiers.
+        m = len(universe)
+        dom = [
+            sum(1 for j in range(m) if j != i and relation[i][j] and not relation[j][i])
+            for i in range(m)
+        ]
+        ranking = _ranking_by_key(rule_name, universe, dom)
     return AggregationOutcome(
         rule_name=rule_name,
         universe=universe,
         relation=relation,
-        transitive=transitive,
-        ranking=(
-            _ranking_from_relation(rule_name, universe, relation)
-            if transitive
-            else None
-        ),
-        cycle_witness=None if transitive else tuple(universe[i] for i in triple),
+        transitive=triple is None,
+        ranking=ranking,
+        cycle_witness=None if triple is None else tuple(universe[i] for i in triple),
     )
 
 
@@ -197,16 +193,18 @@ def may_rule(profile: Profile) -> AggregationOutcome:
     return outcome_from_relation("may", tournament.universe, relation)
 
 
-def _borda_scores(profile: Profile) -> dict[InteractionClass, float]:
-    scores = {c: 0.0 for c in profile.universe}
+def _borda_scores(profile: Profile) -> list[float]:
+    """Borda score per universe slot, added up one individual at a time."""
+    m = profile.m
+    scores = [0.0] * m
     for ind in profile.individuals:
-        below = len(profile.universe)
+        below, tier_scores = m, []
         for tier in ind.tiers:
             below -= len(tier)
             # ties share the midpoint of the positions the tier spans
-            tier_score = below + (len(tier) - 1) / 2.0
-            for cls in tier:
-                scores[cls] += tier_score
+            tier_scores.append(below + (len(tier) - 1) / 2.0)
+        for i, tier in enumerate(ind.slots()):
+            scores[i] += tier_scores[tier]
     return scores
 
 
@@ -214,19 +212,8 @@ def borda(profile: Profile) -> AggregationOutcome:
     """Positional scoring: each class earns the count of classes strictly
     below it per individual, ties sharing the midpoint; sums rank."""
     _require_mode(profile, "ordinal", "borda")
-    scores = _borda_scores(profile)
-    return _outcome_from_scores("borda", profile.universe, scores)
-
-
-def _outcome_from_scores(
-    rule_name: str, universe: Universe, scores: dict[InteractionClass, float]
-) -> AggregationOutcome:
-    tiers: dict[float, list[InteractionClass]] = {}
-    for cls in universe:
-        tiers.setdefault(scores[cls], []).append(cls)
-    ordered = tuple(tuple(tiers[s]) for s in sorted(tiers, reverse=True))
-    ranking = RankingWithTies(owner=rule_name, universe=universe, tiers=ordered)
-    return outcome_from_ranking(rule_name, ranking)
+    ranking = _ranking_by_key("borda", profile.universe, _borda_scores(profile))
+    return outcome_from_ranking("borda", ranking)
 
 
 def kemeny(profile: Profile) -> AggregationOutcome:
@@ -309,11 +296,12 @@ def utilitarian(profile: Profile) -> AggregationOutcome:
     individual reordering.
     """
     _require_mode(profile, "utility", "utilitarian")
-    totals = {
-        cls: math.fsum(ind.values[cls] for ind in profile.individuals)
-        for cls in profile.universe
-    }
-    return _outcome_from_scores("utilitarian", profile.universe, totals)
+    totals = [
+        math.fsum(column)
+        for column in zip(*(ind.values for ind in profile.individuals))
+    ]
+    ranking = _ranking_by_key("utilitarian", profile.universe, totals)
+    return outcome_from_ranking("utilitarian", ranking)
 
 
 def apply_transform(profile: Profile, transform: UtilityTransform) -> Profile:
@@ -328,10 +316,7 @@ def apply_transform(profile: Profile, transform: UtilityTransform) -> Profile:
             UtilityVector(
                 protein_id=ind.protein_id,
                 universe=ind.universe,
-                values={
-                    c: transform.scale_alpha * v + beta
-                    for c, v in ind.values.items()
-                },
+                values=tuple(transform.scale_alpha * v + beta for v in ind.values),
             )
         )
     return Profile(profile.universe, tuple(individuals), "utility")

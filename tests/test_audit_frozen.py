@@ -77,7 +77,7 @@ def _fragile(profile):
 
 def _anti_utilitarian(profile):
     negated = tuple(
-        UtilityVector(u.protein_id, u.universe, {c: -v for c, v in u.values.items()})
+        UtilityVector(u.protein_id, u.universe, tuple(-v for v in u.values))
         for u in profile.individuals
     )
     return utilitarian(Profile(profile.universe, negated, "utility"))

@@ -144,6 +144,19 @@ class TestExitCodes:
         assert proc.stderr.startswith("error: MalformedProfile")
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("command", ["aggregate", "restrict"])
+    @pytest.mark.parametrize("rule", ["may", "borda", "kemeny", "dictator", "utilitarian"])
+    def test_repeated_universe_class_is_input_error(self, command, rule):
+        ranked = [["C-C"], ["A-A"]]
+        profile = {
+            "universe": ["A-A", "A-A", "C-C"],
+            "individuals": [{"owner": o, "tiers": ranked} for o in ("a", "b")],
+        }
+        proc = run(command, "--rule", rule, stdin=json.dumps(profile))
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == "error: MalformedProfile: universe repeats A-A\n"
+        assert proc.stdout == ""
+
     @pytest.mark.parametrize("trials", ["0", "-5"])
     def test_nonpositive_trials_is_input_error(self, trials):
         for extra in (["--mode", "sampled", "--axioms", "iia"],
@@ -268,6 +281,17 @@ class TestAuditCommand:
         w = result["witness"]
         assert w["input_distance"] <= 2e-3
         assert w["output_distance"] >= 1.0
+
+    def test_continuity_witness_is_verified_before_it_is_emitted(
+        self, monkeypatch, capsys
+    ):
+        from foldvote.cli import main
+        from foldvote.directions import DiscontinuityWitness
+
+        monkeypatch.setattr(DiscontinuityWitness, "verify", lambda self: False)
+        with pytest.raises(AssertionError, match="continuity witness failed"):
+            main(["audit", "--rule", "mean-direction", "--axioms", "continuity"])
+        assert capsys.readouterr().out == ""
 
     def test_sampled_mode(self):
         proc = run(

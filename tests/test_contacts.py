@@ -302,23 +302,34 @@ class TestReferenceExtract:
         assert len(got) > 100
 
     @pytest.mark.parametrize("mode", ["c_alpha", "centroid", "heavy_min"])
-    def test_pair_at_exactly_tau_is_kept(self, mode):
-        # tau set to one pair's distance as the extractor computes it, so
-        # a prefilter without a rounding allowance could drop the pair
-        def point(res):
-            if mode == "c_alpha":
-                return res.atom("CA").position
-            return res.coordinates().mean(axis=0)
+    def test_csv_distance_is_residue_distance(self, mode):
+        # every distance written to the CSV is, to the last bit, what
+        # residue_distance gives for the pair
+        for seed in range(4):
+            rng = np.random.default_rng([seed, 17])
+            structure = random_structure(rng, 2, max_residues=30)
+            residues = {(c, res.seq_index): res for c, res in structure.residues()}
+            config = ContactConfig(
+                threshold_tau=12.0, mode=mode, min_seq_separation=0, cross_chain=True
+            )
+            rows = instances_from_csv(
+                instances_to_csv(extract_instances(structure, config))
+            )
+            assert len(rows) > 50
+            for row in rows:
+                a, b = (residues[key] for key in row.residues)
+                assert row.distance == residue_distance(a, b, mode)
 
+    @pytest.mark.parametrize("mode", ["c_alpha", "centroid", "heavy_min"])
+    def test_pair_at_exactly_tau_is_kept(self, mode):
+        # tau set to one pair's distance, so a prefilter without a
+        # rounding allowance could drop the pair
         for seed in range(20):
             rng = np.random.default_rng(seed)
             structure = random_structure(rng, 1, max_residues=12)
             chain, residues = structure.chains[0]
             a, b = residues[0], residues[-1]
-            if mode == "heavy_min":
-                tau = residue_distance(a, b, mode)
-            else:
-                tau = float(np.linalg.norm((point(a) - point(b))[None], axis=1)[0])
+            tau = residue_distance(a, b, mode)
             if tau == 0:
                 continue
             config = ContactConfig(threshold_tau=tau, mode=mode, min_seq_separation=0)

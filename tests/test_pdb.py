@@ -134,6 +134,15 @@ class TestParse:
         with pytest.raises(MalformedRecord):
             parse_pdb(broken, "bad")
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("column", [30, 38, 46])
+    def test_non_finite_coordinate_is_malformed(self, bad, column):
+        line = atom_line(1, " CA ", "ALA", "A", 1, 0, 0, 0)
+        broken = line[:column] + f"{bad:>8}" + line[column + 8 :]
+        text = "\n".join([broken, atom_line(2, " CA ", "GLY", "A", 5, 1, 0, 0)])
+        with pytest.raises(MalformedRecord, match="non-finite"):
+            parse_pdb(text, "bad")
+
     def test_deterministic(self):
         text = "\n".join(
             [

@@ -32,6 +32,11 @@ AV = InteractionClass.of("A", "V")
 GL = InteractionClass.of("G", "L")
 
 
+def by_class(u):
+    """A utility vector's values keyed by class."""
+    return dict(zip(u.universe, u.values))
+
+
 class TestUtilityFromInstances:
     def setup_method(self):
         self.instances = [
@@ -44,25 +49,31 @@ class TestUtilityFromInstances:
         self.universe = class_universe(True)
 
     def test_sum(self):
-        u = utility_from_instances(self.instances, self.universe, combine="sum")
-        assert u.values[AV] == 3.0
-        assert u.values[GL] == 4.0
-        others = [v for c, v in u.values.items() if c not in (AV, GL)]
+        values = by_class(
+            utility_from_instances(self.instances, self.universe, combine="sum")
+        )
+        assert values[AV] == 3.0
+        assert values[GL] == 4.0
+        others = [v for c, v in values.items() if c not in (AV, GL)]
         assert set(others) == {0.0}
 
     def test_count(self):
-        u = utility_from_instances(self.instances, self.universe, combine="count")
-        assert u.values[AV] == 2.0
-        assert u.values[GL] == 1.0
+        values = by_class(
+            utility_from_instances(self.instances, self.universe, combine="count")
+        )
+        assert values[AV] == 2.0
+        assert values[GL] == 1.0
 
     def test_mean(self):
-        u = utility_from_instances(self.instances, self.universe, combine="mean")
-        assert u.values[AV] == 1.5
-        assert u.values[GL] == 4.0
+        values = by_class(
+            utility_from_instances(self.instances, self.universe, combine="mean")
+        )
+        assert values[AV] == 1.5
+        assert values[GL] == 4.0
 
     def test_empty_all_zero(self):
         u = utility_from_instances([], self.universe, protein_id="p")
-        assert set(u.values.values()) == {0.0}
+        assert set(u.values) == {0.0}
         assert u.protein_id == "p"
 
     def test_mixed_proteins(self):
@@ -83,8 +94,8 @@ class TestUtilityFromInstances:
         u_all = utility_from_instances(self.instances, self.universe)
         u_l = utility_from_instances(left, self.universe, protein_id="p")
         u_r = utility_from_instances(right, self.universe, protein_id="p")
-        for c in self.universe:
-            assert u_all.values[c] == u_l.values[c] + u_r.values[c]
+        for a, left, right in zip(u_all.values, u_l.values, u_r.values):
+            assert a == left + right
 
 
 def vec(universe, mapping, owner="p"):
@@ -130,7 +141,7 @@ class TestOrdinalFromUtility:
     def test_monotone_transform_invariance(self, raw):
         u = vec(self.u3, dict(zip(self.u3, map(float, raw))))
         shifted = vec(
-            self.u3, {c: 3.0 * v + 11.0 for c, v in u.values.items()}
+            self.u3, {c: 3.0 * v + 11.0 for c, v in by_class(u).items()}
         )
         assert ordinal_from_utility(u).tiers == ordinal_from_utility(shifted).tiers
 
@@ -159,6 +170,15 @@ class TestRankingValidation:
         with pytest.raises(ValueError):
             RankingWithTies("p", u3, ((u3[0],), (), (u3[1], u3[2])))
 
+    def test_universe_repeating_a_class_rejected(self):
+        x, y = synthetic_universe(2)
+        with pytest.raises(UniverseMismatch, match="universe repeats A-A"):
+            RankingWithTies("p", (x, x, y), ((y,), (x,)))
+        with pytest.raises(UniverseMismatch, match="universe repeats A-A"):
+            UtilityVector("p", (x, x, y), {x: 1.0, y: 0.0})
+        with pytest.raises(UniverseMismatch, match="universe repeats A-A"):
+            UtilityVector("p", (x, x, y), (1.0, 1.0, 0.0))
+
     def test_pair_value(self):
         u3 = synthetic_universe(3)
         r = RankingWithTies("p", u3, ((u3[0], u3[1]), (u3[2],)))
@@ -175,6 +195,28 @@ class TestRankingValidation:
         u3 = synthetic_universe(3)
         u = vec(u3, {u3[0]: 1.25})
         assert UtilityVector.from_json_dict(u.to_json_dict()) == u
+
+
+class TestUtilityValues:
+    def test_held_in_universe_order(self):
+        u3 = synthetic_universe(3)
+        u = UtilityVector("p", u3, {u3[2]: 3.0, u3[0]: 1.0, u3[1]: 2.0})
+        assert u.values == (1.0, 2.0, 3.0)
+        assert u == UtilityVector("p", u3, [1.0, 2.0, 3.0])
+        assert u.as_list() == [1.0, 2.0, 3.0]
+
+    def test_hashable_and_immutable(self):
+        u3 = synthetic_universe(3)
+        a, b = vec(u3, {u3[0]: 1.0}, "a"), vec(u3, {u3[1]: 1.0}, "b")
+        profile = Profile(u3, (a, b), "utility")
+        assert hash(profile) == hash(Profile(u3, (a, b), "utility"))
+        with pytest.raises(TypeError):
+            a.values[0] = 5.0
+
+    @pytest.mark.parametrize("values", [(1.0, 2.0), (1.0, 2.0, 3.0, 4.0)])
+    def test_values_in_order_must_cover_the_universe(self, values):
+        with pytest.raises(UniverseMismatch):
+            UtilityVector("p", synthetic_universe(3), values)
 
 
 class TestNonFiniteUtilities:

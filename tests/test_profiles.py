@@ -131,6 +131,18 @@ class TestProfileModel:
         with pytest.raises(MalformedProfile):
             Profile.from_json_dict(obj)
 
+    @pytest.mark.parametrize("mode", ["ordinal", "utility"])
+    def test_json_universe_repeating_a_class_rejected(self, mode):
+        # "C-A" and "A-C" are two labels of one class
+        obj = {"universe": ["A-A", "C-A", "A-C"], "mode": mode}
+        if mode == "ordinal":
+            individual = {"owner": "a", "tiers": [["A-C"], ["A-A"]]}
+        else:
+            individual = {"owner": "a", "values": {"A-A": 1.0, "A-C": 2.0}}
+        obj["individuals"] = [individual] * 2
+        with pytest.raises(MalformedProfile, match="universe repeats A-C"):
+            Profile.from_json_dict(obj)
+
     @pytest.mark.parametrize("values", [[0.0, 1.0, 2.0], {"A-A": "high"}])
     def test_json_utility_values_checked(self, values):
         obj = {"universe": ["A-A"], "mode": "utility"}

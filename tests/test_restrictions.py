@@ -96,18 +96,23 @@ class TestFindAxis:
         assert find_axis(p) == (X, Y, Z)
 
     def test_agrees_with_exhaustive_scan(self):
+        rng = random.Random(8)
         for seed in range(60):
             p = generate(SynthSpec("impartial_culture", 3, 3, seed=seed))
-            axis = find_axis(p)
-            all_axes = [
-                a
-                for a in permutations(sorted(p.universe))
-                if is_single_peaked_on(p, a).single_peaked
-            ]
-            if axis is None:
-                assert all_axes == []
-            else:
-                assert all_axes and axis == all_axes[0]
+            # the same orders over a universe listed out of class order
+            universe = tuple(rng.sample(p.universe, 3))
+            orders = [tuple(c for (c,) in ind.tiers) for ind in p.individuals]
+            for profile in (p, profile_of(*orders, universe=universe)):
+                axis = find_axis(profile)
+                all_axes = [
+                    a
+                    for a in permutations(sorted(profile.universe))
+                    if is_single_peaked_on(profile, a).single_peaked
+                ]
+                if axis is None:
+                    assert all_axes == []
+                else:
+                    assert all_axes and axis == all_axes[0]
 
     def test_generated_single_peaked_profiles_admit_axis(self):
         for seed in range(20):

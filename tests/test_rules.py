@@ -1,5 +1,6 @@
 """Aggregation rules against spec'd examples plus independent oracles."""
 
+import math
 import random
 from itertools import combinations, permutations, product
 
@@ -18,6 +19,7 @@ from foldvote.profiles import (
 from foldvote.restrictions import is_quasi_transitive
 from foldvote.rules import (
     UtilityTransform,
+    _borda_scores,
     apply_transform,
     borda,
     dictator,
@@ -26,6 +28,7 @@ from foldvote.rules import (
     majority_tournament,
     may_rule,
     outcome_distance,
+    outcome_from_ranking,
     outcome_from_relation,
     utilitarian,
 )
@@ -465,6 +468,7 @@ def test_slot_kernels_match_reference_on_strict_space(m, n):
         if key not in kemeny_orders:
             kemeny_orders[key] = ref_kemeny_order(profile)
         assert_rules_match_reference(profile, kemeny_orders[key])
+        assert_per_slot_rules_match_reference(profile)
 
 
 def test_slot_kernels_match_reference_on_tied_profiles():
@@ -479,6 +483,93 @@ def test_slot_kernels_match_reference_on_tied_profiles():
                 tuple(random_weak_order(rng, universe, f"v{v}") for v in range(n)),
             )
             assert_rules_match_reference(profile)
+
+
+# The class-keyed Borda scores, utilitarian totals and the two tier
+# groupings (from a relation's dominance counts and from scores) that the
+# per-slot code replaced, kept as references. Borda adds the same halves
+# per individual in the same order and the totals are math.fsum, so every
+# comparison is exact.
+
+
+def old_borda_scores(profile):
+    scores = {c: 0.0 for c in profile.universe}
+    for ind in profile.individuals:
+        below = len(profile.universe)
+        for tier in ind.tiers:
+            below -= len(tier)
+            tier_score = below + (len(tier) - 1) / 2.0
+            for cls in tier:
+                scores[cls] += tier_score
+    return scores
+
+
+def old_utilitarian_totals(profile):
+    values = [dict(zip(ind.universe, ind.values)) for ind in profile.individuals]
+    return {cls: math.fsum(v[cls] for v in values) for cls in profile.universe}
+
+
+def old_ranking_from_relation(rule_name, universe, relation):
+    m = len(universe)
+    dom = [
+        sum(1 for j in range(m) if j != i and relation[i][j] and not relation[j][i])
+        for i in range(m)
+    ]
+    tiers = {}
+    for i, cls in enumerate(universe):
+        tiers.setdefault(dom[i], []).append(cls)
+    ordered = tuple(tuple(tiers[score]) for score in sorted(tiers, reverse=True))
+    return RankingWithTies(owner=rule_name, universe=universe, tiers=ordered)
+
+
+def old_outcome_from_scores(rule_name, universe, scores):
+    tiers = {}
+    for cls in universe:
+        tiers.setdefault(scores[cls], []).append(cls)
+    ordered = tuple(tuple(tiers[s]) for s in sorted(tiers, reverse=True))
+    ranking = RankingWithTies(owner=rule_name, universe=universe, tiers=ordered)
+    return outcome_from_ranking(rule_name, ranking)
+
+
+def assert_per_slot_rules_match_reference(profile):
+    universe = profile.universe
+    if profile.mode == "utility":
+        totals = old_utilitarian_totals(profile)
+        want = old_outcome_from_scores("utilitarian", universe, totals)
+        assert utilitarian(profile) == want
+        return
+    scores = old_borda_scores(profile)
+    assert _borda_scores(profile) == [scores[c] for c in universe]
+    assert borda(profile) == old_outcome_from_scores("borda", universe, scores)
+    may = may_rule(profile)
+    if may.transitive:
+        assert may.ranking == old_ranking_from_relation("may", universe, may.relation)
+
+
+def seeded_utility_profile(rng, m, n):
+    # values from a small grid, so classes tie within and across individuals
+    universe = synthetic_universe(m)
+    grid = (-1.5, 0.0, 0.1, 0.2, 0.3, 2.0, 1e16)
+    rows = [[rng.choice(grid) for _ in range(m)] for _ in range(n)]
+    return utility_profile(rows, universe)
+
+
+@pytest.mark.parametrize("m", [2, 3, 5, 8, 13, 21, 40])
+def test_per_slot_rules_match_reference_on_tied_and_utility_profiles(m):
+    rng = random.Random(m)
+    universe = synthetic_universe(m)
+    for k in range(25):
+        n = 2 + k % 9
+        tied = Profile(
+            universe,
+            tuple(random_weak_order(rng, universe, f"v{v}") for v in range(n)),
+        )
+        assert_per_slot_rules_match_reference(tied)
+        strict_orders = tuple(
+            strict(tuple(rng.sample(universe, m)), f"v{v}", universe) for v in range(n)
+        )
+        assert_per_slot_rules_match_reference(Profile(universe, strict_orders))
+        assert_per_slot_rules_match_reference(seeded_utility_profile(rng, m, n))
 
 
 def test_kemeny_tie_break_is_lexicographic_on_all_tied_profile():
@@ -564,6 +655,9 @@ class TestIntransitivityScan:
                 assert triple == old_cycle_witness(relation)
             outcome = outcome_from_relation("t", universe, relation)
             assert is_quasi_transitive(outcome) == old_is_quasi_transitive(relation)
+            if triple is None:
+                want = old_ranking_from_relation("t", universe, relation)
+                assert outcome.ranking == want
 
     def test_incomplete_intransitive_relation_gets_a_witness(self):
         # X >= Y and Y >= Z, with X and Z incomparable
