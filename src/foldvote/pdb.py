@@ -136,9 +136,8 @@ def parse_pdb(text: str, id: str) -> ProteinStructure:
 
 
 def point_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Euclidean distance between two points, or row by row between two
-    stacks of them; extraction and residue_distance both use it, so they
-    agree to the last bit (a 1-D norm without an axis rounds otherwise)."""
+    """Euclidean distance along the last axis, the one expression extraction
+    and residue_distance share (a 1-D norm without an axis rounds otherwise)."""
     return np.linalg.norm(a - b, axis=-1)
 
 

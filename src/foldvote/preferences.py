@@ -44,7 +44,9 @@ class UtilityVector:
         if isinstance(values, Mapping):
             if set(values) != set(index):
                 raise UniverseMismatch("values must cover the universe exactly")
-            values = map(values.__getitem__, self.universe)
+            if tuple(values) != self.universe:  # not yet in universe order
+                values = {c: values[c] for c in self.universe}
+            values = values.values()
         values = tuple(values)
         if len(values) != len(index):
             raise UniverseMismatch("values must cover the universe exactly")

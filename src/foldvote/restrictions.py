@@ -92,13 +92,12 @@ def find_axis(profile: Profile) -> Axis | None:
             f"axis search enumerates m! arrangements; m={m} exceeds "
             f"{FIND_AXIS_MAX_CLASSES}"
         )
-    universe = profile.universe
-    rows, _ = _strict_slots(profile, universe)
+    rows, _ = _strict_slots(profile, profile.universe)
     # slot indices in class order, so permutations come in the order of
     # the class axes they stand for
-    for at in permutations(sorted(range(m), key=universe.__getitem__)):
+    for at in permutations(sorted(range(m), key=profile.universe.__getitem__)):
         if all(_first_valley([s[i] for i in at]) is None for s in rows):
-            return tuple(universe[i] for i in at)
+            return tuple(profile.universe[i] for i in at)
     return None
 
 
