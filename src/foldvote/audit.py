@@ -289,10 +289,13 @@ class _Space(_Profiles):
             self.items = list(product(UTILITY_GRID, repeat=m))
         else:
             self.items = list(permutations(range(m)))
-        self.prefs = _prefs(self.individual(0, item) for item in self.items)
+        firsts = [self.individual(0, item) for item in self.items]
+        self.prefs = _prefs(firsts)
         self.count = len(self.items) ** n
         self.pairs = list(combinations(range(m), 2))
-        self._individuals: dict[tuple[int, int], object] = {}
+        self._individuals: dict[tuple[int, int], object] = {
+            (0, digit): ind for digit, ind in enumerate(firsts)
+        }
         self._views: dict[int, _View] = {}
         self._groups: dict[tuple, dict[tuple, list[int]]] = {}
 

@@ -44,9 +44,7 @@ class UtilityVector:
         if isinstance(values, Mapping):
             if set(values) != set(index):
                 raise UniverseMismatch("values must cover the universe exactly")
-            if tuple(values) != self.universe:  # not yet in universe order
-                values = {c: values[c] for c in self.universe}
-            values = values.values()
+            values = [values[c] for c in self.universe]
         values = tuple(values)
         if len(values) != len(index):
             raise UniverseMismatch("values must cover the universe exactly")

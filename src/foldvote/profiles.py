@@ -58,11 +58,25 @@ class Profile:
         return len(self.universe)
 
     def to_json_dict(self) -> dict:
-        # each individual as it renders itself, less the shared universe
-        individuals = [
-            {k: v for k, v in ind.to_json_dict().items() if k != "universe"}
-            for ind in self.individuals
-        ]
+        individuals = []
+        for ind in self.individuals:
+            if self.mode == "ordinal":
+                individuals.append(
+                    {
+                        "owner": ind.owner,
+                        "tiers": [[c.render() for c in t] for t in ind.tiers],
+                    }
+                )
+            else:
+                individuals.append(
+                    {
+                        "owner": ind.protein_id,
+                        "values": {
+                            c.render(): v
+                            for c, v in zip(self.universe, ind.values)
+                        },
+                    }
+                )
         return {
             "universe": [c.render() for c in self.universe],
             "mode": self.mode,
