@@ -293,9 +293,7 @@ class _Space(_Profiles):
         self.prefs = _prefs(firsts)
         self.count = len(self.items) ** n
         self.pairs = list(combinations(range(m), 2))
-        self._individuals: dict[tuple[int, int], object] = {
-            (0, digit): ind for digit, ind in enumerate(firsts)
-        }
+        self._individuals = {(0, digit): ind for digit, ind in enumerate(firsts)}
         self._views: dict[int, _View] = {}
         self._groups: dict[tuple, dict[tuple, list[int]]] = {}
 

@@ -58,30 +58,18 @@ class Profile:
         return len(self.universe)
 
     def to_json_dict(self) -> dict:
-        individuals = []
-        for ind in self.individuals:
-            if self.mode == "ordinal":
-                individuals.append(
-                    {
-                        "owner": ind.owner,
-                        "tiers": [[c.render() for c in t] for t in ind.tiers],
-                    }
-                )
-            else:
-                individuals.append(
-                    {
-                        "owner": ind.protein_id,
-                        "values": {
-                            c.render(): v
-                            for c, v in zip(self.universe, ind.values)
-                        },
-                    }
-                )
-        return {
-            "universe": [c.render() for c in self.universe],
-            "mode": self.mode,
-            "individuals": individuals,
-        }
+        labels = [c.render() for c in self.universe]
+        if self.mode == "ordinal":
+            individuals = [
+                {"owner": r.owner, "tiers": [[c.render() for c in t] for t in r.tiers]}
+                for r in self.individuals
+            ]
+        else:
+            individuals = [
+                {"owner": u.protein_id, "values": dict(zip(labels, u.values))}
+                for u in self.individuals
+            ]
+        return {"universe": labels, "mode": self.mode, "individuals": individuals}
 
     @staticmethod
     def from_json_dict(obj: dict) -> Profile:
