@@ -19,12 +19,12 @@ for ind in profile.individuals:
     order = " > ".join(c.render() for tier in ind.tiers for c in tier)
     print(f"  {ind.owner}: {order}")
 
-t = majority_tournament(profile)
+counts = majority_tournament(profile)
 print("\npairwise win counts:")
 for i, a in enumerate(profile.universe):
     for j, b in enumerate(profile.universe):
         if i < j:
-            print(f"  {a.render()} vs {b.render()}: {t.counts[i][j]}-{t.counts[j][i]}")
+            print(f"  {a.render()} vs {b.render()}: {counts[i][j]}-{counts[j][i]}")
 
 outcome = may_rule(profile)
 print(f"\nmajority transitive: {outcome.transitive}")

@@ -36,7 +36,7 @@ print(f"cycle template axis: {find_axis(template)}")
 
 # quasi-transitivity is the weaker escape: strict preference behaves
 # even when indifference chains do not
-from foldvote.rules import outcome_from_relation
+from foldvote.rules import AggregationOutcome
 
 u = template.universe
 relation = (
@@ -44,7 +44,7 @@ relation = (
     (True, True, True),
     (False, True, True),
 )
-odd = outcome_from_relation("toy", u, relation)
+odd = AggregationOutcome("toy", u, relation)
 print(
     f"\ntoy relation transitive: {odd.transitive}, "
     f"quasi-transitive: {is_quasi_transitive(odd)}"

@@ -55,12 +55,12 @@ _EXPORTS = {
     "utilitarian": "rules",
     "AuditResult": "audit",
     "AxiomId": "audit",
-    "Rule": "audit",
+    "Rule": "rules",
     "arrow_audit": "audit",
     "exhaustive": "audit",
     "may_coincidence_check": "audit",
     "sampled": "audit",
-    "standard_rules": "audit",
+    "standard_rules": "rules",
     "verify_result": "audit",
     "find_axis": "restrictions",
     "is_quasi_transitive": "restrictions",

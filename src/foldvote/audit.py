@@ -40,16 +40,8 @@ from .contacts import InteractionClass
 from .errors import BadSpec, BudgetExceeded, InapplicableAxiom
 from .preferences import RankingWithTies, Universe, UtilityVector
 from .profiles import Profile, _fisher_yates, _kendall_slots, synthetic_universe
-from .rules import (
-    AggregationOutcome,
-    borda,
-    dictator,
-    first_intransitive_triple,
-    kemeny,
-    may_rule,
-    outcome_distance,
-    utilitarian,
-)
+# Rule and standard_rules are imported from here as well as from rules
+from .rules import Rule, outcome_distance, standard_rules
 
 
 class AxiomId(str, Enum):
@@ -129,31 +121,6 @@ def sampled(m: int, n: int, trials: int, seed: int) -> SearchSpace:
 def _require_trials(trials: int) -> None:
     if trials < 1:
         raise BadSpec(f"trials must be >= 1, got {trials}")
-
-
-@dataclass(frozen=True)
-class Rule:
-    """In-process rule interface: a name, a callable, and its input mode."""
-
-    name: str
-    fn: object  # Profile -> AggregationOutcome
-    mode: str = "ordinal"
-
-    def __call__(self, profile: Profile) -> AggregationOutcome:
-        return self.fn(profile)
-
-
-def standard_rules(dictator_index: int = 1) -> dict[str, Rule]:
-    return {
-        "may": Rule("may", may_rule),
-        "borda": Rule("borda", borda),
-        "kemeny": Rule("kemeny", kemeny),
-        "dictator": Rule(
-            f"dictator[{dictator_index}]",
-            lambda p, _k=dictator_index: dictator(p, _k),
-        ),
-        "utilitarian": Rule("utilitarian", utilitarian, mode="utility"),
-    }
 
 
 @dataclass(frozen=True)
@@ -289,11 +256,14 @@ class _Space(_Profiles):
             self.items = list(product(UTILITY_GRID, repeat=m))
         else:
             self.items = list(permutations(range(m)))
-        firsts = [self.individual(0, item) for item in self.items]
-        self.prefs = _prefs(firsts)
+        # each position's individual for every item, by digit
+        self.individuals = [
+            [self.individual(position, item) for item in self.items]
+            for position in range(n)
+        ]
+        self.prefs = _prefs(self.individuals[0])
         self.count = len(self.items) ** n
         self.pairs = list(combinations(range(m), 2))
-        self._individuals = {(0, digit): ind for digit, ind in enumerate(firsts)}
         self._views: dict[int, _View] = {}
         self._groups: dict[tuple, dict[tuple, list[int]]] = {}
 
@@ -317,14 +287,8 @@ class _Space(_Profiles):
         return self._profile(self.combo_at(idx))
 
     def _profile(self, combo: tuple[int, ...]) -> Profile:
-        individuals = []
-        for position, digit in enumerate(combo):
-            ind = self._individuals.get((position, digit))
-            if ind is None:
-                ind = self.individual(position, self.items[digit])
-                self._individuals[position, digit] = ind
-            individuals.append(ind)
-        return Profile(self.universe, tuple(individuals), self.rule.mode)
+        individuals = tuple(map(list.__getitem__, self.individuals, combo))
+        return Profile(self.universe, individuals, self.rule.mode)
 
     def _evaluate(self, combo: tuple[int, ...]):
         return _outcome(self.rule, self._profile(combo), self.catches)
@@ -474,10 +438,10 @@ class _Transitivity(_Axiom):
     fields = "profile violating_triple"
 
     def check(self, universe, views):
-        triple = first_intransitive_triple(views[0].outcome.relation)
-        if triple is None:
+        witness = views[0].outcome.cycle_witness
+        if witness is None:
             return None
-        return {"violating_triple": _labels(universe, triple)}
+        return {"violating_triple": [c.render() for c in witness]}
 
 
 class _UnrestrictedDomain(_Axiom):

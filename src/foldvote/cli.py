@@ -70,14 +70,6 @@ def _load_profile(path: str):
     return Profile.from_json_dict(obj)
 
 
-def _build_rule_fn(args):
-    from . import rules
-
-    if args.rule == "dictator":
-        return lambda p: rules.dictator(p, args.dictator_k)
-    return getattr(rules, "may_rule" if args.rule == "may" else args.rule)
-
-
 # --------------------------------------------------------------------------
 # subcommands
 
@@ -211,8 +203,10 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_aggregate(args) -> int:
+    from .rules import standard_rules
+
     profile = _load_profile(args.profile)
-    outcome = _build_rule_fn(args)(profile)
+    outcome = standard_rules(args.dictator_k)[args.rule](profile)
     report = {
         "config": {
             "command": "aggregate",
@@ -339,10 +333,11 @@ def _cmd_audit(args, parser: _Parser) -> int:
 
 def _cmd_restrict(args) -> int:
     from .restrictions import find_axis, is_quasi_transitive
+    from .rules import standard_rules
 
     profile = _load_profile(args.profile)
     axis = find_axis(profile)
-    outcome = _build_rule_fn(args)(profile)
+    outcome = standard_rules(args.dictator_k)[args.rule](profile)
     report = {
         "config": {
             "command": "restrict",

@@ -105,26 +105,9 @@ class RankingWithTies:
         universe[i], so rules can compare classes by integer position."""
         return self._slots
 
-    def positions(self) -> dict[InteractionClass, int]:
-        """Tier index of each class, as a dict over slots()."""
-        return dict(zip(self.universe, self._slots))
-
-    def prefers(self, a: InteractionClass, b: InteractionClass) -> bool:
-        pos = self.positions()
-        return pos[a] < pos[b]
-
     @property
     def is_strict(self) -> bool:
         return all(len(t) == 1 for t in self.tiers)
-
-    def pair_value(self, a: InteractionClass, b: InteractionClass) -> float:
-        """1.0 if a is preferred, 0.0 if b is, 0.5 on a tie."""
-        pos = self.positions()
-        if pos[a] < pos[b]:
-            return 1.0
-        if pos[a] > pos[b]:
-            return 0.0
-        return 0.5
 
     def to_json_dict(self) -> dict:
         return {

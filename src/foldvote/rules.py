@@ -1,14 +1,17 @@
 """Rules that aggregate a profile into one global preference.
 
 Every ordinal rule returns an AggregationOutcome wrapping the complete
-pairwise weak relation it decided, a transitivity flag, a ranking when
-the relation is a total preorder, and a cycle witness when it is not.
+pairwise weak relation it decided. Whether that relation is transitive,
+its cycle witness when it is not and its ranking when it is are read
+from the relation.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 from .contacts import InteractionClass
@@ -19,24 +22,64 @@ from .profiles import Profile
 KEMENY_MAX_CLASSES = 8
 
 Relation = tuple[tuple[bool, ...], ...]  # weak preference, row >= column
-
-
-@dataclass(frozen=True)
-class Tournament:
-    universe: Universe
-    counts: tuple[tuple[int, ...], ...]  # counts[i][j] = #{strictly prefer i to j}
+Counts = tuple[tuple[int, ...], ...]  # counts[i][j] = #{strictly prefer i to j}
 
 
 @dataclass(frozen=True)
 class AggregationOutcome:
+    """The weak relation a rule decided over the universe's classes.
+
+    `transitive`, `cycle_witness` and `ranking` are derived from the
+    relation, each worked out once, when first read.
+    """
+
     rule_name: str
     universe: Universe
     relation: Relation
-    transitive: bool
-    ranking: RankingWithTies | None
-    # first (x, y, z) with x >= y >= z but not x >= z; see
-    # first_intransitive_triple
-    cycle_witness: tuple[InteractionClass, ...] | None
+
+    @cached_property
+    def _dominance(self) -> list[int]:
+        """How many classes each class strictly beats. In a total
+        preorder these counts are exactly the indifference tiers."""
+        relation = self.relation
+        return [
+            sum(map(operator.gt, row, col)) for row, col in zip(relation, zip(*relation))
+        ]
+
+    @cached_property
+    def _triple(self) -> tuple[int, int, int] | None:
+        # a total preorder is the order of its dominance counts, which
+        # takes O(m^2) to confirm; only other relations need the triple scan
+        key = self._dominance
+        if all(
+            row == tuple(k >= other for other in key)
+            for row, k in zip(self.relation, key)
+        ):
+            return None
+        return first_intransitive_triple(self.relation)
+
+    @property
+    def transitive(self) -> bool:
+        return self._triple is None
+
+    @cached_property
+    def cycle_witness(self) -> tuple[InteractionClass, ...] | None:
+        """The first (x, y, z) with x >= y >= z but not x >= z; see
+        first_intransitive_triple."""
+        triple = self._triple
+        return None if triple is None else tuple(self.universe[i] for i in triple)
+
+    @cached_property
+    def ranking(self) -> RankingWithTies | None:
+        """When the relation is transitive, the classes in tiers of equal
+        dominance count, most dominant first, each tier in universe order."""
+        if self._triple is not None:
+            return None
+        tiers: dict[int, list[InteractionClass]] = {}
+        for cls, k in zip(self.universe, self._dominance):
+            tiers.setdefault(k, []).append(cls)
+        ordered = tuple(tuple(tiers[k]) for k in sorted(tiers, reverse=True))
+        return RankingWithTies(self.rule_name, self.universe, ordered)
 
     def pair_value(self, i: int, j: int) -> float:
         """1.0 if class i beats class j, 0.0 if beaten, 0.5 on a tie."""
@@ -93,51 +136,11 @@ def first_intransitive_triple(relation: Relation) -> tuple[int, int, int] | None
     return None
 
 
-def _ranking_by_key(rule_name: str, universe: Universe, key) -> RankingWithTies:
-    """The universe's classes in tiers of equal key (one key per slot),
-    highest key first, each tier in universe order."""
-    tiers: dict = {}
-    for cls, k in zip(universe, key):
-        tiers.setdefault(k, []).append(cls)
-    ordered = tuple(tuple(tiers[k]) for k in sorted(tiers, reverse=True))
-    return RankingWithTies(owner=rule_name, universe=universe, tiers=ordered)
-
-
-def outcome_from_relation(
-    rule_name: str, universe: Universe, relation: Relation
-) -> AggregationOutcome:
-    triple = first_intransitive_triple(relation)
-    ranking = None
-    if triple is None:
-        # For a complete transitive relation, classes strictly dominating
-        # the same number of others form exactly the indifference tiers.
-        m = len(universe)
-        dom = [
-            sum(1 for j in range(m) if j != i and relation[i][j] and not relation[j][i])
-            for i in range(m)
-        ]
-        ranking = _ranking_by_key(rule_name, universe, dom)
-    return AggregationOutcome(
-        rule_name=rule_name,
-        universe=universe,
-        relation=relation,
-        transitive=triple is None,
-        ranking=ranking,
-        cycle_witness=None if triple is None else tuple(universe[i] for i in triple),
-    )
-
-
-def outcome_from_ranking(rule_name: str, ranking: RankingWithTies) -> AggregationOutcome:
-    slots = ranking.slots()
-    relation = tuple(tuple(si <= sj for sj in slots) for si in slots)
-    return AggregationOutcome(
-        rule_name=rule_name,
-        universe=ranking.universe,
-        relation=relation,
-        transitive=True,
-        ranking=ranking,
-        cycle_witness=None,
-    )
+def _by_key(rule_name: str, universe: Universe, key) -> AggregationOutcome:
+    """The total preorder ranking classes by their key, one per slot:
+    class i weakly beats class j when key[i] >= key[j]."""
+    relation = tuple(tuple(ki >= kj for kj in key) for ki in key)
+    return AggregationOutcome(rule_name, universe, relation)
 
 
 def outcome_distance(a: AggregationOutcome, b: AggregationOutcome) -> float:
@@ -156,7 +159,7 @@ def _require_mode(profile: Profile, mode: str, rule_name: str) -> None:
         raise WrongMode(f"{rule_name} needs a {mode} profile, got {profile.mode}")
 
 
-def majority_tournament(profile: Profile) -> Tournament:
+def majority_tournament(profile: Profile) -> Counts:
     """Pairwise strict-preference counts N(a > b) over the profile.
 
     Each individual's tiers are swept from last to first, so every class
@@ -177,20 +180,19 @@ def majority_tournament(profile: Profile) -> Tournament:
                 for j in below:
                     row[j] += 1
             below += tier
-    return Tournament(profile.universe, tuple(tuple(row) for row in counts))
+    return tuple(tuple(row) for row in counts)
 
 
 def may_rule(profile: Profile) -> AggregationOutcome:
     """Simple pairwise majority: a weakly beats b when at least as many
     individuals strictly prefer a to b as prefer b to a."""
-    tournament = majority_tournament(profile)
-    counts = tournament.counts
-    m = len(tournament.universe)
+    counts = majority_tournament(profile)
+    m = profile.m
     relation = tuple(
         tuple(i != j and counts[i][j] >= counts[j][i] or i == j for j in range(m))
         for i in range(m)
     )
-    return outcome_from_relation("may", tournament.universe, relation)
+    return AggregationOutcome("may", profile.universe, relation)
 
 
 def _borda_scores(profile: Profile) -> list[float]:
@@ -212,8 +214,7 @@ def borda(profile: Profile) -> AggregationOutcome:
     """Positional scoring: each class earns the count of classes strictly
     below it per individual, ties sharing the midpoint; sums rank."""
     _require_mode(profile, "ordinal", "borda")
-    ranking = _ranking_by_key("borda", profile.universe, _borda_scores(profile))
-    return outcome_from_ranking("borda", ranking)
+    return _by_key("borda", profile.universe, _borda_scores(profile))
 
 
 def kemeny(profile: Profile) -> AggregationOutcome:
@@ -232,7 +233,7 @@ def kemeny(profile: Profile) -> AggregationOutcome:
     m = len(universe)
     if m > KEMENY_MAX_CLASSES:
         raise TooLarge(f"kemeny supports at most {KEMENY_MAX_CLASSES} classes")
-    counts = majority_tournament(profile).counts
+    counts = majority_tournament(profile)
     n = profile.n
     size = 1 << m
     # lead[c][s]: distance, in halves, paid on the pairs {c, j} for j in bit
@@ -260,8 +261,9 @@ def kemeny(profile: Profile) -> AggregationOutcome:
                 least = cand
         best[s] = least
     # the smallest class that still reaches the optimum goes next, which
-    # rebuilds the lexicographically first optimal order
-    order = []
+    # rebuilds the lexicographically first optimal order; each class is
+    # keyed by how many classes it is placed above
+    key = [0] * m
     left = size - 1
     while left:
         rest = left
@@ -271,10 +273,9 @@ def kemeny(profile: Profile) -> AggregationOutcome:
             c = low.bit_length() - 1
             if lead[c][left] + best[left ^ low] == best[left]:
                 break
-        order.append(universe[c])
         left ^= low
-    ranking = RankingWithTies.from_strict_order("kemeny", universe, tuple(order))
-    return outcome_from_ranking("kemeny", ranking)
+        key[c] = left.bit_count()
+    return _by_key("kemeny", universe, key)
 
 
 def dictator(profile: Profile, k: int) -> AggregationOutcome:
@@ -282,11 +283,8 @@ def dictator(profile: Profile, k: int) -> AggregationOutcome:
     _require_mode(profile, "ordinal", "dictator")
     if not 1 <= k <= profile.n:
         raise BadIndex(f"dictator index {k} outside 1..{profile.n}")
-    chosen = profile.individuals[k - 1]
-    ranking = RankingWithTies(
-        owner=f"dictator[{k}]", universe=profile.universe, tiers=chosen.tiers
-    )
-    return outcome_from_ranking(f"dictator[{k}]", ranking)
+    slots = profile.individuals[k - 1].slots()
+    return _by_key(f"dictator[{k}]", profile.universe, [-tier for tier in slots])
 
 
 def utilitarian(profile: Profile) -> AggregationOutcome:
@@ -300,8 +298,7 @@ def utilitarian(profile: Profile) -> AggregationOutcome:
         math.fsum(column)
         for column in zip(*(ind.values for ind in profile.individuals))
     ]
-    ranking = _ranking_by_key("utilitarian", profile.universe, totals)
-    return outcome_from_ranking("utilitarian", ranking)
+    return _by_key("utilitarian", profile.universe, totals)
 
 
 def apply_transform(profile: Profile, transform: UtilityTransform) -> Profile:
@@ -320,3 +317,28 @@ def apply_transform(profile: Profile, transform: UtilityTransform) -> Profile:
             )
         )
     return Profile(profile.universe, tuple(individuals), "utility")
+
+
+@dataclass(frozen=True)
+class Rule:
+    """In-process rule interface: a name, a callable, and its input mode."""
+
+    name: str
+    fn: object  # Profile -> AggregationOutcome
+    mode: str = "ordinal"
+
+    def __call__(self, profile: Profile) -> AggregationOutcome:
+        return self.fn(profile)
+
+
+def standard_rules(dictator_index: int = 1) -> dict[str, Rule]:
+    return {
+        "may": Rule("may", may_rule),
+        "borda": Rule("borda", borda),
+        "kemeny": Rule("kemeny", kemeny),
+        "dictator": Rule(
+            f"dictator[{dictator_index}]",
+            lambda p, _k=dictator_index: dictator(p, _k),
+        ),
+        "utilitarian": Rule("utilitarian", utilitarian, mode="utility"),
+    }

@@ -320,7 +320,7 @@ def test_acceptance_9_kendall_metric():
         dac = kendall_distance(a, c)
         dbc = kendall_distance(b, c)
         assert dab == kendall_distance(b, a)  # symmetry, exact
-        assert (dab == 0.0) == (a.positions() == b.positions())  # identity
+        assert (dab == 0.0) == (a.slots() == b.slots())  # identity
         assert dac <= dab + dbc  # triangle, exact half-integer arithmetic
         assert dab >= 0.0 and dab * 2 == int(dab * 2)
     announce(

@@ -116,10 +116,11 @@ class TestArrowAudits:
         # premise: every individual holds the same relation on the pair
         from foldvote.contacts import InteractionClass
 
-        x = InteractionClass.parse(w["pair"][0])
-        y = InteractionClass.parse(w["pair"][1])
+        x = a.universe.index(InteractionClass.parse(w["pair"][0]))
+        y = a.universe.index(InteractionClass.parse(w["pair"][1]))
         for ia, ib in zip(a.individuals, b.individuals):
-            assert ia.pair_value(x, y) == ib.pair_value(x, y)
+            (ax, ay), (bx, by) = ([s[x], s[y]] for s in (ia.slots(), ib.slots()))
+            assert (ax > ay) - (ax < ay) == (bx > by) - (bx < by)
 
     def test_contradiction_flag_on_fabricated_all_pass(self):
         fake = [

@@ -33,40 +33,36 @@ from foldvote.audit import (
     verify_result,
 )
 from foldvote.errors import BudgetExceeded
-from foldvote.preferences import (
-    RankingWithTies,
-    UtilityVector,
-    ordinal_from_utility,
-)
+from foldvote.preferences import UtilityVector, ordinal_from_utility
 from foldvote.profiles import Profile
-from foldvote.rules import borda, majority_tournament, may_rule, utilitarian
-from foldvote.rules import outcome_from_ranking, outcome_from_relation
+from foldvote.rules import AggregationOutcome, borda, majority_tournament
+from foldvote.rules import may_rule, utilitarian
 
 
 def _inverse_may(profile):
     # majority read backwards: a unanimous a > b yields b > a
     relation = may_rule(profile).relation
     transposed = tuple(zip(*relation))
-    return outcome_from_relation("inverse_may", profile.universe, transposed)
+    return AggregationOutcome("inverse_may", profile.universe, transposed)
 
 
 def _strict_majority(profile):
     # a >= b only on a strict majority, so a tied count leaves the pair
     # incomparable
-    counts = majority_tournament(profile).counts
+    counts = majority_tournament(profile)
     m = profile.m
     relation = tuple(
         tuple(i == j or counts[i][j] > counts[j][i] for j in range(m))
         for i in range(m)
     )
-    return outcome_from_relation("strict_majority", profile.universe, relation)
+    return AggregationOutcome("strict_majority", profile.universe, relation)
 
 
 def _constant(profile):
     # ignores the profile, so nearer inputs can never give farther outputs
-    universe = profile.universe
-    order = RankingWithTies.from_strict_order("constant", universe, universe)
-    return outcome_from_ranking("constant", order)
+    m = profile.m
+    relation = tuple(tuple(i <= j for j in range(m)) for i in range(m))
+    return AggregationOutcome("constant", profile.universe, relation)
 
 
 def _fragile(profile):

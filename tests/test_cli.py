@@ -157,6 +157,27 @@ class TestExitCodes:
         assert proc.stderr == "error: MalformedProfile: universe repeats A-A\n"
         assert proc.stdout == ""
 
+    @pytest.mark.parametrize("command", ["aggregate", "restrict"])
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (
+                ("--rule", "utilitarian"),
+                "error: WrongMode: utilitarian needs a utility profile, got ordinal\n",
+            ),
+            (
+                ("--rule", "dictator", "--dictator-k", "3"),
+                "error: BadIndex: dictator index 3 outside 1..2\n",
+            ),
+        ],
+    )
+    def test_rule_refusing_the_profile_is_input_error(self, command, flags, message):
+        synth = run("synth", "impartial_culture", "--n", "2", check=0)
+        proc = run(command, *flags, stdin=synth.stdout)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == message
+        assert proc.stdout == ""
+
     @pytest.mark.parametrize("trials", ["0", "-5"])
     def test_nonpositive_trials_is_input_error(self, trials):
         for extra in (["--mode", "sampled", "--axioms", "iia"],
@@ -300,6 +321,27 @@ class TestAuditCommand:
         )
         result = jout(proc)["results"][0]
         assert "sampled" in result["search_budget"]
+
+
+class TestAggregateCommand:
+    def test_dictator_lists_each_tier_in_universe_order(self):
+        # the copied preorder is the same, but its tiers are listed in
+        # universe order, as every other rule lists them
+        profile = {
+            "universe": ["A-A", "A-C", "A-D"],
+            "individuals": [
+                {"owner": "a", "tiers": [["A-D", "A-A"], ["A-C"]]},
+                {"owner": "b", "tiers": [["A-C"], ["A-A", "A-D"]]},
+            ],
+        }
+        proc = run("aggregate", "--rule", "dictator", stdin=json.dumps(profile), check=0)
+        assert jout(proc)["outcome"] == {
+            "rule": "dictator[1]",
+            "universe": ["A-A", "A-C", "A-D"],
+            "transitive": True,
+            "tiers": [["A-A", "A-D"], ["A-C"]],
+            "cycle_witness": None,
+        }
 
 
 class TestRestrictCommand:

@@ -67,7 +67,7 @@ class TestKendall:
         dab = kendall_distance(a, b)
         assert dab == kendall_distance(b, a)
         assert dab >= 0.0
-        assert (dab == 0.0) == (a.positions() == b.positions())
+        assert (dab == 0.0) == (a.slots() == b.slots())
         assert dab <= kendall_distance(a, c) + kendall_distance(c, b)
 
     def test_values_are_exact_halves(self):
@@ -213,10 +213,16 @@ class TestGenerate:
 # sums are exact and compare with ==.
 
 
+def pair_value(ranking, i, j):
+    """1.0 if slot i is preferred to slot j, 0.0 if j is, 0.5 on a tie."""
+    si, sj = ranking.slots()[i], ranking.slots()[j]
+    return 1.0 if si < sj else 0.0 if si > sj else 0.5
+
+
 def ref_kendall(a, b):
     total = 0.0
-    for x, y in combinations(a.universe, 2):
-        total += abs(a.pair_value(x, y) - b.pair_value(x, y))
+    for i, j in combinations(range(len(a.universe)), 2):
+        total += abs(pair_value(a, i, j) - pair_value(b, i, j))
     return total
 
 

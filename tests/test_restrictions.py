@@ -14,7 +14,7 @@ from foldvote.restrictions import (
     is_quasi_transitive,
     is_single_peaked_on,
 )
-from foldvote.rules import may_rule, outcome_from_relation
+from foldvote.rules import AggregationOutcome, may_rule
 
 U3 = synthetic_universe(3)
 X, Y, Z = U3
@@ -178,7 +178,7 @@ class TestQuasiTransitivity:
             (True, True, True),
             (False, True, True),
         )
-        out = outcome_from_relation("test", U3, relation)
+        out = AggregationOutcome("test", U3, relation)
         assert not out.transitive
         assert is_quasi_transitive(out)
 
@@ -189,5 +189,5 @@ class TestQuasiTransitivity:
             (False, True, True),
             (True, False, True),
         )
-        out = outcome_from_relation("test", U3, relation)
+        out = AggregationOutcome("test", U3, relation)
         assert not is_quasi_transitive(out)

@@ -2,11 +2,13 @@
 
 import math
 import random
+from dataclasses import dataclass, fields
 from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import foldvote.rules
 from foldvote.errors import BadIndex, TooLarge, WrongMode
 from foldvote.preferences import RankingWithTies, UtilityVector
 from foldvote.profiles import (
@@ -18,6 +20,7 @@ from foldvote.profiles import (
 )
 from foldvote.restrictions import is_quasi_transitive
 from foldvote.rules import (
+    AggregationOutcome,
     UtilityTransform,
     _borda_scores,
     apply_transform,
@@ -28,8 +31,7 @@ from foldvote.rules import (
     majority_tournament,
     may_rule,
     outcome_distance,
-    outcome_from_ranking,
-    outcome_from_relation,
+    standard_rules,
     utilitarian,
 )
 
@@ -73,31 +75,31 @@ def relation_is_transitive(relation):
 
 class TestTournament:
     def test_condorcet_counts(self):
-        t = majority_tournament(condorcet())
-        assert t.counts[0][1] == 2 and t.counts[1][0] == 1
-        assert t.counts[1][2] == 2 and t.counts[2][1] == 1
-        assert t.counts[2][0] == 2 and t.counts[0][2] == 1
+        counts = majority_tournament(condorcet())
+        assert counts[0][1] == 2 and counts[1][0] == 1
+        assert counts[1][2] == 2 and counts[2][1] == 1
+        assert counts[2][0] == 2 and counts[0][2] == 1
 
     def test_unanimous_counts(self):
-        t = majority_tournament(unanimous())
-        assert t.counts[0][1] == t.counts[0][2] == t.counts[1][2] == 3
-        assert t.counts[1][0] == t.counts[2][0] == t.counts[2][1] == 0
+        counts = majority_tournament(unanimous())
+        assert counts[0][1] == counts[0][2] == counts[1][2] == 3
+        assert counts[1][0] == counts[2][0] == counts[2][1] == 0
 
     def test_all_indifferent(self):
         flat = RankingWithTies("a", U3, (tuple(U3),))
         p = Profile(U3, (flat, RankingWithTies("b", U3, (tuple(U3),))))
-        t = majority_tournament(p)
-        assert all(c == 0 for row in t.counts for c in row)
+        counts = majority_tournament(p)
+        assert all(c == 0 for row in counts for c in row)
 
     def test_counts_bounded_by_n(self):
         p = generate(SynthSpec("impartial_culture", 4, 7, seed=5))
-        t = majority_tournament(p)
+        counts = majority_tournament(p)
         m = len(p.universe)
         for a in range(m):
-            assert t.counts[a][a] == 0
+            assert counts[a][a] == 0
             for b in range(m):
                 if a != b:
-                    assert t.counts[a][b] + t.counts[b][a] <= p.n
+                    assert counts[a][b] + counts[b][a] <= p.n
 
     def test_wrong_mode(self):
         with pytest.raises(WrongMode):
@@ -124,11 +126,11 @@ class TestMay:
         for seed in range(40):
             p = generate(SynthSpec("impartial_culture", 4, 5, seed=seed))
             out = may_rule(p)
-            t = majority_tournament(p)
+            counts = majority_tournament(p)
             m = len(p.universe)
             for a in range(m):
                 for b in range(m):
-                    assert out.relation[a][b] == (t.counts[a][b] >= t.counts[b][a])
+                    assert out.relation[a][b] == (counts[a][b] >= counts[b][a])
 
     def test_transitive_flag_honest(self):
         for seed in range(60):
@@ -351,9 +353,8 @@ def test_unanimity_random(name, rule):
     for seed in range(25):
         p = generate(SynthSpec("impartial_culture", 3, 3, seed=seed))
         out = rule(p)
-        u = p.universe
         for a, b in combinations(range(3), 2):
-            votes = [ind.pair_value(u[a], u[b]) for ind in p.individuals]
+            votes = [pair_value(ind, a, b) for ind in p.individuals]
             if all(v == 1.0 for v in votes):
                 assert out.pair_value(a, b) == 1.0
             if all(v == 0.0 for v in votes):
@@ -378,15 +379,20 @@ def test_utilitarian_anonymity(seed):
 # integer or a half, so all comparisons are exact.
 
 
+def pair_value(ranking, i, j):
+    """1.0 if slot i is preferred to slot j, 0.0 if j is, 0.5 on a tie."""
+    si, sj = ranking.slots()[i], ranking.slots()[j]
+    return 1.0 if si < sj else 0.0 if si > sj else 0.5
+
+
 def ref_tournament(profile):
-    universe = profile.universe
-    m = len(universe)
+    m = profile.m
     counts = [[0] * m for _ in range(m)]
     for ind in profile.individuals:
-        pos = ind.positions()
+        pos = ind.slots()
         for i in range(m):
             for j in range(m):
-                if i != j and pos[universe[i]] < pos[universe[j]]:
+                if i != j and pos[i] < pos[j]:
                     counts[i][j] += 1
     return tuple(tuple(row) for row in counts)
 
@@ -397,8 +403,7 @@ def ref_kemeny_order(profile):
     m = len(universe)
     pairs = list(combinations(range(m), 2))
     ind_values = [
-        [ind.pair_value(universe[i], universe[j]) for i, j in pairs]
-        for ind in profile.individuals
+        [pair_value(ind, i, j) for i, j in pairs] for ind in profile.individuals
     ]
     best_order, best_total = None, float("inf")
     for cand in permutations(range(m)):
@@ -415,16 +420,14 @@ def ref_kemeny_order(profile):
 
 
 def ref_ranking_relation(ranking):
-    pos = ranking.positions()
-    return tuple(
-        tuple(pos[a] <= pos[b] for b in ranking.universe) for a in ranking.universe
-    )
+    pos = ranking.slots()
+    return tuple(tuple(a <= b for b in pos) for a in pos)
 
 
 def assert_rules_match_reference(profile, kemeny_order=None):
     m = profile.m
     counts = ref_tournament(profile)
-    assert majority_tournament(profile).counts == counts
+    assert majority_tournament(profile) == counts
     assert may_rule(profile).relation == tuple(
         tuple(i == j or counts[i][j] >= counts[j][i] for j in range(m))
         for i in range(m)
@@ -468,7 +471,7 @@ def test_slot_kernels_match_reference_on_strict_space(m, n):
         if key not in kemeny_orders:
             kemeny_orders[key] = ref_kemeny_order(profile)
         assert_rules_match_reference(profile, kemeny_orders[key])
-        assert_per_slot_rules_match_reference(profile)
+        assert_per_slot_rules_match_reference(profile, kemeny_orders[key])
 
 
 def test_slot_kernels_match_reference_on_tied_profiles():
@@ -485,11 +488,13 @@ def test_slot_kernels_match_reference_on_tied_profiles():
             assert_rules_match_reference(profile)
 
 
-# The class-keyed Borda scores, utilitarian totals and the two tier
-# groupings (from a relation's dominance counts and from scores) that the
-# per-slot code replaced, kept as references. Borda adds the same halves
-# per individual in the same order and the totals are math.fsum, so every
-# comparison is exact.
+# The class-keyed Borda scores and utilitarian totals that the per-slot
+# code replaced, and the outcome builders that derived reads replaced, kept
+# as references. An outcome used to store its transitivity, cycle witness
+# and ranking, built either from a relation (a triple scan, then tiers of
+# equal dominance count) or from a ranking (transitive by construction).
+# Borda adds the same halves per individual in the same order and the
+# totals are math.fsum, so every comparison is exact.
 
 
 def old_borda_scores(profile):
@@ -509,41 +514,108 @@ def old_utilitarian_totals(profile):
     return {cls: math.fsum(v[cls] for v in values) for cls in profile.universe}
 
 
-def old_ranking_from_relation(rule_name, universe, relation):
-    m = len(universe)
-    dom = [
-        sum(1 for j in range(m) if j != i and relation[i][j] and not relation[j][i])
-        for i in range(m)
-    ]
+@dataclass(frozen=True)
+class OldOutcome:
+    rule_name: str
+    universe: tuple
+    relation: tuple
+    transitive: bool
+    ranking: RankingWithTies | None
+    cycle_witness: tuple | None
+
+    def to_json_dict(self):
+        return {
+            "rule": self.rule_name,
+            "universe": [c.render() for c in self.universe],
+            "transitive": self.transitive,
+            "tiers": (
+                [[c.render() for c in t] for t in self.ranking.tiers]
+                if self.ranking is not None
+                else None
+            ),
+            "cycle_witness": (
+                [c.render() for c in self.cycle_witness]
+                if self.cycle_witness is not None
+                else None
+            ),
+        }
+
+
+def old_ranking_by_key(rule_name, universe, key):
     tiers = {}
-    for i, cls in enumerate(universe):
-        tiers.setdefault(dom[i], []).append(cls)
-    ordered = tuple(tuple(tiers[score]) for score in sorted(tiers, reverse=True))
+    for cls, k in zip(universe, key):
+        tiers.setdefault(k, []).append(cls)
+    ordered = tuple(tuple(tiers[k]) for k in sorted(tiers, reverse=True))
     return RankingWithTies(owner=rule_name, universe=universe, tiers=ordered)
 
 
+def old_outcome_from_relation(rule_name, universe, relation):
+    triple = first_intransitive_triple(relation)
+    ranking = None
+    if triple is None:
+        m = len(universe)
+        dom = [
+            sum(1 for j in range(m) if j != i and relation[i][j] and not relation[j][i])
+            for i in range(m)
+        ]
+        ranking = old_ranking_by_key(rule_name, universe, dom)
+    witness = None if triple is None else tuple(universe[i] for i in triple)
+    return OldOutcome(rule_name, universe, relation, triple is None, ranking, witness)
+
+
+def old_outcome_from_ranking(rule_name, ranking):
+    slots = ranking.slots()
+    relation = tuple(tuple(si <= sj for sj in slots) for si in slots)
+    return OldOutcome(rule_name, ranking.universe, relation, True, ranking, None)
+
+
 def old_outcome_from_scores(rule_name, universe, scores):
-    tiers = {}
-    for cls in universe:
-        tiers.setdefault(scores[cls], []).append(cls)
-    ordered = tuple(tuple(tiers[s]) for s in sorted(tiers, reverse=True))
-    ranking = RankingWithTies(owner=rule_name, universe=universe, tiers=ordered)
-    return outcome_from_ranking(rule_name, ranking)
+    key = [scores[c] for c in universe]
+    return old_outcome_from_ranking(
+        rule_name, old_ranking_by_key(rule_name, universe, key)
+    )
 
 
-def assert_per_slot_rules_match_reference(profile):
-    universe = profile.universe
+def assert_same_outcome(new, old):
+    assert new.relation == old.relation
+    assert new.transitive == old.transitive
+    assert new.cycle_witness == old.cycle_witness
+    assert new.ranking == old.ranking
+    assert new.to_json_dict() == old.to_json_dict()
+
+
+def assert_per_slot_rules_match_reference(profile, kemeny_order=None):
+    """Every standard rule's outcome against the one the old code built;
+    Kemeny's reference order is brute force, so it runs up to m=5 unless
+    the order is given."""
+    universe, m = profile.universe, profile.m
     if profile.mode == "utility":
         totals = old_utilitarian_totals(profile)
         want = old_outcome_from_scores("utilitarian", universe, totals)
-        assert utilitarian(profile) == want
+        assert_same_outcome(utilitarian(profile), want)
         return
     scores = old_borda_scores(profile)
     assert _borda_scores(profile) == [scores[c] for c in universe]
-    assert borda(profile) == old_outcome_from_scores("borda", universe, scores)
-    may = may_rule(profile)
-    if may.transitive:
-        assert may.ranking == old_ranking_from_relation("may", universe, may.relation)
+    want = old_outcome_from_scores("borda", universe, scores)
+    assert_same_outcome(borda(profile), want)
+    counts = ref_tournament(profile)
+    relation = tuple(
+        tuple(i == j or counts[i][j] >= counts[j][i] for j in range(m))
+        for i in range(m)
+    )
+    want = old_outcome_from_relation("may", universe, relation)
+    assert_same_outcome(may_rule(profile), want)
+    for k in (1, profile.n):
+        name = f"dictator[{k}]"
+        chosen = RankingWithTies(name, universe, profile.individuals[k - 1].tiers)
+        want = old_outcome_from_ranking(name, chosen)
+        assert_same_outcome(dictator(profile, k), want)
+    if kemeny_order is None and m <= 5:
+        kemeny_order = ref_kemeny_order(profile)
+    if kemeny_order is not None:
+        order = RankingWithTies.from_strict_order("kemeny", universe, kemeny_order)
+        want = old_outcome_from_ranking("kemeny", order)
+        assert_same_outcome(kemeny(profile), want)
 
 
 def seeded_utility_profile(rng, m, n):
@@ -653,15 +725,68 @@ class TestIntransitivityScan:
             complete = all(relation[i][j] or relation[j][i] for i, j in off)
             if complete and triple is not None:
                 assert triple == old_cycle_witness(relation)
-            outcome = outcome_from_relation("t", universe, relation)
+            outcome = AggregationOutcome("t", universe, relation)
             assert is_quasi_transitive(outcome) == old_is_quasi_transitive(relation)
-            if triple is None:
-                want = old_ranking_from_relation("t", universe, relation)
-                assert outcome.ranking == want
+            assert_same_outcome(
+                outcome, old_outcome_from_relation("t", universe, relation)
+            )
 
     def test_incomplete_intransitive_relation_gets_a_witness(self):
         # X >= Y and Y >= Z, with X and Z incomparable
         T, F = True, False
-        out = outcome_from_relation("t", U3, ((T, T, F), (F, T, T), (F, F, T)))
+        out = AggregationOutcome("t", U3, ((T, T, F), (F, T, T), (F, F, T)))
         assert not out.transitive and out.ranking is None
         assert out.cycle_witness == (X, Y, Z)
+
+
+class TestDerivedOutcome:
+    def test_an_outcome_is_its_relation(self):
+        names = [f.name for f in fields(AggregationOutcome)]
+        assert names == ["rule_name", "universe", "relation"]
+
+    def test_derived_reads_are_worked_out_once(self):
+        out = borda(condorcet())
+        assert out.ranking is out.ranking
+        cyc = may_rule(condorcet())
+        assert cyc.cycle_witness is cyc.cycle_witness
+
+    def test_no_ranking_is_built_in_a_rule_call(self, monkeypatch):
+        profiles = [
+            condorcet(),
+            unanimous(),
+            generate(SynthSpec("impartial_culture", 5, 4, seed=3)),
+            Profile(U3, (RankingWithTies("a", U3, ((X, Y), (Z,))), strict((Z, Y, X)))),
+        ]
+        utility = utility_profile([[1.0, 0.0, 2.0], [0.0, 2.0, 2.0]])
+        built = []
+        check = RankingWithTies.__post_init__
+
+        def counted(self):
+            built.append(self.owner)
+            check(self)
+
+        monkeypatch.setattr(RankingWithTies, "__post_init__", counted)
+        for name, rule in standard_rules(2).items():
+            for profile in [utility] if rule.mode == "utility" else profiles:
+                out = rule(profile)
+                assert built == [], name
+                # reading the ranking builds it, once
+                if out.transitive:
+                    out.ranking, out.ranking
+                    assert built == [out.rule_name]
+                    built.clear()
+
+    def test_a_total_preorder_is_confirmed_without_the_triple_scan(
+        self, monkeypatch
+    ):
+        def scan(relation):
+            raise AssertionError("triple scan run on a total preorder")
+
+        monkeypatch.setattr(foldvote.rules, "first_intransitive_triple", scan)
+        p = generate(SynthSpec("impartial_culture", 210, 3, seed=4))
+        out = borda(p)
+        assert out.transitive
+        assert out.cycle_witness is None
+        assert sum(map(len, out.ranking.tiers)) == 210
+        assert out.to_json_dict()["transitive"] is True
+        assert may_rule(Profile(p.universe, p.individuals[:1] * 2)).transitive
