@@ -41,7 +41,9 @@ class AggregationOutcome:
     def _dominance(self) -> list[int]:
         """How many classes each class strictly beats. In a total
         preorder these counts are exactly the indifference tiers."""
-        relation = self.relation
+        relation, m = self.relation, len(self.universe)
+        if len(relation) != m or any(len(row) != m for row in relation):
+            raise ValueError(f"relation must be {m} x {m}, one row and column per class")
         return [
             sum(map(operator.gt, row, col)) for row, col in zip(relation, zip(*relation))
         ]

@@ -744,6 +744,12 @@ class TestDerivedOutcome:
         names = [f.name for f in fields(AggregationOutcome)]
         assert names == ["rule_name", "universe", "relation"]
 
+    def test_relation_must_match_the_universe(self):
+        for relation in (((True,),), ((True, True, True),) * 2, ((True, True),) * 3):
+            out = AggregationOutcome("x", U3, relation)
+            with pytest.raises(ValueError, match="relation must be 3 x 3"):
+                out.transitive
+
     def test_derived_reads_are_worked_out_once(self):
         out = borda(condorcet())
         assert out.ranking is out.ranking
