@@ -1,9 +1,9 @@
 """Rules that aggregate a profile into one global preference.
 
 Every ordinal rule returns an AggregationOutcome wrapping the complete
-pairwise weak relation it decided. Whether that relation is transitive,
-its cycle witness when it is not and its ranking when it is are read
-from the relation.
+pairwise weak relation it decided. The outcome reads from that relation
+whether it is transitive, its cycle witness when it is not, and its
+ranking when it is.
 """
 
 from __future__ import annotations
@@ -43,7 +43,9 @@ class AggregationOutcome:
         preorder these counts are exactly the indifference tiers."""
         relation, m = self.relation, len(self.universe)
         if len(relation) != m or any(len(row) != m for row in relation):
-            raise ValueError(f"relation must be {m} x {m}, one row and column per class")
+            raise ValueError(
+                f"relation must be {m} x {m}, one row and column per class"
+            )
         return [
             sum(map(operator.gt, row, col)) for row, col in zip(relation, zip(*relation))
         ]
@@ -74,7 +76,8 @@ class AggregationOutcome:
     @cached_property
     def ranking(self) -> RankingWithTies | None:
         """When the relation is transitive, the classes in tiers of equal
-        dominance count, most dominant first, each tier in universe order."""
+        dominance count, most dominant first, each tier in universe order;
+        None otherwise."""
         if self._triple is not None:
             return None
         tiers: dict[int, list[InteractionClass]] = {}
