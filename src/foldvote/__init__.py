@@ -1,12 +1,13 @@
 """Protein-contact preference construction and social-choice aggregation.
 
 The package splits into a structural side (PDB parsing, contact
-extraction, utility vectors, rankings) and a collective side (voting
+extraction) and a collective side (utility vectors, rankings, voting
 rules over profiles, axiom audits with machine-checkable witnesses,
-domain restrictions, and the spherical continuity probe).
+domain restrictions, the spherical continuity probe); they share only
+the interaction classes of `aminoacids`.
 
-Submodule attributes load lazily so that light command paths do not pay
-for the numeric stack.
+Submodule attributes load lazily, and only the structural side imports
+numpy, so of the commands only `extract` and `rank` load it.
 """
 
 from __future__ import annotations
@@ -21,23 +22,24 @@ _EXPORTS = {
     "FoldvoteError": "errors",
     "BudgetExceeded": "errors",
     "InapplicableAxiom": "errors",
+    # shared by both sides
+    "InteractionClass": "aminoacids",
+    "class_universe": "aminoacids",
     # structure side
     "parse_pdb": "pdb",
     "ProteinStructure": "pdb",
     "residue_distance": "pdb",
-    "InteractionClass": "contacts",
     "InteractionInstance": "contacts",
     "ContactConfig": "contacts",
     "Scorer": "contacts",
-    "class_universe": "contacts",
     "extract_instances": "contacts",
     "load_score_table": "contacts",
     "parse_score_table": "contacts",
+    # collective side
     "UtilityVector": "preferences",
     "RankingWithTies": "preferences",
     "utility_from_instances": "preferences",
     "ordinal_from_utility": "preferences",
-    # collective side
     "Profile": "profiles",
     "SynthSpec": "profiles",
     "generate": "profiles",

@@ -36,9 +36,9 @@ from enum import Enum
 from functools import cached_property, partial
 from itertools import combinations, permutations, product
 
-from .contacts import InteractionClass
+from .aminoacids import InteractionClass, Universe
 from .errors import BadSpec, BudgetExceeded, InapplicableAxiom
-from .preferences import RankingWithTies, Universe, UtilityVector
+from .preferences import RankingWithTies, UtilityVector
 from .profiles import Profile, _fisher_yates, _kendall_slots, synthetic_universe
 # Rule and standard_rules are imported from here as well as from rules
 from .rules import Rule, outcome_distance, standard_rules

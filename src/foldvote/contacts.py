@@ -14,35 +14,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .aminoacids import LETTER_INDEX, ONE_LETTER
+from .aminoacids import LETTER_INDEX, ONE_LETTER, InteractionClass
+from .aminoacids import class_universe  # noqa: F401  (re-exported)
 from .errors import BadTable, MissingAtom
 from .pdb import DISTANCE_MODES, ProteinStructure, point_distance
-
-
-@dataclass(frozen=True, order=True)
-class InteractionClass:
-    """Unordered residue-type pair, stored canonically (first <= second)."""
-
-    first: str
-    second: str
-
-    @staticmethod
-    def of(a: str, b: str) -> InteractionClass:
-        if a not in LETTER_INDEX or b not in LETTER_INDEX:
-            raise ValueError(f"not standard residue codes: {a!r}, {b!r}")
-        if a > b:
-            a, b = b, a
-        return InteractionClass(a, b)
-
-    def render(self) -> str:
-        return f"{self.first}-{self.second}"
-
-    @staticmethod
-    def parse(text: str) -> InteractionClass:
-        a, sep, b = text.partition("-")
-        if not sep:
-            raise ValueError(f"not a class label: {text!r}")
-        return InteractionClass.of(a, b)
 
 
 @dataclass(frozen=True)
@@ -93,20 +68,6 @@ class Scorer:
                 self.table[LETTER_INDEX[cls.first], LETTER_INDEX[cls.second]]
             )
         return -raw if self.negate else raw
-
-
-def class_universe(include_homopairs: bool = True) -> tuple[InteractionClass, ...]:
-    """All interaction classes in lexicographic order.
-
-    210 classes with homopairs, 190 without.
-    """
-    out = []
-    for i, a in enumerate(ONE_LETTER):
-        for b in ONE_LETTER[i:]:
-            if a == b and not include_homopairs:
-                continue
-            out.append(InteractionClass(a, b))
-    return tuple(out)
 
 
 def parse_score_table(text: str, negate: bool = True) -> Scorer:

@@ -10,23 +10,13 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from .contacts import InteractionClass, InteractionInstance
+from .aminoacids import InteractionClass, Universe, slot_index
 from .errors import MixedProteins, NonFiniteUtility, UniverseMismatch
 
-Universe = tuple[InteractionClass, ...]
-
-
-def slot_index(
-    universe: Universe, error: type[Exception] = UniverseMismatch
-) -> dict[InteractionClass, int]:
-    """The universe slot of each class; a universe that repeats a class
-    raises `error` naming it."""
-    index = {c: i for i, c in enumerate(universe)}
-    if len(index) != len(universe):
-        repeated = next(c for i, c in enumerate(universe) if index[c] != i)
-        raise error(f"universe repeats {repeated.render()}")
-    return index
+if TYPE_CHECKING:
+    from .contacts import InteractionInstance
 
 
 @dataclass(frozen=True)
@@ -42,9 +32,13 @@ class UtilityVector:
         index = slot_index(self.universe)
         values = self.values
         if isinstance(values, Mapping):
-            if set(values) != set(index):
+            # as many keys as classes, and each class among them
+            if len(values) != len(index):
                 raise UniverseMismatch("values must cover the universe exactly")
-            values = [values[c] for c in self.universe]
+            try:
+                values = [values[c] for c in self.universe]
+            except KeyError:
+                raise UniverseMismatch("values must cover the universe exactly") from None
         values = tuple(values)
         if len(values) != len(index):
             raise UniverseMismatch("values must cover the universe exactly")

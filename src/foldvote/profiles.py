@@ -10,11 +10,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .contacts import InteractionClass, class_universe
+from .aminoacids import CLASSES, InteractionClass, Universe, slot_index
 from .errors import BadSpec, Incompatible, MalformedProfile, UniverseMismatch
-from .preferences import RankingWithTies, Universe, UtilityVector, slot_index
+from .preferences import RankingWithTies, UtilityVector
 
-SYNTH_KINDS = ("impartial_culture", "single_peaked", "condorcet_cycle", "custom")
+SYNTH_KINDS = ("impartial_culture", "single_peaked", "condorcet_cycle")
 
 # Seeded randomness uses the stdlib Mersenne Twister (random.Random) with
 # the in-repo Fisher-Yates shuffle below, so generated profiles are
@@ -163,10 +163,9 @@ class SynthSpec:
 
 def synthetic_universe(m: int) -> Universe:
     """First m interaction classes of the full 210-class universe."""
-    full = class_universe(include_homopairs=True)
-    if not 1 <= m <= len(full):
-        raise BadSpec(f"m must be in 1..{len(full)}, got {m}")
-    return full[:m]
+    if not 1 <= m <= len(CLASSES):
+        raise BadSpec(f"m must be in 1..{len(CLASSES)}, got {m}")
+    return CLASSES[:m]
 
 
 def generate(spec: SynthSpec) -> Profile:
@@ -179,8 +178,6 @@ def generate(spec: SynthSpec) -> Profile:
     """
     if spec.kind not in SYNTH_KINDS:
         raise BadSpec(f"unknown kind {spec.kind!r}")
-    if spec.kind == "custom":
-        raise BadSpec("custom profiles are constructed directly, not generated")
     if spec.n < 2:
         raise BadSpec("n must be >= 2")
     universe = synthetic_universe(spec.m)

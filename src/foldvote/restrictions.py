@@ -11,13 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 
-from .contacts import InteractionClass
+from .aminoacids import Universe, slot_index
 from .errors import TiesUnsupported, TooLarge
-from .preferences import slot_index
 from .profiles import Profile
 from .rules import AggregationOutcome, first_intransitive_triple
-
-Axis = tuple[InteractionClass, ...]
 
 FIND_AXIS_MAX_CLASSES = 8
 
@@ -33,7 +30,7 @@ class SinglePeakedReport:
         return self.single_peaked
 
 
-def _strict_slots(profile: Profile, axis: Axis) -> tuple[list, list[int]]:
+def _strict_slots(profile: Profile, axis: Universe) -> tuple[list, list[int]]:
     """Each individual's slots() and the universe slot of each axis class,
     once the individuals are known to be strict and the axis valid."""
     if profile.mode != "ordinal":
@@ -60,7 +57,7 @@ def _first_valley(ranks: list[int]) -> tuple[int, int, int] | None:
     return None
 
 
-def is_single_peaked_on(profile: Profile, axis: Axis) -> SinglePeakedReport:
+def is_single_peaked_on(profile: Profile, axis: Universe) -> SinglePeakedReport:
     """Check every individual's preference for unimodality along axis.
 
     Strict orders only. A violation is a valley: some class on the axis
@@ -83,7 +80,7 @@ def is_single_peaked_on(profile: Profile, axis: Axis) -> SinglePeakedReport:
     return SinglePeakedReport(not violations, tuple(violations))
 
 
-def find_axis(profile: Profile) -> Axis | None:
+def find_axis(profile: Profile) -> Universe | None:
     """First axis (lexicographic order) on which the profile is
     single-peaked, or None. Brute force, so the universe is capped."""
     m = profile.m

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
-from .contacts import InteractionClass
+from .aminoacids import InteractionClass, Universe
 from .errors import BadIndex, TooLarge, WrongMode
-from .preferences import RankingWithTies, Universe, UtilityVector
+from .preferences import RankingWithTies, UtilityVector
 from .profiles import Profile
 
 KEMENY_MAX_CLASSES = 8

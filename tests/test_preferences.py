@@ -218,6 +218,18 @@ class TestUtilityValues:
         with pytest.raises(UniverseMismatch):
             UtilityVector("p", synthetic_universe(3), values)
 
+    @pytest.mark.parametrize("keys", ["missing", "extra", "swapped"])
+    def test_mapping_must_cover_the_universe(self, keys):
+        u4 = synthetic_universe(4)
+        u3, outside = u4[:3], u4[3]
+        values = {
+            "missing": dict.fromkeys(u3[:2], 1.0),
+            "extra": dict.fromkeys(u4, 1.0),
+            "swapped": dict.fromkeys(u3[:2] + (outside,), 1.0),
+        }[keys]
+        with pytest.raises(UniverseMismatch, match="values must cover the universe exactly"):
+            UtilityVector("p", u3, values)
+
 
 class TestNonFiniteUtilities:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
