@@ -74,7 +74,7 @@ def test_one_definition_of_the_classes():
 
 
 def nested_loop_universe(include_homopairs):
-    """The class universe as it was enumerated before the class table."""
+    """The class universe by a nested loop over the codes, as a reference."""
     out = []
     for i, a in enumerate(ONE_LETTER):
         for b in ONE_LETTER[i:]:
