@@ -7,7 +7,8 @@ domain restrictions, the spherical continuity probe); they share only
 the interaction classes of `aminoacids`.
 
 Submodule attributes load lazily, and only the structural side imports
-numpy, so of the commands only `extract` and `rank` load it.
+numpy; the contact CSV lives in the numpy-free `interchange`, so of the
+commands only `extract` loads numpy.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ _EXPORTS = {
     "parse_pdb": "pdb",
     "ProteinStructure": "pdb",
     "residue_distance": "pdb",
-    "InteractionInstance": "contacts",
+    "InteractionInstance": "interchange",
     "ContactConfig": "contacts",
     "Scorer": "contacts",
     "extract_instances": "contacts",

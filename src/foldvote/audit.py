@@ -180,13 +180,14 @@ def _prefs(individuals) -> tuple:
     )
 
 
-def _outcome(rule: Rule, profile: Profile, catches: bool):
-    """The rule's outcome; with catches set, the exception it raised
-    instead, which is what unrestricted domain looks for."""
+def _outcome(rule, given, catches: bool):
+    """The rule's outcome on what it is given (a profile, or pairwise
+    counts); with catches set, the exception it raised instead, which is
+    what unrestricted domain looks for."""
     if not catches:
-        return rule(profile)
+        return rule(given)
     try:
-        return rule(profile)
+        return rule(given)
     except Exception as exc:  # any failure to produce an outcome
         return exc
 
@@ -246,7 +247,11 @@ class _Space(_Profiles):
     """Every profile, numbered lexicographically in mixed radix over the
     space's items (all strict orders, or all vectors over the utility
     grid) with individual 1 as the most significant digit. Views are
-    cached per profile number, up to a cap."""
+    cached per profile number, up to a cap.
+
+    An ordinal rule with `from_counts` is evaluated once per pairwise
+    count matrix: a profile's matrix is the sum of its items' pairwise
+    0/1 matrices, and the outcome is kept by that sum."""
 
     CACHE_CAP = 100_000
 
@@ -262,6 +267,17 @@ class _Space(_Profiles):
             for position in range(n)
         ]
         self.prefs = _prefs(self.individuals[0])
+        self.from_counts = rule.from_counts if rule.mode == "ordinal" else None
+        if self.from_counts is not None:
+            # each item's flattened m x m matrix (1 where class i is above
+            # class j) as the digits of one base n + 1 number; no count
+            # exceeds n, so adding the numbers adds the matrices digit-wise
+            cells = list(product(range(m), repeat=2))
+            self.pairwise = [
+                sum((n + 1) ** (i * m + j) for i, j in cells if p[i] < p[j])
+                for p in self.prefs
+            ]
+            self._by_counts: dict[int, object] = {}
         self.count = len(self.items) ** n
         self.pairs = list(combinations(range(m), 2))
         self._views: dict[int, _View] = {}
@@ -291,7 +307,19 @@ class _Space(_Profiles):
         return Profile(self.universe, individuals, self.rule.mode)
 
     def _evaluate(self, combo: tuple[int, ...]):
-        return _outcome(self.rule, self._profile(combo), self.catches)
+        if self.from_counts is None:
+            return _outcome(self.rule, self._profile(combo), self.catches)
+        summed = sum(map(self.pairwise.__getitem__, combo))
+        outcome = self._by_counts.get(summed)
+        if outcome is None:
+            m, digits, rest = self.m, [], summed
+            for _ in range(m * m):
+                rest, digit = divmod(rest, self.n + 1)
+                digits.append(digit)
+            counts = tuple(tuple(digits[i : i + m]) for i in range(0, m * m, m))
+            rule = partial(self.from_counts, self.universe, self.n)
+            outcome = self._by_counts[summed] = _outcome(rule, counts, self.catches)
+        return outcome
 
     def view(self, idx: int, combo: tuple[int, ...] | None = None) -> _View:
         view = self._views.get(idx)

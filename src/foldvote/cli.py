@@ -154,7 +154,8 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_rank(args) -> int:
-    from .contacts import class_universe, instances_from_csv
+    from .aminoacids import class_universe
+    from .interchange import instances_from_csv
     from .preferences import ordinal_from_utility, utility_from_instances
 
     with open(args.contacts) as fh:

@@ -17,6 +17,12 @@ import numpy as np
 from .aminoacids import LETTER_INDEX, ONE_LETTER, InteractionClass
 from .aminoacids import class_universe  # noqa: F401  (re-exported)
 from .errors import BadTable, MissingAtom
+from .interchange import InteractionInstance
+from .interchange import (  # noqa: F401  (re-exported)
+    CSV_HEADER,
+    instances_from_csv,
+    instances_to_csv,
+)
 from .pdb import DISTANCE_MODES, ProteinStructure, point_distance
 
 
@@ -34,15 +40,6 @@ class ContactConfig:
             raise ValueError(f"unknown distance mode {self.mode!r}")
         if self.min_seq_separation < 0:
             raise ValueError("min_seq_separation must be >= 0")
-
-
-@dataclass(frozen=True)
-class InteractionInstance:
-    protein_id: str
-    interaction_class: InteractionClass
-    residues: tuple[tuple[str, int], tuple[str, int]]  # ((chain, seq), (chain, seq))
-    distance: float
-    score: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -231,42 +228,3 @@ def _contacts(
     if not found:
         return np.empty(0, dtype=int), np.empty(0, dtype=int), np.empty(0)
     return tuple(np.concatenate(parts) for parts in zip(*found))
-
-
-CSV_HEADER = "protein_id,class,chain_i,seq_i,chain_j,seq_j,distance,score"
-
-
-def instances_to_csv(instances: list[InteractionInstance]) -> str:
-    """Render instances in the interchange CSV format."""
-    lines = [CSV_HEADER]
-    for inst in instances:
-        (ci, si), (cj, sj) = inst.residues
-        lines.append(
-            f"{inst.protein_id},{inst.interaction_class.render()},"
-            f"{ci},{si},{cj},{sj},{inst.distance!r},{inst.score!r}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def instances_from_csv(text: str) -> list[InteractionInstance]:
-    reader = csv.DictReader(io.StringIO(text))
-    expected = CSV_HEADER.split(",")
-    if reader.fieldnames != expected:
-        raise ValueError(
-            f"bad instance CSV header: {reader.fieldnames}, expected {expected}"
-        )
-    out = []
-    for row in reader:
-        out.append(
-            InteractionInstance(
-                protein_id=row["protein_id"],
-                interaction_class=InteractionClass.parse(row["class"]),
-                residues=(
-                    (row["chain_i"], int(row["seq_i"])),
-                    (row["chain_j"], int(row["seq_j"])),
-                ),
-                distance=float(row["distance"]),
-                score=float(row["score"]),
-            )
-        )
-    return out

@@ -31,6 +31,10 @@ class BadTable(FoldvoteError):
     """A score table is malformed or asymmetric."""
 
 
+class MalformedContacts(FoldvoteError):
+    """A contact CSV row does not have the header's fields."""
+
+
 # --------------------------------------------------------------- preferences
 
 class MixedProteins(FoldvoteError):

@@ -16,7 +16,7 @@ from .aminoacids import InteractionClass, Universe, slot_index
 from .errors import MixedProteins, NonFiniteUtility, UniverseMismatch
 
 if TYPE_CHECKING:
-    from .contacts import InteractionInstance
+    from .interchange import InteractionInstance
 
 
 @dataclass(frozen=True)

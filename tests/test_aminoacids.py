@@ -13,12 +13,14 @@ import pytest
 import foldvote
 import foldvote.aminoacids as aminoacids
 import foldvote.contacts as contacts
+import foldvote.interchange as interchange
 from foldvote.aminoacids import ONE_LETTER, InteractionClass, class_universe
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# Runs every command of the collective side through cli.main, then
-# prints which structure-side modules the process has loaded.
+# Runs every command of the collective side, and rank on a contact CSV,
+# through cli.main, then prints which structure-side modules the process
+# has loaded.
 COLLECTIVE_SESSION = """
 import contextlib, io, json, sys
 from pathlib import Path
@@ -49,6 +51,12 @@ for rule in RULE_NAMES:
         run("aggregate", "cycle.json", "--rule", rule)
         run("restrict", "sp.json", "--rule", rule)
 run("audit", "--rule", "borda", "--axioms", "arrow", "--m", "3", "--n", "2")
+Path("p.contacts.csv").write_text(
+    "protein_id,class,chain_i,seq_i,chain_j,seq_j,distance,score\\n"
+    "p,A-G,A,1,A,4,5.0,1.0\\n"
+    "p,G-V,A,2,A,5,6.5,1.0\\n"
+)
+run("rank", "p.contacts.csv", "--universe", "hetero")
 print(json.dumps([m for m in ("numpy", "foldvote.contacts", "foldvote.pdb") if m in sys.modules]))
 """
 
@@ -71,6 +79,12 @@ def test_one_definition_of_the_classes():
     assert contacts.class_universe is aminoacids.class_universe
     assert foldvote.InteractionClass is aminoacids.InteractionClass
     assert foldvote.class_universe is aminoacids.class_universe
+
+
+def test_one_definition_of_the_contact_interchange():
+    for name in ("InteractionInstance", "CSV_HEADER", "instances_to_csv", "instances_from_csv"):
+        assert getattr(contacts, name) is getattr(interchange, name), name
+    assert foldvote.InteractionInstance is interchange.InteractionInstance
 
 
 def nested_loop_universe(include_homopairs):

@@ -25,8 +25,10 @@ from foldvote.audit import (
     standard_rules,
     verify_result,
 )
+from foldvote.audit import _Space
 from foldvote.errors import BadSpec, BudgetExceeded, InapplicableAxiom
 from foldvote.profiles import Profile, SynthSpec, generate, synthetic_universe
+from foldvote.rules import majority_tournament
 
 RULES = standard_rules()
 U3 = synthetic_universe(3)
@@ -389,3 +391,61 @@ class TestDeterminism:
         a = may_coincidence_check(RULES["may"], 3, 2, trials=200, seed=9)
         b = may_coincidence_check(RULES["may"], 3, 2, trials=200, seed=9)
         assert a.to_json_dict() == b.to_json_dict()
+
+
+class TestCountMemo:
+    """An exhaustive space evaluates a rule that has a count step once per
+    pairwise count matrix, and any other rule once per profile."""
+
+    DISTINCT = {(3, 2): 19, (3, 3): 44, (3, 4): 85, (4, 2): 219, (4, 3): 1136}
+
+    @staticmethod
+    def walk(rule, m, n, catches=False):
+        space = _Space(m, n, rule, catches)
+        return space, [space.view(idx).outcome for idx in range(space.count)]
+
+    @pytest.mark.parametrize("m,n", sorted(DISTINCT))
+    def test_one_count_step_per_matrix(self, m, n):
+        may = RULES["may"]
+        steps, calls = [], []
+
+        def from_counts(universe, n, counts):
+            steps.append(counts)
+            return may.from_counts(universe, n, counts)
+
+        def fn(profile):
+            calls.append(1)
+            return may(profile)
+
+        _, memoised = self.walk(Rule("may", fn, from_counts=from_counts), m, n)
+        assert calls == []
+        assert len(steps) == len(set(steps)) == self.DISTINCT[m, n]
+        # the same rule rebuilt from (name, fn, mode) has no count step
+        space, outcomes = self.walk(Rule("may", fn, "ordinal"), m, n)
+        assert len(calls) == space.count
+        assert outcomes == memoised
+
+    def test_a_raised_error_is_kept_per_matrix(self):
+        # the count step fails whenever every individual puts A-A above
+        # A-C; unrestricted domain reads the error, once per matrix
+        steps = []
+
+        def from_counts(universe, n, counts):
+            steps.append(counts)
+            if counts[0][1] == n:
+                raise ValueError("unanimous on the first pair")
+            return RULES["may"].from_counts(universe, n, counts)
+
+        def fn(profile):
+            return from_counts(profile.universe, profile.n, majority_tournament(profile))
+
+        rule = Rule("picky", fn, from_counts=from_counts)
+        _, outcomes = self.walk(rule, 3, 3, catches=True)
+        assert len(steps) == self.DISTINCT[3, 3]
+        errors = [o for o in outcomes if isinstance(o, Exception)]
+        assert len(errors) == 6**3 // 8  # the profiles of 3 who all agree
+        # one error per matrix that raised, shared by its profiles
+        assert len({id(e) for e in errors}) == sum(c[0][1] == 3 for c in steps)
+        res = audit(rule, AxiomId.UNRESTRICTED_DOMAIN, exhaustive(3, 3))
+        assert res.witness["error"] == "ValueError: unanimous on the first pair"
+        assert verify_result(rule, res)

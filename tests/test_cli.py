@@ -247,6 +247,46 @@ class TestExtractAndRank:
         top = set(report["ranking"]["tiers"][0])
         assert top == {"A-G", "G-V"}
 
+    HEADER = "protein_id,class,chain_i,seq_i,chain_j,seq_j,distance,score"
+    GOOD_ROW = "p,A-G,A,1,A,4,5.0,1.0"
+
+    @pytest.mark.parametrize(
+        "rows,error",
+        [
+            # a short row used to end in a TypeError traceback
+            (["p,A-C,A,1,A,5"], "MalformedContacts: line 3: 6 fields, expected 8"),
+            # an extra field used to be dropped without a word; the blank
+            # line still counts towards the line number
+            (
+                ["", "p,A-C,A,1,A,5,6.0,1.0,extra"],
+                "MalformedContacts: line 4: 9 fields, expected 8",
+            ),
+            (
+                ["p,A-C,A,x,A,5,6.0,1.0"],
+                "ValueError: invalid literal for int() with base 10: 'x'",
+            ),
+            (
+                ["p,A-Z,A,1,A,5,6.0,1.0"],
+                "ValueError: not standard residue codes: 'A', 'Z'",
+            ),
+        ],
+    )
+    def test_rank_rejects_a_malformed_row(self, tmp_path, rows, error):
+        path = tmp_path / "bad.contacts.csv"
+        path.write_text("\n".join([self.HEADER, self.GOOD_ROW, *rows]) + "\n")
+        proc = run("rank", str(path), check=2)
+        assert proc.stderr == f"error: {error}\n"
+        assert proc.stdout == ""
+
+    def test_rank_rejects_a_bad_header(self, tmp_path):
+        path = tmp_path / "bad.contacts.csv"
+        path.write_text("wrong,header\n1,2\n")
+        proc = run("rank", str(path), check=2)
+        assert proc.stderr == (
+            "error: ValueError: bad instance CSV header: ['wrong', 'header'], "
+            f"expected {self.HEADER.split(',')}\n"
+        )
+
     def test_mixed_inputs_continue_past_failures(self, tmp_path):
         good = tmp_path / "good.pdb"
         shutil.copy(four_residue_pdb_path(), good)

@@ -796,3 +796,77 @@ class TestDerivedOutcome:
         assert sum(map(len, out.ranking.tiers)) == 210
         assert out.to_json_dict()["transitive"] is True
         assert may_rule(Profile(p.universe, p.individuals[:1] * 2)).transitive
+
+
+# may, borda and kemeny read a profile only through its pairwise counts
+# and n, so each also runs from the counts alone; exhaustive audits call
+# that step once per count matrix. It must agree with the full rule. The
+# full may and kemeny are their count steps on majority_tournament, so
+# the counts come from the reference tournament, and may's relation is
+# also checked against the individuals' pairwise stances directly.
+
+COUNT_RULES = ("may", "borda", "kemeny")
+
+
+def assert_from_counts_matches_rule(profile):
+    counts = ref_tournament(profile)
+    rules = standard_rules()
+    got = {
+        name: rules[name].from_counts(profile.universe, profile.n, counts)
+        for name in COUNT_RULES
+    }
+    for name, outcome in got.items():
+        want = rules[name](profile)
+        assert (outcome.rule_name, outcome.universe, outcome.relation) == (
+            want.rule_name,
+            want.universe,
+            want.relation,
+        ), name
+    slots = [ind.slots() for ind in profile.individuals]
+    m = profile.m
+    assert got["may"].relation == tuple(
+        tuple(
+            i == j
+            or sum(s[i] < s[j] for s in slots) >= sum(s[j] < s[i] for s in slots)
+            for j in range(m)
+        )
+        for i in range(m)
+    )
+
+
+@pytest.mark.parametrize("m,n", [(3, 2), (3, 3), (3, 4), (4, 2), (4, 3)])
+def test_from_counts_matches_rule_on_strict_space(m, n):
+    universe = synthetic_universe(m)
+    orders = list(permutations(universe))
+    rankings = [
+        [strict(order, f"v{v + 1}", universe) for order in orders] for v in range(n)
+    ]
+    for combo in product(range(len(orders)), repeat=n):
+        profile = Profile(universe, tuple(rankings[v][k] for v, k in enumerate(combo)))
+        assert_from_counts_matches_rule(profile)
+
+
+@pytest.mark.parametrize("m", [3, 5, 8])
+def test_from_counts_matches_rule_on_tied_profiles(m):
+    rng = random.Random(1977 + m)
+    universe = synthetic_universe(m)
+    for k in range(25):
+        n = 2 + k % 10
+        profile = Profile(
+            universe,
+            tuple(random_weak_order(rng, universe, f"v{v}") for v in range(n)),
+        )
+        assert_from_counts_matches_rule(profile)
+
+
+def test_only_count_rules_have_a_count_step():
+    rules = standard_rules()
+    assert [name for name, rule in rules.items() if rule.from_counts] == list(
+        COUNT_RULES
+    )
+
+
+def test_kemeny_from_counts_keeps_the_class_cap():
+    u9 = synthetic_universe(9)
+    with pytest.raises(TooLarge):
+        foldvote.rules.kemeny_from_counts(u9, 1, ((0,) * 9,) * 9)
