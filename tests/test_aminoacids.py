@@ -82,7 +82,8 @@ def test_one_definition_of_the_classes():
 
 
 def test_one_definition_of_the_contact_interchange():
-    for name in ("InteractionInstance", "CSV_HEADER", "instances_to_csv", "instances_from_csv"):
+    names = ("InteractionInstance", "CSV_HEADER", "instances_to_csv", "instances_from_csv")
+    for name in names:
         assert getattr(contacts, name) is getattr(interchange, name), name
     assert foldvote.InteractionInstance is interchange.InteractionInstance
 
