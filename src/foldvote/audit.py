@@ -180,14 +180,13 @@ def _prefs(individuals) -> tuple:
     )
 
 
-def _outcome(rule, given, catches: bool):
-    """The rule's outcome on what it is given (a profile, or pairwise
-    counts); with catches set, the exception it raised instead, which is
-    what unrestricted domain looks for."""
+def _outcome(rule: Rule, profile: Profile, catches: bool):
+    """The rule's outcome; with catches set, the exception it raised
+    instead, which is what unrestricted domain looks for."""
     if not catches:
-        return rule(given)
+        return rule(profile)
     try:
-        return rule(given)
+        return rule(profile)
     except Exception as exc:  # any failure to produce an outcome
         return exc
 
@@ -249,9 +248,9 @@ class _Space(_Profiles):
     grid) with individual 1 as the most significant digit. Views are
     cached per profile number, up to a cap.
 
-    An ordinal rule with `from_counts` is evaluated once per pairwise
-    count matrix: a profile's matrix is the sum of its items' pairwise
-    0/1 matrices, and the outcome is kept by that sum."""
+    An ordinal rule marked `pairwise` is run once per pairwise count
+    matrix: a profile's matrix is the sum of its items' pairwise 0/1
+    matrices, and the outcome is kept by that sum."""
 
     CACHE_CAP = 100_000
 
@@ -267,17 +266,17 @@ class _Space(_Profiles):
             for position in range(n)
         ]
         self.prefs = _prefs(self.individuals[0])
-        self.from_counts = rule.from_counts if rule.mode == "ordinal" else None
-        if self.from_counts is not None:
+        self._by_counts: dict[int, object] | None = None
+        if rule.pairwise and rule.mode == "ordinal":
             # each item's flattened m x m matrix (1 where class i is above
             # class j) as the digits of one base n + 1 number; no count
             # exceeds n, so adding the numbers adds the matrices digit-wise
             cells = list(product(range(m), repeat=2))
-            self.pairwise = [
+            self.matrices = [
                 sum((n + 1) ** (i * m + j) for i, j in cells if p[i] < p[j])
                 for p in self.prefs
             ]
-            self._by_counts: dict[int, object] = {}
+            self._by_counts = {}
         self.count = len(self.items) ** n
         self.pairs = list(combinations(range(m), 2))
         self._views: dict[int, _View] = {}
@@ -307,18 +306,13 @@ class _Space(_Profiles):
         return Profile(self.universe, individuals, self.rule.mode)
 
     def _evaluate(self, combo: tuple[int, ...]):
-        if self.from_counts is None:
+        if self._by_counts is None:
             return _outcome(self.rule, self._profile(combo), self.catches)
-        summed = sum(map(self.pairwise.__getitem__, combo))
+        summed = sum(map(self.matrices.__getitem__, combo))
         outcome = self._by_counts.get(summed)
         if outcome is None:
-            m, digits, rest = self.m, [], summed
-            for _ in range(m * m):
-                rest, digit = divmod(rest, self.n + 1)
-                digits.append(digit)
-            counts = tuple(tuple(digits[i : i + m]) for i in range(0, m * m, m))
-            rule = partial(self.from_counts, self.universe, self.n)
-            outcome = self._by_counts[summed] = _outcome(rule, counts, self.catches)
+            outcome = _outcome(self.rule, self._profile(combo), self.catches)
+            self._by_counts[summed] = outcome
         return outcome
 
     def view(self, idx: int, combo: tuple[int, ...] | None = None) -> _View:

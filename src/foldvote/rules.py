@@ -191,17 +191,13 @@ def majority_tournament(profile: Profile) -> Counts:
 def may_rule(profile: Profile) -> AggregationOutcome:
     """Simple pairwise majority: a weakly beats b when at least as many
     individuals strictly prefer a to b as prefer b to a."""
-    return may_from_counts(profile.universe, profile.n, majority_tournament(profile))
-
-
-def may_from_counts(universe: Universe, n: int, counts: Counts) -> AggregationOutcome:
-    """may_rule on the profile's pairwise counts."""
-    m = len(universe)
+    counts = majority_tournament(profile)
+    m = profile.m
     relation = tuple(
         tuple(i != j and counts[i][j] >= counts[j][i] or i == j for j in range(m))
         for i in range(m)
     )
-    return AggregationOutcome("may", universe, relation)
+    return AggregationOutcome("may", profile.universe, relation)
 
 
 def _borda_scores(profile: Profile) -> list[float]:
@@ -223,22 +219,7 @@ def borda(profile: Profile) -> AggregationOutcome:
     """Positional scoring: each class earns the count of classes strictly
     below it per individual, ties sharing the midpoint; sums rank."""
     _require_mode(profile, "ordinal", "borda")
-    # not borda_from_counts: counting the tournament first would cost
-    # O(n m^2), against O(n m) for the per-individual sum
     return _by_key("borda", profile.universe, _borda_scores(profile))
-
-
-def borda_from_counts(universe: Universe, n: int, counts: Counts) -> AggregationOutcome:
-    """borda on the profile's pairwise counts. Against class j an
-    individual gives class i 1, 0 or a tie's 1/2, which sums over the
-    individuals to (n + N(i>j) - N(j>i)) / 2; every value is a half, so
-    the scores are exactly borda's."""
-    m = len(universe)
-    scores = [
-        (n * (m - 1) + sum(row) - sum(column)) / 2
-        for row, column in zip(counts, zip(*counts))
-    ]
-    return _by_key("borda", universe, scores)
 
 
 def kemeny(profile: Profile) -> AggregationOutcome:
@@ -253,16 +234,12 @@ def kemeny(profile: Profile) -> AggregationOutcome:
     tie profiles.
     """
     _require_mode(profile, "ordinal", "kemeny")
-    return kemeny_from_counts(profile.universe, profile.n, majority_tournament(profile))
-
-
-def kemeny_from_counts(
-    universe: Universe, n: int, counts: Counts
-) -> AggregationOutcome:
-    """kemeny on the profile's pairwise counts."""
+    universe = profile.universe
     m = len(universe)
     if m > KEMENY_MAX_CLASSES:
         raise TooLarge(f"kemeny supports at most {KEMENY_MAX_CLASSES} classes")
+    counts = majority_tournament(profile)
+    n = profile.n
     size = 1 << m
     # lead[c][s]: distance, in halves, paid on the pairs {c, j} for j in bit
     # set s when c is ranked above all of them; per pair that is 2 for each
@@ -352,15 +329,15 @@ class Rule:
     """In-process rule interface: a name, a callable, and its input mode.
 
     A rule whose outcome depends only on the pairwise counts N(a > b) and
-    n may also give `from_counts`, which must return what `fn` returns on
-    any profile with those counts; exhaustive audits then evaluate it once
-    per count matrix instead of once per profile.
+    n (a C2 rule, as may, Borda and Kemeny are) may set `pairwise`;
+    exhaustive audits then run it once per count matrix and give its
+    outcome to every profile with that matrix.
     """
 
     name: str
     fn: object  # Profile -> AggregationOutcome
     mode: str = "ordinal"
-    from_counts: object = None  # (Universe, n, Counts) -> AggregationOutcome
+    pairwise: bool = False
 
     def __call__(self, profile: Profile) -> AggregationOutcome:
         return self.fn(profile)
@@ -368,9 +345,9 @@ class Rule:
 
 def standard_rules(dictator_index: int = 1) -> dict[str, Rule]:
     return {
-        "may": Rule("may", may_rule, from_counts=may_from_counts),
-        "borda": Rule("borda", borda, from_counts=borda_from_counts),
-        "kemeny": Rule("kemeny", kemeny, from_counts=kemeny_from_counts),
+        "may": Rule("may", may_rule, pairwise=True),
+        "borda": Rule("borda", borda, pairwise=True),
+        "kemeny": Rule("kemeny", kemeny, pairwise=True),
         "dictator": Rule(
             f"dictator[{dictator_index}]",
             lambda p, _k=dictator_index: dictator(p, _k),

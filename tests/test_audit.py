@@ -394,8 +394,8 @@ class TestDeterminism:
 
 
 class TestCountMemo:
-    """An exhaustive space evaluates a rule that has a count step once per
-    pairwise count matrix, and any other rule once per profile."""
+    """An exhaustive space runs a rule marked pairwise once per pairwise
+    count matrix, and any other rule once per profile."""
 
     DISTINCT = {(3, 2): 19, (3, 3): 44, (3, 4): 85, (4, 2): 219, (4, 3): 1136}
 
@@ -405,47 +405,40 @@ class TestCountMemo:
         return space, [space.view(idx).outcome for idx in range(space.count)]
 
     @pytest.mark.parametrize("m,n", sorted(DISTINCT))
-    def test_one_count_step_per_matrix(self, m, n):
-        may = RULES["may"]
-        steps, calls = [], []
-
-        def from_counts(universe, n, counts):
-            steps.append(counts)
-            return may.from_counts(universe, n, counts)
+    def test_one_rule_call_per_matrix(self, m, n):
+        calls = []
 
         def fn(profile):
-            calls.append(1)
-            return may(profile)
+            calls.append(majority_tournament(profile))
+            return RULES["may"](profile)
 
-        _, memoised = self.walk(Rule("may", fn, from_counts=from_counts), m, n)
-        assert calls == []
-        assert len(steps) == len(set(steps)) == self.DISTINCT[m, n]
-        # the same rule rebuilt from (name, fn, mode) has no count step
+        _, memoised = self.walk(Rule("may", fn, pairwise=True), m, n)
+        assert len(calls) == len(set(calls)) == self.DISTINCT[m, n]
+        # the same rule rebuilt from (name, fn, mode) is run on every profile
+        calls.clear()
         space, outcomes = self.walk(Rule("may", fn, "ordinal"), m, n)
         assert len(calls) == space.count
         assert outcomes == memoised
 
     def test_a_raised_error_is_kept_per_matrix(self):
-        # the count step fails whenever every individual puts A-A above
-        # A-C; unrestricted domain reads the error, once per matrix
-        steps = []
-
-        def from_counts(universe, n, counts):
-            steps.append(counts)
-            if counts[0][1] == n:
-                raise ValueError("unanimous on the first pair")
-            return RULES["may"].from_counts(universe, n, counts)
+        # the rule fails whenever every individual puts A-A above A-C;
+        # unrestricted domain reads the error, once per matrix
+        calls = []
 
         def fn(profile):
-            return from_counts(profile.universe, profile.n, majority_tournament(profile))
+            counts = majority_tournament(profile)
+            calls.append(counts)
+            if counts[0][1] == profile.n:
+                raise ValueError("unanimous on the first pair")
+            return RULES["may"](profile)
 
-        rule = Rule("picky", fn, from_counts=from_counts)
+        rule = Rule("picky", fn, pairwise=True)
         _, outcomes = self.walk(rule, 3, 3, catches=True)
-        assert len(steps) == self.DISTINCT[3, 3]
+        assert len(calls) == self.DISTINCT[3, 3]
         errors = [o for o in outcomes if isinstance(o, Exception)]
         assert len(errors) == 3**3  # each individual: 3 of the 6 orders
         # one error per matrix that raised, shared by its profiles
-        assert len({id(e) for e in errors}) == sum(c[0][1] == 3 for c in steps)
+        assert len({id(e) for e in errors}) == sum(c[0][1] == 3 for c in calls)
         res = audit(rule, AxiomId.UNRESTRICTED_DOMAIN, exhaustive(3, 3))
         assert res.witness["error"] == "ValueError: unanimous on the first pair"
         assert verify_result(rule, res)

@@ -799,74 +799,76 @@ class TestDerivedOutcome:
 
 
 # may, borda and kemeny read a profile only through its pairwise counts
-# and n, so each also runs from the counts alone; exhaustive audits call
-# that step once per count matrix. It must agree with the full rule. The
-# full may and kemeny are their count steps on majority_tournament, so
-# the counts come from the reference tournament, and may's relation is
-# also checked against the individuals' pairwise stances directly.
+# and n, so standard_rules marks them pairwise and exhaustive audits run
+# each once per count matrix, giving its outcome to every profile with
+# that matrix. Profiles with equal counts must get equal outcomes.
 
-COUNT_RULES = ("may", "borda", "kemeny")
+PAIRWISE_RULES = ("may", "borda", "kemeny")
 
 
-def assert_from_counts_matches_rule(profile):
-    counts = ref_tournament(profile)
-    rules = standard_rules()
-    got = {
-        name: rules[name].from_counts(profile.universe, profile.n, counts)
-        for name in COUNT_RULES
-    }
-    for name, outcome in got.items():
-        want = rules[name](profile)
-        assert (outcome.rule_name, outcome.universe, outcome.relation) == (
-            want.rule_name,
-            want.universe,
-            want.relation,
-        ), name
-    slots = [ind.slots() for ind in profile.individuals]
-    m = profile.m
-    assert got["may"].relation == tuple(
-        tuple(
-            i == j
-            or sum(s[i] < s[j] for s in slots) >= sum(s[j] < s[i] for s in slots)
-            for j in range(m)
-        )
-        for i in range(m)
-    )
+def assert_same_outcome_per_count_matrix(profiles):
+    keyed = [(ref_tournament(profile), profile) for profile in profiles]
+    for rule in standard_rules().values():
+        if not rule.pairwise:
+            continue
+        by_counts = {}
+        for counts, profile in keyed:
+            outcome = rule(profile)
+            first = by_counts.setdefault(counts, outcome)
+            assert (outcome.rule_name, outcome.universe, outcome.relation) == (
+                first.rule_name,
+                first.universe,
+                first.relation,
+            ), rule.name
 
 
 @pytest.mark.parametrize("m,n", [(3, 2), (3, 3), (3, 4), (4, 2), (4, 3)])
-def test_from_counts_matches_rule_on_strict_space(m, n):
+def test_pairwise_rules_agree_per_count_matrix_on_strict_space(m, n):
     universe = synthetic_universe(m)
     orders = list(permutations(universe))
     rankings = [
         [strict(order, f"v{v + 1}", universe) for order in orders] for v in range(n)
     ]
-    for combo in product(range(len(orders)), repeat=n):
-        profile = Profile(universe, tuple(rankings[v][k] for v, k in enumerate(combo)))
-        assert_from_counts_matches_rule(profile)
-
-
-@pytest.mark.parametrize("m", [3, 5, 8])
-def test_from_counts_matches_rule_on_tied_profiles(m):
-    rng = random.Random(1977 + m)
-    universe = synthetic_universe(m)
-    for k in range(25):
-        n = 2 + k % 10
-        profile = Profile(
-            universe,
-            tuple(random_weak_order(rng, universe, f"v{v}") for v in range(n)),
-        )
-        assert_from_counts_matches_rule(profile)
-
-
-def test_only_count_rules_have_a_count_step():
-    rules = standard_rules()
-    assert [name for name, rule in rules.items() if rule.from_counts] == list(
-        COUNT_RULES
+    assert_same_outcome_per_count_matrix(
+        Profile(universe, tuple(rankings[v][k] for v, k in enumerate(combo)))
+        for combo in product(range(len(orders)), repeat=n)
     )
 
 
-def test_kemeny_from_counts_keeps_the_class_cap():
+@pytest.mark.parametrize("m", [3, 5, 8])
+def test_pairwise_rules_agree_per_count_matrix_on_tied_profiles(m):
+    # a strict order and its reverse add 1 to every N(a > b) whatever the
+    # order, so a tied profile joined by two such pairs has one matrix
+    rng = random.Random(1977 + m)
+    universe = synthetic_universe(m)
+    for k in range(25):
+        base = tuple(
+            random_weak_order(rng, universe, f"v{v}") for v in range(k % 10)
+        )
+        joined = []
+        for _ in range(2):
+            order = rng.sample(universe, m)
+            pair = (
+                strict(order, "x", universe),
+                strict(order[::-1], "y", universe),
+            )
+            joined.append(Profile(universe, base + pair))
+        assert ref_tournament(joined[0]) == ref_tournament(joined[1])
+        assert_same_outcome_per_count_matrix(joined)
+
+
+def test_only_pairwise_rules_are_marked():
+    rules = standard_rules()
+    assert [name for name, rule in rules.items() if rule.pairwise] == list(
+        PAIRWISE_RULES
+    )
+
+
+def test_kemeny_refuses_too_many_classes_before_counting(monkeypatch):
+    def no_count(profile):
+        raise AssertionError("counted the tournament")
+
+    monkeypatch.setattr(foldvote.rules, "majority_tournament", no_count)
     u9 = synthetic_universe(9)
     with pytest.raises(TooLarge):
-        foldvote.rules.kemeny_from_counts(u9, 1, ((0,) * 9,) * 9)
+        kemeny(Profile(u9, (strict(u9, "v1", u9),) * 100))
