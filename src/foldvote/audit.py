@@ -33,8 +33,9 @@ import math
 import random
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, partial
-from itertools import combinations, permutations, product
+from functools import partial
+from itertools import combinations, combinations_with_replacement, islice
+from itertools import permutations, product
 
 from .aminoacids import InteractionClass, Universe
 from .errors import BadSpec, BudgetExceeded, InapplicableAxiom
@@ -107,6 +108,10 @@ class SearchSpace:
     n: int
     trials: int | None = None
     seed: int | None = None
+
+    def __post_init__(self):
+        if self.n < 2:
+            raise BadSpec(f"n must be >= 2, got {self.n}")
 
 
 def exhaustive(m: int, n: int) -> SearchSpace:
@@ -243,10 +248,11 @@ class _Profiles:
 
 
 class _Space(_Profiles):
-    """Every profile, numbered lexicographically in mixed radix over the
-    space's items (all strict orders, or all vectors over the utility
-    grid) with individual 1 as the most significant digit. Views are
-    cached per profile number, up to a cap.
+    """Every profile, named by its digits: each individual's index into
+    the space's items (all strict orders, or all vectors over the utility
+    grid). Individual 1 is the most significant digit, so digit tuples
+    compare in enumeration order. Views are cached per profile, up to a
+    cap.
 
     An ordinal rule marked `pairwise` is run once per pairwise count
     matrix: a profile's matrix is the sum of its items' pairwise 0/1
@@ -260,6 +266,7 @@ class _Space(_Profiles):
             self.items = list(product(UTILITY_GRID, repeat=m))
         else:
             self.items = list(permutations(range(m)))
+        self.number = {item: d for d, item in enumerate(self.items)}
         # each position's individual for every item, by digit
         self.individuals = [
             [self.individual(position, item) for item in self.items]
@@ -279,68 +286,48 @@ class _Space(_Profiles):
             self._by_counts = {}
         self.count = len(self.items) ** n
         self.pairs = list(combinations(range(m), 2))
-        self._views: dict[int, _View] = {}
-        self._groups: dict[tuple, dict[tuple, list[int]]] = {}
+        self._views: dict[tuple, _View] = {}
+        self._groups: dict[tuple, dict[tuple, list[tuple]]] = {}
 
     def combos(self):
         """Each profile's digits, in enumeration order."""
         return product(range(len(self.items)), repeat=self.n)
 
-    def combo_at(self, idx: int) -> tuple[int, ...]:
-        out = [0] * self.n
-        for i in range(self.n - 1, -1, -1):
-            idx, out[i] = divmod(idx, len(self.items))
-        return tuple(out)
-
-    def index_of(self, combo: tuple[int, ...]) -> int:
-        idx = 0
-        for digit in combo:
-            idx = idx * len(self.items) + digit
-        return idx
-
-    def profile(self, idx: int) -> Profile:
-        return self._profile(self.combo_at(idx))
-
-    def _profile(self, combo: tuple[int, ...]) -> Profile:
+    def profile(self, combo: tuple[int, ...]) -> Profile:
         individuals = tuple(map(list.__getitem__, self.individuals, combo))
         return Profile(self.universe, individuals, self.rule.mode)
 
     def _evaluate(self, combo: tuple[int, ...]):
         if self._by_counts is None:
-            return _outcome(self.rule, self._profile(combo), self.catches)
+            return _outcome(self.rule, self.profile(combo), self.catches)
         summed = sum(map(self.matrices.__getitem__, combo))
         outcome = self._by_counts.get(summed)
         if outcome is None:
-            outcome = _outcome(self.rule, self._profile(combo), self.catches)
+            outcome = _outcome(self.rule, self.profile(combo), self.catches)
             self._by_counts[summed] = outcome
         return outcome
 
-    def view(self, idx: int, combo: tuple[int, ...] | None = None) -> _View:
-        view = self._views.get(idx)
+    def view(self, combo: tuple[int, ...]) -> _View:
+        view = self._views.get(combo)
         if view is None:
-            combo = combo or self.combo_at(idx)
             prefs = tuple(map(self.prefs.__getitem__, combo))
             view = _View(prefs, pending=partial(self._evaluate, combo))
             if len(self._views) < self.CACHE_CAP:
-                self._views[idx] = view
+                self._views[combo] = view
         return view
 
     def key(self, combo: tuple[int, ...], stance, pair) -> tuple:
         """Each individual's stance on the pair."""
         return tuple(stance(self.prefs[d], *pair) for d in combo)
 
-    def groups(self, stance, pair) -> dict[tuple, list[int]]:
-        """Profile numbers by key, each group in enumeration order."""
+    def groups(self, stance, pair) -> dict[tuple, list[tuple]]:
+        """Profiles by key, each group in enumeration order."""
         groups = self._groups.get((stance, pair))
         if groups is None:
             groups = self._groups[stance, pair] = {}
-            for idx, combo in enumerate(self.combos()):
-                groups.setdefault(self.key(combo, stance, pair), []).append(idx)
+            for combo in self.combos():
+                groups.setdefault(self.key(combo, stance, pair), []).append(combo)
         return groups
-
-    @cached_property
-    def number(self) -> dict[tuple, int]:
-        return {item: d for d, item in enumerate(self.items)}
 
 
 class _Trials(_Profiles):
@@ -416,11 +403,11 @@ class _Axiom:
 
     def search(self, space: _Space):
         """The first profile, in enumeration order, that the check flags:
-        (profile numbers, witness fields) or None."""
-        for idx, combo in enumerate(space.combos()):
-            detail = self.check(space.universe, [space.view(idx, combo)])
+        (profile digits, witness fields) or None."""
+        for combo in space.combos():
+            detail = self.check(space.universe, [space.view(combo)])
             if detail is not None:
-                return (idx,), detail
+                return (combo,), detail
         return None
 
     def draw(self, trials: _Trials):
@@ -558,28 +545,27 @@ class _Symmetry(_Axiom):
     Subclasses give size(m, n), how many things are permuted, and
     move(orders, perm), the orders of the moved profile. Permutations
     form a group, so checking a profile against all of them covers its
-    whole orbit; a profile whose orbit holds an earlier profile cannot be
-    the first violation, and is skipped."""
+    whole orbit; only the first profile of each orbit can be the first
+    violation, and subclasses give those, firsts(space), in enumeration
+    order, read off the digits."""
 
-    def moved(self, space: _Space, combo: tuple, perm: tuple) -> int:
-        """The number of the moved profile."""
+    def moved(self, space: _Space, combo: tuple, perm: tuple) -> tuple:
+        """The digits of the moved profile."""
         orders = self.move([space.items[d] for d in combo], perm)
-        return space.index_of([space.number[order] for order in orders])
+        return tuple(space.number[order] for order in orders)
 
     def cost(self, m, n, count):
         return math.factorial(self.size(m, n))
 
     def search(self, space):
         perms = list(permutations(range(self.size(space.m, space.n))))
-        for idx, combo in enumerate(space.combos()):
-            others = [self.moved(space, combo, perm) for perm in perms]
-            if min(others) < idx:
-                continue
-            base = space.view(idx, combo)  # the identity reads its outcome
-            for perm, other in zip(perms, others):
+        for combo in self.firsts(space):
+            base = space.view(combo)  # the identity reads its outcome
+            for perm in perms:
+                other = self.moved(space, combo, perm)
                 detail = self.check(space.universe, (base, space.view(other)), perm)
                 if detail is not None:
-                    return (idx, other), detail
+                    return (combo, other), detail
         return None
 
     def draw(self, trials):
@@ -600,7 +586,11 @@ class _Anonymity(_Symmetry):
         return [orders[s] for s in sigma]
 
     def moved(self, space, combo, sigma):
-        return space.index_of(self.move(combo, sigma))  # digits move as orders do
+        return tuple(self.move(combo, sigma))  # digits move as orders do
+
+    def firsts(self, space):
+        # an orbit's first profile has its digits in non-decreasing order
+        return combinations_with_replacement(range(len(space.items)), space.n)
 
     def premise(self, universe, views, sigma):
         base, permuted = views[0].prefs, views[1].prefs
@@ -627,6 +617,12 @@ class _Neutrality(_Symmetry):
 
     def move(self, orders, pi):
         return [tuple(pi[c] for c in order) for order in orders]
+
+    def firsts(self, space):
+        # exactly one relabeling sends individual 1's order to the identity
+        # order, item 0, so an orbit's first profile is the one with digit
+        # 0 first, and those are the first len(items) ** (n - 1) profiles
+        return islice(space.combos(), len(space.items) ** (space.n - 1))
 
     def premise(self, universe, views, pi):
         if sorted(pi) != list(range(len(universe))):
@@ -674,15 +670,15 @@ class _NonDictatorship(_Axiom):
 
     def search(self, space):
         overruled = [False] * space.n
-        for idx, combo in enumerate(space.combos()):
-            _overrule(space.view(idx, combo), overruled, space.pairs)
+        for combo in space.combos():
+            _overrule(space.view(combo), overruled, space.pairs)
             if all(overruled):
                 return None
         # the never-overruled individual gets the lexicographic order,
         # everyone else its reverse, so the outcome visibly follows k0
         k0 = overruled.index(False)
         reverse = space.items.index(tuple(reversed(space.items[0])))
-        demo = space.index_of(tuple(0 if i == k0 else reverse for i in range(space.n)))
+        demo = tuple(0 if i == k0 else reverse for i in range(space.n))
         tiers = space.view(demo).outcome.to_json_dict()["tiers"]
         return (demo,), {"dictator_index": k0 + 1, "demo_outcome_tiers": tiers}
 
@@ -760,8 +756,7 @@ class _IIA(_Axiom):
         first = min(mixed)
         candidates = []
         for p_idx, pair in enumerate(space.pairs):
-            key = space.key(space.combo_at(first), self.stance, pair)
-            group = space.groups(self.stance, pair)[key]
+            group = space.groups(self.stance, pair)[space.key(first, self.stance, pair)]
             for other in group:
                 views = (space.view(first), space.view(other))
                 detail = self.check(space.universe, views, pair)
@@ -848,9 +843,9 @@ class _PositiveResponsiveness(_Axiom):
         # first member that the check flags serves every base lifting
         # into it, as the flag depends on the base only through arming.
         ordered_pairs = sorted(space.pairs + [(j, i) for i, j in space.pairs])
-        flagged: dict[tuple, int | None] = {}
-        for idx, combo in enumerate(space.combos()):
-            base = space.view(idx, combo)
+        flagged: dict[tuple, tuple | None] = {}
+        for combo in space.combos():
+            base = space.view(combo)
             candidates = []
             for p_rank, pair in enumerate(ordered_pairs):
                 if not _armed(base.outcome.pair_value(*pair)):
@@ -874,7 +869,7 @@ class _PositiveResponsiveness(_Axiom):
                 other, _, uplifted, pair = min(candidates)
                 views = (base, space.view(other))
                 detail = self.check(space.universe, views, uplifted + 1, pair)
-                return (idx, other), detail
+                return (combo, other), detail
         return None
 
     def draw(self, trials):
@@ -925,20 +920,19 @@ class _ProximityPreservation(_Axiom):
         # maps to output-farther, sorting by input distance before
         # trying pairs.
         order_dist = [[_kendall_slots(a, b) for b in space.prefs] for a in space.prefs]
-        count = space.count
         combos = list(space.combos())
         values = [
-            [space.view(idx).outcome.pair_value(*pair) for pair in space.pairs]
-            for idx in range(count)
+            [space.view(combo).outcome.pair_value(*pair) for pair in space.pairs]
+            for combo in combos
         ]
-        for base in range(count):
+        for base in range(space.count):
             D = [
                 sum(order_dist[a][b] for a, b in zip(combos[base], combo))
                 for combo in combos
             ]
             d = [sum(abs(u - v) for u, v in zip(values[base], row)) for row in values]
             by_D: dict[float, list[float]] = {}
-            for other in range(count):
+            for other in range(space.count):
                 by_D.setdefault(D[other], []).append(d[other])
             farthest = -math.inf  # over input distances up to this one
             for D_value in sorted(by_D):
@@ -947,11 +941,11 @@ class _ProximityPreservation(_Axiom):
                     break
             else:
                 continue
-            for near in range(count):
-                for far in range(count):
+            for near in range(space.count):
+                for far in range(space.count):
                     detail = _proximity_violation(D[near], D[far], d[near], d[far])
                     if detail is not None:
-                        return (base, near, far), detail
+                        return (combos[base], combos[near], combos[far]), detail
         return None
 
     def draw(self, trials):
@@ -1035,7 +1029,7 @@ def audit(rule: Rule, axiom: AxiomId, space: SearchSpace) -> AuditResult:
         grid = _Space(m, n, rule, spec.catches)
         found = spec.search(grid)
         if found is not None:
-            found = [grid.profile(idx) for idx in found[0]], found[1]
+            found = [grid.profile(combo) for combo in found[0]], found[1]
         kind = "grid-utility" if utility else "strict-order"
         grid_note = f"grid {UTILITY_GRID}, " if utility else ""
         budget = (
@@ -1089,7 +1083,11 @@ def may_coincidence_check(
 def verify_result(rule: Rule, result: AuditResult) -> bool:
     """Re-run the rule on a fail witness's embedded profiles and re-check
     the claimed violation, after checking that the profiles meet the
-    axiom's premise; pass verdicts verify vacuously."""
+    axiom's premise; pass verdicts verify vacuously.
+
+    A non-dictatorship witness re-checks only its demo profile, so it
+    proves no dictator: kemeny, which passes non-dictatorship over
+    exhaustive (3, 2), re-verifies dictator's (3, 2) witness."""
     if not result.failed:
         return True
     axiom = _AXIOMS.get(result.axiom)

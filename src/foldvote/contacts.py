@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -34,8 +35,8 @@ class ContactConfig:
     cross_chain: bool = False
 
     def __post_init__(self) -> None:
-        if self.threshold_tau <= 0:
-            raise ValueError("threshold_tau must be positive")
+        if not 0 < self.threshold_tau < math.inf:  # NaN fails too
+            raise ValueError("threshold_tau must be positive and finite")
         if self.mode not in DISTANCE_MODES:
             raise ValueError(f"unknown distance mode {self.mode!r}")
         if self.min_seq_separation < 0:

@@ -177,8 +177,8 @@ def ordinal_from_utility(
     when tie_epsilon is 0). Chaining keeps the grouping independent of
     class iteration order.
     """
-    if tie_epsilon < 0:
-        raise ValueError("tie_epsilon must be >= 0")
+    if not 0 <= tie_epsilon < math.inf:  # NaN fails too
+        raise ValueError("tie_epsilon must be finite and >= 0")
     ordered = sorted(zip(u.universe, u.values), key=lambda cv: (-cv[1], cv[0]))
     tiers: list[list[InteractionClass]] = []
     prev = None

@@ -5,6 +5,8 @@ enumeration before being frozen here; the exhaustive (3, 2) and (3, 3)
 spaces are small enough to re-run on every test invocation.
 """
 
+from itertools import permutations
+
 import pytest
 
 from foldvote.audit import (
@@ -25,7 +27,7 @@ from foldvote.audit import (
     standard_rules,
     verify_result,
 )
-from foldvote.audit import _Space
+from foldvote.audit import _AXIOMS, _Space
 from foldvote.errors import BadSpec, BudgetExceeded, InapplicableAxiom
 from foldvote.profiles import Profile, SynthSpec, generate, synthetic_universe
 from foldvote.rules import majority_tournament
@@ -235,6 +237,15 @@ class TestGuards:
             audit(RULES["may"], AxiomId.PROXIMITY_PRESERVATION, exhaustive(3, 5))
         assert BUDGET_LIMIT == 10_000_000
 
+    @pytest.mark.parametrize("n", [0, -1, 1])
+    def test_fewer_than_two_individuals_rejected(self, n):
+        with pytest.raises(BadSpec, match=f"n must be >= 2, got {n}"):
+            exhaustive(3, n)
+        with pytest.raises(BadSpec, match=f"n must be >= 2, got {n}"):
+            sampled(3, n, trials=10, seed=0)
+        with pytest.raises(BadSpec, match=f"n must be >= 2, got {n}"):
+            may_coincidence_check(RULES["may"], 3, n, trials=10, seed=0)
+
     def test_budget_allows_small_space(self):
         res = audit(RULES["may"], AxiomId.PROXIMITY_PRESERVATION, exhaustive(3, 2))
         assert res.verdict in (PASS, FAIL)
@@ -402,7 +413,7 @@ class TestCountMemo:
     @staticmethod
     def walk(rule, m, n, catches=False):
         space = _Space(m, n, rule, catches)
-        return space, [space.view(idx).outcome for idx in range(space.count)]
+        return space, [space.view(combo).outcome for combo in space.combos()]
 
     @pytest.mark.parametrize("m,n", sorted(DISTINCT))
     def test_one_rule_call_per_matrix(self, m, n):
@@ -442,3 +453,68 @@ class TestCountMemo:
         res = audit(rule, AxiomId.UNRESTRICTED_DOMAIN, exhaustive(3, 3))
         assert res.witness["error"] == "ValueError: unanimous on the first pair"
         assert verify_result(rule, res)
+
+
+class TestOrbitFirsts:
+    """Anonymity and neutrality searches start from each orbit's first
+    profile, read off its digits, and move it by each permutation."""
+
+    SPACES = [(2, 4), (3, 2), (3, 3), (3, 4), (4, 2), (4, 3)]
+    SYMMETRIES = [AxiomId.ANONYMITY, AxiomId.NEUTRALITY]
+
+    @staticmethod
+    def orbit_minima(axiom, space):
+        """The reference: each profile, numbered in mixed radix, is kept
+        when no permutation moves it to a smaller number."""
+        digit = {item: d for d, item in enumerate(space.items)}
+        perms = list(permutations(range(axiom.size(space.m, space.n))))
+
+        def number(orders):
+            idx = 0
+            for order in orders:
+                idx = idx * len(space.items) + digit[order]
+            return idx
+
+        kept = []
+        for idx, combo in enumerate(space.combos()):
+            orders = [space.items[d] for d in combo]
+            if min(number(axiom.move(orders, perm)) for perm in perms) >= idx:
+                kept.append(combo)
+        return kept
+
+    @pytest.mark.parametrize("axiom_id", SYMMETRIES)
+    @pytest.mark.parametrize("m,n", SPACES)
+    def test_firsts_are_the_orbit_minima(self, axiom_id, m, n):
+        axiom = _AXIOMS[axiom_id]
+        space = _Space(m, n, RULES["may"], False)
+        assert list(axiom.firsts(space)) == self.orbit_minima(axiom, space)
+
+    @pytest.mark.parametrize("axiom_id", SYMMETRIES)
+    def test_moved_digits_name_the_moved_profile(self, axiom_id):
+        axiom = _AXIOMS[axiom_id]
+        space = _Space(3, 3, RULES["may"], False)
+        for combo in axiom.firsts(space):
+            orders = [space.items[d] for d in combo]
+            for perm in permutations(range(axiom.size(3, 3))):
+                moved = axiom.moved(space, combo, perm)
+                assert [space.items[d] for d in moved] == axiom.move(orders, perm)
+
+    @pytest.mark.parametrize(
+        "axiom_id,calls", [(AxiomId.ANONYMITY, 15600), (AxiomId.NEUTRALITY, 13824)]
+    )
+    def test_moved_calls_of_a_full_walk(self, monkeypatch, axiom_id, calls):
+        # may passes both, so the search walks every orbit at (4, 3):
+        # C(26, 3) = 2600 firsts times 3! individual permutations, and
+        # 24^2 = 576 firsts times 4! relabelings
+        axiom = _AXIOMS[axiom_id]
+        counted = []
+        moved = type(axiom).moved
+
+        def counting(self, space, combo, perm):
+            counted.append(combo)
+            return moved(self, space, combo, perm)
+
+        monkeypatch.setattr(type(axiom), "moved", counting)
+        res = audit(RULES["may"], axiom_id, exhaustive(4, 3))
+        assert res.verdict == PASS
+        assert len(counted) == calls

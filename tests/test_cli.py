@@ -187,6 +187,17 @@ class TestExitCodes:
             assert proc.returncode == 2, proc.stderr
             assert "BadSpec" in proc.stderr and proc.stdout == ""
 
+    @pytest.mark.parametrize("n", ["0", "-1", "1"])
+    def test_fewer_than_two_individuals_is_input_error(self, n):
+        # n <= 0 used to end in an IndexError traceback
+        for extra in (["--axioms", "unanimity"],
+                      ["--axioms", "arrow"],
+                      ["--mode", "sampled", "--axioms", "iia"],
+                      ["--axioms", "may_coincidence"]):
+            proc = run("audit", "--rule", "may", "--n", n, *extra, check=2)
+            assert proc.stderr == f"error: BadSpec: n must be >= 2, got {n}\n"
+            assert proc.stdout == ""
+
     def test_extract_without_inputs(self, tmp_path):
         empty = tmp_path / "empty"
         empty.mkdir()
@@ -276,6 +287,32 @@ class TestExtractAndRank:
         path.write_text("\n".join([self.HEADER, self.GOOD_ROW, *rows]) + "\n")
         proc = run("rank", str(path), check=2)
         assert proc.stderr == f"error: {error}\n"
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize("tau", ["nan", "inf", "-inf", "0"])
+    def test_extract_rejects_a_bad_tau(self, tmp_path, tau):
+        # NaN and infinity used to reach the summary, which is then not JSON
+        out = tmp_path / "out"
+        proc = run(
+            "extract", str(four_residue_pdb_path()), "--out-dir", str(out),
+            f"--tau={tau}", check=2,
+        )
+        assert proc.stderr == (
+            "error: ValueError: threshold_tau must be positive and finite\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("epsilon", ["nan", "inf", "-0.5"])
+    def test_rank_rejects_a_bad_tie_epsilon(self, tmp_path, epsilon):
+        run("extract", str(four_residue_pdb_path()), "--out-dir", str(tmp_path),
+            check=0)
+        proc = run(
+            "rank", str(tmp_path / "four_residue.contacts.csv"),
+            f"--tie-epsilon={epsilon}", check=2,
+        )
+        assert proc.stderr == (
+            "error: ValueError: tie_epsilon must be finite and >= 0\n"
+        )
         assert proc.stdout == ""
 
     def test_rank_rejects_a_bad_header(self, tmp_path):

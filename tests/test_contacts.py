@@ -1,5 +1,7 @@
 """Interaction classes, contact extraction, score tables, CSV round trip."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -149,6 +151,11 @@ class TestExtract:
             ContactConfig(mode="nonsense")
         with pytest.raises(ValueError):
             ContactConfig(min_seq_separation=-1)
+
+    @pytest.mark.parametrize("tau", [-1.0, math.nan, math.inf, -math.inf])
+    def test_non_finite_or_negative_tau_rejected(self, tau):
+        with pytest.raises(ValueError, match="threshold_tau must be positive and finite"):
+            ContactConfig(threshold_tau=tau)
 
     @given(st.integers(0, 2**31 - 1))
     def test_brute_force_equivalence(self, seed):

@@ -159,6 +159,13 @@ class TestOrdinalFromUtility:
         x, y, z = ordinal_from_utility(u).slots()
         assert x < z < y
 
+    @pytest.mark.parametrize("epsilon", [-0.1, math.nan, math.inf, -math.inf])
+    def test_bad_epsilon_rejected(self, epsilon):
+        # a NaN epsilon used to put every class in its own tier
+        u = vec(self.u3, {self.x: 1.0})
+        with pytest.raises(ValueError, match="tie_epsilon must be finite and >= 0"):
+            ordinal_from_utility(u, tie_epsilon=epsilon)
+
 
 class TestRankingValidation:
     def test_tiers_must_partition(self):
