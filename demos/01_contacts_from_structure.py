@@ -17,8 +17,7 @@ structure = parse_pdb(path.read_text(), "four_residue")
 
 print(f"parsed {structure.id}: {structure.n_residues} residues")
 for chain_id, res in structure.residues():
-    ca = res.atom("CA")
-    x, y, z = ca.position
+    x, y, z = res.atom("CA")
     print(
         f"  {res.one_letter_code} chain {chain_id} seq {res.seq_index}"
         f"  CA at ({x:.1f}, {y:.1f}, {z:.1f})"

@@ -37,7 +37,7 @@ from functools import partial
 from itertools import combinations, combinations_with_replacement, islice
 from itertools import permutations, product
 
-from .aminoacids import InteractionClass, Universe
+from .aminoacids import CLASSES, InteractionClass, Universe
 from .errors import BadSpec, BudgetExceeded, InapplicableAxiom
 from .preferences import RankingWithTies, UtilityVector
 from .profiles import Profile, _fisher_yates, _kendall_slots, synthetic_universe
@@ -112,6 +112,8 @@ class SearchSpace:
     def __post_init__(self):
         if self.n < 2:
             raise BadSpec(f"n must be >= 2, got {self.n}")
+        if not 2 <= self.m <= len(CLASSES):
+            raise BadSpec(f"m must be in 2..{len(CLASSES)}, got {self.m}")
 
 
 def exhaustive(m: int, n: int) -> SearchSpace:

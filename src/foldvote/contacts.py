@@ -177,15 +177,10 @@ def _contacts(
         return np.where(chains[i] == chains[j], apart, config.cross_chain)
 
     reps = np.full((n, 3), np.nan)
-    if mode == "c_alpha":
-        for k, (_, res) in enumerate(flat):
-            ca = res.atom("CA")
-            if ca is not None:
-                reps[k] = ca.position
-    else:
-        coords = [res.coordinates() for _, res in flat]
-        for k, xyz in enumerate(coords):
-            reps[k] = xyz.mean(axis=0)
+    for k, (_, res) in enumerate(flat):
+        point = res.atom("CA") if mode == "c_alpha" else res.xyz.mean(axis=0)
+        if point is not None:
+            reps[k] = point
     if mode != "heavy_min":
         # a point that is missing (or not a number) is an error only for
         # a residue with a candidate partner
@@ -195,6 +190,7 @@ def _contacts(
     else:
         # atoms padded to a common width, with +inf on a pair's first
         # residue and -inf on its second, so padding is never nearest
+        coords = [res.xyz for _, res in flat]
         radii = np.array(
             [np.sqrt(((xyz - c) ** 2).sum(axis=1)).max() for xyz, c in zip(coords, reps)]
         )

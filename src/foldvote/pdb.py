@@ -6,12 +6,17 @@ conformer and nonstandard residues are dropped. A (chain, resSeq) belongs
 to the first residue claiming it, told apart by residue name and
 insertion code: the records of an inserted residue (52A after 52) or of
 a duplicated number are dropped.
+
+A Residue holds its one-letter code, its residue number, ``atoms`` (the
+kept atom names, in file order) and ``xyz``, one float64 array of shape
+(len(atoms), 3) whose row k holds the coordinates of atoms[k].
+``atom(name)`` returns the row of the first atom so named, or None.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,26 +37,16 @@ _Z = slice(46, 54)
 DISTANCE_MODES = ("c_alpha", "centroid", "heavy_min")
 
 
-@dataclass(frozen=True, eq=False)
-class AtomRecord:
-    name: str
-    position: np.ndarray  # shape (3,), float64
-
-
 @dataclass(eq=False)
 class Residue:
     one_letter_code: str
     seq_index: int
-    atoms: list[AtomRecord] = field(default_factory=list)
+    atoms: tuple[str, ...]  # atom names in file order
+    xyz: np.ndarray  # shape (len(atoms), 3), float64; row k is atoms[k]
 
-    def atom(self, name: str) -> AtomRecord | None:
-        for a in self.atoms:
-            if a.name == name:
-                return a
-        return None
-
-    def coordinates(self) -> np.ndarray:
-        return np.stack([a.position for a in self.atoms])
+    def atom(self, name: str) -> np.ndarray | None:
+        """The coordinates of the first atom so named, or None."""
+        return self.xyz[self.atoms.index(name)] if name in self.atoms else None
 
 
 @dataclass(eq=False)
@@ -76,7 +71,7 @@ class ProteinStructure:
 
 def _parse_atom_line(
     line: str,
-) -> tuple[str, str, str, str, int, str, np.ndarray]:
+) -> tuple[str, str, str, str, int, str, list[float]]:
     # A line claiming to be ATOM must satisfy the fixed-column grammar.
     if len(line) < 54:
         raise MalformedRecord(f"ATOM line shorter than 54 columns: {line!r}")
@@ -91,7 +86,7 @@ def _parse_atom_line(
     altloc = line[_ALTLOC]
     resname = line[_RESNAME].strip()
     chain = line[_CHAIN]
-    return name, altloc, resname, chain, seq, line[_ICODE], np.array(xyz)
+    return name, altloc, resname, chain, seq, line[_ICODE], xyz
 
 
 def parse_pdb(text: str, id: str) -> ProteinStructure:
@@ -100,7 +95,8 @@ def parse_pdb(text: str, id: str) -> ProteinStructure:
     Raises MalformedRecord on a bad ATOM line and EmptyStructure when no
     standard residue survives the filters.
     """
-    chains: dict[str, dict[int, Residue]] = {}
+    # chain -> resSeq -> (one-letter code, atom names, atom coordinates)
+    chains: dict[str, dict[int, tuple[str, list, list]]] = {}
     # (chain, resSeq) pairs claimed by a (residue name, insertion code)
     # we skipped or by an earlier occurrence; later claimants are dropped.
     claimed: dict[tuple[str, int], tuple[str, str]] = {}
@@ -111,7 +107,7 @@ def parse_pdb(text: str, id: str) -> ProteinStructure:
             break  # first model only
         if not record.startswith("ATOM"):
             continue
-        name, altloc, resname, chain, seq, icode, pos = _parse_atom_line(line)
+        name, altloc, resname, chain, seq, icode, xyz = _parse_atom_line(line)
         if altloc not in (" ", "A", ""):
             continue
         if claimed.setdefault((chain, seq), (resname, icode)) != (resname, icode):
@@ -119,19 +115,19 @@ def parse_pdb(text: str, id: str) -> ProteinStructure:
         one = THREE_TO_ONE.get(resname)
         if one is None:
             continue  # nonstandard residue
-        residue = chains.setdefault(chain, {}).get(seq)
-        if residue is None:
-            residue = Residue(one_letter_code=one, seq_index=seq)
-            chains[chain][seq] = residue
-        residue.atoms.append(AtomRecord(name=name, position=pos))
+        _, names, coords = chains.setdefault(chain, {}).setdefault(seq, (one, [], []))
+        names.append(name)
+        coords.append(xyz)
 
-    ordered = [
-        (chain_id, [chains[chain_id][seq] for seq in sorted(chains[chain_id])])
-        for chain_id in chains
-    ]
-    ordered = [(cid, res) for cid, res in ordered if res]
-    if not any(res for _, res in ordered):
+    if not chains:
         raise EmptyStructure(f"no standard residues in {id!r}")
+    ordered = [
+        (chain_id, [
+            Residue(one, seq, tuple(names), np.array(coords))
+            for seq, (one, names, coords) in sorted(residues.items())
+        ])
+        for chain_id, residues in chains.items()
+    ]
     return ProteinStructure(id=id, chains=ordered)
 
 
@@ -153,13 +149,10 @@ def residue_distance(a: Residue, b: Residue, mode: str = "c_alpha") -> float:
             raise MissingAtom(f"residue {a.seq_index} has no CA atom")
         if ca_b is None:
             raise MissingAtom(f"residue {b.seq_index} has no CA atom")
-        return float(point_distance(ca_a.position, ca_b.position))
+        return float(point_distance(ca_a, ca_b))
     if mode == "centroid":
-        ca = a.coordinates().mean(axis=0)
-        cb = b.coordinates().mean(axis=0)
-        return float(point_distance(ca, cb))
+        return float(point_distance(a.xyz.mean(axis=0), b.xyz.mean(axis=0)))
     if mode == "heavy_min":
-        pa, pb = a.coordinates(), b.coordinates()
-        diffs = pa[:, None, :] - pb[None, :, :]
+        diffs = a.xyz[:, None, :] - b.xyz[None, :, :]
         return float(np.sqrt((diffs**2).sum(axis=2)).min())
     raise ValueError(f"unknown distance mode {mode!r}")

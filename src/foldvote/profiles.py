@@ -76,6 +76,8 @@ class Profile:
         universe = tuple(_parse_labels(obj["universe"], "universe"))
         slot_index(universe, MalformedProfile)
         mode = obj.get("mode", "ordinal")
+        if mode not in ("ordinal", "utility"):
+            raise MalformedProfile(f'mode must be "ordinal" or "utility", got {mode!r}')
         individuals = []
         for ind in _shaped(obj["individuals"], list, "individuals"):
             _shaped(ind, dict, "an individual")

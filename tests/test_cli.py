@@ -198,6 +198,29 @@ class TestExitCodes:
             assert proc.stderr == f"error: BadSpec: n must be >= 2, got {n}\n"
             assert proc.stdout == ""
 
+    @pytest.mark.parametrize("m", ["-2", "0", "1", "300"])
+    def test_class_count_outside_two_to_210_is_input_error(self, m):
+        # m < 0 ended in a factorial ValueError, sampled m = 1 in a
+        # randrange ValueError, exhaustive m = 1 passed vacuously and
+        # m = 300 was refused with a budget quoting a 1229-digit count
+        for extra in (["--axioms", "unanimity"],
+                      ["--axioms", "arrow"],
+                      ["--mode", "sampled", "--axioms", "iia"],
+                      ["--axioms", "may_coincidence"]):
+            proc = run("audit", "--rule", "may", "--m", m, "--n", "2", *extra, check=2)
+            assert proc.stderr == f"error: BadSpec: m must be in 2..210, got {m}\n"
+            assert proc.stdout == ""
+
+    def test_unknown_profile_mode_is_input_error(self):
+        synth = run("synth", "impartial_culture", "--n", "2", check=0)
+        profile = json.loads(synth.stdout)["profile"]
+        profile["mode"] = "foo"
+        proc = run("aggregate", "--rule", "may", stdin=json.dumps(profile), check=2)
+        assert proc.stderr == (
+            'error: MalformedProfile: mode must be "ordinal" or "utility", got \'foo\'\n'
+        )
+        assert proc.stdout == ""
+
     def test_extract_without_inputs(self, tmp_path):
         empty = tmp_path / "empty"
         empty.mkdir()

@@ -19,16 +19,20 @@ from foldvote.contacts import (
     parse_score_table,
 )
 from foldvote.errors import BadTable, MissingAtom
-from foldvote.pdb import AtomRecord, ProteinStructure, Residue, residue_distance
+from foldvote.pdb import ProteinStructure, Residue, residue_distance
 
 
 def ca_structure(spec, pid="toy"):
     """spec: list of (chain, code, seq, xyz) with a single CA atom each."""
     chains: dict[str, list] = {}
     for chain, code, seq, xyz in spec:
-        atom = AtomRecord(name="CA", position=np.array(xyz, dtype=float))
         chains.setdefault(chain, []).append(
-            Residue(one_letter_code=code, seq_index=seq, atoms=[atom])
+            Residue(
+                one_letter_code=code,
+                seq_index=seq,
+                atoms=("CA",),
+                xyz=np.array([xyz], dtype=float),
+            )
         )
     return ProteinStructure(
         id=pid, chains=[(c, rs) for c, rs in sorted(chains.items())]
@@ -133,12 +137,14 @@ class TestExtract:
         bad = Residue(
             one_letter_code="A",
             seq_index=1,
-            atoms=[AtomRecord(name="CB", position=np.zeros(3))],
+            atoms=("CB",),
+            xyz=np.zeros((1, 3)),
         )
         ok = Residue(
             one_letter_code="G",
             seq_index=5,
-            atoms=[AtomRecord(name="CA", position=np.zeros(3))],
+            atoms=("CA",),
+            xyz=np.zeros((1, 3)),
         )
         s = ProteinStructure(id="x", chains=[("A", [bad, ok])])
         with pytest.raises(MissingAtom):
@@ -223,9 +229,9 @@ def reference_distances(flat, candidates, mode):
             if mode == "c_alpha":
                 ca = res.atom("CA")
                 if ca is not None:
-                    reps[k] = ca.position
+                    reps[k] = ca
             else:
-                reps[k] = res.coordinates().mean(axis=0)
+                reps[k] = res.xyz.mean(axis=0)
         ii = np.array([i for i, _ in candidates])
         jj = np.array([j for _, j in candidates])
         touched = np.unique(np.concatenate([ii, jj]))
@@ -256,12 +262,11 @@ def random_structure(rng, n_chains, max_residues=16, ca=True):
             centre = rng.uniform(0, 18, 3)
             k = int(rng.integers(1, len(ATOM_NAMES) + 1))
             names = ATOM_NAMES[:k] if ca else ATOM_NAMES[1 : k + 1]
-            atoms = [
-                AtomRecord(name=name, position=centre + rng.normal(0, 1.5, 3))
-                for name in names
-            ]
+            xyz = np.array([centre + rng.normal(0, 1.5, 3) for _ in names])
             code = ONE_LETTER[int(rng.integers(20))]
-            residues.append(Residue(one_letter_code=code, seq_index=seq, atoms=atoms))
+            residues.append(
+                Residue(one_letter_code=code, seq_index=seq, atoms=names, xyz=xyz)
+            )
         chains.append((str(chain_id), residues))
     return ProteinStructure(id="rand", chains=chains)
 
@@ -352,7 +357,7 @@ class TestReferenceExtract:
         # other residue, so no candidate pair needs its CA
         spec = [("A", "A", 2, (0, 0, 0)), ("A", "G", 3, (2, 0, 0))]
         structure = ca_structure(spec)
-        lone = Residue("V", 1, [AtomRecord(name="CB", position=np.zeros(3))])
+        lone = Residue("V", 1, ("CB",), np.zeros((1, 3)))
         structure.chains[0][1].insert(0, lone)
         config = ContactConfig(min_seq_separation=3)
         assert assert_matches_reference(structure, config) == []
@@ -363,10 +368,10 @@ class TestReferenceExtract:
         # one and has partner B9 within its chain. The error names the
         # first CA-less residue, in flat order, that has a partner.
         def without_ca(code, seq):
-            return Residue(code, seq, [AtomRecord(name="CB", position=np.ones(3))])
+            return Residue(code, seq, ("CB",), np.ones((1, 3)))
 
         def with_ca(code, seq, x):
-            return Residue(code, seq, [AtomRecord(name="CA", position=np.full(3, x))])
+            return Residue(code, seq, ("CA",), np.full((1, 3), x))
 
         structure = ProteinStructure(
             id="holes",

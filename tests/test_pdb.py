@@ -1,9 +1,20 @@
+import math
+import random
+from dataclasses import dataclass, field
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from foldvote.errors import EmptyStructure, MalformedRecord, MissingAtom
-from foldvote.pdb import AtomRecord, Residue, parse_pdb, residue_distance
+from foldvote.aminoacids import THREE_TO_ONE
+from foldvote.data import four_residue_pdb_path
+from foldvote.errors import (
+    EmptyStructure,
+    FoldvoteError,
+    MalformedRecord,
+    MissingAtom,
+)
+from foldvote.pdb import Residue, parse_pdb, residue_distance
 
 
 def atom_line(
@@ -17,11 +28,108 @@ def atom_line(
 
 def residue(code, seq, positions, names=None):
     names = names or [" CA "] * len(positions)
-    atoms = [
-        AtomRecord(name=n.strip(), position=np.array(p, dtype=float))
-        for n, p in zip(names, positions)
+    return Residue(
+        one_letter_code=code,
+        seq_index=seq,
+        atoms=tuple(n.strip() for n in names),
+        xyz=np.array(positions, dtype=float),
+    )
+
+
+# The parser as it stood before residues held one coordinate array: one
+# (name, 3-vector) object per atom, appended to its residue as read. It
+# is the reference parse_pdb is checked against, on the bundled file,
+# every case of TestParse and seeded random texts.
+
+
+@dataclass(frozen=True, eq=False)
+class ReferenceAtom:
+    name: str
+    point: np.ndarray  # shape (3,), float64
+
+
+@dataclass(eq=False)
+class ReferenceResidue:
+    one_letter_code: str
+    seq_index: int
+    atoms: list[ReferenceAtom] = field(default_factory=list)
+
+
+def reference_atom_line(line):
+    if len(line) < 54:
+        raise MalformedRecord(f"ATOM line shorter than 54 columns: {line!r}")
+    try:
+        seq = int(line[22:26])
+        xyz = [float(line[30:38]), float(line[38:46]), float(line[46:54])]
+    except ValueError as exc:
+        raise MalformedRecord(f"unparseable ATOM fields: {line!r}") from exc
+    if not all(map(math.isfinite, xyz)):
+        raise MalformedRecord(f"non-finite coordinate in ATOM line: {line!r}")
+    name = line[12:16].strip()
+    altloc = line[16:17]
+    resname = line[17:20].strip()
+    chain = line[21:22]
+    return name, altloc, resname, chain, seq, line[26:27], np.array(xyz)
+
+
+def reference_parse_pdb(text, id):
+    """Chains as (chain id, [ReferenceResidue]) in first-seen order."""
+    chains = {}
+    claimed = {}
+    for line in text.splitlines():
+        record = line[:6]
+        if record.startswith("ENDMDL"):
+            break
+        if not record.startswith("ATOM"):
+            continue
+        name, altloc, resname, chain, seq, icode, pos = reference_atom_line(line)
+        if altloc not in (" ", "A", ""):
+            continue
+        if claimed.setdefault((chain, seq), (resname, icode)) != (resname, icode):
+            continue
+        one = THREE_TO_ONE.get(resname)
+        if one is None:
+            continue
+        residue = chains.setdefault(chain, {}).get(seq)
+        if residue is None:
+            residue = ReferenceResidue(one_letter_code=one, seq_index=seq)
+            chains[chain][seq] = residue
+        residue.atoms.append(ReferenceAtom(name=name, point=pos))
+
+    ordered = [
+        (chain_id, [chains[chain_id][seq] for seq in sorted(chains[chain_id])])
+        for chain_id in chains
     ]
-    return Residue(one_letter_code=code, seq_index=seq, atoms=atoms)
+    ordered = [(cid, res) for cid, res in ordered if res]
+    if not any(res for _, res in ordered):
+        raise EmptyStructure(f"no standard residues in {id!r}")
+    return ordered
+
+
+def parse_both(text, id):
+    """parse_pdb's result, after checking that it holds the reference
+    parser's chains, residues, atom names and bitwise coordinates, or
+    that both raise the same error type with the same message."""
+    try:
+        want = reference_parse_pdb(text, id)
+    except FoldvoteError as exc:
+        with pytest.raises(FoldvoteError) as got:
+            parse_pdb(text, id)
+        assert type(got.value) is type(exc)
+        assert str(got.value) == str(exc)
+        raise got.value
+    structure = parse_pdb(text, id)
+    assert structure.id == id
+    assert [c for c, _ in structure.chains] == [c for c, _ in want]
+    for (_, residues), (_, ref_residues) in zip(structure.chains, want):
+        assert [(r.one_letter_code, r.seq_index, r.atoms) for r in residues] == [
+            (r.one_letter_code, r.seq_index, tuple(a.name for a in r.atoms))
+            for r in ref_residues
+        ]
+        for res, ref in zip(residues, ref_residues):
+            assert res.xyz.dtype == np.float64
+            assert np.array_equal(res.xyz, np.stack([a.point for a in ref.atoms]))
+    return structure
 
 
 class TestParse:
@@ -32,7 +140,7 @@ class TestParse:
                 atom_line(2, " CA ", "VAL", "A", 2, 3.8, 0, 0),
             ]
         )
-        s = parse_pdb(text, "toy")
+        s = parse_both(text, "toy")
         assert s.id == "toy"
         assert len(s.chains) == 1
         chain_id, residues = s.chains[0]
@@ -43,7 +151,7 @@ class TestParse:
     def test_hetatm_only_is_empty(self):
         text = atom_line(1, " O  ", "HOH", "A", 1, 0, 0, 0, record="HETATM")
         with pytest.raises(EmptyStructure):
-            parse_pdb(text, "water")
+            parse_both(text, "water")
 
     def test_first_model_only(self):
         text = "\n".join(
@@ -56,7 +164,7 @@ class TestParse:
                 "ENDMDL",
             ]
         )
-        s = parse_pdb(text, "nmr")
+        s = parse_both(text, "nmr")
         assert s.n_residues == 1
         assert s.chains[0][1][0].one_letter_code == "A"
 
@@ -67,7 +175,7 @@ class TestParse:
                 atom_line(2, " CB ", "ALA", "A", 1, 1, 0, 0, altloc="B"),
             ]
         )
-        s = parse_pdb(text, "alt")
+        s = parse_both(text, "alt")
         (residues,) = [rs for _, rs in s.chains]
         assert len(residues[0].atoms) == 1
 
@@ -78,7 +186,7 @@ class TestParse:
                 atom_line(2, " CA ", "GLY", "A", 2, 1, 0, 0),
             ]
         )
-        s = parse_pdb(text, "mod")
+        s = parse_both(text, "mod")
         assert [r.one_letter_code for r in s.chains[0][1]] == ["G"]
 
     def test_duplicate_residue_keeps_first(self):
@@ -88,7 +196,7 @@ class TestParse:
                 atom_line(2, " CA ", "VAL", "A", 1, 5, 0, 0),
             ]
         )
-        s = parse_pdb(text, "dup")
+        s = parse_both(text, "dup")
         residues = s.chains[0][1]
         assert len(residues) == 1
         assert residues[0].one_letter_code == "A"
@@ -105,12 +213,12 @@ class TestParse:
                 atom_line(5, " CA ", "GLY", "A", 53, 9, 0, 0),
             ]
         )
-        residues = parse_pdb(text, "ins").chains[0][1]
+        residues = parse_both(text, "ins").chains[0][1]
         assert [(r.one_letter_code, r.seq_index) for r in residues] == [
             ("A", 52),
             ("G", 53),
         ]
-        assert [(a.name, a.position[0]) for a in residues[0].atoms] == [
+        assert list(zip(residues[0].atoms, residues[0].xyz[:, 0])) == [
             ("CA", 0.0),
             ("CB", 1.0),
         ]
@@ -122,17 +230,17 @@ class TestParse:
                 atom_line(2, " CA ", "SER", "A", 7, 4, 0, 0),
             ]
         )
-        (residue,) = parse_pdb(text, "ins").chains[0][1]
-        assert [a.position[0] for a in residue.atoms] == [0.0]
+        (residue,) = parse_both(text, "ins").chains[0][1]
+        assert list(residue.xyz[:, 0]) == [0.0]
 
     def test_malformed_atom_line(self):
         with pytest.raises(MalformedRecord):
-            parse_pdb("ATOM  garbage", "bad")
+            parse_both("ATOM  garbage", "bad")
         # coordinates that do not parse as floats
         line = atom_line(1, " CA ", "ALA", "A", 1, 0, 0, 0)
         broken = line[:30] + "  not-num" + line[39:]
         with pytest.raises(MalformedRecord):
-            parse_pdb(broken, "bad")
+            parse_both(broken, "bad")
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("column", [30, 38, 46])
@@ -141,7 +249,7 @@ class TestParse:
         broken = line[:column] + f"{bad:>8}" + line[column + 8 :]
         text = "\n".join([broken, atom_line(2, " CA ", "GLY", "A", 5, 1, 0, 0)])
         with pytest.raises(MalformedRecord, match="non-finite"):
-            parse_pdb(text, "bad")
+            parse_both(text, "bad")
 
     def test_deterministic(self):
         text = "\n".join(
@@ -150,11 +258,82 @@ class TestParse:
                 atom_line(2, " CA ", "TRP", "A", 1, 4, 5, 6),
             ]
         )
-        a = parse_pdb(text, "x")
-        b = parse_pdb(text, "x")
+        a = parse_both(text, "x")
+        b = parse_both(text, "x")
         assert [(c, [(r.one_letter_code, r.seq_index) for r in rs]) for c, rs in a.chains] == [
             (c, [(r.one_letter_code, r.seq_index) for r in rs]) for c, rs in b.chains
         ]
+
+
+RESIDUE_NAMES = ("ALA", "GLY", "LEU", "TRP", "SER", "LYS", "MSE", "HOH")
+ATOM_NAMES = (" N  ", " CA ", " C  ", " O  ", " CB ", " CG ", " OG1", "CD1 ")
+
+
+def random_pdb_text(rng):
+    """PDB text from atom_line: one to three chains of gapped residue
+    numbers, a few atoms per residue, with now and then an altloc,
+    an insertion code, a HETATM, a nonstandard residue or a reused
+    residue number; about half the texts shuffle the atoms of different
+    residues together, and some carry a second model or a bad line."""
+    lines = []
+    for chain in rng.sample("ABC", rng.randint(1, 3)):
+        for seq in sorted(rng.choices(range(-3, 15), k=rng.randint(1, 6))):
+            resname = rng.choice(RESIDUE_NAMES)
+            icode = rng.choice(" " * 8 + "A")
+            for name in rng.sample(ATOM_NAMES, rng.randint(1, 5)):
+                x, y, z = (round(rng.uniform(-99, 999), 3) for _ in range(3))
+                lines.append(
+                    atom_line(
+                        len(lines) + 1, name, resname, chain, seq, x, y, z,
+                        record=rng.choice(["ATOM  "] * 9 + ["HETATM"]),
+                        altloc=rng.choice(" " * 6 + "AB"),
+                        icode=icode,
+                    )
+                )
+    if rng.random() < 0.5:
+        rng.shuffle(lines)
+    extra = rng.random()
+    if extra < 0.1:
+        lines.insert(rng.randrange(len(lines) + 1), "ENDMDL")
+    elif extra < 0.15:
+        line = rng.choice(lines)
+        lines.insert(rng.randrange(len(lines) + 1), line[:40])
+    elif extra < 0.2:
+        line = rng.choice(lines)
+        column = rng.choice([22, 30, 38, 46])
+        bad = line[:column] + rng.choice(["   x", "     nan", "     inf"]) + line[column + 8 :]
+        lines.insert(rng.randrange(len(lines) + 1), bad)
+    return "\n".join(["HEADER    RANDOM", *lines, "TER", "END"])
+
+
+class TestReferenceParse:
+    def test_bundled_file(self):
+        structure = parse_both(four_residue_pdb_path().read_text(), "four_residue")
+        assert structure.n_residues == 4
+
+    @pytest.mark.parametrize("seed", range(240))
+    def test_random_text(self, seed):
+        text = random_pdb_text(random.Random(seed))
+        try:
+            parse_both(text, f"r{seed}")
+        except (EmptyStructure, MalformedRecord):
+            pass  # parse_both has checked that the reference raised it too
+
+    def test_random_texts_cover_every_outcome(self):
+        outcomes = set()
+        for seed in range(240):
+            try:
+                reference_parse_pdb(random_pdb_text(random.Random(seed)), "r")
+                outcomes.add("parsed")
+            except FoldvoteError as exc:
+                outcomes.add(type(exc).__name__)
+        assert outcomes == {"parsed", "EmptyStructure", "MalformedRecord"}
+
+    def test_atom_returns_first_row_or_none(self):
+        res = residue("A", 1, [(0, 0, 0), (1, 2, 3), (4, 5, 6)], [" CB ", " CA ", " CA "])
+        assert res.atom("CA").tolist() == [1.0, 2.0, 3.0]
+        assert res.atom("CB").tolist() == [0.0, 0.0, 0.0]
+        assert res.atom("CG") is None
 
 
 class TestResidueDistance:

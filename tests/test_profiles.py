@@ -143,6 +143,21 @@ class TestProfileModel:
         with pytest.raises(MalformedProfile, match="universe repeats A-C"):
             Profile.from_json_dict(obj)
 
+    @pytest.mark.parametrize("mode", ["foo", "Ordinal", None, 1])
+    def test_json_unknown_mode_rejected(self, mode):
+        # tiered individuals under an unknown mode were read as utility
+        # vectors and ended in KeyError: 'values'
+        obj = Profile(U3, (strict((X, Y, Z), "a"), strict((Z, X, Y), "b"))).to_json_dict()
+        obj["mode"] = mode
+        with pytest.raises(MalformedProfile) as exc:
+            Profile.from_json_dict(obj)
+        assert str(exc.value) == f'mode must be "ordinal" or "utility", got {mode!r}'
+
+    def test_json_mode_checked_before_individuals(self):
+        obj = {"universe": ["A-A"], "mode": "foo", "individuals": "none"}
+        with pytest.raises(MalformedProfile, match="mode must be"):
+            Profile.from_json_dict(obj)
+
     @pytest.mark.parametrize("values", [[0.0, 1.0, 2.0], {"A-A": "high"}])
     def test_json_utility_values_checked(self, values):
         obj = {"universe": ["A-A"], "mode": "utility"}
