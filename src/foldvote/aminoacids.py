@@ -3,7 +3,7 @@ classes and universes that the structure and collective sides share, numpy-free.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import UniverseMismatch
 
@@ -27,6 +27,16 @@ class InteractionClass:
 
     first: str
     second: str
+
+    # hash((first, second)), the value the generated hash would give,
+    # computed once: every ranking and utility vector hashes its universe
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.first, self.second)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @staticmethod
     def of(a: str, b: str) -> InteractionClass:

@@ -234,19 +234,23 @@ def _labels(universe: Universe, indices) -> list[str]:
 class _Profiles:
     """Profiles of n individuals over the first m standard classes, as
     one rule sees them: individual k, owned by v{k+1}, holds an item, a
-    strict order of class indices (best first) or a utility vector."""
+    strict order of class indices (best first) or a utility vector.
+
+    Rankings are built straight from those slot orders, which are
+    permutations by construction, so the partition check that rankings
+    read from JSON or user code pass is not run again here."""
 
     def __init__(self, m: int, n: int, rule: Rule, catches: bool):
         self.universe: Universe = synthetic_universe(m)
         self.m, self.n = m, n
         self.rule, self.catches = rule, catches
+        self.pairs = list(combinations(range(m), 2))
 
     def individual(self, position: int, item):
-        owner, universe = f"v{position + 1}", self.universe
+        owner = f"v{position + 1}"
         if self.rule.mode == "utility":
-            return UtilityVector(owner, universe, item)
-        order = tuple(universe[c] for c in item)
-        return RankingWithTies.from_strict_order(owner, universe, order)
+            return UtilityVector(owner, self.universe, item)
+        return RankingWithTies.from_slot_order(owner, self.universe, item)
 
 
 class _Space(_Profiles):
@@ -254,7 +258,7 @@ class _Space(_Profiles):
     the space's items (all strict orders, or all vectors over the utility
     grid). Individual 1 is the most significant digit, so digit tuples
     compare in enumeration order. Views are cached per profile, up to a
-    cap.
+    cap, and each stance on a pair is tabled once per item.
 
     An ordinal rule marked `pairwise` is run once per pairwise count
     matrix: a profile's matrix is the sum of its items' pairwise 0/1
@@ -287,8 +291,8 @@ class _Space(_Profiles):
             ]
             self._by_counts = {}
         self.count = len(self.items) ** n
-        self.pairs = list(combinations(range(m), 2))
         self._views: dict[tuple, _View] = {}
+        self._tables: dict[tuple, tuple] = {}
         self._groups: dict[tuple, dict[tuple, list[tuple]]] = {}
 
     def combos(self):
@@ -320,7 +324,12 @@ class _Space(_Profiles):
 
     def key(self, combo: tuple[int, ...], stance, pair) -> tuple:
         """Each individual's stance on the pair."""
-        return tuple(stance(self.prefs[d], *pair) for d in combo)
+        table = self._tables.get((stance, pair))
+        if table is None:
+            # the stance of every item, by digit
+            table = tuple(stance(prefs, *pair) for prefs in self.prefs)
+            self._tables[stance, pair] = table
+        return tuple(map(table.__getitem__, combo))
 
     def groups(self, stance, pair) -> dict[tuple, list[tuple]]:
         """Profiles by key, each group in enumeration order."""
@@ -346,8 +355,7 @@ class _Trials(_Profiles):
         return tuple(_fisher_yates(self.rng, list(range(self.m))))
 
     def pair(self) -> tuple[int, int]:
-        pairs = list(combinations(range(self.m), 2))
-        return pairs[self.rng.randrange(len(pairs))]
+        return self.pairs[self.rng.randrange(len(self.pairs))]
 
     def grid_vector(self) -> list[float]:
         grid = UTILITY_GRID

@@ -8,7 +8,7 @@ near-equal utilities.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -123,6 +123,29 @@ class RankingWithTies:
         owner: str, universe: Universe, order: tuple[InteractionClass, ...]
     ) -> RankingWithTies:
         return RankingWithTies(owner, universe, tuple((c,) for c in order))
+
+    @classmethod
+    def from_slot_order(
+        cls, owner: str, universe: Universe, order: Sequence[int]
+    ) -> RankingWithTies:
+        """The strict ranking listing universe[order[0]] first, then
+        universe[order[1]], and so on: what from_strict_order gives for
+        those classes, built without re-checking the partition.
+
+        Trusted: `order` must be a permutation of range(len(universe)),
+        and nothing checks that it is. The package's own generators hold
+        such orders; rankings from JSON or user code go through the
+        checked constructor."""
+        ranking = object.__new__(cls)
+        slots = [0] * len(order)
+        for tier, slot in enumerate(order):
+            slots[slot] = tier
+        set_field = object.__setattr__
+        set_field(ranking, "owner", owner)
+        set_field(ranking, "universe", universe)
+        set_field(ranking, "tiers", tuple((universe[i],) for i in order))
+        set_field(ranking, "_slots", tuple(slots))
+        return ranking
 
 
 def utility_from_instances(

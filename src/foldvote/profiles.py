@@ -73,6 +73,18 @@ class Profile:
 
     @staticmethod
     def from_json_dict(obj: dict) -> Profile:
+        """The profile a JSON object describes. A missing key, a field of
+        the wrong shape, a bad label, tiers that do not partition the
+        universe or fewer than 2 individuals raise MalformedProfile."""
+        try:
+            return Profile._from_json_dict(obj)
+        except KeyError as exc:
+            raise MalformedProfile(f"missing key {exc}") from None
+        except (ValueError, OverflowError) as exc:
+            raise MalformedProfile(str(exc)) from None
+
+    @staticmethod
+    def _from_json_dict(obj: dict) -> Profile:
         universe = tuple(_parse_labels(obj["universe"], "universe"))
         slot_index(universe, MalformedProfile)
         mode = obj.get("mode", "ordinal")
@@ -81,18 +93,19 @@ class Profile:
         individuals = []
         for ind in _shaped(obj["individuals"], list, "individuals"):
             _shaped(ind, dict, "an individual")
+            owner = _shaped(ind["owner"], str, "owner")
             if mode == "ordinal":
                 tiers = tuple(
                     tuple(_parse_labels(t, "a tier"))
                     for t in _shaped(ind["tiers"], list, "tiers")
                 )
-                individuals.append(RankingWithTies(ind["owner"], universe, tiers))
+                individuals.append(RankingWithTies(owner, universe, tiers))
             else:
                 values = {}
                 for c, v in _shaped(ind["values"], dict, "values").items():
                     _shaped(v, (int, float), f"the value of {c}")
                     values[InteractionClass.parse(c)] = float(v)
-                individuals.append(UtilityVector(ind["owner"], universe, values))
+                individuals.append(UtilityVector(owner, universe, values))
         return Profile(universe, tuple(individuals), mode)
 
 
@@ -185,28 +198,26 @@ def generate(spec: SynthSpec) -> Profile:
     universe = synthetic_universe(spec.m)
     rng = random.Random(spec.seed)
     owners = [f"v{i + 1}" for i in range(spec.n)]
+    # orders are drawn as class indices: a Fisher-Yates shuffle consumes
+    # the generator the same way whatever it shuffles
+    slots = list(range(spec.m))
 
     if spec.kind == "condorcet_cycle":
         if spec.m < 3:
             raise BadSpec("condorcet_cycle needs m >= 3")
         if spec.n % 3 != 0:
             raise BadSpec("condorcet_cycle needs n divisible by 3")
-        trio = list(universe[:3])
-        rest = list(universe[3:])
-        templates = [
-            trio + rest,
-            trio[1:] + trio[:1] + rest,
-            trio[2:] + trio[:2] + rest,
-        ]
+        rest = slots[3:]
+        templates = [[0, 1, 2] + rest, [1, 2, 0] + rest, [2, 0, 1] + rest]
         orders = [templates[i % 3] for i in range(spec.n)]
     elif spec.kind == "impartial_culture":
-        orders = [_fisher_yates(rng, list(universe)) for _ in range(spec.n)]
+        orders = [_fisher_yates(rng, slots) for _ in range(spec.n)]
     else:  # single_peaked
-        axis = _fisher_yates(rng, list(universe))
+        axis = _fisher_yates(rng, slots)
         orders = [_single_peaked_order(rng, axis) for _ in range(spec.n)]
 
     individuals = tuple(
-        RankingWithTies.from_strict_order(owner, universe, tuple(order))
+        RankingWithTies.from_slot_order(owner, universe, order)
         for owner, order in zip(owners, orders)
     )
     return Profile(universe, individuals, "ordinal")

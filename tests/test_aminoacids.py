@@ -113,6 +113,17 @@ def test_of_is_symmetric_over_all_code_pairs():
         assert (cls.first, cls.second) == tuple(sorted((a, b)))
 
 
+def test_hash_is_that_of_the_code_pair():
+    # the cached hash keeps the generated one, so set and dict iteration
+    # orders do not move
+    fresh = InteractionClass("A", "C")
+    assert fresh is not class_universe()[1]
+    for cls in class_universe() + (fresh,):
+        assert hash(cls) == hash((cls.first, cls.second))
+    assert hash(fresh) == hash(class_universe()[1])
+    assert len(class_universe()) == 210
+
+
 @pytest.mark.parametrize(
     "label,message",
     [

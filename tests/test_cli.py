@@ -2,24 +2,58 @@
 
 Exit-code contract: 0 success (a found counterexample is a successful
 finding), 1 usage, 2 unreadable or invalid input, 3 budget refusal.
+
+Most cases read only the exit code, stdout and stderr, so they run the
+command through cli.main in this process (`run`). A few run it as
+`python -m foldvote.cli` in a child process (`run_child`): the ones
+that compare runs across processes, where hash randomization differs,
+and a pipeline or two end to end.
 """
 
+import io
 import json
 import os
 import shutil
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
+from foldvote.cli import main
 from foldvote.data import four_residue_pdb_path
 
 CLI = [sys.executable, "-m", "foldvote.cli"]
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
+def _checked(proc, check):
+    if check is not None:
+        assert proc.returncode == check, proc.stderr
+    return proc
+
+
 def run(*args, stdin=None, check=None):
+    """The command run through cli.main as `python -m foldvote.cli` runs
+    it: stdin from the given text, exit code from main's return value or
+    its SystemExit."""
+    out, err = io.StringIO(), io.StringIO()
+    saved, sys.stdin = sys.stdin, io.StringIO(stdin or "")
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(list(args))
+            except SystemExit as exc:
+                code = 0 if exc.code is None else exc.code
+    finally:
+        sys.stdin = saved
+    proc = subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
+    return _checked(proc, check)
+
+
+def run_child(*args, stdin=None, check=None):
+    """The command run as `python -m foldvote.cli` in a child process."""
     proc = subprocess.run(
         CLI + list(args),
         input=stdin,
@@ -28,9 +62,7 @@ def run(*args, stdin=None, check=None):
         timeout=120,
         env=dict(os.environ, PYTHONPATH=str(SRC)),
     )
-    if check is not None:
-        assert proc.returncode == check, proc.stderr
-    return proc
+    return _checked(proc, check)
 
 
 def jout(proc):
@@ -43,8 +75,8 @@ def drop_timestamp(report):
 
 class TestPipeline:
     def test_condorcet_cycle_detected(self):
-        synth = run("synth", "condorcet", check=0)
-        agg = run("aggregate", "--rule", "may", stdin=synth.stdout, check=0)
+        synth = run_child("synth", "condorcet", check=0)
+        agg = run_child("aggregate", "--rule", "may", stdin=synth.stdout, check=0)
         outcome = jout(agg)["outcome"]
         assert outcome["transitive"] is False
         assert outcome["tiers"] is None
@@ -80,19 +112,19 @@ class TestPipeline:
 
 class TestDeterminism:
     def test_synth_identical_modulo_timestamp(self):
-        a = jout(run("synth", "impartial_culture", "--seed", "11", check=0))
-        b = jout(run("synth", "impartial_culture", "--seed", "11", check=0))
+        a = jout(run_child("synth", "impartial_culture", "--seed", "11", check=0))
+        b = jout(run_child("synth", "impartial_culture", "--seed", "11", check=0))
         assert drop_timestamp(a) == drop_timestamp(b)
 
     def test_audit_identical_modulo_timestamp(self):
         args = ("audit", "--rule", "may", "--axioms", "transitivity")
-        a = jout(run(*args, check=0))
-        b = jout(run(*args, check=0))
+        a = jout(run_child(*args, check=0))
+        b = jout(run_child(*args, check=0))
         assert drop_timestamp(a) == drop_timestamp(b)
 
     def test_different_seed_differs(self):
-        a = jout(run("synth", "impartial_culture", "--seed", "1", check=0))
-        b = jout(run("synth", "impartial_culture", "--seed", "2", check=0))
+        a = jout(run_child("synth", "impartial_culture", "--seed", "1", check=0))
+        b = jout(run_child("synth", "impartial_culture", "--seed", "2", check=0))
         assert a["profile"] != b["profile"]
 
 
@@ -143,6 +175,55 @@ class TestExitCodes:
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("error: MalformedProfile")
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("command", ["aggregate", "restrict"])
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            # these used to end in a bare KeyError or ValueError, and a
+            # non-string owner was accepted
+            (lambda p: p.pop("universe"), "missing key 'universe'"),
+            (lambda p: p.pop("individuals"), "missing key 'individuals'"),
+            (lambda p: p["individuals"][0].pop("owner"), "missing key 'owner'"),
+            (lambda p: p["individuals"][1].pop("tiers"), "missing key 'tiers'"),
+            (
+                lambda p: p.update(mode="utility"),
+                "missing key 'values'",
+            ),
+            (
+                lambda p: p["individuals"][0].update(owner=5),
+                "owner must be a string, got 5",
+            ),
+            (
+                lambda p: p["individuals"][0]["tiers"].append([]),
+                "empty tier",
+            ),
+            (
+                lambda p: p["individuals"][0]["tiers"].pop(),
+                "tiers must partition the universe",
+            ),
+            (
+                lambda p: p["individuals"][0]["tiers"].append(["A-A"]),
+                "tiers must partition the universe",
+            ),
+            (
+                lambda p: p["individuals"].pop(),
+                "a profile needs at least 2 individuals",
+            ),
+        ],
+    )
+    def test_profile_json_faults_are_malformed_profile(self, command, edit, message):
+        profile = {
+            "universe": ["A-A", "A-C", "A-D"],
+            "individuals": [
+                {"owner": "a", "tiers": [["A-D"], ["A-A", "A-C"]]},
+                {"owner": "b", "tiers": [["A-C"], ["A-A"], ["A-D"]]},
+            ],
+        }
+        edit(profile)
+        proc = run(command, stdin=json.dumps(profile), check=2)
+        assert proc.stderr == f"error: MalformedProfile: {message}\n"
+        assert proc.stdout == ""
 
     @pytest.mark.parametrize("command", ["aggregate", "restrict"])
     @pytest.mark.parametrize("rule", ["may", "borda", "kemeny", "dictator", "utilitarian"])
@@ -230,7 +311,7 @@ class TestExitCodes:
 
     def test_budget_refusal_with_partial_report(self):
         # transitivity at (3, 5) fits, proximity squares the space past the cap
-        proc = run(
+        proc = run_child(
             "audit",
             "--rule",
             "may",
@@ -269,9 +350,9 @@ class TestExtractAndRank:
         assert summary["config"]["threshold_tau"] == 8.0
 
     def test_rank_from_extracted_csv(self, tmp_path):
-        run("extract", str(four_residue_pdb_path()), "--out-dir", str(tmp_path),
-            check=0)
-        proc = run(
+        run_child("extract", str(four_residue_pdb_path()), "--out-dir", str(tmp_path),
+                  check=0)
+        proc = run_child(
             "rank", str(tmp_path / "four_residue.contacts.csv"),
             "--universe", "hetero", check=0,
         )

@@ -2,6 +2,8 @@
 
 import json
 import math
+import random
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -15,7 +17,16 @@ from foldvote.preferences import (
     ordinal_from_utility,
     utility_from_instances,
 )
-from foldvote.profiles import Profile, synthetic_universe
+from foldvote.audit import _UtilityIIA, _prefers, _relation, _Space, standard_rules
+from foldvote.profiles import (
+    SYNTH_KINDS,
+    Profile,
+    SynthSpec,
+    _fisher_yates,
+    _single_peaked_order,
+    generate,
+    synthetic_universe,
+)
 
 
 def inst(pid, a, b, score):
@@ -279,3 +290,84 @@ class TestSlots:
         a.slots()
         assert a == b and hash(a) == hash(b)
         assert (repr(a), hash(a), a.to_json_dict()) == before
+
+
+class TestFromSlotOrder:
+    """The trusted constructor against the checked one it stands in for."""
+
+    @staticmethod
+    def assert_same(universe, order):
+        fast = RankingWithTies.from_slot_order("p", universe, order)
+        checked = RankingWithTies.from_strict_order(
+            "p", universe, tuple(universe[i] for i in order)
+        )
+        assert fast == checked
+        assert fast.tiers == checked.tiers
+        assert fast.slots() == checked.slots()
+        assert hash(fast) == hash(checked) and repr(fast) == repr(checked)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_every_strict_order_up_to_five_classes(self, m):
+        universe = synthetic_universe(m)
+        for order in permutations(range(m)):
+            self.assert_same(universe, order)
+
+    def test_seeded_orders_over_all_classes(self):
+        universe = synthetic_universe(210)
+        rng = random.Random(7)
+        for _ in range(50):
+            self.assert_same(universe, _fisher_yates(rng, list(range(210))))
+
+
+def reference_generate(spec: SynthSpec) -> Profile:
+    """generate as it was written before it drew class indices: the same
+    draws over lists of classes, each order through the checked ranking
+    constructor."""
+    universe = synthetic_universe(spec.m)
+    rng = random.Random(spec.seed)
+    owners = [f"v{i + 1}" for i in range(spec.n)]
+    if spec.kind == "condorcet_cycle":
+        trio, rest = list(universe[:3]), list(universe[3:])
+        templates = [trio + rest, trio[1:] + trio[:1] + rest, trio[2:] + trio[:2] + rest]
+        orders = [templates[i % 3] for i in range(spec.n)]
+    elif spec.kind == "impartial_culture":
+        orders = [_fisher_yates(rng, list(universe)) for _ in range(spec.n)]
+    else:
+        axis = _fisher_yates(rng, list(universe))
+        orders = [_single_peaked_order(rng, axis) for _ in range(spec.n)]
+    individuals = tuple(
+        RankingWithTies.from_strict_order(owner, universe, tuple(order))
+        for owner, order in zip(owners, orders)
+    )
+    return Profile(universe, individuals, "ordinal")
+
+
+@pytest.mark.parametrize("kind", SYNTH_KINDS)
+@pytest.mark.parametrize("m", [3, 10, 210])
+def test_generate_draws_as_the_class_list_reference(kind, m):
+    # the same profile for every seed shows the generator is consumed
+    # exactly as before
+    for seed in range(5):
+        spec = SynthSpec(kind, m, 6, seed)
+        got, want = generate(spec), reference_generate(spec)
+        assert got == want
+        assert [r.slots() for r in got.individuals] == [
+            r.slots() for r in want.individuals
+        ]
+
+
+@pytest.mark.parametrize(
+    "mode,m,n,stances",
+    [
+        ("ordinal", 3, 3, (_prefers, _relation)),
+        ("ordinal", 4, 2, (_prefers, _relation)),
+        ("utility", 2, 2, (_UtilityIIA.stance,)),
+    ],
+)
+def test_space_key_tables_match_direct_stances(mode, m, n, stances):
+    rule = standard_rules()["utilitarian" if mode == "utility" else "may"]
+    space = _Space(m, n, rule, False)
+    for stance, pair in product(stances, space.pairs):
+        for combo in space.combos():
+            direct = tuple(stance(space.prefs[d], *pair) for d in combo)
+            assert space.key(combo, stance, pair) == direct

@@ -158,7 +158,10 @@ class TestProfileModel:
         with pytest.raises(MalformedProfile, match="mode must be"):
             Profile.from_json_dict(obj)
 
-    @pytest.mark.parametrize("values", [[0.0, 1.0, 2.0], {"A-A": "high"}])
+    @pytest.mark.parametrize(
+        # an integer too large for a float ended in an OverflowError traceback
+        "values", [[0.0, 1.0, 2.0], {"A-A": "high"}, {"A-A": 10**400}]
+    )
     def test_json_utility_values_checked(self, values):
         obj = {"universe": ["A-A"], "mode": "utility"}
         obj["individuals"] = [{"owner": "a", "values": values}] * 2
