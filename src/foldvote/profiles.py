@@ -119,7 +119,8 @@ _JSON_KINDS = {
 
 def _shaped(value, kind, what: str):
     """The JSON value, if it has the expected Python type."""
-    if not isinstance(value, kind):
+    # JSON true and false load as bool, which Python counts as an int
+    if not isinstance(value, kind) or isinstance(value, bool):
         raise MalformedProfile(f"{what} must be {_JSON_KINDS[kind]}, got {value!r}")
     return value
 

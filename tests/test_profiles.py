@@ -159,8 +159,10 @@ class TestProfileModel:
             Profile.from_json_dict(obj)
 
     @pytest.mark.parametrize(
-        # an integer too large for a float ended in an OverflowError traceback
-        "values", [[0.0, 1.0, 2.0], {"A-A": "high"}, {"A-A": 10**400}]
+        # an integer too large for a float ended in an OverflowError
+        # traceback, and true was read as the utility 1.0
+        "values",
+        [[0.0, 1.0, 2.0], {"A-A": "high"}, {"A-A": 10**400}, {"A-A": True}],
     )
     def test_json_utility_values_checked(self, values):
         obj = {"universe": ["A-A"], "mode": "utility"}
