@@ -32,7 +32,7 @@ class BadTable(FoldvoteError):
 
 
 class MalformedContacts(FoldvoteError):
-    """A contact CSV row does not have the header's fields."""
+    """A contact CSV row lacks the header's fields or holds one that does not parse."""
 
 
 # --------------------------------------------------------------- preferences

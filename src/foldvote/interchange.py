@@ -40,8 +40,9 @@ def instances_to_csv(instances: list[InteractionInstance]) -> str:
 
 def instances_from_csv(text: str) -> list[InteractionInstance]:
     """Read instances back; blank lines are skipped, and a row whose
-    field count is not the header's raises MalformedContacts naming its
-    line."""
+    field count is not the header's, or whose class label, residue
+    numbers, distance or score do not parse, raises MalformedContacts
+    naming its line."""
     rows = csv.reader(io.StringIO(text))
     expected = CSV_HEADER.split(",")
     header = next(rows, None)
@@ -56,13 +57,15 @@ def instances_from_csv(text: str) -> list[InteractionInstance]:
                 f"line {rows.line_num}: {len(row)} fields, expected {len(expected)}"
             )
         protein_id, label, chain_i, seq_i, chain_j, seq_j, distance, score = row
-        out.append(
-            InteractionInstance(
+        try:
+            instance = InteractionInstance(
                 protein_id=protein_id,
                 interaction_class=InteractionClass.parse(label),
                 residues=((chain_i, int(seq_i)), (chain_j, int(seq_j))),
                 distance=float(distance),
                 score=float(score),
             )
-        )
+        except ValueError as exc:
+            raise MalformedContacts(f"line {rows.line_num}: {exc}") from None
+        out.append(instance)
     return out

@@ -5,7 +5,10 @@ first ENDMDL are ignored. Alternate locations keep the blank/'A'
 conformer and nonstandard residues are dropped. A (chain, resSeq) belongs
 to the first residue claiming it, told apart by residue name and
 insertion code: the records of an inserted residue (52A after 52) or of
-a duplicated number are dropped.
+a duplicated number are dropped. Every ATOM line before the first ENDMDL
+is checked in full (54 columns, an integer resSeq, three finite
+coordinates) before any of these filters applies, so a malformed altloc
+B, nonstandard or dropped line raises MalformedRecord all the same.
 
 A Residue holds its one-letter code, its residue number, ``atoms`` (the
 kept atom names, in file order) and ``xyz``, one float64 array of shape
@@ -22,17 +25,6 @@ import numpy as np
 
 from .aminoacids import THREE_TO_ONE
 from .errors import EmptyStructure, MalformedRecord, MissingAtom
-
-# PDB format v3.3, 0-based column slices.
-_NAME = slice(12, 16)      # atom name
-_ALTLOC = slice(16, 17)
-_RESNAME = slice(17, 20)
-_CHAIN = slice(21, 22)
-_RESSEQ = slice(22, 26)
-_ICODE = slice(26, 27)
-_X = slice(30, 38)
-_Y = slice(38, 46)
-_Z = slice(46, 54)
 
 DISTANCE_MODES = ("c_alpha", "centroid", "heavy_min")
 
@@ -69,26 +61,6 @@ class ProteinStructure:
         return out
 
 
-def _parse_atom_line(
-    line: str,
-) -> tuple[str, str, str, str, int, str, list[float]]:
-    # A line claiming to be ATOM must satisfy the fixed-column grammar.
-    if len(line) < 54:
-        raise MalformedRecord(f"ATOM line shorter than 54 columns: {line!r}")
-    try:
-        seq = int(line[_RESSEQ])
-        xyz = [float(line[_X]), float(line[_Y]), float(line[_Z])]
-    except ValueError as exc:
-        raise MalformedRecord(f"unparseable ATOM fields: {line!r}") from exc
-    if not all(map(math.isfinite, xyz)):
-        raise MalformedRecord(f"non-finite coordinate in ATOM line: {line!r}")
-    name = line[_NAME].strip()
-    altloc = line[_ALTLOC]
-    resname = line[_RESNAME].strip()
-    chain = line[_CHAIN]
-    return name, altloc, resname, chain, seq, line[_ICODE], xyz
-
-
 def parse_pdb(text: str, id: str) -> ProteinStructure:
     """Parse PDB text into a ProteinStructure.
 
@@ -100,24 +72,54 @@ def parse_pdb(text: str, id: str) -> ProteinStructure:
     # (chain, resSeq) pairs claimed by a (residue name, insertion code)
     # we skipped or by an earlier occurrence; later claimants are dropped.
     claimed: dict[tuple[str, int], tuple[str, str]] = {}
+    isfinite = math.isfinite
+    # A residue's atoms usually come in one run of lines sharing columns
+    # 17-26 (resName, chainID, resSeq, iCode). `run` holds those columns
+    # of the last line past the altloc filter, and names/coords the lists
+    # its atoms went to (None when its residue was dropped): a line with
+    # the same columns meets the same claim and the same residue table,
+    # so it goes to the same place without looking either up again.
+    run = None
+    names = coords = None
 
+    # PDB format v3.3, 0-based columns: name 12-15, altLoc 16, resName
+    # 17-19, chainID 21, resSeq 22-25, iCode 26, x 30-37, y 38-45, z 46-53.
     for line in text.splitlines():
-        record = line[:6]
-        if record.startswith("ENDMDL"):
-            break  # first model only
-        if not record.startswith("ATOM"):
+        if not line.startswith("ATOM"):
+            if line.startswith("ENDMDL"):
+                break  # first model only
             continue
-        name, altloc, resname, chain, seq, icode, xyz = _parse_atom_line(line)
-        if altloc not in (" ", "A", ""):
-            continue
-        if claimed.setdefault((chain, seq), (resname, icode)) != (resname, icode):
-            continue  # an insertion or duplicate; the first occurrence keeps it
-        one = THREE_TO_ONE.get(resname)
-        if one is None:
-            continue  # nonstandard residue
-        _, names, coords = chains.setdefault(chain, {}).setdefault(seq, (one, [], []))
-        names.append(name)
-        coords.append(xyz)
+        # A line claiming to be ATOM must satisfy the fixed-column grammar,
+        # whatever the filters below make of it.
+        if len(line) < 54:
+            raise MalformedRecord(f"ATOM line shorter than 54 columns: {line!r}")
+        key = line[17:27]
+        try:
+            if key != run:  # the same text as the run's has parsed already
+                seq = int(line[22:26])
+            x, y, z = float(line[30:38]), float(line[38:46]), float(line[46:54])
+        except ValueError as exc:
+            raise MalformedRecord(f"unparseable ATOM fields: {line!r}") from exc
+        if not (isfinite(x) and isfinite(y) and isfinite(z)):
+            raise MalformedRecord(f"non-finite coordinate in ATOM line: {line!r}")
+        if line[16] not in " A":
+            continue  # keep the blank or 'A' alternate location only
+        if key != run:
+            run = key
+            resname, chain, icode = line[17:20].strip(), line[21], line[26]
+            if claimed.setdefault((chain, seq), (resname, icode)) != (resname, icode):
+                one = None  # an insertion or duplicate; the first occurrence keeps it
+            else:
+                one = THREE_TO_ONE.get(resname)  # None for a nonstandard residue
+            if one is None:
+                names = coords = None
+            else:
+                _, names, coords = chains.setdefault(chain, {}).setdefault(
+                    seq, (one, [], [])
+                )
+        if names is not None:
+            names.append(line[12:16].strip())
+            coords.append((x, y, z))
 
     if not chains:
         raise EmptyStructure(f"no standard residues in {id!r}")

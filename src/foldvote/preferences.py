@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .aminoacids import InteractionClass, Universe, slot_index
-from .errors import MixedProteins, NonFiniteUtility, UniverseMismatch
+from .errors import MalformedProfile, MixedProteins, NonFiniteUtility, UniverseMismatch
 
 if TYPE_CHECKING:
     from .interchange import InteractionInstance
@@ -59,11 +60,12 @@ class UtilityVector:
 
     @staticmethod
     def from_json_dict(obj: dict) -> UtilityVector:
-        universe = tuple(InteractionClass.parse(c) for c in obj["universe"])
-        values = {
-            InteractionClass.parse(c): float(v) for c, v in obj["values"].items()
-        }
-        return UtilityVector(obj["owner"], universe, values)
+        """The vector a JSON object describes, checked as a profile's
+        individual is: a missing key, a field of the wrong shape or a bad
+        label raise MalformedProfile."""
+        with json_faults():
+            universe = universe_from_json(shaped(obj, dict, "a utility vector"))
+            return utility_from_json(obj, universe)
 
 
 @dataclass(frozen=True)
@@ -112,11 +114,13 @@ class RankingWithTies:
 
     @staticmethod
     def from_json_dict(obj: dict) -> RankingWithTies:
-        universe = tuple(InteractionClass.parse(c) for c in obj["universe"])
-        tiers = tuple(
-            tuple(InteractionClass.parse(c) for c in tier) for tier in obj["tiers"]
-        )
-        return RankingWithTies(obj["owner"], universe, tiers)
+        """The ranking a JSON object describes, checked as a profile's
+        individual is: a missing key, a field of the wrong shape, a bad
+        label or tiers that do not partition the universe raise
+        MalformedProfile."""
+        with json_faults():
+            universe = universe_from_json(shaped(obj, dict, "a ranking"))
+            return ranking_from_json(obj, universe)
 
     @staticmethod
     def from_strict_order(
@@ -146,6 +150,70 @@ class RankingWithTies:
         set_field(ranking, "tiers", tuple((universe[i],) for i in order))
         set_field(ranking, "_slots", tuple(slots))
         return ranking
+
+
+# ------------------------------------------------------------- JSON readers
+# Shared by the readers above and Profile.from_json_dict, so a ranking or
+# a vector is checked alike on its own and inside a profile.
+
+_JSON_KINDS = {
+    list: "a list",
+    dict: "an object",
+    str: "a string",
+    (int, float): "a number",
+}
+
+
+def shaped(value, kind, what: str):
+    """The JSON value, if it has the expected Python type."""
+    # JSON true and false load as bool, which Python counts as an int
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise MalformedProfile(f"{what} must be {_JSON_KINDS[kind]}, got {value!r}")
+    return value
+
+
+@contextmanager
+def json_faults():
+    """Raise the KeyError of a missing key and the ValueError or
+    OverflowError of a bad field as MalformedProfile."""
+    try:
+        yield
+    except KeyError as exc:
+        raise MalformedProfile(f"missing key {exc}") from None
+    except (ValueError, OverflowError) as exc:
+        raise MalformedProfile(str(exc)) from None
+
+
+def _labels_from_json(labels, what: str):
+    return (
+        InteractionClass.parse(shaped(c, str, "a class label"))
+        for c in shaped(labels, list, what)
+    )
+
+
+def universe_from_json(obj: dict) -> Universe:
+    universe = tuple(_labels_from_json(obj["universe"], "universe"))
+    slot_index(universe, MalformedProfile)
+    return universe
+
+
+def ranking_from_json(obj, universe: Universe) -> RankingWithTies:
+    shaped(obj, dict, "an individual")
+    owner = shaped(obj["owner"], str, "owner")
+    tiers = tuple(
+        tuple(_labels_from_json(t, "a tier")) for t in shaped(obj["tiers"], list, "tiers")
+    )
+    return RankingWithTies(owner, universe, tiers)
+
+
+def utility_from_json(obj, universe: Universe) -> UtilityVector:
+    shaped(obj, dict, "an individual")
+    owner = shaped(obj["owner"], str, "owner")
+    values = {}
+    for c, v in shaped(obj["values"], dict, "values").items():
+        shaped(v, (int, float), f"the value of {c}")
+        values[InteractionClass.parse(c)] = float(v)
+    return UtilityVector(owner, universe, values)
 
 
 def utility_from_instances(

@@ -10,9 +10,17 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .aminoacids import CLASSES, InteractionClass, Universe, slot_index
+from .aminoacids import CLASSES, Universe
 from .errors import BadSpec, Incompatible, MalformedProfile, UniverseMismatch
-from .preferences import RankingWithTies, UtilityVector
+from .preferences import (
+    RankingWithTies,
+    UtilityVector,
+    json_faults,
+    ranking_from_json,
+    shaped,
+    universe_from_json,
+    utility_from_json,
+)
 
 SYNTH_KINDS = ("impartial_culture", "single_peaked", "condorcet_cycle")
 
@@ -76,60 +84,19 @@ class Profile:
         """The profile a JSON object describes. A missing key, a field of
         the wrong shape, a bad label, tiers that do not partition the
         universe or fewer than 2 individuals raise MalformedProfile."""
-        try:
-            return Profile._from_json_dict(obj)
-        except KeyError as exc:
-            raise MalformedProfile(f"missing key {exc}") from None
-        except (ValueError, OverflowError) as exc:
-            raise MalformedProfile(str(exc)) from None
-
-    @staticmethod
-    def _from_json_dict(obj: dict) -> Profile:
-        universe = tuple(_parse_labels(obj["universe"], "universe"))
-        slot_index(universe, MalformedProfile)
-        mode = obj.get("mode", "ordinal")
-        if mode not in ("ordinal", "utility"):
-            raise MalformedProfile(f'mode must be "ordinal" or "utility", got {mode!r}')
-        individuals = []
-        for ind in _shaped(obj["individuals"], list, "individuals"):
-            _shaped(ind, dict, "an individual")
-            owner = _shaped(ind["owner"], str, "owner")
-            if mode == "ordinal":
-                tiers = tuple(
-                    tuple(_parse_labels(t, "a tier"))
-                    for t in _shaped(ind["tiers"], list, "tiers")
+        with json_faults():
+            universe = universe_from_json(obj)
+            mode = obj.get("mode", "ordinal")
+            if mode not in ("ordinal", "utility"):
+                raise MalformedProfile(
+                    f'mode must be "ordinal" or "utility", got {mode!r}'
                 )
-                individuals.append(RankingWithTies(owner, universe, tiers))
-            else:
-                values = {}
-                for c, v in _shaped(ind["values"], dict, "values").items():
-                    _shaped(v, (int, float), f"the value of {c}")
-                    values[InteractionClass.parse(c)] = float(v)
-                individuals.append(UtilityVector(owner, universe, values))
-        return Profile(universe, tuple(individuals), mode)
-
-
-_JSON_KINDS = {
-    list: "a list",
-    dict: "an object",
-    str: "a string",
-    (int, float): "a number",
-}
-
-
-def _shaped(value, kind, what: str):
-    """The JSON value, if it has the expected Python type."""
-    # JSON true and false load as bool, which Python counts as an int
-    if not isinstance(value, kind) or isinstance(value, bool):
-        raise MalformedProfile(f"{what} must be {_JSON_KINDS[kind]}, got {value!r}")
-    return value
-
-
-def _parse_labels(labels, what: str):
-    return (
-        InteractionClass.parse(_shaped(c, str, "a class label"))
-        for c in _shaped(labels, list, what)
-    )
+            read = ranking_from_json if mode == "ordinal" else utility_from_json
+            individuals = tuple(
+                read(ind, universe)
+                for ind in shaped(obj["individuals"], list, "individuals")
+            )
+            return Profile(universe, individuals, mode)
 
 
 def kendall_distance(a: RankingWithTies, b: RankingWithTies) -> float:

@@ -376,13 +376,30 @@ class TestExtractAndRank:
                 ["", "p,A-C,A,1,A,5,6.0,1.0,extra"],
                 "MalformedContacts: line 4: 9 fields, expected 8",
             ),
+            # the fields below used to end in a bare ValueError
             (
                 ["p,A-C,A,x,A,5,6.0,1.0"],
-                "ValueError: invalid literal for int() with base 10: 'x'",
+                "MalformedContacts: line 3: invalid literal for int() with base 10: 'x'",
             ),
             (
                 ["p,A-Z,A,1,A,5,6.0,1.0"],
-                "ValueError: not standard residue codes: 'A', 'Z'",
+                "MalformedContacts: line 3: not standard residue codes: 'A', 'Z'",
+            ),
+            (
+                ["p,A-C,A,1,A,5.5,6.0,1.0"],
+                "MalformedContacts: line 3: invalid literal for int() with base 10: '5.5'",
+            ),
+            (
+                ["p,AC,A,1,A,5,6.0,1.0"],
+                "MalformedContacts: line 3: not a class label: 'AC'",
+            ),
+            (
+                ["", GOOD_ROW, "p,A-C,A,1,A,5,far,1.0"],
+                "MalformedContacts: line 5: could not convert string to float: 'far'",
+            ),
+            (
+                ["p,A-C,A,1,A,5,6.0,"],
+                "MalformedContacts: line 3: could not convert string to float: ''",
             ),
         ],
     )

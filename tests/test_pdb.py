@@ -39,7 +39,7 @@ def residue(code, seq, positions, names=None):
 # The parser as it stood before residues held one coordinate array: one
 # (name, 3-vector) object per atom, appended to its residue as read. It
 # is the reference parse_pdb is checked against, on the bundled file,
-# every case of TestParse and seeded random texts.
+# every case of TestParse and TestResidueRuns and seeded random texts.
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,6 +262,114 @@ class TestParse:
         b = parse_both(text, "x")
         assert [(c, [(r.one_letter_code, r.seq_index) for r in rs]) for c, rs in a.chains] == [
             (c, [(r.one_letter_code, r.seq_index) for r in rs]) for c, rs in b.chains
+        ]
+
+
+def kept(structure):
+    """(chain, seq, code, atom names, x column) of every kept residue."""
+    return [
+        (chain, r.seq_index, r.one_letter_code, r.atoms, list(r.xyz[:, 0]))
+        for chain, r in structure.residues()
+    ]
+
+
+class TestResidueRuns:
+    """Lines that repeat the residue columns of the last kept-or-dropped
+    line go where it went without a second lookup; these cases break
+    such runs in each way a file can."""
+
+    @pytest.mark.parametrize(
+        "column, bad",
+        [(30, "       x"), (38, "     nan"), (46, "    -inf"), (54, None)],
+    )
+    def test_malformed_altloc_b_line_inside_a_run_raises(self, column, bad):
+        b_line = atom_line(2, " CB ", "ALA", "A", 1, 1, 0, 0, altloc="B")
+        if bad is None:
+            b_line = b_line[:53]  # one column short
+        else:
+            b_line = b_line[:column] + bad + b_line[column + 8 :]
+        text = "\n".join(
+            [
+                atom_line(1, " CA ", "ALA", "A", 1, 0, 0, 0),
+                b_line,
+                atom_line(3, " CG ", "ALA", "A", 1, 2, 0, 0),
+            ]
+        )
+        with pytest.raises(MalformedRecord):
+            parse_both(text, "bad")
+
+    def test_residue_resuming_after_another(self):
+        text = "\n".join(
+            [
+                atom_line(1, " N  ", "ALA", "A", 1, 0, 0, 0),
+                atom_line(2, " CA ", "ALA", "A", 1, 1, 0, 0),
+                atom_line(3, " CA ", "GLY", "A", 2, 2, 0, 0),
+                atom_line(4, " C  ", "ALA", "A", 1, 3, 0, 0),
+                atom_line(5, " N  ", "GLY", "B", 2, 4, 0, 0),
+                atom_line(6, " O  ", "ALA", "A", 1, 5, 0, 0),
+            ]
+        )
+        assert kept(parse_both(text, "resume")) == [
+            ("A", 1, "A", ("N", "CA", "C", "O"), [0.0, 1.0, 3.0, 5.0]),
+            ("A", 2, "G", ("CA",), [2.0]),
+            ("B", 2, "G", ("N",), [4.0]),
+        ]
+
+    @pytest.mark.parametrize("b_name", ["SER", "THR"])
+    def test_altloc_b_with_a_new_key_then_its_altloc_a(self, b_name):
+        # the B conformer opens no run, so the A line after it still
+        # claims residue 2, under its own name when the two differ
+        text = "\n".join(
+            [
+                atom_line(1, " CA ", "ALA", "A", 1, 0, 0, 0),
+                atom_line(2, " CA ", b_name, "A", 2, 9, 0, 0, altloc="B"),
+                atom_line(3, " CA ", "SER", "A", 2, 1, 0, 0, altloc="A"),
+                atom_line(4, " CB ", b_name, "A", 2, 8, 0, 0, altloc="B"),
+                atom_line(5, " CB ", "SER", "A", 2, 2, 0, 0, altloc="A"),
+            ]
+        )
+        assert kept(parse_both(text, "alt")) == [
+            ("A", 1, "A", ("CA",), [0.0]),
+            ("A", 2, "S", ("CA", "CB"), [1.0, 2.0]),
+        ]
+
+    @pytest.mark.parametrize(
+        "res, seq, icode",
+        [("VAL", 1, " "), ("ALA", 1, "A"), ("MSE", 2, " ")],
+        ids=["duplicate", "insertion", "nonstandard"],
+    )
+    def test_dropped_run_stays_dropped(self, res, seq, icode):
+        text = "\n".join(
+            [
+                atom_line(1, " CA ", "ALA", "A", 1, 0, 0, 0),
+                atom_line(2, " N  ", res, "A", seq, 9, 0, 0, icode=icode),
+                atom_line(3, " CA ", res, "A", seq, 9, 0, 0, icode=icode),
+                atom_line(4, " O  ", "HOH", "A", 50, 9, 0, 0, record="HETATM"),
+                atom_line(5, " CB ", res, "A", seq, 9, 0, 0, icode=icode),
+                atom_line(6, " CB ", res, "A", seq, 9, 0, 0, altloc="B", icode=icode),
+                atom_line(7, " CG ", res, "A", seq, 9, 0, 0, altloc="A", icode=icode),
+                atom_line(8, " CA ", "GLY", "A", 3, 3, 0, 0),
+                atom_line(9, " C  ", res, "A", seq, 9, 0, 0, icode=icode),
+            ]
+        )
+        assert kept(parse_both(text, "drop")) == [
+            ("A", 1, "A", ("CA",), [0.0]),
+            ("A", 3, "G", ("CA",), [3.0]),
+        ]
+
+    @pytest.mark.parametrize("res, seq", [("HOH", 100), ("ALA", 1)])
+    def test_hetatm_line_inside_a_run(self, res, seq):
+        # a HETATM record is skipped even when it repeats the run's
+        # residue columns, and the run goes on past it
+        text = "\n".join(
+            [
+                atom_line(1, " N  ", "ALA", "A", 1, 0, 0, 0),
+                atom_line(2, " O  ", res, "A", seq, 9, 0, 0, record="HETATM"),
+                atom_line(3, " CA ", "ALA", "A", 1, 1, 0, 0),
+            ]
+        )
+        assert kept(parse_both(text, "het")) == [
+            ("A", 1, "A", ("N", "CA"), [0.0, 1.0]),
         ]
 
 

@@ -10,7 +10,12 @@ from hypothesis import given, strategies as st
 
 from foldvote.contacts import InteractionClass, Scorer
 from foldvote.contacts import InteractionInstance
-from foldvote.errors import MixedProteins, NonFiniteUtility, UniverseMismatch
+from foldvote.errors import (
+    MalformedProfile,
+    MixedProteins,
+    NonFiniteUtility,
+    UniverseMismatch,
+)
 from foldvote.preferences import (
     RankingWithTies,
     UtilityVector,
@@ -213,6 +218,57 @@ class TestRankingValidation:
         u3 = synthetic_universe(3)
         u = vec(u3, {u3[0]: 1.25})
         assert UtilityVector.from_json_dict(u.to_json_dict()) == u
+
+
+def individual_json(reader):
+    u3 = synthetic_universe(3)
+    if reader is RankingWithTies:
+        return RankingWithTies("p", u3, ((u3[1],), (u3[0], u3[2]))).to_json_dict()
+    return vec(u3, {u3[0]: 1.25}).to_json_dict()
+
+
+def profile_error(reader, obj):
+    """The message Profile.from_json_dict gives for a profile of two
+    copies of this individual, which the reader must give alike."""
+    mode = "ordinal" if reader is RankingWithTies else "utility"
+    individual = {k: v for k, v in obj.items() if k != "universe"}
+    wrapped = {"universe": obj["universe"], "mode": mode, "individuals": [individual] * 2}
+    with pytest.raises(MalformedProfile) as exc:
+        Profile.from_json_dict(wrapped)
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("reader", [RankingWithTies, UtilityVector])
+class TestIndividualJsonFaults:
+    # each reader used to end in a bare KeyError, or accept the field
+
+    def test_missing_owner(self, reader):
+        obj = individual_json(reader)
+        del obj["owner"]
+        with pytest.raises(MalformedProfile) as exc:
+            reader.from_json_dict(obj)
+        assert str(exc.value) == "missing key 'owner'" == profile_error(reader, obj)
+
+    def test_integer_owner(self, reader):
+        obj = individual_json(reader)
+        obj["owner"] = 5
+        with pytest.raises(MalformedProfile) as exc:
+            reader.from_json_dict(obj)
+        assert str(exc.value) == "owner must be a string, got 5" == profile_error(reader, obj)
+
+    def test_not_an_object(self, reader):
+        with pytest.raises(MalformedProfile, match="must be an object, got"):
+            reader.from_json_dict(["A-A"])
+
+
+def test_utility_json_true_value_rejected():
+    # true used to be read as the utility 1.0
+    obj = individual_json(UtilityVector)
+    obj["values"]["A-A"] = True
+    with pytest.raises(MalformedProfile) as exc:
+        UtilityVector.from_json_dict(obj)
+    message = "the value of A-A must be a number, got True"
+    assert str(exc.value) == message == profile_error(UtilityVector, obj)
 
 
 class TestUtilityValues:
