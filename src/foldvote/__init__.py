@@ -61,6 +61,7 @@ _EXPORTS = {
     "Rule": "rules",
     "arrow_audit": "audit",
     "exhaustive": "audit",
+    "continuity_check": "audit",
     "may_coincidence_check": "audit",
     "sampled": "audit",
     "standard_rules": "rules",

@@ -110,6 +110,13 @@ class SearchSpace:
     seed: int | None = None
 
     def __post_init__(self):
+        if self.mode == "sampled":
+            if self.trials is None or self.trials < 1:
+                raise BadSpec(f"trials must be >= 1, got {self.trials}")
+            if self.seed is None:
+                raise BadSpec("a sampled space needs a seed, got None")
+        elif self.mode != "exhaustive":
+            raise BadSpec(f"mode must be exhaustive or sampled, got {self.mode!r}")
         if self.n < 2:
             raise BadSpec(f"n must be >= 2, got {self.n}")
         if not 2 <= self.m <= len(CLASSES):
@@ -121,13 +128,7 @@ def exhaustive(m: int, n: int) -> SearchSpace:
 
 
 def sampled(m: int, n: int, trials: int, seed: int) -> SearchSpace:
-    _require_trials(trials)
     return SearchSpace("sampled", m, n, trials, seed)
-
-
-def _require_trials(trials: int) -> None:
-    if trials < 1:
-        raise BadSpec(f"trials must be >= 1, got {trials}")
 
 
 @dataclass(frozen=True)
@@ -1025,7 +1026,7 @@ def audit(rule: Rule, axiom: AxiomId, space: SearchSpace) -> AuditResult:
     m, n = space.m, space.n
     utility = axiom in UTILITY_AXIOMS
     if space.mode == "sampled":
-        cost = int(space.trials or 0)
+        cost = space.trials
     else:
         count = (len(UTILITY_GRID) ** m if utility else math.factorial(m)) ** n
         cost = count * spec.cost(m, n, count)
@@ -1046,8 +1047,6 @@ def audit(rule: Rule, axiom: AxiomId, space: SearchSpace) -> AuditResult:
             f"exhaustive {kind} profiles m={m} n={n} ({grid_note}{grid.count} profiles)"
         )
     else:
-        if space.trials is None or space.seed is None:
-            raise ValueError("sampled spaces need trials and seed")
         found = spec.sample(rule, space)
         budget = f"sampled {space.trials} trials m={m} n={n} seed={space.seed}"
     return _result(rule, axiom, found, budget, space.seed)
@@ -1076,18 +1075,44 @@ def may_coincidence_check(
     formula on every sampled profile, any divergence being the witness
     that a premise failure exists somewhere.
     """
-    _require_trials(trials)
+    coincidence = sampled(m, n, trials, seed)
     space = exhaustive(m, n)
     for premise in MAY_PREMISES:
         result = audit(rule, premise, space)
         if result.failed:
             return result
-    found = _AXIOMS[AxiomId.MAY_COINCIDENCE].sample(rule, sampled(m, n, trials, seed))
+    found = _AXIOMS[AxiomId.MAY_COINCIDENCE].sample(rule, coincidence)
     budget = (
         f"premises exhaustive m={m} n={n}; coincidence sampled "
         f"{trials} trials seed={seed}"
     )
     return _result(rule, AxiomId.MAY_COINCIDENCE, found, budget, seed)
+
+
+def continuity_check(dimension: int, epsilon: float, seed: int) -> AuditResult:
+    """The mean-direction aggregator fails continuity: a constructive
+    probe gives two profiles within 2*epsilon whose aggregates lie at
+    least 1 apart, a witness re-verified by re-running the aggregator.
+    The probe raises ValueError for a dimension below 2 or an epsilon
+    outside (0, 0.1)."""
+    from .directions import continuity_probe  # not needed by the other audits
+
+    witness = continuity_probe(dimension, epsilon, seed)
+    if not witness.verify():
+        raise AssertionError(
+            "internal error: continuity witness failed re-verification"
+        )
+    return AuditResult(
+        rule_name="mean-direction",
+        axiom=AxiomId.CONTINUITY,
+        verdict=FAIL,
+        witness=witness.to_json_dict(),
+        search_budget=(
+            f"constructive probe dimension={dimension} epsilon={epsilon} seed={seed}"
+        ),
+        seed=seed,
+        notes="witness verified by re-running the aggregator",
+    )
 
 
 def verify_result(rule: Rule, result: AuditResult) -> bool:

@@ -33,16 +33,16 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _timestamp() -> str:
-    return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
-
-
-def _emit(report: dict, out: str) -> None:
+def _emit(dest: str | Path, config: dict, **body) -> None:
+    """Write the report {config, timestamp, **body} to stdout when dest is
+    the string "-", else to the file dest (a Path named "-" is a file)."""
+    timestamp = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    report = {"config": config, "timestamp": timestamp, **body}
     text = json.dumps(report, indent=2) + "\n"
-    if out == "-":
+    if dest == "-":
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text)
+        Path(dest).write_text(text)
 
 
 def _read_json(path: str) -> dict:
@@ -143,13 +143,7 @@ def _cmd_extract(args) -> int:
         )
         print(f"{structure.id}\t{structure.n_residues}\t{len(instances)}")
 
-    summary = {
-        "config": resolved,
-        "timestamp": _timestamp(),
-        "proteins": proteins,
-        "failures": failures,
-    }
-    (out_dir / args.summary_name).write_text(json.dumps(summary, indent=2) + "\n")
+    _emit(out_dir / args.summary_name, resolved, proteins=proteins, failures=failures)
     return EXIT_INPUT if not proteins else EXIT_OK
 
 
@@ -165,20 +159,17 @@ def _cmd_rank(args) -> int:
         instances, universe, combine=args.combine, protein_id=args.protein_id
     )
     ranking = ordinal_from_utility(utility, tie_epsilon=args.tie_epsilon)
-    report = {
-        "config": {
-            "command": "rank",
-            "contacts": args.contacts,
-            "combine": args.combine,
-            "tie_epsilon": args.tie_epsilon,
-            "universe": args.universe,
-            "protein_id": utility.protein_id,
-        },
-        "timestamp": _timestamp(),
-        "utility": utility.to_json_dict(),
-        "ranking": ranking.to_json_dict(),
+    config = {
+        "command": "rank",
+        "contacts": args.contacts,
+        "combine": args.combine,
+        "tie_epsilon": args.tie_epsilon,
+        "universe": args.universe,
+        "protein_id": utility.protein_id,
     }
-    _emit(report, args.out)
+    _emit(
+        args.out, config, utility=utility.to_json_dict(), ranking=ranking.to_json_dict()
+    )
     return EXIT_OK
 
 
@@ -188,19 +179,25 @@ def _cmd_synth(args) -> int:
     kind = "condorcet_cycle" if args.kind == "condorcet" else args.kind
     spec = SynthSpec(kind=kind, m=args.m, n=args.n, seed=args.seed)
     profile = generate(spec)
-    report = {
-        "config": {
-            "command": "synth",
-            "kind": kind,
-            "m": args.m,
-            "n": args.n,
-            "seed": args.seed,
-        },
-        "timestamp": _timestamp(),
-        "profile": profile.to_json_dict(),
+    config = {
+        "command": "synth",
+        "kind": kind,
+        "m": args.m,
+        "n": args.n,
+        "seed": args.seed,
     }
-    _emit(report, args.out)
+    _emit(args.out, config, profile=profile.to_json_dict())
     return EXIT_OK
+
+
+def _rule_config(args) -> dict:
+    """The config of a command applying one rule to one profile."""
+    return {
+        "command": args.command,
+        "profile": args.profile,
+        "rule": args.rule,
+        "dictator_k": args.dictator_k if args.rule == "dictator" else None,
+    }
 
 
 def _cmd_aggregate(args) -> int:
@@ -208,31 +205,16 @@ def _cmd_aggregate(args) -> int:
 
     profile = _load_profile(args.profile)
     outcome = standard_rules(args.dictator_k)[args.rule](profile)
-    report = {
-        "config": {
-            "command": "aggregate",
-            "profile": args.profile,
-            "rule": args.rule,
-            "dictator_k": args.dictator_k if args.rule == "dictator" else None,
-        },
-        "timestamp": _timestamp(),
-        "outcome": outcome.to_json_dict(),
-    }
-    _emit(report, args.out)
+    _emit(args.out, _rule_config(args), outcome=outcome.to_json_dict())
     return EXIT_OK
-
-
-_AXIOM_ALIASES = ("arrow", "may_coincidence", "continuity")
 
 
 def _cmd_audit(args, parser: _Parser) -> int:
     from .audit import (
         ARROW_AXIOMS,
-        FAIL,
-        AuditResult,
         AxiomId,
-        _require_trials,
         audit as run_audit,
+        continuity_check,
         exhaustive,
         may_coincidence_check,
         sampled,
@@ -242,18 +224,16 @@ def _cmd_audit(args, parser: _Parser) -> int:
     tokens = [t.strip() for t in args.axioms.split(",") if t.strip()]
     if not tokens:
         parser.error("no axioms given")
-    known = {a.value for a in AxiomId}
+    known = {a.value for a in AxiomId} | {"arrow"}
     for t in tokens:
-        if t not in known and t not in _AXIOM_ALIASES:
-            parser.error(
-                f"unknown axiom {t!r}; known: "
-                + ", ".join(sorted(known | set(_AXIOM_ALIASES)))
-            )
+        if t not in known:
+            parser.error(f"unknown axiom {t!r}; known: " + ", ".join(sorted(known)))
     if args.rule == "mean-direction" and any(t != "continuity" for t in tokens):
         parser.error("rule mean-direction supports only the continuity axiom")
     if args.rule != "mean-direction" and "continuity" in tokens:
         parser.error("the continuity axiom applies to rule mean-direction")
-    _require_trials(args.trials)
+    # every request is checked as a sampled space, whatever its mode or rule
+    space = sampled(args.m, args.n, args.trials, args.seed)
 
     resolved = {
         "command": "audit",
@@ -270,39 +250,16 @@ def _cmd_audit(args, parser: _Parser) -> int:
 
     results = []
     if args.rule == "mean-direction":
-        from .directions import continuity_probe
-
-        witness = continuity_probe(args.m, args.epsilon, args.seed)
-        if not witness.verify():
-            raise AssertionError(
-                "internal error: continuity witness failed re-verification"
-            )
-        results.append(
-            AuditResult(
-                rule_name="mean-direction",
-                axiom=AxiomId.CONTINUITY,
-                verdict=FAIL,
-                witness=witness.to_json_dict(),
-                search_budget=(
-                    f"constructive probe dimension={args.m} "
-                    f"epsilon={args.epsilon} seed={args.seed}"
-                ),
-                seed=args.seed,
-                notes="witness verified by re-running the aggregator",
-            )
-        )
+        results.append(continuity_check(args.m, args.epsilon, args.seed))
     else:
         rule = standard_rules(args.dictator_k)[args.rule]
-        space = (
-            exhaustive(args.m, args.n)
-            if args.mode == "exhaustive"
-            else sampled(args.m, args.n, args.trials, args.seed)
-        )
+        full = exhaustive(args.m, args.n)
+        if args.mode == "exhaustive":
+            space = full
         try:
             for token in tokens:
                 if token == "arrow":
                     for axiom in ARROW_AXIOMS:
-                        full = exhaustive(args.m, args.n)
                         results.append(run_audit(rule, axiom, full))
                 elif token == "may_coincidence":
                     results.append(
@@ -313,22 +270,16 @@ def _cmd_audit(args, parser: _Parser) -> int:
                 else:
                     results.append(run_audit(rule, AxiomId(token), space))
         except BudgetExceeded as exc:
-            report = {
-                "config": resolved,
-                "timestamp": _timestamp(),
-                "results": [r.to_json_dict() for r in results],
-                "error": f"BudgetExceeded: {exc}",
-            }
-            _emit(report, args.out)
+            _emit(
+                args.out,
+                resolved,
+                results=[r.to_json_dict() for r in results],
+                error=f"BudgetExceeded: {exc}",
+            )
             print(f"budget exceeded: {exc}", file=sys.stderr)
             return EXIT_BUDGET
 
-    report = {
-        "config": resolved,
-        "timestamp": _timestamp(),
-        "results": [r.to_json_dict() for r in results],
-    }
-    _emit(report, args.out)
+    _emit(args.out, resolved, results=[r.to_json_dict() for r in results])
     return EXIT_OK
 
 
@@ -339,19 +290,13 @@ def _cmd_restrict(args) -> int:
     profile = _load_profile(args.profile)
     axis = find_axis(profile)
     outcome = standard_rules(args.dictator_k)[args.rule](profile)
-    report = {
-        "config": {
-            "command": "restrict",
-            "profile": args.profile,
-            "rule": args.rule,
-            "dictator_k": args.dictator_k if args.rule == "dictator" else None,
-        },
-        "timestamp": _timestamp(),
-        "single_peaked": axis is not None,
-        "axis": [c.render() for c in axis] if axis is not None else None,
-        "quasi_transitive": is_quasi_transitive(outcome),
-    }
-    _emit(report, args.out)
+    _emit(
+        args.out,
+        _rule_config(args),
+        single_peaked=axis is not None,
+        axis=[c.render() for c in axis] if axis is not None else None,
+        quasi_transitive=is_quasi_transitive(outcome),
+    )
     return EXIT_OK
 
 
@@ -359,8 +304,8 @@ def _cmd_restrict(args) -> int:
 # parser assembly
 
 
-def _add_rule_flags(sub) -> None:
-    sub.add_argument("--rule", choices=RULE_NAMES, default="may")
+def _add_rule_flags(sub, rules=RULE_NAMES) -> None:
+    sub.add_argument("--rule", choices=rules, default="may")
     sub.add_argument(
         "--dictator-k",
         type=int,
@@ -389,6 +334,7 @@ def build_parser() -> _Parser:
         help="keep table sign (default negates so contact energies score high)",
     )
     ext.add_argument("--summary-name", default="extract_summary.json")
+    ext.set_defaults(run=_cmd_extract)
 
     rank = subs.add_parser("rank", help="contact CSV to utility and ranking")
     rank.add_argument("contacts")
@@ -397,6 +343,7 @@ def build_parser() -> _Parser:
     rank.add_argument("--universe", choices=("full", "hetero"), default="full")
     rank.add_argument("--protein-id", default=None)
     rank.add_argument("--out", default="-")
+    rank.set_defaults(run=_cmd_rank)
 
     synth = subs.add_parser("synth", help="generate a synthetic profile")
     synth.add_argument(
@@ -407,19 +354,16 @@ def build_parser() -> _Parser:
     synth.add_argument("--n", type=int, default=3)
     synth.add_argument("--seed", type=int, default=0)
     synth.add_argument("--out", default="-")
+    synth.set_defaults(run=_cmd_synth)
 
     agg = subs.add_parser("aggregate", help="apply a rule to a profile")
     agg.add_argument("profile", nargs="?", default="-", help="profile JSON or - for stdin")
     _add_rule_flags(agg)
     agg.add_argument("--out", default="-")
+    agg.set_defaults(run=_cmd_aggregate)
 
     aud = subs.add_parser("audit", help="audit a rule against axioms")
-    aud.add_argument(
-        "--rule",
-        choices=RULE_NAMES + ("mean-direction",),
-        default="may",
-    )
-    aud.add_argument("--dictator-k", type=int, default=1)
+    _add_rule_flags(aud, RULE_NAMES + ("mean-direction",))
     aud.add_argument(
         "--axioms",
         required=True,
@@ -432,39 +376,27 @@ def build_parser() -> _Parser:
     aud.add_argument("--seed", type=int, default=0)
     aud.add_argument("--epsilon", type=float, default=1e-3)
     aud.add_argument("--out", default="-")
+    aud.set_defaults(run=lambda args: _cmd_audit(args, parser))
 
     res = subs.add_parser("restrict", help="single-peakedness and quasi-transitivity")
     res.add_argument("profile", nargs="?", default="-")
     _add_rule_flags(res)
     res.add_argument("--out", default="-")
+    res.set_defaults(run=_cmd_restrict)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "extract":
-            return _cmd_extract(args)
-        if args.command == "rank":
-            return _cmd_rank(args)
-        if args.command == "synth":
-            return _cmd_synth(args)
-        if args.command == "aggregate":
-            return _cmd_aggregate(args)
-        if args.command == "audit":
-            return _cmd_audit(args, parser)
-        if args.command == "restrict":
-            return _cmd_restrict(args)
-        parser.error(f"unknown command {args.command!r}")
+        return args.run(args)
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except (FoldvoteError, OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -167,7 +167,9 @@ DIGESTS = {
     "input.extract_no_inputs": "7926742a13874bb1e5c22fe2a8eb1ad7a65cb83cf1a943b1112667a045805230",
     "input.m_large": "b2b70c9269cd9d4f7e62d16556a1fda161773401a9760e5505c8b3f666d5d7c0",
     "input.mean_direction_epsilon": "d11c8cadcc9b0730ab78f0dcfe2bef9db9f3999e3d91b674f685fc3a4071c255",
-    "input.mean_direction_m_one": "7d39dc6b805e0b30ab8a00f6f1d3ebdf0e5e86342b3634eef91df795732bbe24",
+    # a continuity request's m is checked as any audit's: BadSpec, not the
+    # probe's ValueError
+    "input.mean_direction_m_one": "a12e7f442a8e09eb68877574d88448d89d7c7a0660aed9dd3ac4d3ee5ea7b4d6",
     "input.missing_profile": "e4a6399e74cca63740673dbc6620a54e11a6bd1f06446e6ed508ae535b656a9e",
     "input.n_one": "22bc032de92f290a39a3fabdc4c0b0dfa7993538fb3185e36798eecf9b6fd305",
     "input.not_json": "106072b8076b84ff7fa01308c7a9fa303dadc66d014edeb521359aeb9c82a9d4",
