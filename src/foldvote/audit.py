@@ -1075,10 +1075,9 @@ def may_coincidence_check(
     formula on every sampled profile, any divergence being the witness
     that a premise failure exists somewhere.
     """
-    coincidence = sampled(m, n, trials, seed)
-    space = exhaustive(m, n)
+    coincidence = sampled(m, n, trials, seed)  # checks the request first
     for premise in MAY_PREMISES:
-        result = audit(rule, premise, space)
+        result = audit(rule, premise, exhaustive(m, n))
         if result.failed:
             return result
     found = _AXIOMS[AxiomId.MAY_COINCIDENCE].sample(rule, coincidence)
@@ -1090,11 +1089,10 @@ def may_coincidence_check(
 
 
 def continuity_check(dimension: int, epsilon: float, seed: int) -> AuditResult:
-    """The mean-direction aggregator fails continuity: a constructive
-    probe gives two profiles within 2*epsilon whose aggregates lie at
-    least 1 apart, a witness re-verified by re-running the aggregator.
-    The probe raises ValueError for a dimension below 2 or an epsilon
-    outside (0, 0.1)."""
+    """The mean-direction aggregator fails continuity: a constructive probe
+    gives two profiles within 2*epsilon whose aggregates lie at least 1
+    apart, re-verified by re-running the aggregator. The probe raises
+    ValueError for a dimension below 2 or epsilon outside (0, 0.1)."""
     from .directions import continuity_probe  # not needed by the other audits
 
     witness = continuity_probe(dimension, epsilon, seed)

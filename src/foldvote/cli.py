@@ -45,15 +45,6 @@ def _emit(dest: str | Path, config: dict, **body) -> None:
         Path(dest).write_text(text)
 
 
-def _read_json(path: str) -> dict:
-    if path == "-":
-        obj = json.load(sys.stdin)
-    else:
-        with open(path) as fh:
-            obj = json.load(fh)
-    return _require_object(obj, path)
-
-
 def _require_object(obj, where: str) -> dict:
     if not isinstance(obj, dict):
         raise NotAnObject(f"{where}: expected a JSON object, got {type(obj).__name__}")
@@ -63,7 +54,12 @@ def _require_object(obj, where: str) -> dict:
 def _load_profile(path: str):
     from .profiles import Profile
 
-    obj = _read_json(path)
+    if path == "-":
+        obj = json.load(sys.stdin)
+    else:
+        with open(path) as fh:
+            obj = json.load(fh)
+    obj = _require_object(obj, path)
     if "profile" in obj and "individuals" not in obj:
         # accept wrapped reports from synth
         obj = _require_object(obj["profile"], f"{path}: profile")
@@ -218,8 +214,8 @@ def _cmd_audit(args, parser: _Parser) -> int:
         exhaustive,
         may_coincidence_check,
         sampled,
-        standard_rules,
     )
+    from .rules import check_dictator_index, standard_rules
 
     tokens = [t.strip() for t in args.axioms.split(",") if t.strip()]
     if not tokens:
@@ -234,6 +230,8 @@ def _cmd_audit(args, parser: _Parser) -> int:
         parser.error("the continuity axiom applies to rule mean-direction")
     # every request is checked as a sampled space, whatever its mode or rule
     space = sampled(args.m, args.n, args.trials, args.seed)
+    if args.rule == "dictator":
+        check_dictator_index(args.dictator_k, args.n)
 
     resolved = {
         "command": "audit",
@@ -254,8 +252,7 @@ def _cmd_audit(args, parser: _Parser) -> int:
     else:
         rule = standard_rules(args.dictator_k)[args.rule]
         full = exhaustive(args.m, args.n)
-        if args.mode == "exhaustive":
-            space = full
+        space = full if args.mode == "exhaustive" else space
         try:
             for token in tokens:
                 if token == "arrow":
@@ -270,14 +267,14 @@ def _cmd_audit(args, parser: _Parser) -> int:
                 else:
                     results.append(run_audit(rule, AxiomId(token), space))
         except BudgetExceeded as exc:
+            # report the axioms that fit before the refusal, which main prints
             _emit(
                 args.out,
                 resolved,
                 results=[r.to_json_dict() for r in results],
                 error=f"BudgetExceeded: {exc}",
             )
-            print(f"budget exceeded: {exc}", file=sys.stderr)
-            return EXIT_BUDGET
+            raise
 
     _emit(args.out, resolved, results=[r.to_json_dict() for r in results])
     return EXIT_OK

@@ -32,7 +32,7 @@ class BadTable(FoldvoteError):
 
 
 class MalformedContacts(FoldvoteError):
-    """A contact CSV row lacks the header's fields or holds one that does not parse."""
+    """A contact CSV header or row does not parse or holds a value out of range."""
 
 
 # --------------------------------------------------------------- preferences
@@ -56,7 +56,7 @@ class Incompatible(FoldvoteError):
 
 
 class BadSpec(FoldvoteError):
-    """A synthetic-profile request is inconsistent."""
+    """A synthetic-profile or audit search-space request is inconsistent."""
 
 
 class MalformedProfile(FoldvoteError):

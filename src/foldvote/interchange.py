@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 
 from .aminoacids import InteractionClass
@@ -39,15 +40,17 @@ def instances_to_csv(instances: list[InteractionInstance]) -> str:
 
 
 def instances_from_csv(text: str) -> list[InteractionInstance]:
-    """Read instances back; blank lines are skipped, and a row whose
-    field count is not the header's, or whose class label, residue
-    numbers, distance or score do not parse, raises MalformedContacts
-    naming its line."""
+    """Read instances back; blank lines are skipped. A wrong header raises
+    MalformedContacts, as does a row whose field count is not the header's,
+    whose fields do not parse, or whose distance is not finite and >= 0 or
+    score not finite, naming its line."""
     rows = csv.reader(io.StringIO(text))
     expected = CSV_HEADER.split(",")
     header = next(rows, None)
     if header != expected:
-        raise ValueError(f"bad instance CSV header: {header}, expected {expected}")
+        raise MalformedContacts(
+            f"bad instance CSV header: {header}, expected {expected}"
+        )
     out = []
     for row in rows:
         if not row:
@@ -65,6 +68,10 @@ def instances_from_csv(text: str) -> list[InteractionInstance]:
                 distance=float(distance),
                 score=float(score),
             )
+            if not 0.0 <= instance.distance < math.inf:
+                raise ValueError(f"distance must be finite and >= 0, got {distance}")
+            if not math.isfinite(instance.score):
+                raise ValueError(f"score must be finite, got {score}")
         except ValueError as exc:
             raise MalformedContacts(f"line {rows.line_num}: {exc}") from None
         out.append(instance)

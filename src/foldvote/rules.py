@@ -286,10 +286,15 @@ def kemeny(profile: Profile) -> AggregationOutcome:
 def dictator(profile: Profile, k: int) -> AggregationOutcome:
     """Copy individual k's ranking (1-based); a negative control rule."""
     _require_mode(profile, "ordinal", "dictator")
-    if not 1 <= k <= profile.n:
-        raise BadIndex(f"dictator index {k} outside 1..{profile.n}")
+    check_dictator_index(k, profile.n)
     slots = profile.individuals[k - 1].slots()
     return _by_key(f"dictator[{k}]", profile.universe, [-tier for tier in slots])
+
+
+def check_dictator_index(k: int, n: int) -> None:
+    """Raise BadIndex unless k (1-based) names one of n individuals."""
+    if not 1 <= k <= n:
+        raise BadIndex(f"dictator index {k} outside 1..{n}")
 
 
 def utilitarian(profile: Profile) -> AggregationOutcome:

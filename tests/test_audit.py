@@ -18,9 +18,11 @@ from foldvote.audit import (
     AuditResult,
     AxiomId,
     Rule,
+    SearchSpace,
     arrow_audit,
     arrow_contradiction,
     audit,
+    continuity_check,
     exhaustive,
     may_coincidence_check,
     sampled,
@@ -273,10 +275,52 @@ class TestSampled:
         with pytest.raises(BadSpec):
             may_coincidence_check(RULES["may"], 3, 3, trials, seed=0)
 
+    @pytest.mark.parametrize("trials", [None, 0])
+    def test_a_sampled_space_needs_trials(self, trials):
+        # trials=0 used to make audit() pass over zero trials
+        with pytest.raises(BadSpec, match=f"trials must be >= 1, got {trials}"):
+            SearchSpace("sampled", 3, 2, trials=trials, seed=1)
+
+    def test_a_sampled_space_needs_a_seed(self):
+        # seed=None used to draw from an unseeded generator
+        with pytest.raises(BadSpec, match="needs a seed"):
+            SearchSpace("sampled", 3, 2, trials=10, seed=None)
+        with pytest.raises(BadSpec, match="needs a seed"):
+            may_coincidence_check(RULES["may"], 3, 2, 10, None)
+
+    @pytest.mark.parametrize("mode", ["Exhaustive", "sample", ""])
+    def test_unknown_mode_rejected(self, mode):
+        with pytest.raises(BadSpec, match="mode must be exhaustive or sampled"):
+            SearchSpace(mode, 3, 2)
+
+    def test_request_faults_reported_trials_then_n_then_m(self):
+        with pytest.raises(BadSpec, match="trials"):
+            sampled(1, 1, 0, seed=0)
+        with pytest.raises(BadSpec, match="n must"):
+            sampled(1, 1, 10, seed=0)
+        with pytest.raises(BadSpec, match="trials"):
+            may_coincidence_check(RULES["may"], 1, 1, 0, seed=0)
+
     def test_sampled_pass_is_not_a_theorem(self):
         res = audit(RULES["borda"], AxiomId.TRANSITIVITY, sampled(3, 3, 50, seed=0))
         assert res.verdict == PASS
         assert "sampled" in res.search_budget
+
+
+class TestContinuityCheck:
+    def test_mean_direction_fails_with_a_verified_witness(self):
+        res = continuity_check(3, 1e-3, 4)
+        assert res.failed and res.axiom is AxiomId.CONTINUITY
+        assert res.rule_name == "mean-direction" and res.seed == 4
+        assert res.search_budget == "constructive probe dimension=3 epsilon=0.001 seed=4"
+        assert res.witness["input_distance"] <= 2e-3
+        assert res.witness["output_distance"] >= 1.0
+
+    def test_probe_errors_stand_for_library_callers(self):
+        with pytest.raises(ValueError, match="dimension must be >= 2"):
+            continuity_check(1, 1e-3, 0)
+        with pytest.raises(ValueError, match="epsilon"):
+            continuity_check(3, 0.5, 0)
 
 
 class TestUnrestrictedDomain:

@@ -10,6 +10,7 @@ that compare runs across processes, where hash randomization differs,
 and a pipeline or two end to end.
 """
 
+import ast
 import io
 import json
 import os
@@ -21,6 +22,7 @@ from pathlib import Path
 
 import pytest
 
+from foldvote.audit import AxiomId
 from foldvote.cli import main
 from foldvote.data import four_residue_pdb_path
 
@@ -263,7 +265,8 @@ class TestExitCodes:
     def test_nonpositive_trials_is_input_error(self, trials):
         for extra in (["--mode", "sampled", "--axioms", "iia"],
                       ["--axioms", "may_coincidence"],
-                      ["--axioms", "unanimity"]):
+                      ["--axioms", "unanimity"],
+                      ["--rule", "mean-direction", "--axioms", "continuity"]):
             proc = run("audit", "--rule", "may", "--trials", trials, *extra)
             assert proc.returncode == 2, proc.stderr
             assert "BadSpec" in proc.stderr and proc.stdout == ""
@@ -291,6 +294,39 @@ class TestExitCodes:
             proc = run("audit", "--rule", "may", "--m", m, "--n", "2", *extra, check=2)
             assert proc.stderr == f"error: BadSpec: m must be in 2..210, got {m}\n"
             assert proc.stdout == ""
+
+    @pytest.mark.parametrize("k", ["0", "4"])
+    @pytest.mark.parametrize(
+        "axioms",
+        sorted({a.value for a in AxiomId} - {"continuity"}) + ["arrow"],
+    )
+    def test_dictator_index_outside_one_to_n_is_input_error(self, k, axioms):
+        # unrestricted_domain used to report the rule's BadIndex as a fail
+        # witness, and exit 0
+        proc = run(
+            "audit", "--rule", "dictator", "--dictator-k", k, "--axioms", axioms,
+            "--m", "3", "--n", "3", check=2,
+        )
+        assert proc.stderr == f"error: BadIndex: dictator index {k} outside 1..3\n"
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            # m = 1 used to end in the probe's ValueError, and no m was too
+            # large, though the probe builds coordinate lists of length m
+            (("--m", "1"), "m must be in 2..210, got 1"),
+            (("--m", "211"), "m must be in 2..210, got 211"),
+            (("--n", "1"), "n must be >= 2, got 1"),
+        ],
+    )
+    def test_continuity_request_outside_bounds_is_input_error(self, flags, message):
+        proc = run(
+            "audit", "--rule", "mean-direction", "--axioms", "continuity", *flags,
+            check=2,
+        )
+        assert proc.stderr == f"error: BadSpec: {message}\n"
+        assert proc.stdout == ""
 
     def test_unknown_profile_mode_is_input_error(self):
         synth = run("synth", "impartial_culture", "--n", "2", check=0)
@@ -401,6 +437,24 @@ class TestExtractAndRank:
                 ["p,A-C,A,1,A,5,6.0,"],
                 "MalformedContacts: line 3: could not convert string to float: ''",
             ),
+            # a -inf distance used to be ranked, and a nan score to end in
+            # NonFiniteUtility without a line number
+            (
+                ["p,A-C,A,1,A,5,-inf,1.0"],
+                "MalformedContacts: line 3: distance must be finite and >= 0, got -inf",
+            ),
+            (
+                ["p,A-C,A,1,A,5,-1.0,1.0"],
+                "MalformedContacts: line 3: distance must be finite and >= 0, got -1.0",
+            ),
+            (
+                [GOOD_ROW, "p,A-C,A,1,A,5,6.0,nan"],
+                "MalformedContacts: line 4: score must be finite, got nan",
+            ),
+            (
+                ["p,A-C,A,1,A,5,6.0,inf"],
+                "MalformedContacts: line 3: score must be finite, got inf",
+            ),
         ],
     )
     def test_rank_rejects_a_malformed_row(self, tmp_path, rows, error):
@@ -441,9 +495,55 @@ class TestExtractAndRank:
         path.write_text("wrong,header\n1,2\n")
         proc = run("rank", str(path), check=2)
         assert proc.stderr == (
-            "error: ValueError: bad instance CSV header: ['wrong', 'header'], "
+            "error: MalformedContacts: bad instance CSV header: ['wrong', 'header'], "
             f"expected {self.HEADER.split(',')}\n"
         )
+
+    @staticmethod
+    def score_table(rows=20) -> str:
+        """A symmetric table scoring pair (a, b) as a's index + b's."""
+        letters = "ACDEFGHIKLMNPQRSTVWY"
+        lines = ["," + ",".join(letters)]
+        for i, a in enumerate(letters[:rows]):
+            lines.append(a + "," + ",".join(f"{i + j}.5" for j in range(20)))
+        return "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("negate", [True, False])
+    def test_extract_scores_contacts_from_a_table(self, tmp_path, negate):
+        table = tmp_path / "table.csv"
+        table.write_text(self.score_table())
+        flags = () if negate else ("--no-negate",)
+        out = tmp_path / "out"
+        run(
+            "extract", str(four_residue_pdb_path()), "--out-dir", str(out),
+            "--table", str(table), *flags, check=0,
+        )
+        rows = (out / "four_residue.contacts.csv").read_text().splitlines()[1:]
+        scores = {row.split(",")[1]: float(row.split(",")[7]) for row in rows}
+        # A is letter 0, G letter 5 and V letter 17
+        sign = -1.0 if negate else 1.0
+        assert scores == {"A-G": sign * 5.5, "G-V": sign * 22.5}
+        config = json.loads((out / "extract_summary.json").read_text())["config"]
+        assert (config["scorer"], config["negate"]) == ("table", negate)
+
+    def test_extract_rejects_a_table_missing_a_row(self, tmp_path):
+        table = tmp_path / "table.csv"
+        table.write_text(self.score_table(rows=19))
+        proc = run(
+            "extract", str(four_residue_pdb_path()), "--out-dir", str(tmp_path),
+            "--table", str(table), check=2,
+        )
+        assert proc.stderr == "error: BadTable: expected 20 data rows, got 19\n"
+        assert proc.stdout == ""
+
+    def test_summary_named_dash_is_a_file(self, tmp_path, monkeypatch):
+        # with the default --out-dir ".", the summary's path is "-" as text
+        monkeypatch.chdir(tmp_path)
+        proc = run(
+            "extract", str(four_residue_pdb_path()), "--summary-name", "-", check=0,
+        )
+        assert proc.stdout == "four_residue\t4\t2\n"
+        assert json.loads((tmp_path / "-").read_text())["proteins"][0]["instances"] == 2
 
     def test_mixed_inputs_continue_past_failures(self, tmp_path):
         good = tmp_path / "good.pdb"
@@ -558,6 +658,23 @@ class TestRestrictCommand:
         assert report["single_peaked"] is False
         assert report["axis"] is None
         assert report["quasi_transitive"] is False
+
+
+class TestLayering:
+    def test_cli_imports_no_private_name(self):
+        # the command line uses what the library exports, not its internals
+        import foldvote.cli
+
+        tree = ast.parse(Path(foldvote.cli.__file__).read_text())
+        private = [
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and (node.level > 0 or (node.module or "").startswith("foldvote"))
+            for alias in node.names
+            if alias.name.startswith("_")
+        ]
+        assert private == []
 
 
 class TestReportConventions:

@@ -159,9 +159,12 @@ DIGESTS = {
     "extract.heavy_min": "8ef167615bc11162d01847600c3e9cb9df9e40e1d6cf79be5a13ebe2185e5f28",
     "extract.summary_dash": "6802dd7e614770fcb223570893e70180ddbcb73ded344efff3166dba740f6283",
     "extract.table": "53b17b2edabe5319e80895a8cc3f0b30fe32403a538b163fbaf4467626e9e3b0",
-    "input.bad_header": "1cedd62b0456c508367ea5cbec9d2fd5814c6be6e049663d47665af923239a1f",
+    # a wrong contact CSV header is MalformedContacts, not a bare ValueError
+    "input.bad_header": "a61d66782b3df36655cb52482f2dc2d92cd64d19f4aa1e5d4468a313a4f1ba5e",
     "input.bad_row": "2123a3df4c1c661d6e8ef6821dccadecdfb25ac5a34f164faf907d9da9c2e4f6",
-    "input.dictator_k_beyond_n": "1acb54793b17ac3b1cd4d52e26bf1a6e5319f9112d4d82975462a62b7b59daa4",
+    # a dictator index outside 1..n is refused before any search, as it is
+    # for transitivity, instead of reported as an unrestricted-domain fail
+    "input.dictator_k_beyond_n": "e6331892e8e4659229e64ba1461e3a22269802daa67587b3d1e7aadc01432755",
     "input.dictator_k_beyond_n_transitivity": "e6331892e8e4659229e64ba1461e3a22269802daa67587b3d1e7aadc01432755",
     "input.extract_bad_table": "d86cd4b19848b705b9101dbb8f166d6730a03be5e282c59e4652150989117d49",
     "input.extract_no_inputs": "7926742a13874bb1e5c22fe2a8eb1ad7a65cb83cf1a943b1112667a045805230",

@@ -18,7 +18,7 @@ from foldvote.contacts import (
     instances_to_csv,
     parse_score_table,
 )
-from foldvote.errors import BadTable, MissingAtom
+from foldvote.errors import BadTable, MalformedContacts, MissingAtom
 from foldvote.pdb import ProteinStructure, Residue, residue_distance
 
 
@@ -475,5 +475,5 @@ class TestCsvRoundTrip:
         ]
 
     def test_bad_header_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(MalformedContacts, match="bad instance CSV header"):
             instances_from_csv("wrong,header\n1,2\n")
