@@ -229,7 +229,7 @@ def _cmd_audit(args, parser: _Parser) -> int:
     if args.rule != "mean-direction" and "continuity" in tokens:
         parser.error("the continuity axiom applies to rule mean-direction")
     # every request is checked as a sampled space, whatever its mode or rule
-    space = sampled(args.m, args.n, args.trials, args.seed)
+    drawn = sampled(args.m, args.n, args.trials, args.seed)
     if args.rule == "dictator":
         check_dictator_index(args.dictator_k, args.n)
 
@@ -252,7 +252,7 @@ def _cmd_audit(args, parser: _Parser) -> int:
     else:
         rule = standard_rules(args.dictator_k)[args.rule]
         full = exhaustive(args.m, args.n)
-        space = full if args.mode == "exhaustive" else space
+        space = full if args.mode == "exhaustive" else drawn
         try:
             for token in tokens:
                 if token == "arrow":
