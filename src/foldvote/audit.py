@@ -259,7 +259,9 @@ class _Space(_Profiles):
     the space's items (all strict orders, or all vectors over the utility
     grid). Individual 1 is the most significant digit, so digit tuples
     compare in enumeration order. Views are cached per profile, up to a
-    cap, and each stance on a pair is tabled once per item.
+    cap, and each stance on a pair is tabled once per item. Searches
+    that pair profiles sharing stances read `first_by_value`: per key,
+    the first profile taking each outcome value on the pair.
 
     An ordinal rule marked `pairwise` is run once per pairwise count
     matrix: a profile's matrix is the sum of its items' pairwise 0/1
@@ -294,7 +296,6 @@ class _Space(_Profiles):
         self.count = len(self.items) ** n
         self._views: dict[tuple, _View] = {}
         self._tables: dict[tuple, tuple] = {}
-        self._groups: dict[tuple, dict[tuple, list[tuple]]] = {}
 
     def combos(self):
         """Each profile's digits, in enumeration order."""
@@ -332,14 +333,15 @@ class _Space(_Profiles):
             self._tables[stance, pair] = table
         return tuple(map(table.__getitem__, combo))
 
-    def groups(self, stance, pair) -> dict[tuple, list[tuple]]:
-        """Profiles by key, each group in enumeration order."""
-        groups = self._groups.get((stance, pair))
-        if groups is None:
-            groups = self._groups[stance, pair] = {}
-            for combo in self.combos():
-                groups.setdefault(self.key(combo, stance, pair), []).append(combo)
-        return groups
+    def first_by_value(self, stance, pair) -> dict[tuple, dict[float, tuple]]:
+        """Each key's first profile, in enumeration order, taking each
+        outcome value on the pair: at most three per key, in one pass."""
+        firsts: dict[tuple, dict[float, tuple]] = {}
+        for combo in self.combos():
+            value = self.view(combo).outcome.pair_value(*pair)
+            key = self.key(combo, stance, pair)
+            firsts.setdefault(key, {}).setdefault(value, combo)
+        return firsts
 
 
 class _Trials(_Profiles):
@@ -752,30 +754,25 @@ class _IIA(_Axiom):
         return count
 
     def search(self, space):
-        # The smallest profile with a disagreeing partner is the first
-        # member of some group holding a disagreement.
-        mixed = []
-        for pair in space.pairs:
-            for members in space.groups(self.stance, pair).values():
-                # every member meets the check, so every outcome is read
-                first = space.view(members[0])
-                views = [(first, space.view(idx)) for idx in members]
-                if [v for v in views if self.check(space.universe, v, pair)]:
-                    mixed.append(members[0])
+        # Every member of a key holding two outcome values has a partner
+        # that disagrees, so the witness is the smallest first entry of
+        # such a key; on each pair, its partner is the smallest entry of
+        # its key with another value.
+        tables = [space.first_by_value(self.stance, pair) for pair in space.pairs]
+        mixed = [min(f.values()) for t in tables for f in t.values() if len(f) > 1]
         if not mixed:
             return None
         first = min(mixed)
         candidates = []
-        for p_idx, pair in enumerate(space.pairs):
-            group = space.groups(self.stance, pair)[space.key(first, self.stance, pair)]
-            for other in group:
-                views = (space.view(first), space.view(other))
-                detail = self.check(space.universe, views, pair)
-                if detail:
-                    candidates.append((other, p_idx, detail))
-                    break
-        other, _, detail = min(candidates)
-        return (first, other), detail
+        for pair, table in zip(space.pairs, tables):
+            value = space.view(first).outcome.pair_value(*pair)
+            firsts = table[space.key(first, self.stance, pair)]
+            others = [combo for v, combo in firsts.items() if v != value]
+            if others:
+                candidates.append((min(others), pair))
+        other, pair = min(candidates)
+        views = (space.view(first), space.view(other))
+        return (first, other), self.check(space.universe, views, pair)
 
     def draw(self, trials):
         orders, base = trials.base()
@@ -849,12 +846,11 @@ class _PositiveResponsiveness(_Axiom):
         return count
 
     def search(self, space):
-        # A base's partners for an uplift form the group of its (a, b)
-        # stances with the uplifted individual's flipped; the group's
-        # first member that the check flags serves every base lifting
-        # into it, as the flag depends on the base only through arming.
+        # A base's partners for an uplift share its (a, b) stances but the
+        # uplifted individual's, which flips to prefer a; once the base is
+        # armed, the check flags the smallest one valued below `required`.
         ordered_pairs = sorted(space.pairs + [(j, i) for i, j in space.pairs])
-        flagged: dict[tuple, tuple | None] = {}
+        tables = {p: space.first_by_value(_prefers, p) for p in ordered_pairs}
         for combo in space.combos():
             base = space.view(combo)
             candidates = []
@@ -866,16 +862,10 @@ class _PositiveResponsiveness(_Axiom):
                     if key[uplifted]:
                         continue  # already prefers a; no strict uplift
                     lifted = key[:uplifted] + (True,) + key[uplifted + 1 :]
-                    if (pair, lifted) not in flagged:
-                        flagged[pair, lifted] = None
-                        for other in space.groups(_prefers, pair).get(lifted, ()):
-                            views = (base, space.view(other))
-                            if self.check(space.universe, views, uplifted + 1, pair):
-                                flagged[pair, lifted] = other
-                                break
-                    other = flagged[pair, lifted]
-                    if other is not None:
-                        candidates.append((other, p_rank, uplifted, pair))
+                    firsts = tables[pair].get(lifted, {})
+                    below = [c for v, c in firsts.items() if v < self.required]
+                    if below:
+                        candidates.append((min(below), p_rank, uplifted, pair))
             if candidates:
                 other, _, uplifted, pair = min(candidates)
                 views = (base, space.view(other))
@@ -927,9 +917,10 @@ class _ProximityPreservation(_Axiom):
 
     def search(self, space):
         # Tables first: per-individual order distances and outcome pair
-        # values; then per base profile ask whether input-closer ever
-        # maps to output-farther, sorting by input distance before
-        # trying pairs.
+        # values. Per base, a profile's floor is the least outcome distance
+        # over input distances at least its own: the near profile is the
+        # first above its floor, the far one the first at least as far in
+        # input with a smaller outcome distance.
         order_dist = [[_kendall_slots(a, b) for b in space.prefs] for a in space.prefs]
         combos = list(space.combos())
         values = [
@@ -942,21 +933,17 @@ class _ProximityPreservation(_Axiom):
                 for combo in combos
             ]
             d = [sum(abs(u - v) for u, v in zip(values[base], row)) for row in values]
-            by_D: dict[float, list[float]] = {}
-            for other in range(space.count):
-                by_D.setdefault(D[other], []).append(d[other])
-            farthest = -math.inf  # over input distances up to this one
-            for D_value in sorted(by_D):
-                farthest = max(farthest, *by_D[D_value])
-                if farthest > min(by_D[D_value]):
-                    break
-            else:
+            floor, least = {}, math.inf
+            for D_value, d_value in sorted(zip(D, d), reverse=True):
+                least = floor[D_value] = min(least, d_value)
+            near = next((i for i, D_i in enumerate(D) if d[i] > floor[D_i]), None)
+            if near is None:
                 continue
-            for near in range(space.count):
-                for far in range(space.count):
-                    detail = _proximity_violation(D[near], D[far], d[near], d[far])
-                    if detail is not None:
-                        return (combos[base], combos[near], combos[far]), detail
+            far = next(
+                j for j, D_j in enumerate(D) if D_j >= D[near] and d[j] < d[near]
+            )
+            detail = _proximity_violation(D[near], D[far], d[near], d[far])
+            return (combos[base], combos[near], combos[far]), detail
         return None
 
     def draw(self, trials):

@@ -72,8 +72,8 @@ def parse_score_table(text: str, negate: bool = True) -> Scorer:
     """Parse a 20x20 symmetric score table from CSV text.
 
     Expected layout: header row of one-letter codes (leading empty cell),
-    then 20 rows each starting with its code. Asymmetry beyond 1e-9 or
-    any dimension/label problem raises BadTable.
+    then 20 rows each starting with its code. A non-finite entry,
+    asymmetry beyond 1e-9 or any dimension/label problem raises BadTable.
     """
     rows = list(csv.reader(io.StringIO(text)))
     rows = [r for r in rows if r and any(cell.strip() for cell in r)]
@@ -99,8 +99,8 @@ def parse_score_table(text: str, negate: bool = True) -> Scorer:
             raise BadTable(f"non-numeric value in row {label}") from exc
         for col_label, value in zip(header, values):
             table[LETTER_INDEX[label], LETTER_INDEX[col_label]] = value
-    if np.isnan(table).any():
-        raise BadTable("table has missing entries")
+    if not np.isfinite(table).all():
+        raise BadTable("table has a non-finite entry (nan, inf or -inf)")
     if np.abs(table - table.T).max() > 1e-9:
         raise BadTable("table is asymmetric beyond 1e-9")
     return Scorer(kind="table", table=table, negate=negate)

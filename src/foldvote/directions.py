@@ -26,7 +26,7 @@ class DirectionPoint:
 
     def __post_init__(self) -> None:
         norm = math.sqrt(math.fsum(x * x for x in self.coordinates))
-        if abs(norm - 1.0) > UNIT_TOLERANCE:
+        if not abs(norm - 1.0) <= UNIT_TOLERANCE:  # NaN fails too
             raise ValueError(f"not a unit vector (norm {norm})")
 
     @property

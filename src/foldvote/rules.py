@@ -113,14 +113,18 @@ class AggregationOutcome:
 
 @dataclass(frozen=True)
 class UtilityTransform:
-    """Shared positive rescaling plus per-protein offsets."""
+    """Shared positive finite rescaling plus finite per-protein offsets."""
 
     scale_alpha: float
     offsets_beta: dict[str, float]
 
     def __post_init__(self) -> None:
-        if self.scale_alpha <= 0:
-            raise ValueError("scale_alpha must be positive")
+        alpha = self.scale_alpha
+        if not 0 < alpha < math.inf:  # NaN fails too
+            raise ValueError(f"scale_alpha must be positive and finite, got {alpha}")
+        for protein_id, beta in self.offsets_beta.items():
+            if not math.isfinite(beta):
+                raise ValueError(f"offset of {protein_id!r} must be finite, got {beta}")
 
 
 def first_intransitive_triple(relation: Relation) -> tuple[int, int, int] | None:
@@ -254,31 +258,28 @@ def kemeny(profile: Profile) -> AggregationOutcome:
             row[s] = row[s ^ low] + cost[low.bit_length() - 1]
         lead.append(row)
     # best[s]: least cost of ordering the classes of bit set s among
-    # themselves; the loops walk the set bits of s lowest first
+    # themselves; first[s]: the smallest class leading such an order, as
+    # the loops walk the set bits of s lowest first
     best = [0] * size
+    first = [0] * size
     for s in range(1, size):
         rest, least = s, None
         while rest:
             low = rest & -rest
             rest ^= low
-            cand = lead[low.bit_length() - 1][s] + best[s ^ low]
+            c = low.bit_length() - 1
+            cand = lead[c][s] + best[s ^ low]
             if least is None or cand < least:
-                least = cand
+                least, first[s] = cand, c
         best[s] = least
-    # the smallest class that still reaches the optimum goes next, which
-    # rebuilds the lexicographically first optimal order; each class is
-    # keyed by how many classes it is placed above
+    # following first from the full set rebuilds the lexicographically
+    # first optimal order; each class is keyed by how many classes it is
+    # placed above
     key = [0] * m
     left = size - 1
     while left:
-        rest = left
-        while True:
-            low = rest & -rest
-            rest ^= low
-            c = low.bit_length() - 1
-            if lead[c][left] + best[left ^ low] == best[left]:
-                break
-        left ^= low
+        c = first[left]
+        left ^= 1 << c
         key[c] = left.bit_count()
     return _by_key("kemeny", universe, key)
 

@@ -29,13 +29,19 @@ from foldvote.audit import (
     standard_rules,
     verify_result,
 )
-from foldvote.audit import _AXIOMS, _Space
+from foldvote.audit import _AXIOMS, _prefs, _Space, _View
 from foldvote.errors import BadSpec, BudgetExceeded, InapplicableAxiom
+from foldvote.preferences import RankingWithTies
 from foldvote.profiles import Profile, SynthSpec, generate, synthetic_universe
 from foldvote.rules import majority_tournament
 
 RULES = standard_rules()
 U3 = synthetic_universe(3)
+X, Y, Z = U3
+
+
+def strict(order, owner):
+    return RankingWithTies.from_strict_order(owner, U3, order)
 
 
 def tiers_of(profile_json):
@@ -406,6 +412,60 @@ class TestVerification:
         assert verify_result(RULES["kemeny"], res)
         tampered = retouch(res, relabeled_profile=other, actual_relation=actual)
         assert not verify_result(RULES["kemeny"], tampered)
+
+    @staticmethod
+    def forged(rule, axiom_id, profiles, param):
+        """A fail result whose witness fields the check reproduces on
+        these profiles, so only the premise can reject it."""
+        axiom = _AXIOMS[axiom_id]
+        views = [_View(_prefs(p.individuals), rule(p)) for p in profiles]
+        detail = axiom.check(U3, views, param)
+        assert detail is not None
+        given = {key: p.to_json_dict() for key, p in zip(axiom.profile_keys, profiles)}
+        witness = {key: given[key] if key in given else detail[key] for key in axiom.keys}
+        return AuditResult(rule.name, axiom_id, FAIL, witness, "forged")
+
+    def test_anonymity_permutation_must_be_a_permutation(self):
+        # (1, 1) puts v2's order in both places, and dictator[1] follows
+        # the copy; the real swap (1, 0) is the control
+        rule = RULES["dictator"]
+        x_first, z_first = (X, Y, Z), (Z, Y, X)
+        base = Profile(U3, (strict(x_first, "v1"), strict(z_first, "v2")))
+        copied = Profile(U3, (strict(z_first, "v1"), strict(z_first, "v2")))
+        swapped = Profile(U3, (strict(z_first, "v1"), strict(x_first, "v2")))
+        real = self.forged(rule, AxiomId.ANONYMITY, (base, swapped), (1, 0))
+        assert verify_result(rule, real)
+        forged = self.forged(rule, AxiomId.ANONYMITY, (base, copied), (1, 1))
+        assert not verify_result(rule, forged)
+
+    def test_neutrality_permutation_must_be_a_permutation(self):
+        # (0, 0, 2) sends X and Y both to X; every individual ties them,
+        # so the relabeled profile meets the premise's slot test, and
+        # may ranks it differently
+        rule = RULES["may"]
+        tied = tuple(RankingWithTies(v, U3, ((X, Y), (Z,))) for v in ("v1", "v2"))
+        base = Profile(U3, tied)
+        moved = Profile(U3, (strict((X, Z, Y), "v1"), strict((X, Z, Y), "v2")))
+        forged = self.forged(rule, AxiomId.NEUTRALITY, (base, moved), (0, 0, 2))
+        assert not verify_result(rule, forged)
+
+    def test_witness_profiles_share_a_universe(self):
+        # borda's witness with profile_b moved, slot for slot, onto three
+        # other classes: the stances and values are unchanged
+        res = audit(RULES["borda"], AxiomId.IIA, exhaustive(3, 2))
+        other = synthetic_universe(6)[3:]
+        label = {a.render(): b.render() for a, b in zip(U3, other)}
+        b = res.witness["profile_b"]
+        moved = {
+            **b,
+            "universe": [label[c] for c in b["universe"]],
+            "individuals": [
+                {**ind, "tiers": [[label[c] for c in tier] for tier in ind["tiers"]]}
+                for ind in b["individuals"]
+            ],
+        }
+        assert verify_result(RULES["borda"], res)
+        assert not verify_result(RULES["borda"], retouch(res, profile_b=moved))
 
     def test_sampled_non_dictatorship_stops_once_all_overruled(self):
         # every individual of the first trial is overruled, so the other

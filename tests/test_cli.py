@@ -536,6 +536,18 @@ class TestExtractAndRank:
         assert proc.stderr == "error: BadTable: expected 20 data rows, got 19\n"
         assert proc.stdout == ""
 
+    def test_extract_rejects_a_table_with_a_non_finite_entry(self, tmp_path):
+        table = tmp_path / "table.csv"
+        table.write_text(self.score_table().replace(",0.5,", ",inf,", 1))
+        proc = run(
+            "extract", str(four_residue_pdb_path()), "--out-dir", str(tmp_path),
+            "--table", str(table), check=2,
+        )
+        assert proc.stderr == (
+            "error: BadTable: table has a non-finite entry (nan, inf or -inf)\n"
+        )
+        assert proc.stdout == ""
+
     def test_summary_named_dash_is_a_file(self, tmp_path, monkeypatch):
         # with the default --out-dir ".", the summary's path is "-" as text
         monkeypatch.chdir(tmp_path)

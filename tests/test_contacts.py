@@ -423,6 +423,16 @@ def table_csv(value_fn):
     return "\n".join(lines) + "\n"
 
 
+class TestScorerValidation:
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError, match="^unknown scorer kind 'blosum'$"):
+            Scorer("blosum")
+
+    def test_table_scorer_needs_a_table(self):
+        with pytest.raises(ValueError, match="^table scorer needs a table$"):
+            Scorer("table")
+
+
 class TestScoreTable:
     def test_symmetric_lookup(self):
         text = table_csv(lambda a, b: ord(a) + ord(b))
@@ -450,6 +460,40 @@ class TestScoreTable:
     def test_bad_header(self):
         text = table_csv(lambda a, b: 0.0).replace(",A,", ",B,", 1)
         with pytest.raises(BadTable):
+            parse_score_table(text)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_entry(self, cell):
+        text = table_csv(lambda a, b: cell if (a, b) == ("A", "G") else 1.0)
+        with pytest.raises(BadTable, match=r"non-finite entry \(nan, inf or -inf\)"):
+            parse_score_table(text)
+
+    def test_opposite_infinities(self):
+        # inf - (-inf) is NaN, which no asymmetry bound catches
+        cells = {("A", "G"): "inf", ("G", "A"): "-inf"}
+        text = table_csv(lambda a, b: cells.get((a, b), 1.0))
+        with pytest.raises(BadTable, match="non-finite entry"):
+            parse_score_table(text)
+
+    @pytest.mark.parametrize("text", ["", "\n , ,\n"])
+    def test_empty(self, text):
+        with pytest.raises(BadTable, match="^empty table$"):
+            parse_score_table(text)
+
+    def test_repeated_row_label(self):
+        text = table_csv(lambda a, b: 1.0).replace("\nC,", "\nA,", 1)
+        with pytest.raises(BadTable, match="^bad or repeated row label 'A'$"):
+            parse_score_table(text)
+
+    def test_short_row(self):
+        lines = table_csv(lambda a, b: 1.0).splitlines()
+        lines[1] = lines[1].rsplit(",", 1)[0]
+        with pytest.raises(BadTable, match="^row A has 19 values, expected 20$"):
+            parse_score_table("\n".join(lines))
+
+    def test_non_numeric_cell(self):
+        text = table_csv(lambda a, b: "x" if (a, b) == ("C", "D") else 1.0)
+        with pytest.raises(BadTable, match="^non-numeric value in row C$"):
             parse_score_table(text)
 
     def test_extract_with_table(self):

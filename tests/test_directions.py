@@ -59,6 +59,11 @@ class TestDirectionPoint:
         with pytest.raises(ValueError):
             DirectionPoint((0.0, 0.0))
 
+    @pytest.mark.parametrize("coords", [(math.nan, 0.0), (math.nan, math.nan)])
+    def test_rejects_nan(self, coords):
+        with pytest.raises(ValueError, match=r"^not a unit vector \(norm nan\)$"):
+            DirectionPoint(coords)
+
     def test_accepts_unit(self):
         assert DirectionPoint((1.0, 0.0)).dimension == 2
 

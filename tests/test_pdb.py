@@ -468,6 +468,12 @@ class TestResidueDistance:
         with pytest.raises(MissingAtom):
             residue_distance(a, b, "c_alpha")
 
+    def test_missing_ca_on_the_second_residue(self):
+        a = residue("A", 1, [(0, 0, 0)])
+        b = residue("V", 2, [(1, 0, 0)], [" CB "])
+        with pytest.raises(MissingAtom, match="^residue 2 has no CA atom$"):
+            residue_distance(a, b, "c_alpha")
+
     def test_unknown_mode(self):
         a = residue("A", 1, [(0, 0, 0)])
         with pytest.raises(ValueError):

@@ -92,6 +92,10 @@ class TestUtilityFromInstances:
         assert set(u.values) == {0.0}
         assert u.protein_id == "p"
 
+    def test_unknown_combine(self):
+        with pytest.raises(ValueError, match="^unknown combine 'median'$"):
+            utility_from_instances(self.instances, self.universe, combine="median")
+
     def test_mixed_proteins(self):
         bad = self.instances + [inst("q", "A", "A", 1.0)]
         with pytest.raises(MixedProteins):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from foldvote.errors import BadSpec, Incompatible, MalformedProfile, UniverseMismatch
-from foldvote.preferences import RankingWithTies
+from foldvote.preferences import RankingWithTies, UtilityVector
 from foldvote.profiles import (
     Profile,
     SynthSpec,
@@ -29,6 +29,10 @@ def strict(order, owner="p", universe=U3):
 
 def tiers(*groups, owner="p", universe=U3):
     return RankingWithTies(owner, universe, tuple(tuple(g) for g in groups))
+
+
+def uniform(owner="p"):
+    return UtilityVector(owner, U3, (1.0, 1.0, 1.0))
 
 
 # strategy: random weak order over m classes via random tier labels
@@ -99,11 +103,33 @@ class TestProfileDistance:
         with pytest.raises(Incompatible):
             profile_distance(p, q)
 
+    def test_utility_profiles(self):
+        p = Profile(U3, (uniform("a"), uniform("b")), "utility")
+        with pytest.raises(
+            Incompatible, match="^profile distance is defined for ordinal profiles$"
+        ):
+            profile_distance(p, p)
+
+    def test_different_universes(self):
+        u = synthetic_universe(4)[1:]
+        p = Profile(U3, (strict((X, Y, Z), "a"), strict((X, Y, Z), "b")))
+        q = Profile(u, (strict(u, "a", u), strict(u, "b", u)))
+        with pytest.raises(Incompatible, match="^profiles over different universes$"):
+            profile_distance(p, q)
+
 
 class TestProfileModel:
     def test_needs_two_individuals(self):
         with pytest.raises(ValueError):
             Profile(U3, (strict((X, Y, Z)),))
+
+    def test_unknown_mode(self):
+        with pytest.raises(ValueError, match="^unknown mode 'cardinal'$"):
+            Profile(U3, (strict((X, Y, Z)), strict((Z, Y, X))), "cardinal")
+
+    def test_individual_of_the_wrong_type(self):
+        with pytest.raises(ValueError, match="^ordinal profile holds a UtilityVector$"):
+            Profile(U3, (strict((X, Y, Z)), uniform()))
 
     def test_universe_agreement(self):
         w = strict(tuple(synthetic_universe(4)), universe=synthetic_universe(4))

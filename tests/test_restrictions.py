@@ -6,7 +6,7 @@ from itertools import permutations
 import pytest
 
 from foldvote.errors import TiesUnsupported, TooLarge
-from foldvote.preferences import RankingWithTies
+from foldvote.preferences import RankingWithTies, UtilityVector
 from foldvote.profiles import Profile, SynthSpec, generate, synthetic_universe
 from foldvote.restrictions import (
     FIND_AXIS_MAX_CLASSES,
@@ -32,6 +32,13 @@ def profile_of(*orders, universe=U3):
 
 
 class TestIsSinglePeakedOn:
+    def test_utility_profile_rejected(self):
+        values = (UtilityVector(f"v{i}", U3, (1.0, 0.5, 0.0)) for i in range(2))
+        with pytest.raises(
+            TiesUnsupported, match="^single-peakedness is defined for ordinal profiles$"
+        ):
+            is_single_peaked_on(Profile(U3, tuple(values), "utility"), U3)
+
     def test_peak_in_middle(self):
         rep = is_single_peaked_on(profile_of((Y, X, Z), (Y, Z, X)), U3)
         assert rep.single_peaked

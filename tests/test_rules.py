@@ -276,6 +276,16 @@ class TestUtilitarian:
         with pytest.raises(ValueError):
             UtilityTransform(-1.0, {})
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_transform_scale_must_be_finite(self, alpha):
+        with pytest.raises(ValueError, match="^scale_alpha must be positive and finite"):
+            UtilityTransform(alpha, {})
+
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
+    def test_transform_offsets_must_be_finite(self, beta):
+        with pytest.raises(ValueError, match=f"^offset of 'v1' must be finite, got {beta}$"):
+            UtilityTransform(2.0, {"v0": 1.0, "v1": beta})
+
 
 class TestOutcomeDistance:
     def test_matches_kendall_on_rankings(self):
@@ -286,6 +296,12 @@ class TestOutcomeDistance:
     def test_zero_on_self(self):
         out = may_rule(condorcet())
         assert outcome_distance(out, out) == 0.0
+
+    def test_different_universes(self):
+        u4 = synthetic_universe(4)
+        wide = Profile(u4, tuple(strict(tuple(u4), f"v{i}", u4) for i in range(3)))
+        with pytest.raises(WrongMode, match="^outcomes over different universes$"):
+            outcome_distance(may_rule(unanimous()), may_rule(wide))
 
 
 # shared properties every ordinal rule is expected to satisfy
