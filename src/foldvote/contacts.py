@@ -54,8 +54,18 @@ class Scorer:
     def __post_init__(self) -> None:
         if self.kind not in ("unit_count", "table"):
             raise ValueError(f"unknown scorer kind {self.kind!r}")
-        if self.kind == "table" and self.table is None:
-            raise ValueError("table scorer needs a table")
+        if self.kind == "table":
+            # a table that cannot give every class a finite score is
+            # refused here, not when extraction first scores a class
+            if self.table is None:
+                raise ValueError("table scorer needs a table")
+            # nested lists too are read as an array, which score indexes
+            table = np.asarray(self.table, dtype=float)
+            if table.shape != (20, 20):
+                raise ValueError(f"table must be 20x20, got shape {table.shape}")
+            if not np.isfinite(table).all():
+                raise ValueError("table has a non-finite entry (nan, inf or -inf)")
+            object.__setattr__(self, "table", table)
 
     def score(self, cls: InteractionClass) -> float:
         if self.kind == "unit_count":
@@ -115,37 +125,54 @@ def extract_instances(
     config: ContactConfig = ContactConfig(),
     scorer: Scorer = Scorer(),
 ) -> list[InteractionInstance]:
-    """All residue pairs in contact under the config's predicates.
+    """All residue pairs in contact under the config's predicates, as
+    InteractionInstance named tuples in residue-pair order.
 
     Intra-chain pairs must satisfy the sequence-separation minimum;
-    cross-chain pairs (only when enabled) are exempt from it. Output is
-    sorted by residue coordinates, so extraction is deterministic.
+    cross-chain pairs (only when enabled) are exempt from it. Each pair
+    lists its smaller (chain, seq) key first, and the list is sorted by
+    that pair of keys; pairs with equal keys keep the pair search's
+    row-major order, so extraction is deterministic.
     """
     flat = structure.residues()
     ii, jj, distances = _contacts(flat, config)
     keys = [(chain, res.seq_index) for chain, res in flat]
     letters = [res.one_letter_code for _, res in flat]
-    labels: dict[tuple[str, str], tuple[InteractionClass, float]] = {}
-    instances = []
-    for i, j, dist in zip(ii.tolist(), jj.tolist(), distances.tolist()):
-        pair = letters[i], letters[j]
-        label = labels.get(pair)
-        if label is None:
-            cls = InteractionClass.of(*pair)
-            label = labels[pair] = (cls, scorer.score(cls))
-        cls, score = label
-        a, b = keys[i], keys[j]
-        instances.append(
-            InteractionInstance(
-                protein_id=structure.id,
-                interaction_class=cls,
-                residues=(b, a) if b < a else (a, b),
-                distance=dist,
-                score=score,
-            )
+    # class code of a pair: letter index of i * 20 + letter index of j,
+    # where a nonstandard letter has index -1
+    letter_index = np.array([LETTER_INDEX.get(c, -1) for c in letters], dtype=np.intp)
+    li, lj = letter_index[ii], letter_index[jj]
+    nonstandard = np.flatnonzero((li < 0) | (lj < 0))
+    if nonstandard.size:
+        k = nonstandard[0]
+        InteractionClass.of(letters[ii[k]], letters[jj[k]])  # raises
+    codes = li * 20 + lj
+    # each class present is looked up and scored once
+    classes: list[InteractionClass | None] = [None] * 400
+    scores = [0.0] * 400
+    for code in np.flatnonzero(np.bincount(codes, minlength=400)).tolist():
+        a, b = divmod(code, 20)
+        cls = classes[code] = InteractionClass.of(ONE_LETTER[a], ONE_LETTER[b])
+        scores[code] = scorer.score(cls)
+
+    # dense rank of the (chain, seq) keys, equal keys sharing one; each
+    # pair goes lower rank first, and the stable sort keeps row-major
+    # order among pairs of equal keys
+    dense = {key: r for r, key in enumerate(sorted(set(keys)))}
+    rank = np.array([dense[key] for key in keys], dtype=np.intp)
+    swap = rank[jj] < rank[ii]
+    lo, hi = np.where(swap, jj, ii), np.where(swap, ii, jj)
+    order = np.lexsort((rank[hi], rank[lo]))
+    pid = structure.id
+    return [
+        InteractionInstance(pid, classes[code], (keys[a], keys[b]), dist, scores[code])
+        for a, b, code, dist in zip(
+            lo[order].tolist(),
+            hi[order].tolist(),
+            codes[order].tolist(),
+            distances[order].tolist(),
         )
-    instances.sort(key=lambda inst: inst.residues)
-    return instances
+    ]
 
 
 _BLOCK = 64  # rows of the residue-pair matrix handled at once

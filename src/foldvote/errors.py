@@ -73,6 +73,10 @@ class TooLarge(FoldvoteError):
     """The requested exact computation exceeds the supported size."""
 
 
+class TransformOverflow(FoldvoteError):
+    """A utility transform sends a finite utility out of the finite floats."""
+
+
 class BadIndex(FoldvoteError):
     """An individual index is out of range."""
 

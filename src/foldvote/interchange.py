@@ -9,14 +9,17 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .aminoacids import InteractionClass
 from .errors import MalformedContacts
 
 
-@dataclass(frozen=True)
-class InteractionInstance:
+class InteractionInstance(NamedTuple):
+    """One residue pair in contact. A named tuple: its fields are
+    read-only, and it iterates, hashes and compares as the plain tuple of
+    its fields."""
+
     protein_id: str
     interaction_class: InteractionClass
     residues: tuple[tuple[str, int], tuple[str, int]]  # ((chain, seq), (chain, seq))

@@ -8,6 +8,7 @@ near-equal utilities.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from collections.abc import Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -235,14 +236,15 @@ def utility_from_instances(
     if protein_id is None:
         protein_id = owners.pop() if owners else ""
 
-    allowed = set(universe)
-    by_class: dict[InteractionClass, list[float]] = {}
+    # group first, hashing each instance's class once; the groups keep
+    # first-seen order, so the error names the first stray class seen
+    by_class: defaultdict[InteractionClass, list[float]] = defaultdict(list)
     for inst in instances:
-        if inst.interaction_class not in allowed:
-            raise UniverseMismatch(
-                f"instance class {inst.interaction_class.render()} outside universe"
-            )
-        by_class.setdefault(inst.interaction_class, []).append(inst.score)
+        by_class[inst.interaction_class].append(inst.score)
+    allowed = set(universe)
+    for cls in by_class:
+        if cls not in allowed:
+            raise UniverseMismatch(f"instance class {cls.render()} outside universe")
 
     values = []
     for cls in universe:
@@ -270,7 +272,11 @@ def ordinal_from_utility(
     """
     if not 0 <= tie_epsilon < math.inf:  # NaN fails too
         raise ValueError("tie_epsilon must be finite and >= 0")
-    ordered = sorted(zip(u.universe, u.values), key=lambda cv: (-cv[1], cv[0]))
+    # (first, second) is the order InteractionClass compares by, without
+    # a Python-level comparison call per step
+    ordered = sorted(
+        zip(u.universe, u.values), key=lambda cv: (-cv[1], cv[0].first, cv[0].second)
+    )
     tiers: list[list[InteractionClass]] = []
     prev = None
     for cls, val in ordered:

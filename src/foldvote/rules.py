@@ -15,7 +15,7 @@ from functools import cached_property
 from itertools import combinations
 
 from .aminoacids import InteractionClass, Universe
-from .errors import BadIndex, TooLarge, WrongMode
+from .errors import BadIndex, TooLarge, TransformOverflow, WrongMode
 from .preferences import RankingWithTies, UtilityVector
 from .profiles import Profile
 
@@ -315,18 +315,21 @@ def utilitarian(profile: Profile) -> AggregationOutcome:
 def apply_transform(profile: Profile, transform: UtilityTransform) -> Profile:
     """Rescale every utility by the shared alpha and shift each protein
     by its own beta; such transforms must not change the utilitarian
-    outcome."""
+    outcome. A moved utility that overflows raises TransformOverflow,
+    naming the protein, the class and the transform's parameters."""
     _require_mode(profile, "utility", "apply_transform")
+    alpha = transform.scale_alpha
     individuals = []
     for ind in profile.individuals:
         beta = transform.offsets_beta.get(ind.protein_id, 0.0)
-        individuals.append(
-            UtilityVector(
-                protein_id=ind.protein_id,
-                universe=ind.universe,
-                values=tuple(transform.scale_alpha * v + beta for v in ind.values),
-            )
-        )
+        values = tuple(alpha * v + beta for v in ind.values)
+        for cls, v, moved in zip(ind.universe, ind.values, values):
+            if not math.isfinite(moved):
+                raise TransformOverflow(
+                    f"scale_alpha {alpha!r} and offset {beta!r} of protein "
+                    f"{ind.protein_id!r} send utility {v!r} of {cls.render()} to {moved!r}"
+                )
+        individuals.append(UtilityVector(ind.protein_id, ind.universe, values))
     return Profile(profile.universe, tuple(individuals), "utility")
 
 

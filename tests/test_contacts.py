@@ -1,6 +1,7 @@
 """Interaction classes, contact extraction, score tables, CSV round trip."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -415,6 +416,114 @@ class TestReferenceExtract:
             extract_instances(structure, ContactConfig(cross_chain=True))
 
 
+def residue(code, seq, x):
+    return Residue(code, seq, ("CA",), np.array([[x, 0.0, 0.0]]))
+
+
+class TestArrayPath:
+    """Class codes, residue-key ranks and the stable sort of
+    extract_instances against the reference's loop and sort."""
+
+    def test_repeated_keys_keep_row_major_order(self):
+        # chain A repeats seq 1 within itself and is listed twice, so four
+        # pairs share the key ((A, 1), (A, 9)); they must keep the order
+        # the pair search found them in, not their distance or class order
+        structure = ProteinStructure(
+            id="ties",
+            chains=[
+                ("A", [residue("A", 9, 0), residue("G", 1, 1), residue("V", 1, 2)]),
+                ("A", [residue("L", 9, 3)]),
+            ],
+        )
+        got = assert_matches_reference(structure, ContactConfig(min_seq_separation=0))
+        assert [(i.interaction_class.render(), i.distance) for i in got] == [
+            ("G-V", 1.0),
+            ("A-G", 1.0),
+            ("A-V", 2.0),
+            ("G-L", 2.0),
+            ("L-V", 1.0),
+            ("A-L", 3.0),
+        ]
+
+    @pytest.mark.parametrize("mode", ["c_alpha", "centroid", "heavy_min"])
+    def test_random_repeated_keys(self, mode):
+        # every chain renamed A and sequence numbers folded onto 0-3, so
+        # most keys repeat, within a chain and across chains
+        tied = 0
+        for seed in range(10):
+            rng = np.random.default_rng([seed, 23])
+            structure = random_structure(rng, int(rng.integers(1, 4)), max_residues=20)
+            structure.chains = [("A", residues) for _, residues in structure.chains]
+            for _, res in structure.residues():
+                res.seq_index %= 4
+            config = ContactConfig(mode=mode, min_seq_separation=int(rng.integers(0, 2)))
+            got = assert_matches_reference(structure, config, random_scorer(rng))
+            tied += len(got) - len({i.residues for i in got})
+        assert tied > 100
+
+    def test_nonstandard_code_in_contact_raises_like_reference(self):
+        # two pairs hold a nonstandard code; the first in row-major order
+        # (X with A) is named, not the first in residue order (Z with G)
+        spec = [
+            ("A", "X", 30, (0, 0, 0)),
+            ("A", "A", 1, (1, 0, 0)),
+            ("A", "Z", 10, (100, 0, 0)),
+            ("A", "G", 5, (101, 0, 0)),
+        ]
+        structure = ca_structure(spec)
+        with pytest.raises(ValueError) as want:
+            reference_extract(structure, ContactConfig(), Scorer())
+        with pytest.raises(ValueError) as got:
+            extract_instances(structure, ContactConfig())
+        assert str(got.value) == str(want.value)
+        assert str(got.value) == "not standard residue codes: 'X', 'A'"
+
+    def test_nonstandard_code_without_partner_is_ignored(self):
+        spec = [("A", "A", 1, (0, 0, 0)), ("A", "G", 5, (1, 0, 0)), ("A", "X", 9, (50, 0, 0))]
+        got = assert_matches_reference(ca_structure(spec), ContactConfig())
+        assert [i.interaction_class.render() for i in got] == ["A-G"]
+
+    @pytest.mark.parametrize("mode", ["c_alpha", "centroid", "heavy_min"])
+    def test_empty_contact_set(self, mode):
+        config = ContactConfig(mode=mode)
+        far = [("A", "A", 1, (0, 0, 0)), ("A", "G", 9, (50, 0, 0))]
+        assert assert_matches_reference(ca_structure(far), config) == []
+        assert assert_matches_reference(ca_structure(far[:1]), config) == []
+        assert assert_matches_reference(ProteinStructure("none", []), config) == []
+
+
+class TestInstanceContract:
+    def setup_method(self):
+        self.cls = InteractionClass.of("V", "A")
+        self.fields = ("p", self.cls, (("A", 1), ("B", 2)), 4.5, -1.0)
+        self.inst = InteractionInstance(
+            protein_id="p",
+            interaction_class=self.cls,
+            residues=(("A", 1), ("B", 2)),
+            distance=4.5,
+            score=-1.0,
+        )
+
+    def test_repr(self):
+        assert repr(self.inst) == (
+            "InteractionInstance(protein_id='p', "
+            "interaction_class=InteractionClass(first='A', second='V'), "
+            "residues=(('A', 1), ('B', 2)), distance=4.5, score=-1.0)"
+        )
+
+    def test_hash_and_equality_are_the_fields_tuple(self):
+        assert hash(self.inst) == hash(tuple(self.fields))
+        assert self.inst == InteractionInstance(*self.fields)
+        assert self.inst != InteractionInstance(*self.fields[:4], 1.0)
+        # a named tuple: equal to the plain tuple of its fields
+        assert self.inst == self.fields
+
+    @pytest.mark.parametrize("name", ["protein_id", "score", "residues"])
+    def test_fields_are_read_only(self, name):
+        with pytest.raises(AttributeError):
+            setattr(self.inst, name, None)
+
+
 def table_csv(value_fn):
     letters = sorted(ONE_LETTER)
     lines = ["," + ",".join(letters)]
@@ -431,6 +540,31 @@ class TestScorerValidation:
     def test_table_scorer_needs_a_table(self):
         with pytest.raises(ValueError, match="^table scorer needs a table$"):
             Scorer("table")
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_table_must_be_finite(self, bad):
+        # a NaN table used to score NaN into contact CSVs
+        table = np.zeros((20, 20))
+        table[3, 7] = table[7, 3] = bad
+        with pytest.raises(
+            ValueError, match=r"^table has a non-finite entry \(nan, inf or -inf\)$"
+        ):
+            Scorer("table", table)
+
+    def test_table_given_as_nested_lists(self):
+        # score indexes the table as an array; a list of lists used to
+        # raise a bare TypeError there
+        values = np.arange(400.0).reshape(20, 20)
+        as_lists = Scorer("table", values.tolist())
+        cls = InteractionClass.of("G", "A")
+        assert as_lists.score(cls) == Scorer("table", values).score(cls) == 5.0
+
+    @pytest.mark.parametrize("shape", [(3, 3), (20,), (20, 21), (21, 20), (400,)])
+    def test_table_must_be_20_by_20(self, shape):
+        # a 3x3 table used to raise a bare IndexError from score
+        want = re.escape(f"table must be 20x20, got shape {shape}")
+        with pytest.raises(ValueError, match=f"^{want}$"):
+            Scorer("table", np.zeros(shape))
 
 
 class TestScoreTable:

@@ -8,7 +8,7 @@ from itertools import permutations, product
 import pytest
 from hypothesis import given, strategies as st
 
-from foldvote.contacts import InteractionClass, Scorer
+from foldvote.contacts import InteractionClass, Scorer, class_universe
 from foldvote.contacts import InteractionInstance
 from foldvote.errors import (
     MalformedProfile,
@@ -116,6 +116,94 @@ class TestUtilityFromInstances:
         u_r = utility_from_instances(right, self.universe, protein_id="p")
         for a, left, right in zip(u_all.values, u_l.values, u_r.values):
             assert a == left + right
+
+
+def reference_utility(instances, universe, combine="sum", protein_id=None):
+    """utility_from_instances checking each instance against the universe
+    as it goes, as it did before it grouped first."""
+    owners = {i.protein_id for i in instances}
+    if protein_id is None:
+        protein_id = owners.pop() if owners else ""
+    allowed = set(universe)
+    by_class = {}
+    for i in instances:
+        if i.interaction_class not in allowed:
+            raise UniverseMismatch(
+                f"instance class {i.interaction_class.render()} outside universe"
+            )
+        by_class.setdefault(i.interaction_class, []).append(i.score)
+    values = []
+    for cls in universe:
+        scores = by_class.get(cls)
+        if not scores:
+            values.append(0.0)
+        elif combine == "sum":
+            values.append(float(sum(scores)))
+        elif combine == "mean":
+            values.append(float(sum(scores) / len(scores)))
+        else:
+            values.append(float(len(scores)))
+    return UtilityVector(protein_id, universe, values)
+
+
+def reference_tiers(u, tie_epsilon=0.0):
+    """ordinal_from_utility's tiers, sorted by the classes' own order."""
+    ordered = sorted(zip(u.universe, u.values), key=lambda cv: (-cv[1], cv[0]))
+    tiers, prev = [], None
+    for cls, val in ordered:
+        if prev is not None and prev - val <= tie_epsilon:
+            tiers[-1].append(cls)
+        else:
+            tiers.append([cls])
+        prev = val
+    return tuple(tuple(t) for t in tiers)
+
+
+class TestAgainstReferences:
+    def test_utility_matches_reference(self):
+        rng = random.Random(3)
+        classes = list(class_universe())
+        for _ in range(200):
+            universe = tuple(rng.sample(classes, rng.randint(1, 40)))
+            pool = list(universe) if rng.random() < 0.8 else classes
+            picks = [rng.choice(pool) for _ in range(rng.randint(0, 60))]
+            instances = [
+                inst("p", c.first, c.second, rng.choice([-1.5, 0.5, 2.0])) for c in picks
+            ]
+            combine = rng.choice(["sum", "mean", "count"])
+            try:
+                want = reference_utility(instances, universe, combine)
+            except UniverseMismatch as exc:
+                with pytest.raises(UniverseMismatch, match=f"^{exc}$"):
+                    utility_from_instances(instances, universe, combine)
+            else:
+                assert utility_from_instances(instances, universe, combine) == want
+
+    def test_first_stray_class_seen_is_named(self):
+        universe = synthetic_universe(3)
+        instances = [
+            inst("p", "A", "C", 1.0),
+            inst("p", "W", "Y", 1.0),
+            inst("p", "A", "A", 1.0),
+            inst("p", "G", "L", 1.0),
+        ]
+        # W-Y and G-L lie outside A-A, A-C, A-D; each order names its first
+        for order, stray in ((instances, "W-Y"), (instances[::-1], "G-L")):
+            want = f"^instance class {stray} outside universe$"
+            with pytest.raises(UniverseMismatch, match=want):
+                reference_utility(order, universe)
+            with pytest.raises(UniverseMismatch, match=want):
+                utility_from_instances(order, universe)
+
+    @pytest.mark.parametrize("epsilon", [0.0, 0.5, 1.0])
+    def test_tiers_match_reference_under_heavy_ties(self, epsilon):
+        rng = random.Random(11)
+        classes = list(class_universe())
+        for _ in range(150):
+            universe = tuple(rng.sample(classes, rng.randint(1, 60)))
+            values = [rng.choice([-1.0, 0.0, 0.0, 0.5, 1.0, 2.0]) for _ in universe]
+            u = UtilityVector("p", universe, values)
+            assert ordinal_from_utility(u, epsilon).tiers == reference_tiers(u, epsilon)
 
 
 def vec(universe, mapping, owner="p"):

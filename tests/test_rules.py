@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import foldvote.rules
-from foldvote.errors import BadIndex, TooLarge, WrongMode
+from foldvote.errors import BadIndex, TooLarge, TransformOverflow, WrongMode
 from foldvote.preferences import RankingWithTies, UtilityVector
 from foldvote.profiles import (
     Profile,
@@ -285,6 +285,28 @@ class TestUtilitarian:
     def test_transform_offsets_must_be_finite(self, beta):
         with pytest.raises(ValueError, match=f"^offset of 'v1' must be finite, got {beta}$"):
             UtilityTransform(2.0, {"v0": 1.0, "v1": beta})
+
+
+    def test_transform_overflow_names_protein_class_and_transform(self):
+        # the transform, not the utility, is at fault: 1e308 * 10 overflows
+        p = utility_profile([[1.0, 0.0], [0.0, 10.0]])
+        with pytest.raises(
+            TransformOverflow,
+            match=(
+                r"^scale_alpha 1e\+308 and offset 0.0 of protein 'v1' "
+                r"send utility 10.0 of A-C to inf$"
+            ),
+        ):
+            apply_transform(p, UtilityTransform(1e308, {}))
+        p = utility_profile([[-1e308, 0.0], [0.0, 1.0]])
+        with pytest.raises(
+            TransformOverflow,
+            match=(
+                r"^scale_alpha 1.0 and offset -1.7e\+308 of protein 'v0' "
+                r"send utility -1e\+308 of A-A to -inf$"
+            ),
+        ):
+            apply_transform(p, UtilityTransform(1.0, {"v0": -1.7e308}))
 
 
 class TestOutcomeDistance:
