@@ -33,12 +33,12 @@ import math
 import random
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
 from itertools import combinations, combinations_with_replacement, islice
 from itertools import permutations, product
+from typing import NamedTuple
 
 from .aminoacids import CLASSES, InteractionClass, Universe
-from .errors import BadSpec, BudgetExceeded, InapplicableAxiom
+from .errors import BadSpec, BudgetExceeded, InapplicableAxiom, MalformedProfile
 from .preferences import RankingWithTies, UtilityVector
 from .profiles import Profile, _fisher_yates, _kendall_slots, synthetic_universe
 # Rule and standard_rules are imported from here as well as from rules
@@ -161,22 +161,12 @@ class AuditResult:
 # views: what a check reads of one profile
 
 
-class _View:
+class _View(NamedTuple):
     """Each individual's prefs (slot positions of a strict order, or
-    utility values per slot) and the rule's outcome. An exhaustive view
-    runs the rule when the outcome is first read, as some checks decide
-    from the prefs alone."""
+    utility values per slot) and the rule's outcome, read at once."""
 
-    __slots__ = ("prefs", "_outcome", "_pending")
-
-    def __init__(self, prefs: tuple, outcome=None, pending=None):
-        self.prefs, self._outcome, self._pending = prefs, outcome, pending
-
-    @property
-    def outcome(self):
-        if self._pending is not None:
-            self._outcome, self._pending = self._pending(), None
-        return self._outcome
+    prefs: tuple
+    outcome: object
 
 
 def _prefs(individuals) -> tuple:
@@ -258,16 +248,16 @@ class _Space(_Profiles):
     """Every profile, named by its digits: each individual's index into
     the space's items (all strict orders, or all vectors over the utility
     grid). Individual 1 is the most significant digit, so digit tuples
-    compare in enumeration order. Views are cached per profile, up to a
-    cap, and each stance on a pair is tabled once per item. Searches
-    that pair profiles sharing stances read `first_by_value`: per key,
-    the first profile taking each outcome value on the pair.
+    compare in enumeration order. Each stance on a pair is tabled once
+    per item. Searches read each profile's outcome once (the symmetries
+    also read each moved copy); those that pair profiles sharing stances
+    read `first_by_value`, one walk that tables, per pair and key, the
+    first profile taking each outcome value.
 
     An ordinal rule marked `pairwise` is run once per pairwise count
     matrix: a profile's matrix is the sum of its items' pairwise 0/1
-    matrices, and the outcome is kept by that sum."""
-
-    CACHE_CAP = 100_000
+    matrices, and the outcome is kept by that sum. Any other rule runs
+    each time an outcome is read."""
 
     def __init__(self, m: int, n: int, rule: Rule, catches: bool):
         super().__init__(m, n, rule, catches)
@@ -294,7 +284,6 @@ class _Space(_Profiles):
             ]
             self._by_counts = {}
         self.count = len(self.items) ** n
-        self._views: dict[tuple, _View] = {}
         self._tables: dict[tuple, tuple] = {}
 
     def combos(self):
@@ -305,7 +294,7 @@ class _Space(_Profiles):
         individuals = tuple(map(list.__getitem__, self.individuals, combo))
         return Profile(self.universe, individuals, self.rule.mode)
 
-    def _evaluate(self, combo: tuple[int, ...]):
+    def outcome(self, combo: tuple[int, ...]):
         if self._by_counts is None:
             return _outcome(self.rule, self.profile(combo), self.catches)
         summed = sum(map(self.matrices.__getitem__, combo))
@@ -316,13 +305,7 @@ class _Space(_Profiles):
         return outcome
 
     def view(self, combo: tuple[int, ...]) -> _View:
-        view = self._views.get(combo)
-        if view is None:
-            prefs = tuple(map(self.prefs.__getitem__, combo))
-            view = _View(prefs, pending=partial(self._evaluate, combo))
-            if len(self._views) < self.CACHE_CAP:
-                self._views[combo] = view
-        return view
+        return _View(tuple(map(self.prefs.__getitem__, combo)), self.outcome(combo))
 
     def key(self, combo: tuple[int, ...], stance, pair) -> tuple:
         """Each individual's stance on the pair."""
@@ -333,15 +316,19 @@ class _Space(_Profiles):
             self._tables[stance, pair] = table
         return tuple(map(table.__getitem__, combo))
 
-    def first_by_value(self, stance, pair) -> dict[tuple, dict[float, tuple]]:
-        """Each key's first profile, in enumeration order, taking each
-        outcome value on the pair: at most three per key, in one pass."""
-        firsts: dict[tuple, dict[float, tuple]] = {}
+    def first_by_value(self, stance, pairs) -> tuple[list[dict], list[tuple]]:
+        """In one walk: per pair, each key's first profile, in enumeration
+        order, taking each outcome value on the pair (at most three per
+        key); and each profile's values on the pairs, in that order."""
+        firsts: list[dict[tuple, dict[float, tuple]]] = [{} for _ in pairs]
+        rows = []
         for combo in self.combos():
-            value = self.view(combo).outcome.pair_value(*pair)
-            key = self.key(combo, stance, pair)
-            firsts.setdefault(key, {}).setdefault(value, combo)
-        return firsts
+            outcome = self.outcome(combo)
+            rows.append(tuple(outcome.pair_value(*pair) for pair in pairs))
+            for pair, first, value in zip(pairs, firsts, rows[-1]):
+                key = self.key(combo, stance, pair)
+                first.setdefault(key, {}).setdefault(value, combo)
+        return firsts, rows
 
 
 class _Trials(_Profiles):
@@ -573,10 +560,11 @@ class _Symmetry(_Axiom):
     def search(self, space):
         perms = list(permutations(range(self.size(space.m, space.n))))
         for combo in self.firsts(space):
-            base = space.view(combo)  # the identity reads its outcome
+            base = space.view(combo)
             for perm in perms:
                 other = self.moved(space, combo, perm)
-                detail = self.check(space.universe, (base, space.view(other)), perm)
+                view = base if other == combo else space.view(other)
+                detail = self.check(space.universe, (base, view), perm)
                 if detail is not None:
                     return (combo, other), detail
         return None
@@ -692,7 +680,7 @@ class _NonDictatorship(_Axiom):
         k0 = overruled.index(False)
         reverse = space.items.index(tuple(reversed(space.items[0])))
         demo = tuple(0 if i == k0 else reverse for i in range(space.n))
-        tiers = space.view(demo).outcome.to_json_dict()["tiers"]
+        tiers = space.outcome(demo).to_json_dict()["tiers"]
         return (demo,), {"dictator_index": k0 + 1, "demo_outcome_tiers": tiers}
 
     def sample(self, rule, space):
@@ -758,20 +746,21 @@ class _IIA(_Axiom):
         # that disagrees, so the witness is the smallest first entry of
         # such a key; on each pair, its partner is the smallest entry of
         # its key with another value.
-        tables = [space.first_by_value(self.stance, pair) for pair in space.pairs]
+        tables, _ = space.first_by_value(self.stance, space.pairs)
         mixed = [min(f.values()) for t in tables for f in t.values() if len(f) > 1]
         if not mixed:
             return None
         first = min(mixed)
+        base = space.view(first)
         candidates = []
         for pair, table in zip(space.pairs, tables):
-            value = space.view(first).outcome.pair_value(*pair)
+            value = base.outcome.pair_value(*pair)
             firsts = table[space.key(first, self.stance, pair)]
             others = [combo for v, combo in firsts.items() if v != value]
             if others:
                 candidates.append((min(others), pair))
         other, pair = min(candidates)
-        views = (space.view(first), space.view(other))
+        views = (base, space.view(other))
         return (first, other), self.check(space.universe, views, pair)
 
     def draw(self, trials):
@@ -827,8 +816,7 @@ class _PositiveResponsiveness(_Axiom):
     required = 1.0  # the least outcome value for a after the uplift
 
     def premise(self, universe, views, uplifted, pair):
-        lifted = uplifted - 1
-        return 0 <= lifted < len(views[0].prefs) and _kept(views, _relation, pair, lifted)
+        return _kept(views, _relation, pair, uplifted - 1)
 
     def check(self, universe, views, uplifted, pair):
         before = views[0].outcome.pair_value(*pair)
@@ -850,25 +838,24 @@ class _PositiveResponsiveness(_Axiom):
         # uplifted individual's, which flips to prefer a; once the base is
         # armed, the check flags the smallest one valued below `required`.
         ordered_pairs = sorted(space.pairs + [(j, i) for i, j in space.pairs])
-        tables = {p: space.first_by_value(_prefers, p) for p in ordered_pairs}
-        for combo in space.combos():
-            base = space.view(combo)
+        tables, rows = space.first_by_value(_prefers, ordered_pairs)
+        for combo, row in zip(space.combos(), rows):
             candidates = []
             for p_rank, pair in enumerate(ordered_pairs):
-                if not _armed(base.outcome.pair_value(*pair)):
+                if not _armed(row[p_rank]):
                     continue
                 key = space.key(combo, _prefers, pair)
                 for uplifted in range(space.n):
                     if key[uplifted]:
                         continue  # already prefers a; no strict uplift
                     lifted = key[:uplifted] + (True,) + key[uplifted + 1 :]
-                    firsts = tables[pair].get(lifted, {})
+                    firsts = tables[p_rank].get(lifted, {})
                     below = [c for v, c in firsts.items() if v < self.required]
                     if below:
                         candidates.append((min(below), p_rank, uplifted, pair))
             if candidates:
                 other, _, uplifted, pair = min(candidates)
-                views = (base, space.view(other))
+                views = (space.view(combo), space.view(other))
                 detail = self.check(space.universe, views, uplifted + 1, pair)
                 return (combo, other), detail
         return None
@@ -916,25 +903,29 @@ class _ProximityPreservation(_Axiom):
         return count
 
     def search(self, space):
-        # Tables first: per-individual order distances and outcome pair
-        # values. Per base, a profile's floor is the least outcome distance
-        # over input distances at least its own: the near profile is the
-        # first above its floor, the far one the first at least as far in
-        # input with a smaller outcome distance.
+        # Tables first: per-individual order distances, and the distance
+        # between every two distinct outcome rows (values on the pairs),
+        # named by id. All values are halves, so every sum is exact. Per
+        # base, a profile's floor is the least outcome distance over input
+        # distances at least its own: the near profile is the first above
+        # its floor, the far one the first at least as far in input with a
+        # smaller outcome distance.
         order_dist = [[_kendall_slots(a, b) for b in space.prefs] for a in space.prefs]
         combos = list(space.combos())
-        values = [
-            [space.view(combo).outcome.pair_value(*pair) for pair in space.pairs]
-            for combo in combos
+        row_ids: dict[tuple, int] = {}
+        ids = []
+        for combo in combos:
+            outcome = space.outcome(combo)
+            row = tuple(outcome.pair_value(*pair) for pair in space.pairs)
+            ids.append(row_ids.setdefault(row, len(row_ids)))
+        row_dist = [
+            [sum(abs(u - v) for u, v in zip(a, b)) for b in row_ids] for a in row_ids
         ]
-        for base in range(space.count):
-            D = [
-                sum(order_dist[a][b] for a, b in zip(combos[base], combo))
-                for combo in combos
-            ]
-            d = [sum(abs(u - v) for u, v in zip(values[base], row)) for row in values]
+        for base, combo in enumerate(combos):
+            D = list(map(sum, product(*(order_dist[b] for b in combo))))
+            d = list(map(row_dist[ids[base]].__getitem__, ids))
             floor, least = {}, math.inf
-            for D_value, d_value in sorted(zip(D, d), reverse=True):
+            for D_value, d_value in sorted(set(zip(D, d)), reverse=True):
                 least = floor[D_value] = min(least, d_value)
             near = next((i for i, D_i in enumerate(D) if d[i] > floor[D_i]), None)
             if near is None:
@@ -943,7 +934,7 @@ class _ProximityPreservation(_Axiom):
                 j for j, D_j in enumerate(D) if D_j >= D[near] and d[j] < d[near]
             )
             detail = _proximity_violation(D[near], D[far], d[near], d[far])
-            return (combos[base], combos[near], combos[far]), detail
+            return (combo, combos[near], combos[far]), detail
         return None
 
     def draw(self, trials):
@@ -1103,7 +1094,10 @@ def continuity_check(dimension: int, epsilon: float, seed: int) -> AuditResult:
 def verify_result(rule: Rule, result: AuditResult) -> bool:
     """Re-run the rule on a fail witness's embedded profiles and re-check
     the claimed violation, after checking that the profiles meet the
-    axiom's premise; pass verdicts verify vacuously.
+    axiom's premise; pass verdicts verify vacuously. A malformed witness
+    (a missing field, a profile that does not parse or is not in the
+    rule's mode, a parameter of the wrong shape) verifies as False; the
+    rule's own exceptions propagate.
 
     A non-dictatorship witness re-checks only its demo profile, so it
     proves no dictator: kemeny, which passes non-dictatorship over
@@ -1112,22 +1106,43 @@ def verify_result(rule: Rule, result: AuditResult) -> bool:
         return True
     axiom = _AXIOMS.get(result.axiom)
     w = result.witness
-    if w is None or axiom is None:
+    if axiom is None or not isinstance(w, dict) or not set(axiom.keys) <= set(w):
         return False
-    profiles = [Profile.from_json_dict(w[key]) for key in axiom.profile_keys]
+    try:
+        profiles = [Profile.from_json_dict(w[key]) for key in axiom.profile_keys]
+    except MalformedProfile:
+        return False
     universe, n = profiles[0].universe, profiles[0].n
-    if any(p.universe != universe or p.n != n for p in profiles):
+    for p in profiles:
+        if p.universe != universe or p.n != n or p.mode != rule.mode:
+            return False
+    params = [_param(key, w[key], universe, n) for key in axiom.params]
+    if None in params:
         return False
     views = [
         _View(_prefs(p.individuals), _outcome(rule, p, axiom.catches)) for p in profiles
-    ]
-    params = [
-        tuple(universe.index(InteractionClass.parse(c)) for c in w[key])
-        if key == "pair"  # a class pair is named by its labels
-        else w[key]
-        for key in axiom.params
     ]
     if not axiom.premise(universe, views, *params):
         return False
     detail = axiom.check(universe, views, *params)
     return detail is not None and all(w.get(k) == v for k, v in detail.items())
+
+
+def _param(key: str, value, universe: Universe, n: int):
+    """A witness parameter as the check reads it, or None if malformed:
+    a pair of two distinct labels of the universe (as class indices), an
+    individual in 1..n, or a permutation given as a list of ints."""
+    if key == "pair":
+        if not (isinstance(value, list) and len(value) == 2):
+            return None
+        if not all(isinstance(label, str) for label in value):
+            return None
+        try:
+            pair = tuple(universe.index(InteractionClass.parse(c)) for c in value)
+        except ValueError:  # not a label, or not one of the universe's
+            return None
+        return pair if pair[0] != pair[1] else None
+    if key.endswith("permutation"):
+        ints = isinstance(value, list) and all(type(x) is int for x in value)
+        return value if ints else None
+    return value if type(value) is int and 1 <= value <= n else None

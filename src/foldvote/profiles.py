@@ -81,11 +81,12 @@ class Profile:
 
     @staticmethod
     def from_json_dict(obj: dict) -> Profile:
-        """The profile a JSON object describes. A missing key, a field of
-        the wrong shape, a bad label, tiers that do not partition the
-        universe or fewer than 2 individuals raise MalformedProfile."""
+        """The profile a JSON object describes. A value that is not an
+        object, a missing key, a field of the wrong shape, a bad label,
+        tiers that do not partition the universe or fewer than 2
+        individuals raise MalformedProfile."""
         with json_faults():
-            universe = universe_from_json(obj)
+            universe = universe_from_json(shaped(obj, dict, "a profile"))
             mode = obj.get("mode", "ordinal")
             if mode not in ("ordinal", "utility"):
                 raise MalformedProfile(

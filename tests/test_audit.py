@@ -14,7 +14,9 @@ from foldvote.audit import (
     BUDGET_LIMIT,
     FAIL,
     MAY_PREMISES,
+    ORDINAL_AXIOMS,
     PASS,
+    UTILITY_AXIOMS,
     AuditResult,
     AxiomId,
     Rule,
@@ -490,6 +492,97 @@ class TestVerification:
         }
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("index", [-2, True, 0, 4, 1.0, "1", None])
+    def test_dictator_index_must_name_an_individual(self, index):
+        # -2 used to read individual 1 through a negative index, and True
+        # to count as 1; 4 and 1.0 ended in a traceback
+        rule = RULES["dictator"]
+        res = audit(rule, AxiomId.NON_DICTATORSHIP, exhaustive(3, 3))
+        assert verify_result(rule, res)
+        assert not verify_result(rule, retouch(res, dictator_index=index))
+
+    @pytest.mark.parametrize(
+        "pair",
+        [
+            ["A-A"],
+            ["A-A", "A-C", "A-D"],
+            ["A-A", "Y-Y"],  # a class outside the universe
+            ["A-A", "ZZ"],  # not a label
+            ["A-A", "A-A"],
+            ["A-A", 5],
+            "A-A",
+            None,
+        ],
+    )
+    def test_iia_pair_must_be_two_classes_of_the_universe(self, pair):
+        # one or three labels used to end in a TypeError, and Y-Y or ZZ
+        # in a ValueError
+        rule = RULES["borda"]
+        res = audit(rule, AxiomId.IIA, exhaustive(3, 2))
+        assert verify_result(rule, res)
+        assert not verify_result(rule, retouch(res, pair=pair))
+
+    @pytest.mark.parametrize("uplifted", ["1", "2", 2.0, True, None])
+    def test_uplifted_individual_must_be_an_int(self, uplifted):
+        # the witness uplifts individual 2; 2.0 used to verify, and "1"
+        # to end in a TypeError
+        rule = RULES["borda"]
+        res = audit(rule, AxiomId.POSITIVE_RESPONSIVENESS, exhaustive(3, 3))
+        assert res.witness["uplifted_individual"] == 2
+        assert verify_result(rule, res)
+        assert not verify_result(rule, retouch(res, uplifted_individual=uplifted))
+
+    @pytest.mark.parametrize(
+        "axiom_id,rule,key",
+        [
+            (AxiomId.ANONYMITY, "dictator", "individual_permutation"),
+            (AxiomId.NEUTRALITY, "kemeny", "class_permutation"),
+        ],
+    )
+    @pytest.mark.parametrize("edit", ["string", "none", "bool"])
+    def test_permutation_must_be_a_list_of_ints(self, axiom_id, rule, key, edit):
+        res = audit(RULES[rule], axiom_id, exhaustive(3, 2))
+        perm = res.witness[key]
+        assert verify_result(RULES[rule], res)
+        bad = {
+            "string": ["0", *perm[1:]],
+            "none": None,
+            "bool": [bool(x) if x < 2 else x for x in perm],
+        }[edit]
+        assert not verify_result(RULES[rule], retouch(res, **{key: bad}))
+
+    @pytest.mark.parametrize("edit", ["none", "bad label", "not a list"])
+    def test_witness_profile_must_be_a_profile(self, edit):
+        rule = RULES["borda"]
+        res = audit(rule, AxiomId.IIA, exhaustive(3, 2))
+        b = res.witness["profile_b"]
+        bad = {
+            "none": None,
+            "bad label": {**b, "universe": ["A-A", "ZZ", "A-D"]},
+            "not a list": [b],
+        }[edit]
+        assert not verify_result(rule, retouch(res, profile_b=bad))
+
+    def test_witness_profiles_are_in_the_rule_mode(self):
+        # a utility profile makes borda raise WrongMode, which unrestricted
+        # domain reads as the rule's error: this forgery used to verify
+        rule = RULES["borda"]
+        labels = [c.render() for c in U3]
+        individual = {"owner": "v1", "values": dict.fromkeys(labels, 1.0)}
+        profile = {"universe": labels, "mode": "utility", "individuals": [individual] * 2}
+        error = "WrongMode: borda needs a ordinal profile, got utility"
+        witness = {"profile": profile, "error": error}
+        forged = AuditResult("borda", AxiomId.UNRESTRICTED_DOMAIN, FAIL, witness, "f")
+        assert not verify_result(rule, forged)
+
+    def test_witness_missing_a_field_is_rejected(self):
+        rule = RULES["borda"]
+        res = audit(rule, AxiomId.IIA, exhaustive(3, 2))
+        witness = dict(res.witness)
+        del witness["pair"]
+        missing = AuditResult(res.rule_name, res.axiom, FAIL, witness, "edited")
+        assert not verify_result(rule, missing)
+
     def test_pass_results_verify_trivially(self):
         res = audit(RULES["borda"], AxiomId.UNANIMITY, exhaustive(3, 2))
         assert res.verdict == PASS
@@ -557,6 +650,41 @@ class TestCountMemo:
         res = audit(rule, AxiomId.UNRESTRICTED_DOMAIN, exhaustive(3, 3))
         assert res.witness["error"] == "ValueError: unanimous on the first pair"
         assert verify_result(rule, res)
+
+
+    @staticmethod
+    def counting(name, record=lambda profile: 1, **kwargs):
+        """A rule that runs RULES[name] and records each call."""
+        calls = []
+
+        def fn(profile):
+            calls.append(record(profile))
+            return RULES[name](profile)
+
+        return Rule(name, fn, RULES[name].mode, **kwargs), calls
+
+    @pytest.mark.parametrize(
+        "axiom_id",
+        sorted(ORDINAL_AXIOMS - {AxiomId.ANONYMITY, AxiomId.NEUTRALITY})
+        + sorted(UTILITY_AXIOMS),
+    )
+    def test_a_search_reads_each_outcome_once(self, axiom_id):
+        # a rule not marked pairwise runs on every profile of the walk,
+        # and again on at most three witness profiles
+        utility = axiom_id in UTILITY_AXIOMS
+        name, (m, n) = ("utilitarian", (2, 2)) if utility else ("dictator", (3, 3))
+        rule, calls = self.counting(name)
+        axiom = _AXIOMS[axiom_id]
+        space = _Space(m, n, rule, axiom.catches)
+        axiom.search(space)
+        assert len(calls) <= space.count + 3
+
+    @pytest.mark.parametrize("axiom_id", sorted(ORDINAL_AXIOMS))
+    def test_a_pairwise_search_runs_once_per_matrix(self, axiom_id):
+        rule, calls = self.counting("may", majority_tournament, pairwise=True)
+        axiom = _AXIOMS[axiom_id]
+        axiom.search(_Space(3, 3, rule, axiom.catches))
+        assert len(calls) == len(set(calls)) <= self.DISTINCT[3, 3]
 
 
 class TestOrbitFirsts:

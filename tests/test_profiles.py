@@ -157,6 +157,12 @@ class TestProfileModel:
         with pytest.raises(MalformedProfile):
             Profile.from_json_dict(obj)
 
+    @pytest.mark.parametrize("obj", [None, [], 5])
+    def test_json_profile_must_be_an_object(self, obj):
+        # these raised a bare TypeError
+        with pytest.raises(MalformedProfile, match="a profile must be an object"):
+            Profile.from_json_dict(obj)
+
     @pytest.mark.parametrize("mode", ["ordinal", "utility"])
     def test_json_universe_repeating_a_class_rejected(self, mode):
         # "C-A" and "A-C" are two labels of one class
