@@ -3,7 +3,7 @@ classes and universes that the structure and collective sides share, numpy-free.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import UniverseMismatch
 
@@ -21,22 +21,11 @@ THREE_TO_ONE = {
 LETTER_INDEX = {letter: i for i, letter in enumerate(ONE_LETTER)}
 
 
-@dataclass(frozen=True, order=True)
-class InteractionClass:
+class InteractionClass(NamedTuple):
     """Unordered residue-type pair, stored canonically (first <= second)."""
 
     first: str
     second: str
-
-    # hash((first, second)), the value the generated hash would give,
-    # computed once: every ranking and utility vector hashes its universe
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.first, self.second)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @staticmethod
     def of(a: str, b: str) -> InteractionClass:

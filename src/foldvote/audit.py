@@ -40,7 +40,7 @@ from typing import NamedTuple
 from .aminoacids import CLASSES, InteractionClass, Universe
 from .errors import BadSpec, BudgetExceeded, InapplicableAxiom, MalformedProfile
 from .preferences import RankingWithTies, UtilityVector
-from .profiles import Profile, _fisher_yates, _kendall_slots, synthetic_universe
+from .profiles import Profile, _kendall_slots, synthetic_universe
 # Rule and standard_rules are imported from here as well as from rules
 from .rules import Rule, outcome_distance, standard_rules
 
@@ -333,23 +333,24 @@ class _Space(_Profiles):
 
 class _Trials(_Profiles):
     """The seeded draws of one sampled audit. Orders are drawn as class
-    indices (a Fisher-Yates shuffle consumes the generator the same way
-    whatever it shuffles), and each profile drawn is evaluated at once:
-    a trial runs the rule on everything it draws."""
+    indices (a shuffle consumes the generator the same way whatever it
+    shuffles), and each profile drawn is evaluated at once: a trial runs
+    the rule on everything it draws."""
 
     def __init__(self, rule: Rule, space: SearchSpace, catches: bool):
         super().__init__(space.m, space.n, rule, catches)
         self.rng = random.Random(space.seed)
 
     def order(self) -> tuple[int, ...]:
-        return tuple(_fisher_yates(self.rng, list(range(self.m))))
+        order = list(range(self.m))
+        self.rng.shuffle(order)
+        return tuple(order)
 
     def pair(self) -> tuple[int, int]:
-        return self.pairs[self.rng.randrange(len(self.pairs))]
+        return self.rng.choice(self.pairs)
 
     def grid_vector(self) -> list[float]:
-        grid = UTILITY_GRID
-        return [grid[self.rng.randrange(len(grid))] for _ in range(self.m)]
+        return [self.rng.choice(UTILITY_GRID) for _ in range(self.m)]
 
     def profile(self, items) -> tuple[Profile, _View]:
         individuals = tuple(self.individual(k, item) for k, item in enumerate(items))
@@ -523,7 +524,7 @@ class _StrictUnanimity(_Unanimity):
         vectors = []
         for _ in range(trials.n):
             vec = trials.grid_vector()
-            delta = grid[trials.rng.randrange(len(grid))]
+            delta = trials.rng.choice(grid)
             vec[i] = min(vec[j] + delta, max(grid))
             vectors.append(vec)
         return [trials.profile(vectors)], [(i, j)]
@@ -571,7 +572,8 @@ class _Symmetry(_Axiom):
 
     def draw(self, trials):
         orders, base = trials.base()
-        perm = _fisher_yates(trials.rng, list(range(self.size(trials.m, trials.n))))
+        perm = list(range(self.size(trials.m, trials.n)))
+        trials.rng.shuffle(perm)
         return [base, trials.profile(self.move(orders, perm))], (perm,)
 
 
@@ -685,12 +687,11 @@ class _NonDictatorship(_Axiom):
 
     def sample(self, rule, space):
         trials = _Trials(rule, space, self.catches)
-        pairs = list(combinations(range(space.m), 2))
         overruled = [False] * space.n
         demo = [None] * space.n  # first profile where someone differs from k
         for _ in range(space.trials):
             profile, view = trials.base()[1]
-            _overrule(view, overruled, pairs)
+            _overrule(view, overruled, trials.pairs)
             if all(overruled):
                 return None  # no later trial can change the verdict
             for k, mine in enumerate(view.prefs):
@@ -870,7 +871,7 @@ class _PositiveResponsiveness(_Axiom):
         losers = [pos for pos, o in enumerate(orders) if o.index(b) < o.index(a)]
         if not losers:
             return None
-        uplifted = losers[trials.rng.randrange(len(losers))]
+        uplifted = trials.rng.choice(losers)
         partner = _partner(trials, orders, a, b, lifted=uplifted)
         return [base, partner], (uplifted + 1, (a, b))
 
@@ -1099,8 +1100,9 @@ def verify_result(rule: Rule, result: AuditResult) -> bool:
     rule's mode, a parameter of the wrong shape) verifies as False; the
     rule's own exceptions propagate.
 
-    A non-dictatorship witness re-checks only its demo profile, so it
-    proves no dictator: kemeny, which passes non-dictatorship over
+    A non-dictatorship witness re-checks only its demo profile, and the
+    demo outcome tiers when it gives them (sampled witnesses give None),
+    so it proves no dictator: kemeny, which passes non-dictatorship over
     exhaustive (3, 2), re-verifies dictator's (3, 2) witness."""
     if not result.failed:
         return True
@@ -1125,7 +1127,10 @@ def verify_result(rule: Rule, result: AuditResult) -> bool:
     if not axiom.premise(universe, views, *params):
         return False
     detail = axiom.check(universe, views, *params)
-    return detail is not None and all(w.get(k) == v for k, v in detail.items())
+    if detail is None or any(w.get(k) != v for k, v in detail.items()):
+        return False
+    tiers = w.get("demo_outcome_tiers") if "demo_outcome_tiers" in axiom.keys else None
+    return tiers is None or tiers == views[0].outcome.to_json_dict()["tiers"]
 
 
 def _param(key: str, value, universe: Universe, n: int):

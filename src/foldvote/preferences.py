@@ -272,11 +272,7 @@ def ordinal_from_utility(
     """
     if not 0 <= tie_epsilon < math.inf:  # NaN fails too
         raise ValueError("tie_epsilon must be finite and >= 0")
-    # (first, second) is the order InteractionClass compares by, without
-    # a Python-level comparison call per step
-    ordered = sorted(
-        zip(u.universe, u.values), key=lambda cv: (-cv[1], cv[0].first, cv[0].second)
-    )
+    ordered = sorted(zip(u.universe, u.values), key=lambda cv: (-cv[1], cv[0]))
     tiers: list[list[InteractionClass]] = []
     prev = None
     for cls, val in ordered:

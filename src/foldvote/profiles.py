@@ -24,16 +24,15 @@ from .preferences import (
 
 SYNTH_KINDS = ("impartial_culture", "single_peaked", "condorcet_cycle")
 
-# Seeded randomness uses the stdlib Mersenne Twister (random.Random) with
-# the in-repo Fisher-Yates shuffle below, so generated profiles are
-# reproducible across platforms and sessions for a fixed seed.
+# Seeded randomness uses the stdlib Mersenne Twister (random.Random) and
+# its own shuffle, so generated profiles are reproducible across
+# platforms and sessions for a fixed seed; tests/test_preferences.py
+# checks that shuffle against a hand-written Fisher-Yates.
 
 
-def _fisher_yates(rng: random.Random, items: list) -> list:
+def _shuffled(rng: random.Random, items: list) -> list:
     out = list(items)
-    for i in range(len(out) - 1, 0, -1):
-        j = rng.randrange(i + 1)
-        out[i], out[j] = out[j], out[i]
+    rng.shuffle(out)
     return out
 
 
@@ -167,8 +166,8 @@ def generate(spec: SynthSpec) -> Profile:
     universe = synthetic_universe(spec.m)
     rng = random.Random(spec.seed)
     owners = [f"v{i + 1}" for i in range(spec.n)]
-    # orders are drawn as class indices: a Fisher-Yates shuffle consumes
-    # the generator the same way whatever it shuffles
+    # orders are drawn as class indices: a shuffle consumes the generator
+    # the same way whatever it shuffles
     slots = list(range(spec.m))
 
     if spec.kind == "condorcet_cycle":
@@ -180,9 +179,9 @@ def generate(spec: SynthSpec) -> Profile:
         templates = [[0, 1, 2] + rest, [1, 2, 0] + rest, [2, 0, 1] + rest]
         orders = [templates[i % 3] for i in range(spec.n)]
     elif spec.kind == "impartial_culture":
-        orders = [_fisher_yates(rng, slots) for _ in range(spec.n)]
+        orders = [_shuffled(rng, slots) for _ in range(spec.n)]
     else:  # single_peaked
-        axis = _fisher_yates(rng, slots)
+        axis = _shuffled(rng, slots)
         orders = [_single_peaked_order(rng, axis) for _ in range(spec.n)]
 
     individuals = tuple(

@@ -14,7 +14,7 @@ import foldvote
 import foldvote.aminoacids as aminoacids
 import foldvote.contacts as contacts
 import foldvote.interchange as interchange
-from foldvote.aminoacids import ONE_LETTER, InteractionClass, class_universe
+from foldvote.aminoacids import CLASSES, ONE_LETTER, InteractionClass, class_universe
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -122,6 +122,20 @@ def test_hash_is_that_of_the_code_pair():
         assert hash(cls) == hash((cls.first, cls.second))
     assert hash(fresh) == hash(class_universe()[1])
     assert len(class_universe()) == 210
+
+
+def test_classes_order_by_their_code_pair():
+    assert sorted(reversed(CLASSES)) == list(CLASSES)
+    for a, b in product(CLASSES, repeat=2):
+        assert (a < b) == ((a.first, a.second) < (b.first, b.second))
+
+
+def test_class_is_a_named_tuple_of_its_codes():
+    cls = InteractionClass.of("V", "A")
+    assert cls == ("A", "V")  # equal to the plain tuple of its codes
+    assert tuple(cls) == ("A", "V")
+    with pytest.raises(AttributeError):
+        cls.first = "C"
 
 
 @pytest.mark.parametrize(

@@ -502,6 +502,24 @@ class TestVerification:
         assert not verify_result(rule, retouch(res, dictator_index=index))
 
     @pytest.mark.parametrize(
+        "tiers", [[["A-D"], ["A-C"], ["A-A"]], "nonsense", {"tiers": "A-A"}]
+    )
+    def test_demo_outcome_tiers_must_be_the_rules(self, tiers):
+        # the demo outcome is (A-A, A-C, A-D); any other tiers used to
+        # verify, since only the dictator index was re-checked
+        rule = RULES["dictator"]
+        res = audit(rule, AxiomId.NON_DICTATORSHIP, exhaustive(3, 3))
+        assert res.witness["demo_outcome_tiers"] == [["A-A"], ["A-C"], ["A-D"]]
+        assert verify_result(rule, res)
+        assert not verify_result(rule, retouch(res, demo_outcome_tiers=tiers))
+
+    def test_sampled_dictator_witness_gives_no_tiers_and_verifies(self):
+        rule = RULES["dictator"]
+        res = audit(rule, AxiomId.NON_DICTATORSHIP, sampled(3, 3, 300, seed=5))
+        assert res.failed and res.witness["demo_outcome_tiers"] is None
+        assert verify_result(rule, res)
+
+    @pytest.mark.parametrize(
         "pair",
         [
             ["A-A"],

@@ -27,7 +27,6 @@ from foldvote.profiles import (
     SYNTH_KINDS,
     Profile,
     SynthSpec,
-    _fisher_yates,
     _single_peaked_order,
     generate,
     synthetic_universe,
@@ -438,6 +437,32 @@ class TestSlots:
         a.slots()
         assert a == b and hash(a) == hash(b)
         assert (repr(a), hash(a), a.to_json_dict()) == before
+
+
+def _fisher_yates(rng: random.Random, items: list) -> list:
+    """A shuffled copy of items by a hand-written Fisher-Yates shuffle,
+    the reference that seeded draws are checked against."""
+    out = list(items)
+    for i in range(len(out) - 1, 0, -1):
+        j = rng.randrange(i + 1)
+        out[i], out[j] = out[j], out[i]
+    return out
+
+
+def test_stdlib_draws_match_the_hand_written_ones():
+    # seeded profiles and sampled audits draw with Random.shuffle and
+    # Random.choice; the frozen digests hold only while those consume the
+    # generator exactly as a hand-written Fisher-Yates and an index draw
+    for seed in range(200):
+        for m in (1, 2, 3, 4, 7, 12, 20, 50, 210):
+            ours, ref = random.Random(seed), random.Random(seed)
+            seq = list(range(m))
+            for _ in range(3):
+                shuffled = list(seq)
+                ours.shuffle(shuffled)
+                assert shuffled == _fisher_yates(ref, seq)
+                assert ours.choice(seq) == seq[ref.randrange(len(seq))]
+            assert ours.random() == ref.random()
 
 
 class TestFromSlotOrder:
