@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import combinations, combinations_with_replacement, islice
 from itertools import permutations, product
@@ -110,6 +110,11 @@ class SearchSpace:
     seed: int | None = None
 
     def __post_init__(self):
+        trials = 1 if self.trials is None else self.trials  # None is checked below
+        for name, value in {"m": self.m, "n": self.n, "trials": trials}.items():
+            # what operator.index takes (numpy integers too), but not a bool
+            if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+                raise BadSpec(f"{name} must be an integer, got {value!r}")
         if self.mode == "sampled":
             if self.trials is None or self.trials < 1:
                 raise BadSpec(f"trials must be >= 1, got {self.trials}")
@@ -189,10 +194,6 @@ def _outcome(rule: Rule, profile: Profile, catches: bool):
         return exc
 
 
-def _prefers(prefs: tuple, i: int, j: int) -> bool:
-    return prefs[i] < prefs[j]
-
-
 def _relation(prefs: tuple, i: int, j: int) -> int:
     """1 if i is above j, -1 if below, 0 on a tie."""
     return (prefs[i] < prefs[j]) - (prefs[j] < prefs[i])
@@ -225,11 +226,8 @@ def _labels(universe: Universe, indices) -> list[str]:
 class _Profiles:
     """Profiles of n individuals over the first m standard classes, as
     one rule sees them: individual k, owned by v{k+1}, holds an item, a
-    strict order of class indices (best first) or a utility vector.
-
-    Rankings are built straight from those slot orders, which are
-    permutations by construction, so the partition check that rankings
-    read from JSON or user code pass is not run again here."""
+    strict order of class indices (best first), built into a ranking by
+    `RankingWithTies.from_slot_order`, or a utility vector."""
 
     def __init__(self, m: int, n: int, rule: Rule, catches: bool):
         self.universe: Universe = synthetic_universe(m)
@@ -339,6 +337,7 @@ class _Trials(_Profiles):
 
     def __init__(self, rule: Rule, space: SearchSpace, catches: bool):
         super().__init__(space.m, space.n, rule, catches)
+        self.count = space.trials
         self.rng = random.Random(space.seed)
 
     def order(self) -> tuple[int, ...]:
@@ -373,7 +372,7 @@ _AXIOMS: dict[AxiomId, _Axiom] = {}
 class _Axiom:
     """One axiom: its witness schema, its check, and the way the
     exhaustive and sampled drivers reach the check. Defining a subclass
-    with an `axiom` registers it."""
+    with an `axiom` registers it; `run` is the one way an audit runs."""
 
     axiom: AxiomId
     fields: str  # witness keys in report order; keys naming a profile hold one
@@ -402,6 +401,58 @@ class _Axiom:
         """Enumerations per profile of an exhaustive space."""
         return 1
 
+    def price(self, space: SearchSpace) -> str:
+        """The request's search budget text; BudgetExceeded past BUDGET_LIMIT
+        enumerations (its trials, or its profiles times `cost`)."""
+        m, n = space.m, space.n
+        if space.mode == "sampled":
+            cost = space.trials
+            budget = f"sampled {cost} trials m={m} n={n} seed={space.seed}"
+        else:
+            utility = self.axiom in UTILITY_AXIOMS
+            count = (len(UTILITY_GRID) ** m if utility else math.factorial(m)) ** n
+            cost = count * self.cost(m, n, count)
+            kind = "grid-utility" if utility else "strict-order"
+            note = f"grid {UTILITY_GRID}, " if utility else ""
+            budget = f"exhaustive {kind} profiles m={m} n={n} ({note}{count} profiles)"
+        if cost > BUDGET_LIMIT:
+            raise BudgetExceeded(
+                f"{self.axiom.value} over m={m} n={n} needs {cost} "
+                f"enumerations (limit {BUDGET_LIMIT})"
+            )
+        return budget
+
+    def run(self, rule: Rule, space: SearchSpace) -> AuditResult:
+        """Price the request, build the driver, search or sample, build
+        the witness, and re-verify a fail before returning it."""
+        budget = self.price(space)
+        if space.mode == "exhaustive":
+            grid = _Space(space.m, space.n, rule, self.catches)
+            found = self.search(grid)
+            if found is not None:
+                found = [grid.profile(combo) for combo in found[0]], found[1]
+        else:
+            found = self.sample(_Trials(rule, space, self.catches))
+        witness = None
+        if found is not None:
+            profiles, detail = found
+            detail.update(zip(self.profile_keys, [p.to_json_dict() for p in profiles]))
+            witness = {key: detail[key] for key in self.keys}
+        result = AuditResult(
+            rule_name=rule.name,
+            axiom=self.axiom,
+            verdict=PASS if witness is None else FAIL,
+            witness=witness,
+            search_budget=budget,
+            seed=space.seed,
+            notes=self.notes,
+        )
+        if result.failed and not verify_result(rule, result):
+            raise AssertionError(
+                f"internal error: {self.axiom.value} witness failed re-verification"
+            )
+        return result
+
     def search(self, space: _Space):
         """The first profile, in enumeration order, that the check flags:
         (profile digits, witness fields) or None."""
@@ -415,12 +466,11 @@ class _Axiom:
         """One trial's ((profile, view) pairs, params), or None."""
         return [trials.base()[1]], ()
 
-    def sample(self, rule: Rule, space: SearchSpace):
+    def sample(self, trials: _Trials):
         """Each trial draws what the axiom quantifies over (a profile, a
         profile pair with the premise imposed, or a triple) and checks it:
         (profiles, witness fields) of the first violation, or None."""
-        trials = _Trials(rule, space, self.catches)
-        for _ in range(space.trials):
+        for _ in range(trials.count):
             drawn = self.draw(trials)
             if drawn is None:
                 continue
@@ -685,11 +735,10 @@ class _NonDictatorship(_Axiom):
         tiers = space.outcome(demo).to_json_dict()["tiers"]
         return (demo,), {"dictator_index": k0 + 1, "demo_outcome_tiers": tiers}
 
-    def sample(self, rule, space):
-        trials = _Trials(rule, space, self.catches)
-        overruled = [False] * space.n
-        demo = [None] * space.n  # first profile where someone differs from k
-        for _ in range(space.trials):
+    def sample(self, trials):
+        overruled = [False] * trials.n
+        demo = [None] * trials.n  # first profile where someone differs from k
+        for _ in range(trials.count):
             profile, view = trials.base()[1]
             _overrule(view, overruled, trials.pairs)
             if all(overruled):
@@ -697,7 +746,7 @@ class _NonDictatorship(_Axiom):
             for k, mine in enumerate(view.prefs):
                 if demo[k] is None and any(p != mine for p in view.prefs):
                     demo[k] = profile
-        for k in range(space.n):
+        for k in range(trials.n):
             if not overruled[k] and demo[k] is not None:
                 return [demo[k]], {"dictator_index": k + 1, "demo_outcome_tiers": None}
         return None
@@ -726,11 +775,10 @@ class _IIA(_Axiom):
     axiom = AxiomId.IIA
     fields = "profile_a profile_b pair value_a value_b"
     params = ("pair",)
-    stance = staticmethod(_prefers)  # groups strict orders by stance
-    kept = staticmethod(_relation)  # what the premise compares, ties too
+    stance = staticmethod(_relation)  # what groups profiles and the premise keeps
 
     def premise(self, universe, views, pair):
-        return _kept(views, self.kept, pair)
+        return _kept(views, self.stance, pair)
 
     def check(self, universe, views, pair):
         value_a = views[0].outcome.pair_value(*pair)
@@ -776,8 +824,6 @@ class _UtilityIIA(_IIA):
     @staticmethod
     def stance(values: tuple, i: int, j: int) -> tuple:
         return values[i], values[j]
-
-    kept = stance
 
     def draw(self, trials):
         i, j = sorted(trials.rng.sample(range(trials.m), 2))
@@ -839,17 +885,17 @@ class _PositiveResponsiveness(_Axiom):
         # uplifted individual's, which flips to prefer a; once the base is
         # armed, the check flags the smallest one valued below `required`.
         ordered_pairs = sorted(space.pairs + [(j, i) for i, j in space.pairs])
-        tables, rows = space.first_by_value(_prefers, ordered_pairs)
+        tables, rows = space.first_by_value(_relation, ordered_pairs)
         for combo, row in zip(space.combos(), rows):
             candidates = []
             for p_rank, pair in enumerate(ordered_pairs):
                 if not _armed(row[p_rank]):
                     continue
-                key = space.key(combo, _prefers, pair)
+                key = space.key(combo, _relation, pair)
                 for uplifted in range(space.n):
-                    if key[uplifted]:
+                    if key[uplifted] == 1:
                         continue  # already prefers a; no strict uplift
-                    lifted = key[:uplifted] + (True,) + key[uplifted + 1 :]
+                    lifted = key[:uplifted] + (1,) + key[uplifted + 1 :]
                     firsts = tables[p_rank].get(lifted, {})
                     below = [c for v, c in firsts.items() if v < self.required]
                     if below:
@@ -958,33 +1004,6 @@ def _proximity_violation(D_near, D_far, d_near, d_far):
 # entry points
 
 
-def _result(rule: Rule, axiom_id: AxiomId, found, budget: str, seed) -> AuditResult:
-    """The verdict on what a driver found, (profiles, witness fields) or
-    None; a fail is re-verified before it is returned."""
-    axiom = _AXIOMS[axiom_id]
-    witness = None
-    if found is not None:
-        given = dict(zip(axiom.profile_keys, found[0]))
-        witness = {
-            key: given[key].to_json_dict() if key in given else found[1][key]
-            for key in axiom.keys
-        }
-    result = AuditResult(
-        rule_name=rule.name,
-        axiom=axiom_id,
-        verdict=PASS if witness is None else FAIL,
-        witness=witness,
-        search_budget=budget,
-        seed=seed,
-        notes=axiom.notes,
-    )
-    if result.failed and not verify_result(rule, result):
-        raise AssertionError(
-            f"internal error: {axiom_id.value} witness failed re-verification"
-        )
-    return result
-
-
 def audit(rule: Rule, axiom: AxiomId, space: SearchSpace) -> AuditResult:
     """Audit one rule against one axiom over one search space.
 
@@ -992,7 +1011,10 @@ def audit(rule: Rule, axiom: AxiomId, space: SearchSpace) -> AuditResult:
     rule (checked before returning); passes are claims about the
     searched space only, never theorems.
     """
-    axiom = AxiomId(axiom)
+    try:
+        axiom = AxiomId(axiom)
+    except ValueError:
+        raise InapplicableAxiom(f"no axiom named {axiom!r}") from None
     if axiom in ORDINAL_AXIOMS and rule.mode != "ordinal":
         raise InapplicableAxiom(f"{axiom.value} needs an ordinal rule")
     if axiom in UTILITY_AXIOMS and rule.mode != "utility":
@@ -1001,34 +1023,7 @@ def audit(rule: Rule, axiom: AxiomId, space: SearchSpace) -> AuditResult:
         raise InapplicableAxiom(
             f"{axiom.value} is checked by its dedicated operation, not audit()"
         )
-    spec = _AXIOMS[axiom]
-    m, n = space.m, space.n
-    utility = axiom in UTILITY_AXIOMS
-    if space.mode == "sampled":
-        cost = space.trials
-    else:
-        count = (len(UTILITY_GRID) ** m if utility else math.factorial(m)) ** n
-        cost = count * spec.cost(m, n, count)
-    if cost > BUDGET_LIMIT:
-        raise BudgetExceeded(
-            f"{axiom.value} over m={m} n={n} needs {cost} "
-            f"enumerations (limit {BUDGET_LIMIT})"
-        )
-
-    if space.mode == "exhaustive":
-        grid = _Space(m, n, rule, spec.catches)
-        found = spec.search(grid)
-        if found is not None:
-            found = [grid.profile(combo) for combo in found[0]], found[1]
-        kind = "grid-utility" if utility else "strict-order"
-        grid_note = f"grid {UTILITY_GRID}, " if utility else ""
-        budget = (
-            f"exhaustive {kind} profiles m={m} n={n} ({grid_note}{grid.count} profiles)"
-        )
-    else:
-        found = spec.sample(rule, space)
-        budget = f"sampled {space.trials} trials m={m} n={n} seed={space.seed}"
-    return _result(rule, axiom, found, budget, space.seed)
+    return _AXIOMS[axiom].run(rule, space)
 
 
 def arrow_audit(rule: Rule, m: int, n: int) -> list[AuditResult]:
@@ -1054,17 +1049,17 @@ def may_coincidence_check(
     formula on every sampled profile, any divergence being the witness
     that a premise failure exists somewhere.
     """
-    coincidence = sampled(m, n, trials, seed)  # checks the request first
+    spec, coincidence = _AXIOMS[AxiomId.MAY_COINCIDENCE], sampled(m, n, trials, seed)
+    spec.price(coincidence)  # refuses the request before any premise audit runs
     for premise in MAY_PREMISES:
         result = audit(rule, premise, exhaustive(m, n))
         if result.failed:
             return result
-    found = _AXIOMS[AxiomId.MAY_COINCIDENCE].sample(rule, coincidence)
     budget = (
         f"premises exhaustive m={m} n={n}; coincidence sampled "
         f"{trials} trials seed={seed}"
     )
-    return _result(rule, AxiomId.MAY_COINCIDENCE, found, budget, seed)
+    return replace(spec.run(rule, coincidence), search_budget=budget)
 
 
 def continuity_check(dimension: int, epsilon: float, seed: int) -> AuditResult:

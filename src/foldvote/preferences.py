@@ -135,16 +135,19 @@ class RankingWithTies:
     ) -> RankingWithTies:
         """The strict ranking listing universe[order[0]] first, then
         universe[order[1]], and so on: what from_strict_order gives for
-        those classes, built without re-checking the partition.
-
-        Trusted: `order` must be a permutation of range(len(universe)),
-        and nothing checks that it is. The package's own generators hold
-        such orders; rankings from JSON or user code go through the
-        checked constructor."""
+        those classes, built without the checked constructor's label
+        lookups. `order` must name each index of the universe once (a
+        negative index counts from the end, as in indexing); anything else
+        raises that constructor's ValueError."""
+        slots: list[int | None] = [None] * len(universe)
+        try:
+            for tier, slot in enumerate(order):
+                slots[slot] = tier
+        except IndexError:
+            slots = [None]  # an index past the universe, refused below
+        if len(order) != len(universe) or None in slots:
+            raise ValueError("tiers must partition the universe")
         ranking = object.__new__(cls)
-        slots = [0] * len(order)
-        for tier, slot in enumerate(order):
-            slots[slot] = tier
         set_field = object.__setattr__
         set_field(ranking, "owner", owner)
         set_field(ranking, "universe", universe)

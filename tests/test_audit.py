@@ -260,6 +260,75 @@ class TestGuards:
         res = audit(RULES["may"], AxiomId.PROXIMITY_PRESERVATION, exhaustive(3, 2))
         assert res.verdict in (PASS, FAIL)
 
+    @pytest.mark.parametrize(
+        "build,message",
+        [
+            (lambda: exhaustive(3.0, 3), "m must be an integer, got 3.0"),
+            (lambda: exhaustive(3, 2.5), "n must be an integer, got 2.5"),
+            (lambda: exhaustive(True, 3), "m must be an integer, got True"),
+            (lambda: exhaustive("3", 3), "m must be an integer, got '3'"),
+            (lambda: exhaustive(3, None), "n must be an integer, got None"),
+            (lambda: sampled(3, 3, 2.5, 0), "trials must be an integer, got 2.5"),
+            (lambda: sampled(3, 3, True, 0), "trials must be an integer, got True"),
+            (lambda: sampled(3, 3, "9", 0), "trials must be an integer, got '9'"),
+        ],
+    )
+    def test_non_integer_sizes_rejected(self, build, message):
+        # a float used to reach audit() and fail there with a TypeError, and
+        # trials=True ran one trial
+        with pytest.raises(BadSpec) as exc:
+            build()
+        assert str(exc.value) == message
+
+    def test_may_coincidence_rejects_non_integer_trials(self):
+        with pytest.raises(BadSpec, match="trials must be an integer, got 2.5"):
+            may_coincidence_check(RULES["may"], 3, 3, 2.5, seed=0)
+
+    def test_numpy_integers_accepted(self):
+        import numpy as np
+
+        for space in (exhaustive(3, 2), sampled(3, 2, 50, seed=1)):
+            wide = SearchSpace(
+                space.mode,
+                np.int64(space.m),
+                np.int64(space.n),
+                None if space.trials is None else np.int64(space.trials),
+                space.seed,
+            )
+            want = audit(RULES["may"], AxiomId.IIA, space)
+            assert audit(RULES["may"], AxiomId.IIA, wide) == want
+
+    @pytest.mark.parametrize("name", ["nonsense", "", None])
+    def test_unknown_axiom_rejected(self, name):
+        # AxiomId's own ValueError used to escape
+        with pytest.raises(InapplicableAxiom, match="no axiom named"):
+            audit(RULES["may"], name, exhaustive(3, 2))
+
+
+class TestRunPath:
+    """Every audit is priced, driven and re-verified by _Axiom.run."""
+
+    def test_oversized_coincidence_sample_refused_before_any_rule_call(self):
+        def untouchable(profile):
+            raise AssertionError("the rule ran before the budget was checked")
+
+        rule = Rule("untouchable", untouchable)
+        with pytest.raises(BudgetExceeded) as exc:
+            may_coincidence_check(rule, 3, 3, BUDGET_LIMIT + 1, seed=0)
+        assert str(exc.value) == (
+            f"may_coincidence over m=3 n=3 needs {BUDGET_LIMIT + 1} "
+            f"enumerations (limit {BUDGET_LIMIT})"
+        )
+
+    def test_coincidence_sample_at_the_limit_is_priced_like_audit(self):
+        # the same trial count is admitted or refused by both entry points
+        coincidence = _AXIOMS[AxiomId.MAY_COINCIDENCE]
+        assert coincidence.price(sampled(3, 3, BUDGET_LIMIT, seed=0)) == (
+            f"sampled {BUDGET_LIMIT} trials m=3 n=3 seed=0"
+        )
+        with pytest.raises(BudgetExceeded):
+            audit(RULES["may"], AxiomId.IIA, sampled(3, 3, BUDGET_LIMIT + 1, seed=0))
+
 
 class TestSampled:
     def test_same_seed_same_result(self):

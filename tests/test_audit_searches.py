@@ -24,12 +24,16 @@ from foldvote.audit import (
     UTILITY_GRID,
     AxiomId,
     _armed,
-    _prefers,
     _proximity_violation,
     _Space,
 )
 from foldvote.profiles import _kendall_slots
 from test_audit_frozen import PROBE_ORDINAL, RULES, STANDARD_ORDINAL, UTILITY
+
+
+# the stance the responsiveness reference groups strict orders by
+def _prefers(prefs, i, j):
+    return prefs[i] < prefs[j]
 
 
 def _groups(space, stance, pair):

@@ -364,6 +364,25 @@ class TestExitCodes:
         # the axiom that fit the budget still reported before the refusal
         assert [r["axiom"] for r in report["results"]] == ["transitivity"]
 
+    def test_oversized_coincidence_sample_is_refused(self):
+        # the coincidence sample is priced as any sampled audit is, before
+        # its premise audits run
+        proc = run(
+            "audit", "--rule", "may", "--axioms", "may_coincidence",
+            "--trials", "1000000000",
+        )
+        assert proc.returncode == 3
+        assert proc.stderr == (
+            "budget exceeded: may_coincidence over m=3 n=3 needs 1000000000 "
+            "enumerations (limit 10000000)\n"
+        )
+        report = jout(proc)
+        assert report["results"] == []
+        assert report["error"] == (
+            "BudgetExceeded: may_coincidence over m=3 n=3 needs 1000000000 "
+            "enumerations (limit 10000000)"
+        )
+
     def test_bad_synth_size_is_input_error(self):
         proc = run("synth", "condorcet", "--n", "4")
         assert proc.returncode == 2

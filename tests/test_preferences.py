@@ -22,7 +22,7 @@ from foldvote.preferences import (
     ordinal_from_utility,
     utility_from_instances,
 )
-from foldvote.audit import _UtilityIIA, _prefers, _relation, _Space, standard_rules
+from foldvote.audit import _UtilityIIA, _relation, _Space, standard_rules
 from foldvote.profiles import (
     SYNTH_KINDS,
     Profile,
@@ -466,7 +466,21 @@ def test_stdlib_draws_match_the_hand_written_ones():
 
 
 class TestFromSlotOrder:
-    """The trusted constructor against the checked one it stands in for."""
+    """The slot-order constructor against the checked one it stands in for."""
+
+    @pytest.mark.parametrize(
+        "order",
+        [
+            [0, 0, 1],  # built tiers A-A, A-A, A-C before, with no A-D
+            [0, 1, 5],  # raised a bare IndexError
+            [0, 1],  # built two slots over three classes
+            [0, 1, 2, 0],
+            [],
+        ],
+    )
+    def test_a_non_permutation_is_refused(self, order):
+        with pytest.raises(ValueError, match="tiers must partition the universe"):
+            RankingWithTies.from_slot_order("v1", synthetic_universe(3), order)
 
     @staticmethod
     def assert_same(universe, order):
@@ -527,6 +541,11 @@ def test_generate_draws_as_the_class_list_reference(kind, m):
         assert [r.slots() for r in got.individuals] == [
             r.slots() for r in want.individuals
         ]
+
+
+# a boolean stance, tabled beside _relation's -1/0/1 one
+def _prefers(prefs, i, j):
+    return prefs[i] < prefs[j]
 
 
 @pytest.mark.parametrize(

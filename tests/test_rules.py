@@ -20,6 +20,7 @@ from foldvote.profiles import (
 )
 from foldvote.restrictions import is_quasi_transitive
 from foldvote.rules import (
+    KEMENY_MAX_CLASSES,
     AggregationOutcome,
     UtilityTransform,
     _borda_scores,
@@ -462,17 +463,33 @@ def ref_ranking_relation(ranking):
     return tuple(tuple(a <= b for b in pos) for a in pos)
 
 
-def assert_rules_match_reference(profile, kemeny_order=None):
+def ordinal_outcomes(profile):
+    """Each standard ordinal rule's outcome on the profile, run once, so
+    that both reference checks below can read the same outcome (Kemeny's
+    only up to its class cap)."""
+    outcomes = {
+        "may": may_rule(profile),
+        "borda": borda(profile),
+        "dictator[1]": dictator(profile, 1),
+        f"dictator[{profile.n}]": dictator(profile, profile.n),
+    }
+    if profile.m <= KEMENY_MAX_CLASSES:
+        outcomes["kemeny"] = kemeny(profile)
+    return outcomes
+
+
+def assert_rules_match_reference(profile, kemeny_order=None, outcomes=None):
     m = profile.m
+    outcomes = outcomes or ordinal_outcomes(profile)
     counts = ref_tournament(profile)
     assert majority_tournament(profile) == counts
-    assert may_rule(profile).relation == tuple(
+    assert outcomes["may"].relation == tuple(
         tuple(i == j or counts[i][j] >= counts[j][i] for j in range(m))
         for i in range(m)
     )
-    for outcome in (borda(profile), dictator(profile, profile.n)):
+    for outcome in (outcomes["borda"], outcomes[f"dictator[{profile.n}]"]):
         assert outcome.relation == ref_ranking_relation(outcome.ranking)
-    out = kemeny(profile)
+    out = outcomes["kemeny"]
     want = kemeny_order or ref_kemeny_order(profile)
     assert out.ranking.tiers == tuple((c,) for c in want)
     assert out.relation == ref_ranking_relation(out.ranking)
@@ -508,8 +525,9 @@ def test_slot_kernels_match_reference_on_strict_space(m, n):
         key = tuple(sorted(combo))
         if key not in kemeny_orders:
             kemeny_orders[key] = ref_kemeny_order(profile)
-        assert_rules_match_reference(profile, kemeny_orders[key])
-        assert_per_slot_rules_match_reference(profile, kemeny_orders[key])
+        outcomes = ordinal_outcomes(profile)
+        assert_rules_match_reference(profile, kemeny_orders[key], outcomes)
+        assert_per_slot_rules_match_reference(profile, kemeny_orders[key], outcomes)
 
 
 def test_slot_kernels_match_reference_on_tied_profiles():
@@ -622,38 +640,39 @@ def assert_same_outcome(new, old):
     assert new.to_json_dict() == old.to_json_dict()
 
 
-def assert_per_slot_rules_match_reference(profile, kemeny_order=None):
-    """Every standard rule's outcome against the one the old code built;
-    Kemeny's reference order is brute force, so it runs up to m=5 unless
-    the order is given."""
+def assert_per_slot_rules_match_reference(profile, kemeny_order=None, outcomes=None):
+    """Every standard rule's outcome (run here unless given) against the
+    one the old code built; Kemeny's reference order is brute force, so it
+    runs up to m=5 unless the order is given."""
     universe, m = profile.universe, profile.m
     if profile.mode == "utility":
         totals = old_utilitarian_totals(profile)
         want = old_outcome_from_scores("utilitarian", universe, totals)
         assert_same_outcome(utilitarian(profile), want)
         return
+    outcomes = outcomes or ordinal_outcomes(profile)
     scores = old_borda_scores(profile)
     assert _borda_scores(profile) == [scores[c] for c in universe]
     want = old_outcome_from_scores("borda", universe, scores)
-    assert_same_outcome(borda(profile), want)
+    assert_same_outcome(outcomes["borda"], want)
     counts = ref_tournament(profile)
     relation = tuple(
         tuple(i == j or counts[i][j] >= counts[j][i] for j in range(m))
         for i in range(m)
     )
     want = old_outcome_from_relation("may", universe, relation)
-    assert_same_outcome(may_rule(profile), want)
+    assert_same_outcome(outcomes["may"], want)
     for k in (1, profile.n):
         name = f"dictator[{k}]"
         chosen = RankingWithTies(name, universe, profile.individuals[k - 1].tiers)
         want = old_outcome_from_ranking(name, chosen)
-        assert_same_outcome(dictator(profile, k), want)
+        assert_same_outcome(outcomes[name], want)
     if kemeny_order is None and m <= 5:
         kemeny_order = ref_kemeny_order(profile)
     if kemeny_order is not None:
         order = RankingWithTies.from_strict_order("kemeny", universe, kemeny_order)
         want = old_outcome_from_ranking("kemeny", order)
-        assert_same_outcome(kemeny(profile), want)
+        assert_same_outcome(outcomes["kemeny"], want)
 
 
 def seeded_utility_profile(rng, m, n):
