@@ -40,7 +40,7 @@ from typing import NamedTuple
 from .aminoacids import CLASSES, InteractionClass, Universe
 from .errors import BadSpec, BudgetExceeded, InapplicableAxiom, MalformedProfile
 from .preferences import RankingWithTies, UtilityVector
-from .profiles import Profile, _kendall_slots, synthetic_universe
+from .profiles import Profile, _integers, _kendall_slots, synthetic_universe
 # Rule and standard_rules are imported from here as well as from rules
 from .rules import Rule, outcome_distance, standard_rules
 
@@ -111,10 +111,10 @@ class SearchSpace:
 
     def __post_init__(self):
         trials = 1 if self.trials is None else self.trials  # None is checked below
-        for name, value in {"m": self.m, "n": self.n, "trials": trials}.items():
-            # what operator.index takes (numpy integers too), but not a bool
-            if isinstance(value, bool) or not hasattr(type(value), "__index__"):
-                raise BadSpec(f"{name} must be an integer, got {value!r}")
+        seed = 0 if self.seed is None else self.seed
+        _integers(m=self.m, n=self.n, trials=trials, seed=seed)
+        if self.seed is not None:  # random.Random and JSON take Python ints only
+            object.__setattr__(self, "seed", int(self.seed))
         if self.mode == "sampled":
             if self.trials is None or self.trials < 1:
                 raise BadSpec(f"trials must be >= 1, got {self.trials}")
@@ -314,19 +314,17 @@ class _Space(_Profiles):
             self._tables[stance, pair] = table
         return tuple(map(table.__getitem__, combo))
 
-    def first_by_value(self, stance, pairs) -> tuple[list[dict], list[tuple]]:
-        """In one walk: per pair, each key's first profile, in enumeration
+    def first_by_value(self, stance, pairs) -> list[dict]:
+        """In one walk, per pair, each key's first profile, in enumeration
         order, taking each outcome value on the pair (at most three per
-        key); and each profile's values on the pairs, in that order."""
+        key)."""
         firsts: list[dict[tuple, dict[float, tuple]]] = [{} for _ in pairs]
-        rows = []
         for combo in self.combos():
             outcome = self.outcome(combo)
-            rows.append(tuple(outcome.pair_value(*pair) for pair in pairs))
-            for pair, first, value in zip(pairs, firsts, rows[-1]):
+            for pair, first in zip(pairs, firsts):
                 key = self.key(combo, stance, pair)
-                first.setdefault(key, {}).setdefault(value, combo)
-        return firsts, rows
+                first.setdefault(key, {}).setdefault(outcome.pair_value(*pair), combo)
+        return firsts
 
 
 class _Trials(_Profiles):
@@ -770,12 +768,13 @@ def _overrule(view: _View, overruled: list[bool], pairs) -> None:
 
 class _IIA(_Axiom):
     """Profiles sharing every individual's stance on a pair must get the
-    same outcome on it."""
+    same outcome on it. Responsiveness shares its search, giving its own
+    pairs, partner keys and flagged values."""
 
     axiom = AxiomId.IIA
     fields = "profile_a profile_b pair value_a value_b"
     params = ("pair",)
-    stance = staticmethod(_relation)  # what groups profiles and the premise keeps
+    stance = staticmethod(_relation)  # what keys profiles and the premise keeps
 
     def premise(self, universe, views, pair):
         return _kept(views, self.stance, pair)
@@ -790,27 +789,42 @@ class _IIA(_Axiom):
     def cost(self, m, n, count):
         return count
 
+    def pairs(self, space: _Space) -> list[tuple[int, int]]:
+        return space.pairs
+
+    def partners(self, key: tuple, pair, value: float) -> list[tuple[tuple, tuple]]:
+        """(partner key, check parameters) of a base's partners on the pair."""
+        return [(key, (pair,))]
+
+    def flagged(self, value: float, firsts: dict) -> list[tuple]:
+        """The first profiles of a partner key that the check flags."""
+        return [combo for v, combo in firsts.items() if v != value]
+
     def search(self, space):
-        # Every member of a key holding two outcome values has a partner
-        # that disagrees, so the witness is the smallest first entry of
-        # such a key; on each pair, its partner is the smallest entry of
-        # its key with another value.
-        tables, _ = space.first_by_value(self.stance, space.pairs)
-        mixed = [min(f.values()) for t in tables for f in t.values() if len(f) > 1]
-        if not mixed:
+        # Whether a base has a flagged partner on a pair depends only on
+        # its key and its value there, so the first violating base is the
+        # smallest first entry of the tables that has one. Each of its
+        # pairs with a flagged partner holds such an entry, so the least
+        # (base, partner, pair, parameters) over the entries' hits is the
+        # witness.
+        pairs = self.pairs(space)
+        tables = space.first_by_value(self.stance, pairs)
+        found = min(
+            (
+                (first, min(hits), rank, params)
+                for rank, (pair, table) in enumerate(zip(pairs, tables))
+                for key, firsts in table.items()
+                for value, first in firsts.items()
+                for other, params in self.partners(key, pair, value)
+                if (hits := self.flagged(value, table.get(other, {})))
+            ),
+            default=None,
+        )
+        if found is None:
             return None
-        first = min(mixed)
-        base = space.view(first)
-        candidates = []
-        for pair, table in zip(space.pairs, tables):
-            value = base.outcome.pair_value(*pair)
-            firsts = table[space.key(first, self.stance, pair)]
-            others = [combo for v, combo in firsts.items() if v != value]
-            if others:
-                candidates.append((min(others), pair))
-        other, pair = min(candidates)
-        views = (base, space.view(other))
-        return (first, other), self.check(space.universe, views, pair)
+        base, other, _, params = found
+        views = (space.view(base), space.view(other))
+        return (base, other), self.check(space.universe, views, *params)
 
     def draw(self, trials):
         orders, base = trials.base()
@@ -848,7 +862,7 @@ def _partner(trials: _Trials, orders: list, a: int, b: int, lifted=None):
     return trials.profile(partner)
 
 
-class _PositiveResponsiveness(_Axiom):
+class _PositiveResponsiveness(_IIA):
     """Premise: exactly one individual's (a, b) relation moves, strictly
     upward for a; everyone else keeps their (a, b) relation while their
     other pairs may move freely. Conclusion: a weakly on top before
@@ -863,7 +877,7 @@ class _PositiveResponsiveness(_Axiom):
     required = 1.0  # the least outcome value for a after the uplift
 
     def premise(self, universe, views, uplifted, pair):
-        return _kept(views, _relation, pair, uplifted - 1)
+        return _kept(views, self.stance, pair, uplifted - 1)
 
     def check(self, universe, views, uplifted, pair):
         before = views[0].outcome.pair_value(*pair)
@@ -877,35 +891,17 @@ class _PositiveResponsiveness(_Axiom):
             "value_after": after,
         }
 
-    def cost(self, m, n, count):
-        return count
+    def pairs(self, space):
+        return sorted(space.pairs + [(j, i) for i, j in space.pairs])
 
-    def search(self, space):
-        # A base's partners for an uplift share its (a, b) stances but the
-        # uplifted individual's, which flips to prefer a; once the base is
-        # armed, the check flags the smallest one valued below `required`.
-        ordered_pairs = sorted(space.pairs + [(j, i) for i, j in space.pairs])
-        tables, rows = space.first_by_value(_relation, ordered_pairs)
-        for combo, row in zip(space.combos(), rows):
-            candidates = []
-            for p_rank, pair in enumerate(ordered_pairs):
-                if not _armed(row[p_rank]):
-                    continue
-                key = space.key(combo, _relation, pair)
-                for uplifted in range(space.n):
-                    if key[uplifted] == 1:
-                        continue  # already prefers a; no strict uplift
-                    lifted = key[:uplifted] + (1,) + key[uplifted + 1 :]
-                    firsts = tables[p_rank].get(lifted, {})
-                    below = [c for v, c in firsts.items() if v < self.required]
-                    if below:
-                        candidates.append((min(below), p_rank, uplifted, pair))
-            if candidates:
-                other, _, uplifted, pair = min(candidates)
-                views = (space.view(combo), space.view(other))
-                detail = self.check(space.universe, views, uplifted + 1, pair)
-                return (combo, other), detail
-        return None
+    def partners(self, key, pair, value):
+        # once the base is armed, any one individual not preferring a yet
+        # may flip to prefer it, everyone else keeping their stance
+        ups = [u for u, s in enumerate(key) if s != 1] if _armed(value) else []
+        return [(key[:u] + (1,) + key[u + 1 :], (u + 1, pair)) for u in ups]
+
+    def flagged(self, value, firsts):
+        return [combo for v, combo in firsts.items() if v < self.required]
 
     def draw(self, trials):
         orders, base = trials.base()

@@ -31,15 +31,16 @@ CSV_HEADER = "protein_id,class,chain_i,seq_i,chain_j,seq_j,distance,score"
 
 
 def instances_to_csv(instances: list[InteractionInstance]) -> str:
-    """Render instances in the interchange CSV format."""
-    lines = [CSV_HEADER]
-    for inst in instances:
-        (ci, si), (cj, sj) = inst.residues
-        lines.append(
-            f"{inst.protein_id},{inst.interaction_class.render()},"
-            f"{ci},{si},{cj},{sj},{inst.distance!r},{inst.score!r}"
-        )
-    return "\n".join(lines) + "\n"
+    """Render instances in the interchange CSV format. A field holding a
+    comma, a quote or a newline is quoted, so such a protein id reads
+    back, and a number prints as its Python float or int does (numpy
+    scalars too)."""
+    out = io.StringIO()
+    out.write(CSV_HEADER + "\n")
+    rows = csv.writer(out, lineterminator="\n")
+    for pid, cls, ((ci, si), (cj, sj)), distance, score in instances:
+        rows.writerow([pid, cls.render(), ci, si, cj, sj, distance, score])
+    return out.getvalue()
 
 
 def instances_from_csv(text: str) -> list[InteractionInstance]:

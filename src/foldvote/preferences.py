@@ -211,12 +211,23 @@ def ranking_from_json(obj, universe: Universe) -> RankingWithTies:
 
 
 def utility_from_json(obj, universe: Universe) -> UtilityVector:
+    """One value per class of the universe, each named once, by either of
+    its labels ("C-A" or "A-C")."""
     shaped(obj, dict, "an individual")
     owner = shaped(obj["owner"], str, "owner")
     values = {}
     for c, v in shaped(obj["values"], dict, "values").items():
         shaped(v, (int, float), f"the value of {c}")
-        values[InteractionClass.parse(c)] = float(v)
+        cls = InteractionClass.parse(c)
+        if cls in values:
+            raise MalformedProfile(f"values name {cls.render()} twice")
+        values[cls] = float(v)
+    for cls in universe:
+        if cls not in values:
+            raise MalformedProfile(f"values miss {cls.render()}")
+    if len(values) > len(universe):
+        extra = next(c for c in values if c not in universe)
+        raise MalformedProfile(f"values name {extra.render()}, outside the universe")
     return UtilityVector(owner, universe, values)
 
 

@@ -136,6 +136,14 @@ def profile_distance(a: Profile, b: Profile) -> float:
     )
 
 
+def _integers(**values) -> None:
+    """BadSpec naming the first value that is not an integer: what
+    operator.index takes (numpy integers too), but not a bool."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+            raise BadSpec(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SynthSpec:
     kind: str
@@ -161,10 +169,11 @@ def generate(spec: SynthSpec) -> Profile:
     """
     if spec.kind not in SYNTH_KINDS:
         raise BadSpec(f"unknown kind {spec.kind!r}")
+    _integers(m=spec.m, n=spec.n, seed=spec.seed)
     if spec.n < 2:
         raise BadSpec("n must be >= 2")
     universe = synthetic_universe(spec.m)
-    rng = random.Random(spec.seed)
+    rng = random.Random(int(spec.seed))  # random.Random takes Python ints only
     owners = [f"v{i + 1}" for i in range(spec.n)]
     # orders are drawn as class indices: a shuffle consumes the generator
     # the same way whatever it shuffles

@@ -36,6 +36,7 @@ from foldvote.errors import BadSpec, BudgetExceeded, InapplicableAxiom
 from foldvote.preferences import RankingWithTies
 from foldvote.profiles import Profile, SynthSpec, generate, synthetic_universe
 from foldvote.rules import majority_tournament
+from test_audit_frozen import RULES as PROBE_RULES
 
 RULES = standard_rules()
 U3 = synthetic_universe(3)
@@ -271,6 +272,20 @@ class TestGuards:
             (lambda: sampled(3, 3, 2.5, 0), "trials must be an integer, got 2.5"),
             (lambda: sampled(3, 3, True, 0), "trials must be an integer, got True"),
             (lambda: sampled(3, 3, "9", 0), "trials must be an integer, got '9'"),
+            # a list seed ended in a bare TypeError from random.Random, and
+            # the others ran and were echoed in the report
+            (lambda: sampled(3, 3, 5, [1]), "seed must be an integer, got [1]"),
+            (lambda: sampled(3, 3, 5, True), "seed must be an integer, got True"),
+            (lambda: sampled(3, 3, 5, 1.5), "seed must be an integer, got 1.5"),
+            (lambda: sampled(3, 3, 5, "abc"), "seed must be an integer, got 'abc'"),
+            (
+                lambda: SearchSpace("exhaustive", 3, 3, seed=2.0),
+                "seed must be an integer, got 2.0",
+            ),
+            (
+                lambda: may_coincidence_check(RULES["may"], 3, 3, 10, 1.5),
+                "seed must be an integer, got 1.5",
+            ),
         ],
     )
     def test_non_integer_sizes_rejected(self, build, message):
@@ -293,10 +308,12 @@ class TestGuards:
                 np.int64(space.m),
                 np.int64(space.n),
                 None if space.trials is None else np.int64(space.trials),
-                space.seed,
+                None if space.seed is None else np.int64(space.seed),
             )
             want = audit(RULES["may"], AxiomId.IIA, space)
             assert audit(RULES["may"], AxiomId.IIA, wide) == want
+            # the seed reaches random.Random and the report as a Python int
+            assert type(wide.seed) is type(space.seed)
 
     @pytest.mark.parametrize("name", ["nonsense", "", None])
     def test_unknown_axiom_rejected(self, name):
@@ -772,6 +789,36 @@ class TestCountMemo:
         axiom = _AXIOMS[axiom_id]
         axiom.search(_Space(3, 3, rule, axiom.catches))
         assert len(calls) == len(set(calls)) <= self.DISTINCT[3, 3]
+
+    @pytest.mark.parametrize(
+        "axiom_id,names,m,n",
+        [
+            (AxiomId.IIA, ("borda", "may"), 3, 3),
+            (AxiomId.UTILITY_IIA, ("utility_borda", "utilitarian"), 3, 2),
+            (AxiomId.POSITIVE_RESPONSIVENESS, ("borda", "may"), 3, 3),
+            (AxiomId.MONOTONIC_RESPONSIVENESS, ("inverse_may", "may"), 3, 3),
+        ],
+    )
+    def test_a_partner_search_walks_the_space_once(
+        self, monkeypatch, axiom_id, names, m, n
+    ):
+        # a fail, then a pass: the witness is read off the key tables that
+        # the one walk fills, not found by walking the space again
+        walks = []
+        combos = _Space.combos
+
+        def counting(space):
+            walks.append(space)
+            return combos(space)
+
+        monkeypatch.setattr(_Space, "combos", counting)
+        verdicts = []
+        for name in names:
+            walks.clear()
+            result = audit(PROBE_RULES[name], axiom_id, exhaustive(m, n))
+            verdicts.append(result.verdict)
+            assert len(walks) == 1
+        assert verdicts == [FAIL, PASS]
 
 
 class TestOrbitFirsts:

@@ -143,7 +143,10 @@ REFERENCES = {
 
 def _cases():
     out = []
-    for axiom_id, (m, n) in product(REFERENCES, product((2, 3), (2, 3, 4))):
+    cases = list(product(REFERENCES, product((2, 3), (2, 3, 4))))
+    pairing = [a for a in REFERENCES if a != AxiomId.PROXIMITY_PRESERVATION]
+    cases += product(pairing, [(2, 5), (2, 6), (4, 2)])
+    for axiom_id, (m, n) in cases:
         utility = axiom_id == AxiomId.UTILITY_IIA
         count = (len(UTILITY_GRID) ** m if utility else math.factorial(m)) ** n
         if count * _AXIOMS[axiom_id].cost(m, n, count) > BUDGET_LIMIT:
@@ -172,8 +175,9 @@ def test_search_matches_reference(axiom_id, rule, m, n):
 
 def test_every_axiom_is_compared_on_fails_and_passes():
     # the budget admits every ordinal space here and utility IIA up to
-    # (2, 3) and (3, 2)
+    # (2, 3) and (3, 2); IIA and responsiveness also run at (2, 5), (2, 6)
+    # and (4, 2)
     cases = _cases()
-    assert len(cases) == 4 * 6 * 7 + 3 * 3
+    assert len(cases) == 4 * 6 * 7 + 3 * 3 * 7 + 3 * 3
     verdicts = {(case.values[0], _searched(*case.values)[1] is None) for case in cases}
     assert verdicts == set(product(REFERENCES, (True, False)))

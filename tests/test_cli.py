@@ -417,6 +417,22 @@ class TestExtractAndRank:
         top = set(report["ranking"]["tiers"][0])
         assert top == {"A-G", "G-V"}
 
+    @pytest.mark.parametrize("stem", ["a,b", '"q"'])
+    def test_rank_reads_back_any_file_stem(self, tmp_path, stem):
+        # the stem names the protein; a comma used to split its CSV rows,
+        # and quotes were dropped from its owner
+        pdb = tmp_path / f"{stem}.pdb"
+        shutil.copy(four_residue_pdb_path(), pdb)
+        run("extract", str(pdb), "--out-dir", str(tmp_path), check=0)
+        proc = run(
+            "rank", str(tmp_path / f"{stem}.contacts.csv"), "--universe", "hetero",
+            check=0,
+        )
+        report = jout(proc)
+        assert report["config"]["protein_id"] == stem
+        assert report["ranking"]["owner"] == stem
+        assert set(report["ranking"]["tiers"][0]) == {"A-G", "G-V"}
+
     HEADER = "protein_id,class,chain_i,seq_i,chain_j,seq_j,distance,score"
     GOOD_ROW = "p,A-G,A,1,A,4,5.0,1.0"
 

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from foldvote.aminoacids import ONE_LETTER
 from foldvote.contacts import (
+    CSV_HEADER,
     ContactConfig,
     InteractionClass,
     InteractionInstance,
@@ -655,3 +656,35 @@ class TestCsvRoundTrip:
     def test_bad_header_rejected(self):
         with pytest.raises(MalformedContacts, match="bad instance CSV header"):
             instances_from_csv("wrong,header\n1,2\n")
+
+    @pytest.mark.parametrize("pid", ["a,b", '"q"', "two\nlines", 'x,"y"\nz'])
+    def test_ids_with_commas_quotes_and_newlines_read_back(self, pid):
+        # ids were joined unquoted: a comma split the row, and a quoted id
+        # read back without its quotes
+        inst = extract_instances(
+            ca_structure(FOUR_RESIDUE, pid), ContactConfig(), Scorer("unit_count")
+        )
+        assert inst and all(i.protein_id == pid for i in inst)
+        assert instances_from_csv(instances_to_csv(inst)) == inst
+
+    def test_numpy_numbers_print_as_python_numbers(self):
+        # a numpy float used to print as np.float64(4.25)
+        inst = InteractionInstance(
+            "p",
+            InteractionClass.parse("A-G"),
+            (("A", np.int64(1)), ("A", np.int64(4))),
+            np.float64(4.25),
+            np.float64(-1.5),
+        )
+        text = instances_to_csv([inst])
+        assert text.splitlines()[1] == "p,A-G,A,1,A,4,4.25,-1.5"
+        assert instances_from_csv(text) == [inst]
+
+    def test_plain_rows_are_unquoted(self):
+        residues = ((" ", -3), ("B", 10))
+        inst = InteractionInstance(
+            "1abc_x", InteractionClass.parse("C-W"), residues, 0.1 + 0.2, 1e-7
+        )
+        assert instances_to_csv([inst]) == (
+            f"{CSV_HEADER}\n1abc_x,C-W, ,-3,B,10,0.30000000000000004,1e-07\n"
+        )

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from foldvote.errors import BadSpec, Incompatible, MalformedProfile, UniverseMismatch
 from foldvote.preferences import RankingWithTies, UtilityVector
 from foldvote.profiles import (
+    SYNTH_KINDS,
     Profile,
     SynthSpec,
     generate,
@@ -202,6 +203,40 @@ class TestProfileModel:
         with pytest.raises(MalformedProfile):
             Profile.from_json_dict(obj)
 
+    @pytest.mark.parametrize(
+        "values,message",
+        [
+            # the C-A value was dropped without a word: the vector loaded as
+            # (1.0, 5.0)
+            ({"A-A": 1, "C-A": 1, "A-C": 5}, "values name A-C twice"),
+            ({"A-A": 1, "A-C": 5, "C-A": 1}, "values name A-C twice"),
+            # these raised UniverseMismatch
+            ({"A-A": 1}, "values miss A-C"),
+            ({"A-C": 1}, "values miss A-A"),
+            ({"A-A": 1, "A-C": 5, "A-D": 2}, "values name A-D, outside the universe"),
+        ],
+    )
+    def test_json_utility_values_name_each_class_once(self, values, message):
+        individual = {"owner": "a", "universe": ["A-A", "A-C"], "values": values}
+        with pytest.raises(MalformedProfile) as exc:
+            UtilityVector.from_json_dict(individual)
+        assert str(exc.value) == message
+        obj = {"universe": ["A-A", "A-C"], "mode": "utility"}
+        obj["individuals"] = [individual] * 2
+        with pytest.raises(MalformedProfile) as exc:
+            Profile.from_json_dict(obj)
+        assert str(exc.value) == message
+
+    def test_json_utility_label_in_either_order(self):
+        obj = {"universe": ["A-A", "A-C"], "mode": "utility"}
+        obj["individuals"] = [{"owner": "a", "values": {"C-A": 5, "A-A": 1}}] * 2
+        profile = Profile.from_json_dict(obj)
+        assert [u.values for u in profile.individuals] == [(1.0, 5.0)] * 2
+
+    def test_utility_vector_constructor_keeps_its_error(self):
+        with pytest.raises(UniverseMismatch):
+            UtilityVector("a", U3, {X: 1.0, Y: 2.0})
+
 
 class TestGenerate:
     def test_condorcet_template(self):
@@ -250,6 +285,34 @@ class TestGenerate:
             generate(SynthSpec("impartial_culture", 3, 1, seed=0))
         with pytest.raises(BadSpec):
             generate(SynthSpec("condorcet_cycle", 2, 3, seed=0))
+
+    @pytest.mark.parametrize(
+        "m,n,seed,message",
+        [
+            # m=True built a one-class profile; the others raised a bare
+            # TypeError, or ran on a seed random.Random happens to take
+            (True, 3, 0, "m must be an integer, got True"),
+            (3.0, 3, 0, "m must be an integer, got 3.0"),
+            (3, 3.0, 0, "n must be an integer, got 3.0"),
+            (3, "3", 0, "n must be an integer, got '3'"),
+            (3, 3, [1], "seed must be an integer, got [1]"),
+            (3, 3, 1.5, "seed must be an integer, got 1.5"),
+            (3, 3, "abc", "seed must be an integer, got 'abc'"),
+            (3, 3, True, "seed must be an integer, got True"),
+            (3, 3, None, "seed must be an integer, got None"),
+        ],
+    )
+    def test_non_integer_sizes_and_seeds_rejected(self, m, n, seed, message):
+        for kind in SYNTH_KINDS:
+            with pytest.raises(BadSpec) as exc:
+                generate(SynthSpec(kind, m, n, seed=seed))
+            assert str(exc.value) == message
+
+    def test_numpy_integers_accepted(self):
+        import numpy as np
+
+        spec = SynthSpec("impartial_culture", np.int64(4), np.int64(5), np.int64(3))
+        assert generate(spec) == generate(SynthSpec("impartial_culture", 4, 5, 3))
 
     def test_synthetic_universe_prefix(self):
         assert synthetic_universe(3) == synthetic_universe(10)[:3]
