@@ -148,7 +148,8 @@ def _cmd_rank(args) -> int:
     from .interchange import instances_from_csv
     from .preferences import ordinal_from_utility, utility_from_instances
 
-    with open(args.contacts) as fh:
+    # newline="" keeps a quoted "\r" in a protein id as it was written
+    with open(args.contacts, newline="") as fh:
         instances = instances_from_csv(fh.read())
     universe = class_universe(args.universe == "full")
     utility = utility_from_instances(

@@ -32,14 +32,18 @@ CSV_HEADER = "protein_id,class,chain_i,seq_i,chain_j,seq_j,distance,score"
 
 def instances_to_csv(instances: list[InteractionInstance]) -> str:
     """Render instances in the interchange CSV format. A field holding a
-    comma, a quote or a newline is quoted, so such a protein id reads
-    back, and a number prints as its Python float or int does (numpy
-    scalars too)."""
+    comma, a quote, a newline or a carriage return is quoted, so such a
+    protein id reads back, and a number prints as its Python float or int
+    does (numpy scalars too)."""
     out = io.StringIO()
     out.write(CSV_HEADER + "\n")
     rows = csv.writer(out, lineterminator="\n")
+    # the writer quotes the characters of its own line terminator, "\n",
+    # so a row holding a "\r" has every field quoted instead
+    quoted = csv.writer(out, lineterminator="\n", quoting=csv.QUOTE_ALL)
     for pid, cls, ((ci, si), (cj, sj)), distance, score in instances:
-        rows.writerow([pid, cls.render(), ci, si, cj, sj, distance, score])
+        row = [pid, cls.render(), ci, si, cj, sj, distance, score]
+        (quoted if "\r" in pid + ci + cj else rows).writerow(row)
     return out.getvalue()
 
 

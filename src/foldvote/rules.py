@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, repeat
 
 from .aminoacids import InteractionClass, Universe
 from .errors import BadIndex, TooLarge, TransformOverflow, WrongMode
@@ -23,6 +24,9 @@ KEMENY_MAX_CLASSES = 8
 
 Relation = tuple[tuple[bool, ...], ...]  # weak preference, row >= column
 Counts = tuple[tuple[int, ...], ...]  # counts[i][j] = #{strictly prefer i to j}
+
+# memoryview format of the native unsigned int of each size in bytes
+_NATIVE_UNSIGNED = {2: "H", 4: "I", 8: "Q"}
 
 
 @dataclass(frozen=True)
@@ -148,7 +152,7 @@ def first_intransitive_triple(relation: Relation) -> tuple[int, int, int] | None
 def _by_key(rule_name: str, universe: Universe, key) -> AggregationOutcome:
     """The total preorder ranking classes by their key, one per slot:
     class i weakly beats class j when key[i] >= key[j]."""
-    relation = tuple(tuple(ki >= kj for kj in key) for ki in key)
+    relation = tuple(tuple(map(operator.le, key, repeat(ki))) for ki in key)
     return AggregationOutcome(rule_name, universe, relation)
 
 
@@ -171,35 +175,51 @@ def _require_mode(profile: Profile, mode: str, rule_name: str) -> None:
 def majority_tournament(profile: Profile) -> Counts:
     """Pairwise strict-preference counts N(a > b) over the profile.
 
-    Each individual's tiers are swept from last to first, so every class
-    gains one count against each class already swept: the work is the
-    number of strictly ordered pairs.
+    Each class's row of counts is one Python int with a fixed-width field
+    per class, laid out in native memory order. The field is the smallest
+    of 1, 2, 4 or 8 bytes that holds n, so no count carries into the next
+    field. For each individual, each class's field bit goes into the mask
+    of its tier, and suffix sums turn each tier's mask into the mask of
+    every class in a later tier; each class's row then adds the mask
+    below its own tier. So the work is m big-int row adds per individual,
+    however many pairs it orders. Each row is decoded once, by reading its
+    bytes as native unsigned ints of the field's size.
     """
     _require_mode(profile, "ordinal", "majority_tournament")
-    m = profile.m
-    counts = [[0] * m for _ in range(m)]
-    for ind in profile.individuals:
-        tiers: list[list[int]] = [[] for _ in ind.tiers]
-        for i, tier in enumerate(ind.slots()):
-            tiers[tier].append(i)
-        below: list[int] = []
-        for tier in reversed(tiers):
-            for i in tier:
-                row = counts[i]
-                for j in below:
-                    row[j] += 1
-            below += tier
-    return tuple(tuple(row) for row in counts)
+    individuals = profile.individuals
+    m, n = profile.m, len(individuals)
+    size = 1 if n < 1 << 8 else 2 if n < 1 << 16 else 4 if n < 1 << 32 else 8
+    width = 8 * size
+    bits = [1 << shift for shift in range(0, width * m, width)]
+    if sys.byteorder == "big":
+        # big-endian bytes put the most significant field first
+        bits.reverse()
+    rows = [0] * m
+    for ind in individuals:
+        slots = ind.slots()
+        masks = [0] * len(ind.tiers)
+        for bit, tier in zip(bits, slots):
+            masks[tier] += bit
+        # below[t]: the mask of every class in a tier after t
+        below, rest = [0], 0
+        for mask in masks[:0:-1]:
+            rest += mask
+            below.append(rest)
+        below.reverse()
+        rows = list(map(operator.add, rows, map(below.__getitem__, slots)))
+    data = [row.to_bytes(m * size, sys.byteorder) for row in rows]
+    if size > 1:  # bytes iterate as 1-byte unsigned ints already
+        data = [memoryview(row).cast(_NATIVE_UNSIGNED[size]) for row in data]
+    return tuple(map(tuple, data))
 
 
 def may_rule(profile: Profile) -> AggregationOutcome:
     """Simple pairwise majority: a weakly beats b when at least as many
     individuals strictly prefer a to b as prefer b to a."""
     counts = majority_tournament(profile)
-    m = profile.m
+    # row i holds N(i > j) and column i holds N(j > i); the diagonal is 0 >= 0
     relation = tuple(
-        tuple(i != j and counts[i][j] >= counts[j][i] or i == j for j in range(m))
-        for i in range(m)
+        tuple(map(operator.ge, row, col)) for row, col in zip(counts, zip(*counts))
     )
     return AggregationOutcome("may", profile.universe, relation)
 

@@ -417,10 +417,11 @@ class TestExtractAndRank:
         top = set(report["ranking"]["tiers"][0])
         assert top == {"A-G", "G-V"}
 
-    @pytest.mark.parametrize("stem", ["a,b", '"q"'])
+    @pytest.mark.parametrize("stem", ["a,b", '"q"', "a\rb"])
     def test_rank_reads_back_any_file_stem(self, tmp_path, stem):
         # the stem names the protein; a comma used to split its CSV rows,
-        # and quotes were dropped from its owner
+        # quotes were dropped from its owner, and a carriage return was
+        # written bare and ended its row
         pdb = tmp_path / f"{stem}.pdb"
         shutil.copy(four_residue_pdb_path(), pdb)
         run("extract", str(pdb), "--out-dir", str(tmp_path), check=0)

@@ -657,10 +657,13 @@ class TestCsvRoundTrip:
         with pytest.raises(MalformedContacts, match="bad instance CSV header"):
             instances_from_csv("wrong,header\n1,2\n")
 
-    @pytest.mark.parametrize("pid", ["a,b", '"q"', "two\nlines", 'x,"y"\nz'])
+    @pytest.mark.parametrize(
+        "pid", ["a,b", '"q"', "two\nlines", 'x,"y"\nz', "a\rb", "cr\r\nlf", '"\r"']
+    )
     def test_ids_with_commas_quotes_and_newlines_read_back(self, pid):
         # ids were joined unquoted: a comma split the row, and a quoted id
-        # read back without its quotes
+        # read back without its quotes; a bare carriage return was written
+        # unquoted and ended the row
         inst = extract_instances(
             ca_structure(FOUR_RESIDUE, pid), ContactConfig(), Scorer("unit_count")
         )
@@ -678,6 +681,14 @@ class TestCsvRoundTrip:
         )
         text = instances_to_csv([inst])
         assert text.splitlines()[1] == "p,A-G,A,1,A,4,4.25,-1.5"
+        assert instances_from_csv(text) == [inst]
+
+    def test_a_row_holding_a_carriage_return_is_quoted(self):
+        inst = InteractionInstance(
+            "a\rb", InteractionClass.parse("A-G"), (("A", 1), ("A", 4)), 4.25, -1.5
+        )
+        text = instances_to_csv([inst])
+        assert text == f'{CSV_HEADER}\n"a\rb","A-G","A","1","A","4","4.25","-1.5"\n'
         assert instances_from_csv(text) == [inst]
 
     def test_plain_rows_are_unquoted(self):

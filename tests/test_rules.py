@@ -24,6 +24,7 @@ from foldvote.rules import (
     AggregationOutcome,
     UtilityTransform,
     _borda_scores,
+    _by_key,
     apply_transform,
     borda,
     dictator,
@@ -35,6 +36,7 @@ from foldvote.rules import (
     standard_rules,
     utilitarian,
 )
+from test_profiles import all_weak_orders
 
 U3 = synthetic_universe(3)
 X, Y, Z = U3
@@ -542,6 +544,107 @@ def test_slot_kernels_match_reference_on_tied_profiles():
                 tuple(random_weak_order(rng, universe, f"v{v}") for v in range(n)),
             )
             assert_rules_match_reference(profile)
+
+
+# The packed tournament against ref_tournament, and the relation rows built
+# with map against the generator expressions they replaced. Every count
+# must be exact and a Python int, whatever field width n selects.
+
+
+def old_may_relation(counts):
+    m = len(counts)
+    return tuple(
+        tuple(i != j and counts[i][j] >= counts[j][i] or i == j for j in range(m))
+        for i in range(m)
+    )
+
+
+def old_by_key_relation(key):
+    return tuple(tuple(ki >= kj for kj in key) for ki in key)
+
+
+def assert_tournament_matches_reference(profile):
+    counts = ref_tournament(profile)
+    got = majority_tournament(profile)
+    assert got == counts
+    assert type(got) is tuple and all(type(row) is tuple for row in got)
+    assert all(type(c) is int for row in got for c in row)
+    relation = may_rule(profile).relation
+    assert relation == old_may_relation(counts)
+    assert all(type(v) is bool for row in relation for v in row)
+
+
+@pytest.mark.parametrize("n", [255, 256, 65535, 65536])
+def test_tournament_at_field_width_edges(n):
+    # fields are 1, 2 or 4 bytes around these n: one strict order held by
+    # n - 1 individuals and one tying its last two classes put n and n - 1
+    # in the fields, the largest counts a width must hold
+    u4 = synthetic_universe(4)
+    order = strict(u4, "v", u4)
+    tied = RankingWithTies("t", u4, ((u4[0],), (u4[1],), (u4[2], u4[3])))
+    profile = Profile(u4, (order,) * (n - 1) + (tied,))
+    counts = majority_tournament(profile)
+    assert counts[0][1] == counts[1][2] == n and counts[2][3] == n - 1
+    assert counts[3][2] == counts[1][0] == 0
+    assert_tournament_matches_reference(profile)
+
+
+def test_tournament_matches_reference_on_the_full_universe():
+    rng = random.Random(210)
+    universe = synthetic_universe(210)
+    # labels drawn from fewer values give fewer, larger tiers
+    for n, values in ((2, 210), (9, 3), (17, 20), (30, 210)):
+        individuals = []
+        for v in range(n):
+            labels = [rng.randrange(values) for _ in universe]
+            individuals.append(
+                RankingWithTies(
+                    f"v{v}",
+                    universe,
+                    tuple(
+                        tuple(c for c, lab in zip(universe, labels) if lab == t)
+                        for t in sorted(set(labels))
+                    ),
+                )
+            )
+        assert_tournament_matches_reference(Profile(universe, tuple(individuals)))
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_tournament_matches_reference_on_all_weak_order_spaces(m):
+    rankings = all_weak_orders(m)
+    universe = rankings[0].universe
+    for n in (2, 3):
+        for combo in product(rankings, repeat=n):
+            assert_tournament_matches_reference(Profile(universe, combo))
+
+
+@pytest.mark.parametrize(
+    "key",
+    [
+        [3, 1, 3, 0, -2, 1],
+        [0.0, -0.0, 1.5, -1.5, 0.0, 2.5, 1.5],
+        [0, 0.0, -0.0, 1, 1.0, -1],
+        [2**70, 2**70 + 1, -(2**70), 2**70],
+        [-0.0, -0.0],
+    ],
+)
+def test_by_key_relation_matches_the_generator_expression(key):
+    outcome = _by_key("k", synthetic_universe(len(key)), key)
+    assert outcome.relation == old_by_key_relation(key)
+    assert all(type(v) is bool for row in outcome.relation for v in row)
+    assert outcome.transitive
+
+
+def test_by_key_relation_matches_on_seeded_keys():
+    rng = random.Random(17)
+    pool = [0.0, -0.0, 0, 1, -1, 0.5, -0.5, 1.0]
+    for m in range(2, 12):
+        for _ in range(20):
+            key = [rng.choice(pool) for _ in range(m)]
+            outcome = _by_key("k", synthetic_universe(m), key)
+            assert outcome.relation == old_by_key_relation(key)
+            assert outcome.transitive
 
 
 # The class-keyed Borda scores and utilitarian totals that the per-slot
