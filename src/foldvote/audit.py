@@ -40,7 +40,8 @@ from typing import NamedTuple
 from .aminoacids import CLASSES, InteractionClass, Universe
 from .errors import BadSpec, BudgetExceeded, InapplicableAxiom, MalformedProfile
 from .preferences import RankingWithTies, UtilityVector
-from .profiles import Profile, _integers, _kendall_slots, synthetic_universe
+from .profiles import Profile, _integers, _kendall_slots, _summed_kendall
+from .profiles import synthetic_universe
 # Rule and standard_rules are imported from here as well as from rules
 from .rules import Rule, outcome_distance, standard_rules
 
@@ -208,11 +209,6 @@ def _kept(views: list[_View], stance, pair, lifted: int | None = None) -> bool:
         else stance(b, *pair) == stance(a, *pair)
         for k, (a, b) in enumerate(zip(views[0].prefs, views[1].prefs))
     )
-
-
-def _prefs_distance(a: tuple, b: tuple) -> float:
-    """profile_distance on the prefs of two ordinal profiles."""
-    return sum(_kendall_slots(x, y) for x, y in zip(a, b))
 
 
 def _labels(universe: Universe, indices) -> list[str]:
@@ -936,8 +932,8 @@ class _ProximityPreservation(_Axiom):
     def check(self, universe, views):
         base, near, far = views
         return _proximity_violation(
-            _prefs_distance(base.prefs, near.prefs),
-            _prefs_distance(base.prefs, far.prefs),
+            _summed_kendall(base.prefs, near.prefs),
+            _summed_kendall(base.prefs, far.prefs),
             outcome_distance(base.outcome, near.outcome),
             outcome_distance(base.outcome, far.outcome),
         )
@@ -984,7 +980,7 @@ class _ProximityPreservation(_Axiom):
         base = trials.base()[1]
         near, far = trials.base()[1], trials.base()[1]
         prefs = base[1].prefs
-        if _prefs_distance(prefs, near[1].prefs) > _prefs_distance(prefs, far[1].prefs):
+        if _summed_kendall(prefs, near[1].prefs) > _summed_kendall(prefs, far[1].prefs):
             near, far = far, near
         return [base, near, far], ()
 

@@ -49,10 +49,12 @@ def instances_to_csv(instances: list[InteractionInstance]) -> str:
 
 def instances_from_csv(text: str) -> list[InteractionInstance]:
     """Read instances back; blank lines are skipped. A wrong header raises
-    MalformedContacts, as does a row whose field count is not the header's,
-    whose fields do not parse, or whose distance is not finite and >= 0 or
-    score not finite, naming its line."""
-    rows = csv.reader(io.StringIO(text))
+    MalformedContacts, as does a line the CSV reader cannot split (a bare
+    carriage return outside quotes), a row whose field count is not the
+    header's, whose fields do not parse, or whose distance is not finite
+    and >= 0 or score not finite, naming its line."""
+    reader = csv.reader(io.StringIO(text))
+    rows = _split(reader)
     expected = CSV_HEADER.split(",")
     header = next(rows, None)
     if header != expected:
@@ -65,7 +67,7 @@ def instances_from_csv(text: str) -> list[InteractionInstance]:
             continue
         if len(row) != len(expected):
             raise MalformedContacts(
-                f"line {rows.line_num}: {len(row)} fields, expected {len(expected)}"
+                f"line {reader.line_num}: {len(row)} fields, expected {len(expected)}"
             )
         protein_id, label, chain_i, seq_i, chain_j, seq_j, distance, score = row
         try:
@@ -81,6 +83,14 @@ def instances_from_csv(text: str) -> list[InteractionInstance]:
             if not math.isfinite(instance.score):
                 raise ValueError(f"score must be finite, got {score}")
         except ValueError as exc:
-            raise MalformedContacts(f"line {rows.line_num}: {exc}") from None
+            raise MalformedContacts(f"line {reader.line_num}: {exc}") from None
         out.append(instance)
     return out
+
+
+def _split(reader):
+    """The reader's rows, its csv.Error raised as MalformedContacts."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise MalformedContacts(f"line {reader.line_num}: {exc}") from None

@@ -122,6 +122,10 @@ def _cases():
     ):
         for rule in rules:
             out += [("sampled", rule, a, m, n, trials, seed) for a in ORDINAL_AXES]
+    # proximity at a size where counting the Kendall distance matters;
+    # constant passes, so the fail witnesses have a rule to be rejected by
+    for rule in ("may", "borda", "constant"):
+        out.append(("sampled", rule, AxiomId.PROXIMITY_PRESERVATION, 60, 20, 10, 7))
     for rule in UTILITY:
         out += [("sampled", rule, a, 4, 3, 300, 2) for a in UTILITY_AXES]
     for rule in ("may", "borda", "dictator"):
@@ -552,6 +556,8 @@ DIGESTS = {
         ("fail", "5f96cbf50cd754897744b47fc6e186c667782763eec05769a6913f53273f661e"),
     "sampled:borda:proximity_preservation:5x4:t100:s11":
         ("fail", "e27815e103f4a78fe4115b81e260f82148b213b38c0c8fb99f681e8d1d1854db"),
+    "sampled:borda:proximity_preservation:60x20:t10:s7":
+        ("fail", "9305463f442cd42907c946449bf51eec5aff1c3e53d4be7f294bb3f5bce25d37"),
     "sampled:borda:transitivity:3x3:t300:s5":
         ("pass_within_search", "bae36c0b8b89f20cdb3465ffd6472d57879736c211bdbce5a7ca02ac64c23d69"),
     "sampled:borda:transitivity:5x4:t100:s11":
@@ -612,6 +618,8 @@ DIGESTS = {
         ("pass_within_search", "c5352e5a8dcb45c49ba7be8234563589b360f1ad571ac35287d0dc18ca386c95"),
     "sampled:constant:proximity_preservation:5x4:t100:s11":
         ("pass_within_search", "091d26babb0369c27723c9f22840535b8a25ccf5c20efb605f6f42e27758e158"),
+    "sampled:constant:proximity_preservation:60x20:t10:s7":
+        ("pass_within_search", "0f9db7c4b7aaf7c7d9a47f9764af6d4e6895f1aadea1a78e476accfed12f4af7"),
     "sampled:constant:transitivity:3x2:t300:s5":
         ("pass_within_search", "1b857ba320ae6795c721025d30a5f7f336269af1914ea9ab99805f0bb6b074ec"),
     "sampled:constant:transitivity:3x3:t300:s5":
@@ -794,6 +802,8 @@ DIGESTS = {
         ("fail", "bbbd88502cdd63843fb49d11be13a60b37b6889f859136a00fdd31a421d3dbf8"),
     "sampled:may:proximity_preservation:5x4:t100:s11":
         ("fail", "57437eacbd4d2df6e5720684e05d98ecd3e859f5d46d0c269745960f7a9391ab"),
+    "sampled:may:proximity_preservation:60x20:t10:s7":
+        ("fail", "a1aaa63cfe3ba2ed97af1d344ac23a20abff79f185eedea8c790eeb59445a1bb"),
     "sampled:may:transitivity:3x3:t300:s5":
         ("fail", "25fac22d91f234c7639a639b4b68a127d5250af8b9e4a8c7b3448909dae498f1"),
     "sampled:may:transitivity:5x4:t100:s11":

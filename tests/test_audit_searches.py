@@ -27,8 +27,8 @@ from foldvote.audit import (
     _proximity_violation,
     _Space,
 )
-from foldvote.profiles import _kendall_slots
 from test_audit_frozen import PROBE_ORDINAL, RULES, STANDARD_ORDINAL, UTILITY
+from test_profiles import kendall_pair_loop
 
 
 # the stance the responsiveness reference groups strict orders by
@@ -102,7 +102,7 @@ def reference_responsiveness(axiom, space):
 
 
 def reference_proximity(axiom, space):
-    order_dist = [[_kendall_slots(a, b) for b in space.prefs] for a in space.prefs]
+    order_dist = [[kendall_pair_loop(a, b) for b in space.prefs] for a in space.prefs]
     combos = list(space.combos())
     values = [
         [space.view(combo).outcome.pair_value(*pair) for pair in space.pairs]

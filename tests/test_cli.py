@@ -500,6 +500,23 @@ class TestExtractAndRank:
         assert proc.stderr == f"error: {error}\n"
         assert proc.stdout == ""
 
+    @pytest.mark.parametrize(
+        "lines,line",
+        [
+            ([HEADER.replace("chain_i", "ch\rain_i")], 1),
+            ([HEADER, GOOD_ROW, "p,A-G,A\r,1,A,4,5.0,1.0"], 3),
+        ],
+    )
+    def test_rank_rejects_a_bare_carriage_return(self, tmp_path, lines, line):
+        # the CSV reader's error used to end in a traceback and exit 1
+        path = tmp_path / "bad.contacts.csv"
+        path.write_bytes(("\n".join(lines) + "\n").encode())
+        proc = run("rank", str(path), check=2)
+        assert proc.stderr.startswith(
+            f"error: MalformedContacts: line {line}: new-line character seen"
+        )
+        assert proc.stdout == ""
+
     @pytest.mark.parametrize("tau", ["nan", "inf", "-inf", "0"])
     def test_extract_rejects_a_bad_tau(self, tmp_path, tau):
         # NaN and infinity used to reach the summary, which is then not JSON

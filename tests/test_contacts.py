@@ -658,6 +658,18 @@ class TestCsvRoundTrip:
             instances_from_csv("wrong,header\n1,2\n")
 
     @pytest.mark.parametrize(
+        "text,line",
+        [
+            (CSV_HEADER.replace("chain_i", "ch\rain_i") + "\n", 1),
+            (f"{CSV_HEADER}\np,A-G,A,1,A,4,5.0,1.0\n\np,A-G,A\r,1,A,4,5.0,1.0\n", 4),
+        ],
+    )
+    def test_bare_carriage_return_rejected(self, text, line):
+        # the CSV reader's own error used to escape as a bare csv.Error
+        with pytest.raises(MalformedContacts, match=f"^line {line}: new-line "):
+            instances_from_csv(text)
+
+    @pytest.mark.parametrize(
         "pid", ["a,b", '"q"', "two\nlines", 'x,"y"\nz', "a\rb", "cr\r\nlf", '"\r"']
     )
     def test_ids_with_commas_quotes_and_newlines_read_back(self, pid):

@@ -341,6 +341,24 @@ def ref_kendall(a, b):
     return total
 
 
+def kendall_pair_loop(sa, sb):
+    """The O(m^2) pair loop the counting Kendall distance replaced, on two
+    rankings given by their slots(): in halves, v is 1 + sign(tier of y -
+    tier of x), so each pair adds the absolute difference of its two
+    signs."""
+    halves = 0
+    for i, (ai, bi) in enumerate(zip(sa, sb)):
+        for aj, bj in zip(sa[i + 1 :], sb[i + 1 :]):
+            halves += abs((aj > ai) - (aj < ai) - (bj > bi) + (bj < bi))
+    return halves / 2
+
+
+def assert_kendall_matches_references(a, b):
+    got = kendall_distance(a, b)
+    assert type(got) is float
+    assert got == ref_kendall(a, b) == kendall_pair_loop(a.slots(), b.slots())
+
+
 def from_labels(universe, labels, owner="w"):
     """The weak order ranking classes by ascending label."""
     return RankingWithTies(
@@ -362,14 +380,37 @@ def all_weak_orders(m):
     ]
 
 
-@pytest.mark.parametrize("m,count", [(2, 3), (3, 13), (4, 75)])
+@pytest.mark.parametrize("m,count", [(1, 1), (2, 3), (3, 13), (4, 75)])
 def test_kendall_matches_reference_on_all_weak_order_pairs(m, count):
     rankings = all_weak_orders(m)
     assert len(rankings) == count
     for a in rankings:
         for b in rankings:
-            got = kendall_distance(a, b)
-            assert type(got) is float and got == ref_kendall(a, b)
+            assert_kendall_matches_references(a, b)
+
+
+def test_kendall_matches_reference_on_seeded_pairs_up_to_210_classes():
+    rng = random.Random(2104)
+    for m in range(2, 211):
+        universe = synthetic_universe(m)
+
+        def tied():
+            tiers = rng.randint(1, m)
+            return [rng.randrange(tiers) for _ in universe]
+
+        order = rng.sample(range(m), m)
+        a, b = from_labels(universe, tied()), from_labels(universe, tied())
+        strict = from_labels(universe, order)
+        # a random pair at every m, and one of the edge cases in turn
+        edge = (
+            (a, a),
+            (a, from_labels(universe, [-t for t in a.slots()])),
+            (strict, from_labels(universe, [-t for t in order])),
+            (from_labels(universe, [0] * m), strict),
+            (strict, a),
+        )[m % 5]
+        assert_kendall_matches_references(a, b)
+        assert_kendall_matches_references(*edge)
 
 
 def test_profile_distance_matches_reference_on_tied_profiles():
@@ -389,3 +430,31 @@ def test_profile_distance_matches_reference_on_tied_profiles():
             )
             want = sum(ref_kendall(a, b) for a, b in zip(p.individuals, q.individuals))
             assert profile_distance(p, q) == want
+
+
+def sparse_profile(rng, m, n):
+    """n weak orders over m classes in four tiers, one of them holding
+    about two fifths of the classes."""
+    universe = synthetic_universe(m)
+    return Profile(
+        universe,
+        tuple(
+            from_labels(universe, [rng.choice((0, 0, 1, 2, 3)) for _ in universe])
+            for _ in range(n)
+        ),
+    )
+
+
+def test_profile_distance_matches_reference_at_benchmark_shapes():
+    # the aggregate benchmark's two distance jobs: strict impartial-culture
+    # profiles at 40 x 30, and tied profiles at 60 x 20
+    rng = random.Random(6020)
+    for p, q in (
+        (generate(SynthSpec("impartial_culture", 40, 30, s)) for s in (3, 4)),
+        (sparse_profile(rng, 60, 20) for _ in range(2)),
+    ):
+        pairs = list(zip(p.individuals, q.individuals))
+        got = profile_distance(p, q)
+        assert type(got) is float
+        assert got == sum(ref_kendall(a, b) for a, b in pairs)
+        assert got == sum(kendall_pair_loop(a.slots(), b.slots()) for a, b in pairs)
