@@ -24,8 +24,14 @@ Witness minimality: exhaustive searches report the first profile with a
 violation, then the first class pair (anonymity and neutrality: the
 first permutation in itertools order; IIA and responsiveness: the
 smallest partner profile, then pair and uplifted individual; proximity:
-the smallest near, then far, profile). Sampled passes are qualified by
-the space actually searched.
+the smallest near, then far, profile). For a rule marked `pairwise` the
+single-profile searches visit one profile per orbit of the individual
+permutations, C(m! + n - 1, n) of the (m!)^n; the first violation is
+one of those, because sorting a profile's digits keeps its count matrix,
+so its outcome and its check, and does not make it larger. The verdict
+still speaks for the whole space. Anonymity of such a rule passes by
+declaration: every permuted copy reads the same kept outcome. Sampled
+passes are qualified by the space actually searched.
 """
 from __future__ import annotations
 
@@ -251,7 +257,12 @@ class _Space(_Profiles):
     An ordinal rule marked `pairwise` is run once per pairwise count
     matrix: a profile's matrix is the sum of its items' pairwise 0/1
     matrices, and the outcome is kept by that sum. Any other rule runs
-    each time an outcome is read."""
+    each time an outcome is read. Permuting the individuals keeps the
+    matrix, so such a space is `anonymous`: the single-profile searches
+    and anonymity walk only `orbits`, C(len(items) + n - 1, n) profiles
+    of the len(items) ** n (126 of 1296 at m=3, n=4). A rule wrongly
+    marked `pairwise` is made anonymous by the memo, so it passes
+    anonymity whatever it does."""
 
     def __init__(self, m: int, n: int, rule: Rule, catches: bool):
         super().__init__(m, n, rule, catches)
@@ -283,6 +294,18 @@ class _Space(_Profiles):
     def combos(self):
         """Each profile's digits, in enumeration order."""
         return product(range(len(self.items)), repeat=self.n)
+
+    def orbits(self):
+        """Each orbit's first profile under permutations of the
+        individuals, in enumeration order: the digits in non-decreasing
+        order, C(len(items) + n - 1, n) of them."""
+        return combinations_with_replacement(range(len(self.items)), self.n)
+
+    @property
+    def anonymous(self) -> bool:
+        """Outcomes are kept by count matrix, so every profile of an orbit
+        reads one outcome: the one of its first profile."""
+        return self._by_counts is not None
 
     def profile(self, combo: tuple[int, ...]) -> Profile:
         individuals = tuple(map(list.__getitem__, self.individuals, combo))
@@ -449,8 +472,17 @@ class _Axiom:
 
     def search(self, space: _Space):
         """The first profile, in enumeration order, that the check flags:
-        (profile digits, witness fields) or None."""
-        for combo in space.combos():
+        (profile digits, witness fields) or None.
+
+        The checks searched so (agreement, transitivity, unrestricted
+        domain, the unanimities) read the individuals' prefs in any order.
+        On an anonymous space the sorted digits of a flagged profile share
+        its outcome, so they are flagged too, with the same fields, and are
+        no larger: the first flagged profile is an orbit's first, and the
+        walk visits only those. The count memo's first profile per matrix
+        is sorted as well, so each matrix runs the rule on the profile it
+        would have run on in a full walk (and an error keeps its text)."""
+        for combo in space.orbits() if space.anonymous else space.combos():
             detail = self.check(space.universe, [space.view(combo)])
             if detail is not None:
                 return (combo,), detail
@@ -636,8 +668,17 @@ class _Anonymity(_Symmetry):
         return tuple(self.move(combo, sigma))  # digits move as orders do
 
     def firsts(self, space):
-        # an orbit's first profile has its digits in non-decreasing order
-        return combinations_with_replacement(range(len(space.items)), space.n)
+        return space.orbits()
+
+    def search(self, space):
+        # On an anonymous space every moved copy reads its base's outcome,
+        # so the check cannot fire: a rule marked pairwise passes by its
+        # declaration. Each base is still read, so a raising rule raises.
+        if not space.anonymous:
+            return super().search(space)
+        for combo in space.orbits():
+            space.view(combo)
+        return None
 
     def premise(self, universe, views, sigma):
         base, permuted = views[0].prefs, views[1].prefs
@@ -1085,7 +1126,10 @@ def verify_result(rule: Rule, result: AuditResult) -> bool:
     axiom's premise; pass verdicts verify vacuously. A malformed witness
     (a missing field, a profile that does not parse or is not in the
     rule's mode, a parameter of the wrong shape) verifies as False; the
-    rule's own exceptions propagate.
+    rule's own exceptions propagate. What no rule reads is not checked,
+    as `Profile.from_json_dict` does not check it: extra witness or
+    profile keys, owner names (renamed or repeated), and a missing profile
+    `mode`, which reads as ordinal.
 
     A non-dictatorship witness re-checks only its demo profile, and the
     demo outcome tiers when it gives them (sampled witnesses give None),

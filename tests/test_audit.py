@@ -687,6 +687,34 @@ class TestVerification:
         missing = AuditResult(res.rule_name, res.axiom, FAIL, witness, "edited")
         assert not verify_result(rule, missing)
 
+    @pytest.mark.parametrize(
+        "edit",
+        ["extra key", "extra profile key", "renamed owner", "duplicated owner", "no mode"],
+    )
+    def test_what_no_rule_reads_is_not_checked(self, edit):
+        # intended: no rule reads owners or keys it does not know, and
+        # Profile.from_json_dict accepts the same (mode defaults to
+        # ordinal), so the witness still proves its violation
+        rule = RULES["may"]
+        res = audit(rule, AxiomId.TRANSITIVITY, exhaustive(3, 3))
+        profile = res.witness["profile"]
+        first, second, *rest = profile["individuals"]
+
+        def owners(a, b):
+            individuals = [{**first, "owner": a}, {**second, "owner": b}, *rest]
+            return {**profile, "individuals": individuals}
+
+        fields = {
+            "extra key": {"comment": "added"},
+            "extra profile key": {"profile": {**profile, "comment": "added"}},
+            "renamed owner": {"profile": owners("someone", second["owner"])},
+            "duplicated owner": {"profile": owners(first["owner"], first["owner"])},
+            "no mode": {"profile": {k: v for k, v in profile.items() if k != "mode"}},
+        }[edit]
+        edited = retouch(res, **fields)
+        assert edited.witness != res.witness
+        assert verify_result(rule, edited)
+
     def test_pass_results_verify_trivially(self):
         res = audit(RULES["borda"], AxiomId.UNANIMITY, exhaustive(3, 2))
         assert res.verdict == PASS
@@ -823,7 +851,9 @@ class TestCountMemo:
 
 class TestOrbitFirsts:
     """Anonymity and neutrality searches start from each orbit's first
-    profile, read off its digits, and move it by each permutation."""
+    profile, read off its digits, and move it by each permutation. On an
+    anonymous space the single-profile searches and anonymity read only
+    each orbit's first profile under permutations of the individuals."""
 
     SPACES = [(2, 4), (3, 2), (3, 3), (3, 4), (4, 2), (4, 3)]
     SYMMETRIES = [AxiomId.ANONYMITY, AxiomId.NEUTRALITY]
@@ -865,22 +895,55 @@ class TestOrbitFirsts:
                 moved = axiom.moved(space, combo, perm)
                 assert [space.items[d] for d in moved] == axiom.move(orders, perm)
 
+    @staticmethod
+    def count_calls(monkeypatch, owner, name):
+        """Record each call of owner.name, a method, by its arguments."""
+        counted = []
+        method = getattr(owner, name)
+
+        def counting(self, *args):
+            counted.append(args)
+            return method(self, *args)
+
+        monkeypatch.setattr(owner, name, counting)
+        return counted
+
     @pytest.mark.parametrize(
-        "axiom_id,calls", [(AxiomId.ANONYMITY, 15600), (AxiomId.NEUTRALITY, 13824)]
+        "axiom_id,pairwise,calls",
+        [
+            (AxiomId.ANONYMITY, False, 15600),
+            (AxiomId.ANONYMITY, True, 0),
+            (AxiomId.NEUTRALITY, True, 13824),
+        ],
+        ids=["anonymity-15600", "memoised-anonymity-0", "neutrality-13824"],
     )
-    def test_moved_calls_of_a_full_walk(self, monkeypatch, axiom_id, calls):
+    def test_moved_calls_of_a_full_walk(self, monkeypatch, axiom_id, pairwise, calls):
         # may passes both, so the search walks every orbit at (4, 3):
         # C(26, 3) = 2600 firsts times 3! individual permutations, and
-        # 24^2 = 576 firsts times 4! relabelings
+        # 24^2 = 576 firsts times 4! relabelings. Marked pairwise, every
+        # individual permutation keeps its count matrix, so anonymity
+        # passes without a moved copy; a relabeling moves the matrix.
         axiom = _AXIOMS[axiom_id]
-        counted = []
-        moved = type(axiom).moved
-
-        def counting(self, space, combo, perm):
-            counted.append(combo)
-            return moved(self, space, combo, perm)
-
-        monkeypatch.setattr(type(axiom), "moved", counting)
-        res = audit(RULES["may"], axiom_id, exhaustive(4, 3))
+        counted = self.count_calls(monkeypatch, type(axiom), "moved")
+        rule = Rule("may", RULES["may"].fn, pairwise=pairwise)
+        res = audit(rule, axiom_id, exhaustive(4, 3))
         assert res.verdict == PASS
         assert len(counted) == calls
+
+    @pytest.mark.parametrize(
+        "name,axiom_id,m,n,views",
+        [
+            # C(3! + 4 - 1, 4) = 126 and C(4! + 3 - 1, 3) = 2600 orbits
+            ("may", AxiomId.UNANIMITY, 3, 4, 126),
+            ("may", AxiomId.UNANIMITY, 4, 3, 2600),
+            ("borda", AxiomId.AGREEMENT, 4, 3, 2600),
+            ("may", AxiomId.ANONYMITY, 4, 3, 2600),
+            # not anonymous: every profile is read
+            ("dictator", AxiomId.UNANIMITY, 3, 4, 6**4),
+        ],
+    )
+    def test_views_of_a_passing_walk(self, monkeypatch, name, axiom_id, m, n, views):
+        counted = self.count_calls(monkeypatch, _Space, "view")
+        res = audit(RULES[name], axiom_id, exhaustive(m, n))
+        assert res.verdict == PASS
+        assert len(counted) == len(set(counted)) == views
