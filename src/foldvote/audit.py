@@ -45,6 +45,7 @@ from typing import NamedTuple
 
 from .aminoacids import CLASSES, InteractionClass, Universe
 from .errors import BadSpec, BudgetExceeded, InapplicableAxiom, MalformedProfile
+from .errors import NonFiniteUtility
 from .preferences import RankingWithTies, UtilityVector
 from .profiles import Profile, _integers, _kendall_slots, _summed_kendall
 from .profiles import synthetic_universe
@@ -664,9 +665,6 @@ class _Anonymity(_Symmetry):
     def move(self, orders, sigma):
         return [orders[s] for s in sigma]
 
-    def moved(self, space, combo, sigma):
-        return tuple(self.move(combo, sigma))  # digits move as orders do
-
     def firsts(self, space):
         return space.orbits()
 
@@ -1124,12 +1122,12 @@ def verify_result(rule: Rule, result: AuditResult) -> bool:
     """Re-run the rule on a fail witness's embedded profiles and re-check
     the claimed violation, after checking that the profiles meet the
     axiom's premise; pass verdicts verify vacuously. A malformed witness
-    (a missing field, a profile that does not parse or is not in the
-    rule's mode, a parameter of the wrong shape) verifies as False; the
-    rule's own exceptions propagate. What no rule reads is not checked,
-    as `Profile.from_json_dict` does not check it: extra witness or
-    profile keys, owner names (renamed or repeated), and a missing profile
-    `mode`, which reads as ordinal.
+    (a missing field, a profile that does not parse, holds a non-finite
+    utility or is not in the rule's mode, a parameter of the wrong shape)
+    verifies as False; the rule's own exceptions propagate. What no rule
+    reads is not checked, as `Profile.from_json_dict` does not check it:
+    extra witness or profile keys, owner names (renamed or repeated), and
+    a missing profile `mode`, which reads as ordinal.
 
     A non-dictatorship witness re-checks only its demo profile, and the
     demo outcome tiers when it gives them (sampled witnesses give None),
@@ -1143,7 +1141,7 @@ def verify_result(rule: Rule, result: AuditResult) -> bool:
         return False
     try:
         profiles = [Profile.from_json_dict(w[key]) for key in axiom.profile_keys]
-    except MalformedProfile:
+    except (MalformedProfile, NonFiniteUtility):
         return False
     universe, n = profiles[0].universe, profiles[0].n
     for p in profiles:

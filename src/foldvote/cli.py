@@ -21,6 +21,9 @@ EXIT_USAGE = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
 
+# what bad input raises, reported with EXIT_INPUT instead of a traceback
+_INPUT_ERRORS = (FoldvoteError, OSError, ValueError)
+
 RULE_NAMES = ("may", "borda", "kemeny", "dictator", "utilitarian")
 
 
@@ -122,7 +125,7 @@ def _cmd_extract(args) -> int:
         try:
             structure = parse_pdb(p.read_text(), p.stem)
             instances = extract_instances(structure, config, scorer)
-        except (FoldvoteError, OSError, ValueError) as exc:
+        except _INPUT_ERRORS as exc:
             failures.append({"path": str(p), "error": f"{type(exc).__name__}: {exc}"})
             print(f"failed: {p}: {exc}", file=sys.stderr)
             continue
@@ -392,7 +395,7 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (FoldvoteError, OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except _INPUT_ERRORS as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -83,9 +83,14 @@ def parse_score_table(text: str, negate: bool = True) -> Scorer:
 
     Expected layout: header row of one-letter codes (leading empty cell),
     then 20 rows each starting with its code. A non-finite entry,
-    asymmetry beyond 1e-9 or any dimension/label problem raises BadTable.
+    asymmetry beyond 1e-9, any dimension/label problem or a line the CSV
+    reader cannot split (a bare carriage return outside quotes) raises
+    BadTable.
     """
-    rows = list(csv.reader(io.StringIO(text)))
+    try:
+        rows = list(csv.reader(io.StringIO(text)))
+    except csv.Error as exc:
+        raise BadTable(f"unreadable table CSV: {exc}") from None
     rows = [r for r in rows if r and any(cell.strip() for cell in r)]
     if not rows:
         raise BadTable("empty table")
@@ -111,7 +116,9 @@ def parse_score_table(text: str, negate: bool = True) -> Scorer:
             table[LETTER_INDEX[label], LETTER_INDEX[col_label]] = value
     if not np.isfinite(table).all():
         raise BadTable("table has a non-finite entry (nan, inf or -inf)")
-    if np.abs(table - table.T).max() > 1e-9:
+    with np.errstate(over="ignore"):  # 1e308 against -1e308 differs by inf
+        asymmetry = np.abs(table - table.T).max()
+    if asymmetry > 1e-9:
         raise BadTable("table is asymmetric beyond 1e-9")
     return Scorer(kind="table", table=table, negate=negate)
 

@@ -34,9 +34,12 @@ class DirectionPoint:
         return len(self.coordinates)
 
 
-def _normalize(vector: tuple[float, ...]) -> tuple[float, ...]:
+def _direction(vector: tuple[float, ...], fault: Exception) -> DirectionPoint:
+    """The vector scaled onto the unit sphere; raises fault below norm 1e-12."""
     norm = math.sqrt(math.fsum(x * x for x in vector))
-    return tuple(x / norm for x in vector)
+    if norm < DEGENERATE_NORM:
+        raise fault
+    return DirectionPoint(tuple(x / norm for x in vector))
 
 
 def euclidean(a: tuple[float, ...], b: tuple[float, ...]) -> float:
@@ -45,9 +48,8 @@ def euclidean(a: tuple[float, ...], b: tuple[float, ...]) -> float:
 
 def direction_from_utility(u: UtilityVector) -> DirectionPoint:
     """Normalize a utility vector onto the unit sphere (universe order)."""
-    if math.sqrt(math.fsum(x * x for x in u.values)) < DEGENERATE_NORM:
-        raise ZeroVector(f"utility vector of {u.protein_id!r} has no direction")
-    return DirectionPoint(_normalize(u.values))
+    fault = ZeroVector(f"utility vector of {u.protein_id!r} has no direction")
+    return _direction(u.values, fault)
 
 
 def aggregate_directions(directions: list[DirectionPoint]) -> DirectionPoint:
@@ -66,9 +68,7 @@ def aggregate_directions(directions: list[DirectionPoint]) -> DirectionPoint:
     mean = tuple(
         math.fsum(d.coordinates[i] for d in directions) / n for i in range(dim)
     )
-    if math.sqrt(math.fsum(x * x for x in mean)) < DEGENERATE_NORM:
-        raise AntipodalDegenerate("mean direction vanishes")
-    return DirectionPoint(_normalize(mean))
+    return _direction(mean, AntipodalDegenerate("mean direction vanishes"))
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,6 @@ near-equal utilities.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from collections.abc import Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -240,7 +239,8 @@ def utility_from_instances(
     """Collapse one protein's instances into a utility vector.
 
     combine: "sum" of scores, "mean" of scores, or "count" of instances;
-    classes with no instance get 0.0.
+    classes with no instance get 0.0. Sums are math.fsum, correctly
+    rounded on every Python version.
     """
     if combine not in ("sum", "mean", "count"):
         raise ValueError(f"unknown combine {combine!r}")
@@ -250,27 +250,28 @@ def utility_from_instances(
     if protein_id is None:
         protein_id = owners.pop() if owners else ""
 
-    # group first, hashing each instance's class once; the groups keep
-    # first-seen order, so the error names the first stray class seen
-    by_class: defaultdict[InteractionClass, list[float]] = defaultdict(list)
+    # one pass into the slots' lists, stopping at the first stray class
+    slot = {cls: i for i, cls in enumerate(universe)}
+    groups: list[list[float]] = [[] for _ in universe]
     for inst in instances:
-        by_class[inst.interaction_class].append(inst.score)
-    allowed = set(universe)
-    for cls in by_class:
-        if cls not in allowed:
-            raise UniverseMismatch(f"instance class {cls.render()} outside universe")
+        i = slot.get(inst.interaction_class)
+        if i is None:
+            raise UniverseMismatch(
+                f"instance class {inst.interaction_class.render()} outside universe"
+            )
+        groups[i].append(inst.score)
 
     values = []
-    for cls in universe:
-        scores = by_class.get(cls)
-        if not scores:
-            values.append(0.0)
-        elif combine == "sum":
-            values.append(float(sum(scores)))
-        elif combine == "mean":
-            values.append(float(sum(scores) / len(scores)))
-        else:
+    for scores in groups:
+        if not scores or combine == "count":
             values.append(float(len(scores)))
+            continue
+        try:
+            total = math.fsum(scores)
+        except (OverflowError, ValueError):
+            # no finite sum: sum's inf or nan is left for UtilityVector to reject
+            total = sum(scores)
+        values.append(total if combine == "sum" else total / len(scores))
     return UtilityVector(protein_id, universe, values)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import operator
-import sys
+import struct
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, repeat
@@ -25,8 +25,8 @@ KEMENY_MAX_CLASSES = 8
 Relation = tuple[tuple[bool, ...], ...]  # weak preference, row >= column
 Counts = tuple[tuple[int, ...], ...]  # counts[i][j] = #{strictly prefer i to j}
 
-# memoryview format of the native unsigned int of each size in bytes
-_NATIVE_UNSIGNED = {2: "H", 4: "I", 8: "Q"}
+# struct format of the unsigned int of each size in bytes
+_UNSIGNED = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
 @dataclass(frozen=True)
@@ -176,14 +176,14 @@ def majority_tournament(profile: Profile) -> Counts:
     """Pairwise strict-preference counts N(a > b) over the profile.
 
     Each class's row of counts is one Python int with a fixed-width field
-    per class, laid out in native memory order. The field is the smallest
+    per class, laid out little-endian on every host. The field is the smallest
     of 1, 2, 4 or 8 bytes that holds n, so no count carries into the next
     field. For each individual, each class's field bit goes into the mask
     of its tier, and suffix sums turn each tier's mask into the mask of
     every class in a later tier; each class's row then adds the mask
     below its own tier. So the work is m big-int row adds per individual,
-    however many pairs it orders. Each row is decoded once, by reading its
-    bytes as native unsigned ints of the field's size.
+    however many pairs it orders. Each row is decoded once, by unpacking
+    its little-endian bytes as unsigned ints of the field's size.
     """
     _require_mode(profile, "ordinal", "majority_tournament")
     individuals = profile.individuals
@@ -191,9 +191,6 @@ def majority_tournament(profile: Profile) -> Counts:
     size = 1 if n < 1 << 8 else 2 if n < 1 << 16 else 4 if n < 1 << 32 else 8
     width = 8 * size
     bits = [1 << shift for shift in range(0, width * m, width)]
-    if sys.byteorder == "big":
-        # big-endian bytes put the most significant field first
-        bits.reverse()
     rows = [0] * m
     for ind in individuals:
         slots = ind.slots()
@@ -207,10 +204,8 @@ def majority_tournament(profile: Profile) -> Counts:
             below.append(rest)
         below.reverse()
         rows = list(map(operator.add, rows, map(below.__getitem__, slots)))
-    data = [row.to_bytes(m * size, sys.byteorder) for row in rows]
-    if size > 1:  # bytes iterate as 1-byte unsigned ints already
-        data = [memoryview(row).cast(_NATIVE_UNSIGNED[size]) for row in data]
-    return tuple(map(tuple, data))
+    unpack = struct.Struct(f"<{m}{_UNSIGNED[size]}").unpack
+    return tuple(unpack(row.to_bytes(m * size, "little")) for row in rows)
 
 
 def may_rule(profile: Profile) -> AggregationOutcome:

@@ -5,6 +5,7 @@ enumeration before being frozen here; the exhaustive (3, 2) and (3, 3)
 spaces are small enough to re-run on every test invocation.
 """
 
+import json
 from itertools import permutations
 
 import pytest
@@ -578,6 +579,30 @@ class TestVerification:
         }
         assert len(calls) == 1
 
+    def test_sampled_non_dictatorship_passes_when_everyone_agrees(self):
+        # seed 0's one trial gives both individuals the same order, so no
+        # one is overruled and no one is followed against opposition: there
+        # is no demo profile, and the audit passes without a witness
+        drawn = []
+
+        def counted(profile):
+            drawn.append([ind.tiers for ind in profile.individuals])
+            return RULES["may"](profile)
+
+        res = audit(
+            Rule("may", counted), AxiomId.NON_DICTATORSHIP, sampled(2, 2, 1, seed=0)
+        )
+        assert len(drawn) == 1 and drawn[0][0] == drawn[0][1]
+        assert res.to_json_dict() == {
+            "rule_name": "may",
+            "axiom": "non_dictatorship",
+            "verdict": PASS,
+            "witness": None,
+            "search_budget": "sampled 1 trials m=2 n=2 seed=0",
+            "seed": 0,
+            "notes": None,
+        }
+
     @pytest.mark.parametrize("index", [-2, True, 0, 4, 1.0, "1", None])
     def test_dictator_index_must_name_an_individual(self, index):
         # -2 used to read individual 1 through a negative index, and True
@@ -678,6 +703,16 @@ class TestVerification:
         witness = {"profile": profile, "error": error}
         forged = AuditResult("borda", AxiomId.UNRESTRICTED_DOMAIN, FAIL, witness, "f")
         assert not verify_result(rule, forged)
+
+    def test_witness_with_a_non_finite_utility_is_rejected(self):
+        # json.loads reads Infinity; the profile's NonFiniteUtility used to
+        # escape verification instead of rejecting the witness
+        rule = PROBE_RULES["anti_utilitarian"]
+        res = audit(rule, AxiomId.STRICT_UNANIMITY, exhaustive(3, 2))
+        assert verify_result(rule, res)
+        text = json.dumps(res.witness["profile"]).replace("0.5", "Infinity")
+        profile = json.loads(text)
+        assert not verify_result(rule, retouch(res, profile=profile))
 
     def test_witness_missing_a_field_is_rejected(self):
         rule = RULES["borda"]

@@ -610,6 +610,19 @@ class TestScoreTable:
         with pytest.raises(BadTable, match="non-finite entry"):
             parse_score_table(text)
 
+    def test_opposite_extremes_are_asymmetric(self):
+        # 1e308 - (-1e308) overflows to inf, which used to warn on the way
+        cells = {("A", "G"): "1e308", ("G", "A"): "-1e308"}
+        text = table_csv(lambda a, b: cells.get((a, b), 1.0))
+        with pytest.raises(BadTable, match="^table is asymmetric beyond 1e-9$"):
+            parse_score_table(text)
+
+    def test_bare_carriage_return(self):
+        # the CSV reader's own error used to escape as csv.Error
+        text = table_csv(lambda a, b: 1.0).replace(",1.0,", ",1\r0,", 1)
+        with pytest.raises(BadTable, match="^unreadable table CSV: new-line character"):
+            parse_score_table(text)
+
     @pytest.mark.parametrize("text", ["", "\n , ,\n"])
     def test_empty(self, text):
         with pytest.raises(BadTable, match="^empty table$"):

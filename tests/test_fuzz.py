@@ -1,23 +1,50 @@
-"""Seeded mutation fuzzing of two input readers.
+"""Seeded mutation fuzzing of the input readers and the command line.
 
-Each reader gets thousands of mutations of one valid input, drawn from a
-fixed seed, and must either succeed or raise its typed error:
-`instances_from_csv` returns a list or raises `MalformedContacts`, and
-`Profile.from_json_dict`, and every standard rule run on a profile it
-loads, return or raise a `FoldvoteError`. Any other exception is a
-reader fault that the command line would report as a bare traceback or
-hide behind its catch-all.
+Each surface gets many mutations of valid inputs, drawn from a fixed
+seed, and must either succeed or fail in its documented way:
+
+- `instances_from_csv` returns a list or raises `MalformedContacts`;
+- `Profile.from_json_dict`, and every standard rule run on a profile it
+  loads, return or raise a `FoldvoteError`;
+- `parse_pdb`, and `extract_instances` in every distance mode on a
+  structure it parses, return or raise a `FoldvoteError`;
+- `parse_score_table` returns a `Scorer` or raises `BadTable`;
+- `verify_result` on a mutated frozen fail witness returns a bool, and
+  only the audited rule's own exceptions escape it;
+- `cli.main` returns an exit code in {0, 1, 2, 3}, or argparse exits
+  with one, whatever flag values it is given.
+
+Any other exception is a fault that the command line would report as a
+bare traceback or hide behind its catch-all.
+
+FOLDVOTE_FUZZ_SCALE (a positive integer, default 1) multiplies every
+test's number of mutations.
 """
 
 import copy
+import dataclasses
+import io
 import json
 import math
+import os
 import random
 
-from foldvote.errors import FoldvoteError, MalformedContacts
-from foldvote.interchange import instances_from_csv
+import numpy as np
+
+from foldvote.aminoacids import ONE_LETTER
+from foldvote.audit import FAIL, Rule, verify_result
+from foldvote.cli import main
+from foldvote.contacts import ContactConfig, Scorer, extract_instances
+from foldvote.contacts import parse_score_table
+from foldvote.errors import BadTable, FoldvoteError, MalformedContacts
+from foldvote.interchange import InteractionInstance, instances_from_csv
+from foldvote.pdb import DISTANCE_MODES, parse_pdb
 from foldvote.profiles import Profile
 from foldvote.rules import standard_rules
+from test_audit_frozen import CASES, DIGESTS, RULES, _run
+from test_pdb import atom_line
+
+SCALE = int(os.environ.get("FOLDVOTE_FUZZ_SCALE", "1"))
 
 CSV = (
     "protein_id,class,chain_i,seq_i,chain_j,seq_j,distance,score\n"
@@ -43,7 +70,7 @@ def _edit(rng, text):
 def test_contact_csv_reads_or_raises_malformed_contacts():
     rng = random.Random(2201)
     read = 0
-    for _ in range(20_000):
+    for _ in range(20_000 * SCALE):
         text = CSV
         for _ in range(rng.randint(1, 3)):
             text = _edit(rng, text)
@@ -96,22 +123,23 @@ def _nodes(value, path=()):
             yield from _nodes(child, path + (key,))
 
 
-def _mutate(rng, document):
+def _mutate(rng, document, keys=KEYS):
     """The document with one list or object changed: an entry deleted,
-    repeated, replaced by another JSON value, or (in an object) added."""
-    document = copy.deepcopy(document)
+    repeated, replaced by another JSON value, or (in an object) added
+    under one of keys."""
+    document = json.loads(json.dumps(document))  # a copy, faster than deepcopy
     node = document
     for key in rng.choice(list(_nodes(document))):
         node = node[key]
-    keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+    present = list(node) if isinstance(node, dict) else list(range(len(node)))
     kind = rng.randrange(4)
-    if not keys or kind == 0:
+    if not present or kind == 0:
         if isinstance(node, dict):
-            node[rng.choice(KEYS)] = copy.deepcopy(rng.choice(VALUES))
+            node[rng.choice(keys)] = copy.deepcopy(rng.choice(VALUES))
         else:
             node.insert(rng.randrange(len(node) + 1), copy.deepcopy(rng.choice(VALUES)))
         return document
-    key = rng.choice(keys)
+    key = rng.choice(present)
     if kind == 1:
         del node[key]
     elif kind == 2 and isinstance(node, list):
@@ -125,7 +153,7 @@ def test_profile_json_loads_and_rules_run_or_raise_foldvote_errors():
     rng = random.Random(2202)
     rules = standard_rules().values()
     loaded = 0
-    for trial in range(4_000):
+    for trial in range(4_000 * SCALE):
         document = ORDINAL if trial % 2 else UTILITY
         for _ in range(rng.randint(1, 3)):
             document = _mutate(rng, document)
@@ -142,3 +170,255 @@ def test_profile_json_loads_and_rules_run_or_raise_foldvote_errors():
             except FoldvoteError:
                 pass
     assert loaded > 100
+
+
+# two chains, an altloc pair, an inserted residue, a nonstandard residue,
+# a water and a second model, so the edits can reach every filter
+PDB = "\n".join(
+    [
+        "HEADER    FUZZ",
+        atom_line(1, " N  ", "ALA", "A", 1, 0.0, 1.2, 0.0),
+        atom_line(2, " CA ", "ALA", "A", 1, 0.0, 0.0, 0.0),
+        atom_line(3, " CA ", "VAL", "A", 2, 3.8, 0.0, 0.0),
+        atom_line(4, " CB ", "VAL", "A", 2, 4.0, 1.5, 0.0, altloc="A"),
+        atom_line(5, " CB ", "VAL", "A", 2, 4.2, 1.5, 0.0, altloc="B"),
+        atom_line(6, " CA ", "GLY", "A", 5, 6.0, 0.0, 0.0),
+        atom_line(7, " CA ", "SER", "A", 5, 6.5, 0.5, 0.0, icode="A"),
+        atom_line(8, " CA ", "LEU", "A", 9, 9.0, 2.0, 0.0),
+        atom_line(9, " CD1", "LEU", "A", 9, 10.0, 3.0, 0.0),
+        atom_line(10, " CA ", "MSE", "A", 10, 9.5, 4.0, 0.0),
+        atom_line(11, " CA ", "TRP", "B", 1, 2.0, 3.0, 1.0),
+        atom_line(12, " CA ", "LYS", "B", 4, 5.0, 3.0, 1.0),
+        atom_line(13, " O  ", "HOH", "B", 50, 1.0, 1.0, 1.0, record="HETATM"),
+        "TER",
+        "ENDMDL",
+        atom_line(14, " CA ", "ALA", "A", 1, 0.0, 0.0, 9.0),
+        "END",
+    ]
+)
+# what the fixed columns hold, NUL, non-ASCII letters and a tab
+PDB_CHARACTERS = " .-+eE0123456789ACGHLMNTWXa\x00é∞\t"
+
+
+def _pdb_edit(rng, lines):
+    """One line edited in a column, cut short or repeated."""
+    at = rng.randrange(len(lines))
+    line = lines[at]
+    kind = rng.randrange(4)
+    if kind == 0:
+        lines[at] = line[: rng.randrange(len(line) + 1)]
+    elif kind == 1:
+        lines.insert(rng.randrange(len(lines) + 1), line)
+    else:
+        column = rng.randrange(len(line) + 1)
+        # replace the column's character, or insert one before it
+        rest = line[column + 1 :] if kind == 2 else line[column:]
+        lines[at] = line[:column] + rng.choice(PDB_CHARACTERS) + rest
+
+
+def test_pdb_parses_and_extracts_or_raises_foldvote_errors():
+    rng = random.Random(2301)
+    base = PDB.split("\n")
+    scorer = Scorer()
+    parsed = 0
+    for _ in range(600 * SCALE):
+        lines = list(base)
+        for _ in range(rng.randint(1, 3)):
+            _pdb_edit(rng, lines)
+        text = "\n".join(lines)
+        if rng.random() < 0.1:
+            text = text[: rng.randrange(len(text) + 1)]
+        try:
+            structure = parse_pdb(text, "fuzz")
+        except FoldvoteError:
+            continue
+        parsed += 1
+        for mode in DISTANCE_MODES:
+            config = ContactConfig(
+                mode=mode,
+                min_seq_separation=rng.randint(0, 3),
+                cross_chain=rng.random() < 0.5,
+            )
+            try:
+                instances = extract_instances(structure, config, scorer)
+            except FoldvoteError:
+                continue
+            for instance in instances:
+                assert isinstance(instance, InteractionInstance)
+                assert 0.0 <= instance.distance <= config.threshold_tau
+    assert parsed > 200
+
+
+def _table_cells():
+    """A valid symmetric 20x20 table, as CSV cells with its labels."""
+    cells = [[""] + list(ONE_LETTER)]
+    for i, code in enumerate(ONE_LETTER):
+        cells.append([code] + [str(((i + j) % 7 - 3) / 2) for j in range(20)])
+    return cells
+
+
+# non-finite, extreme and unparseable numbers, and row and column labels
+TABLE_VALUES = [
+    "nan", "NaN", "inf", "-Infinity", "1e400", "1e308", "-1e308", "5e-324",
+    "", " ", "x", "0x1", "1_0", " 2 ", "-0", "0.5", "A", "a", "X", "AA",
+    "\x00", "é", "C",
+]
+
+
+def _table_edit(rng, cells):
+    """One shape, value or label change of the table's cells; half of
+    them change a cell and its mirror alike, which can keep it valid."""
+    kind = min(rng.randrange(10), 5)
+    row = rng.randrange(len(cells))
+    if kind == 0 and len(cells) > 1:
+        del cells[row]
+    elif kind == 1:
+        cells.insert(rng.randrange(len(cells) + 1), list(cells[row]))
+    elif kind == 2 and cells[row]:
+        del cells[row][rng.randrange(len(cells[row]))]
+    elif kind == 3:
+        cells[row].insert(rng.randrange(len(cells[row]) + 1), rng.choice(TABLE_VALUES))
+    elif cells[row]:
+        col = rng.randrange(len(cells[row]))
+        cells[row][col] = rng.choice(TABLE_VALUES)
+        if kind == 5 and col < len(cells) and row < len(cells[col]):
+            cells[col][row] = cells[row][col]  # the mirror cell too
+
+
+def test_score_table_parses_or_raises_bad_table():
+    rng = random.Random(2302)
+    read = 0
+    for _ in range(2_000 * SCALE):
+        cells = _table_cells()
+        for _ in range(rng.randint(1, 2)):
+            _table_edit(rng, cells)
+        text = "\n".join(",".join(row) for row in cells)
+        if rng.random() < 0.1:
+            text = _edit(rng, text)
+        try:
+            scorer = parse_score_table(text, negate=rng.random() < 0.5)
+        except BadTable:
+            continue
+        read += 1
+        assert isinstance(scorer, Scorer)
+        assert scorer.table.shape == (20, 20)
+        assert np.isfinite(scorer.table).all()
+        assert np.abs(scorer.table - scorer.table.T).max() <= 1e-9
+    # enough tables stay readable for the read path to be fuzzed
+    assert read > 100
+
+
+def _own(rule):
+    """The rule, and the list of the exceptions it raises as it runs."""
+    raised = []
+
+    def fn(profile):
+        try:
+            return rule(profile)
+        except Exception as exc:
+            raised.append(exc)
+            raise
+
+    return Rule(rule.name, fn, rule.mode, rule.pairwise), raised
+
+
+FAIL_WITNESSES = sorted(c for c, (verdict, _) in DIGESTS.items() if verdict == FAIL)
+
+
+def test_mutated_fail_witnesses_verify_to_a_bool():
+    rng = random.Random(2303)
+    rejected = 0
+    for case_id in FAIL_WITNESSES:
+        _verdict, result, _text = _run(case_id)
+        rule, raised = _own(RULES[CASES[case_id][1]])
+        # the witness as a stored report gives it back
+        witness = json.loads(json.dumps(result.witness))
+        assert verify_result(rule, dataclasses.replace(result, witness=witness))
+        keys = KEYS + sorted(witness)
+        for _ in range(12 * SCALE):
+            mutated = witness
+            for _ in range(rng.randint(1, 2)):
+                mutated = _mutate(rng, mutated, keys)
+            edited = dataclasses.replace(result, witness=mutated)
+            try:
+                verified = verify_result(rule, edited)
+            except Exception as exc:
+                assert any(exc is own for own in raised)
+                continue
+            assert isinstance(verified, bool)
+            rejected += not verified
+    assert rejected > 200
+
+
+# flag values of every kind: small sizes, signs, non-numbers, non-finite
+# floats, other digits, path edge cases, NUL and known names; sizes stay
+# at most 4 so every command is quick
+ARGV_VALUES = [
+    "", "x", "-1", "0", "1", "2", "3", "4", "2.5", "0.01", "1e400", "nan",
+    "inf", "-inf", "0x1", "１", "\x00", "é", "-", ".", "sub/dir",
+    "missing/x.json", "may", "borda", "kemeny", "dictator", "utilitarian",
+    "mean-direction", "arrow", "iia,anonymity", ",", "continuity",
+    "may_coincidence", "c_alpha", "heavy_min", "sum", "mean", "hetero",
+    "sampled", "exhaustive", "condorcet", "single_peaked",
+]
+
+
+def _commands():
+    """Valid argv per subcommand, for files the test writes first."""
+    return [
+        ["extract", "in.pdb", "--out-dir", "out", "--tau", "8", "--mode", "centroid",
+         "--min-seq-separation", "3", "--table", "table.csv",
+         "--summary-name", "summary.json"],
+        ["rank", "contacts.csv", "--combine", "sum", "--tie-epsilon", "0",
+         "--universe", "full", "--protein-id", "p", "--out", "rank.json"],
+        ["synth", "impartial_culture", "--m", "3", "--n", "3", "--seed", "0",
+         "--out", "synth.json"],
+        ["aggregate", "profile.json", "--rule", "kemeny", "--dictator-k", "1",
+         "--out", "aggregate.json"],
+        ["audit", "--rule", "may", "--axioms", "arrow", "--m", "3", "--n", "2",
+         "--mode", "sampled", "--trials", "3", "--seed", "1", "--epsilon", "0.01",
+         "--dictator-k", "1", "--out", "audit.json"],
+        ["restrict", "profile.json", "--rule", "borda", "--dictator-k", "2",
+         "--out", "restrict.json"],
+    ]
+
+
+def _argv_edit(rng, argv):
+    """One argument replaced by a flag value, dropped or repeated."""
+    at = rng.randrange(1, len(argv))
+    kind = rng.randrange(5)
+    if kind == 0:
+        del argv[at]
+    elif kind == 1:
+        argv.insert(at, argv[at])
+    else:
+        argv[at] = rng.choice(ARGV_VALUES)
+
+
+def test_cli_exits_with_a_documented_code(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "in.pdb").write_text(PDB)
+    (tmp_path / "table.csv").write_text(
+        "\n".join(",".join(row) for row in _table_cells())
+    )
+    assert main(["extract", "in.pdb", "--out-dir", "."]) == 0
+    os.replace("in.contacts.csv", "contacts.csv")
+    synth = ["synth", "condorcet", "--m", "3", "--n", "3", "--out", "profile.json"]
+    assert main(synth) == 0
+    profile = (tmp_path / "profile.json").read_text()
+    rng = random.Random(2304)
+    codes = []
+    for _ in range(60 * SCALE):
+        for argv in _commands():
+            for _ in range(rng.randint(1, 2)):
+                _argv_edit(rng, argv)
+            # a profile of "-" is read from stdin
+            monkeypatch.setattr("sys.stdin", io.StringIO(profile))
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            assert code in (0, 1, 2, 3), argv
+            codes.append(code)
+    # the edits reach every exit code but the budget's
+    assert {0, 1, 2} <= set(codes)

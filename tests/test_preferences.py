@@ -107,6 +107,34 @@ class TestUtilityFromInstances:
                 [inst("p", "A", "A", 1.0)], tuple(hetero), combine="sum"
             )
 
+    def test_sums_are_correctly_rounded(self):
+        # ten 0.1 scores added left to right give 0.9999999999999999, as the
+        # builtin sum does before Python 3.12, which would rank A-D's one
+        # 1.0 strictly above A-C; the correctly rounded sum ties them
+        a_a, a_c, a_d = synthetic_universe(3)
+        instances = [inst("p", "A", "C", 0.1)] * 10 + [inst("p", "A", "D", 1.0)]
+        u = utility_from_instances(instances, synthetic_universe(3))
+        assert u.values == (0.0, 1.0, 1.0)
+        assert ordinal_from_utility(u).tiers == ((a_c, a_d), (a_a,))
+        mean = utility_from_instances(instances, synthetic_universe(3), "mean")
+        assert mean.values == (0.0, 0.1, 1.0)
+
+    @pytest.mark.parametrize(
+        "scores,shown",
+        [
+            ([1e308, 1e308], "inf"),
+            ([-1e308, -1e308], "-inf"),
+            ([math.inf, -math.inf], "nan"),
+        ],
+    )
+    @pytest.mark.parametrize("combine", ["sum", "mean"])
+    def test_sums_without_a_finite_value_rejected(self, scores, shown, combine):
+        # math.fsum raises OverflowError or ValueError on these; the class
+        # is still named as a non-finite utility
+        instances = [inst("p", "A", "C", s) for s in scores]
+        with pytest.raises(NonFiniteUtility, match=f"^utility of A-C is {shown}$"):
+            utility_from_instances(instances, synthetic_universe(3), combine)
+
     def test_sum_additive(self):
         left = self.instances[:1]
         right = self.instances[1:]
@@ -137,9 +165,9 @@ def reference_utility(instances, universe, combine="sum", protein_id=None):
         if not scores:
             values.append(0.0)
         elif combine == "sum":
-            values.append(float(sum(scores)))
+            values.append(math.fsum(scores))
         elif combine == "mean":
-            values.append(float(sum(scores) / len(scores)))
+            values.append(math.fsum(scores) / len(scores))
         else:
             values.append(float(len(scores)))
     return UtilityVector(protein_id, universe, values)
