@@ -249,11 +249,9 @@ class _Space(_Profiles):
     """Every profile, named by its digits: each individual's index into
     the space's items (all strict orders, or all vectors over the utility
     grid). Individual 1 is the most significant digit, so digit tuples
-    compare in enumeration order. Each stance on a pair is tabled once
-    per item. Searches read each profile's outcome once (the symmetries
-    also read each moved copy); those that pair profiles sharing stances
-    read `first_by_value`, one walk that tables, per pair and key, the
-    first profile taking each outcome value.
+    compare in enumeration order. Searches read each profile's outcome
+    once (the symmetries also read each moved copy); the count memo below
+    is the one cache a space keeps.
 
     An ordinal rule marked `pairwise` is run once per pairwise count
     matrix: a profile's matrix is the sum of its items' pairwise 0/1
@@ -290,7 +288,6 @@ class _Space(_Profiles):
             ]
             self._by_counts = {}
         self.count = len(self.items) ** n
-        self._tables: dict[tuple, tuple] = {}
 
     def combos(self):
         """Each profile's digits, in enumeration order."""
@@ -324,27 +321,6 @@ class _Space(_Profiles):
 
     def view(self, combo: tuple[int, ...]) -> _View:
         return _View(tuple(map(self.prefs.__getitem__, combo)), self.outcome(combo))
-
-    def key(self, combo: tuple[int, ...], stance, pair) -> tuple:
-        """Each individual's stance on the pair."""
-        table = self._tables.get((stance, pair))
-        if table is None:
-            # the stance of every item, by digit
-            table = tuple(stance(prefs, *pair) for prefs in self.prefs)
-            self._tables[stance, pair] = table
-        return tuple(map(table.__getitem__, combo))
-
-    def first_by_value(self, stance, pairs) -> list[dict]:
-        """In one walk, per pair, each key's first profile, in enumeration
-        order, taking each outcome value on the pair (at most three per
-        key)."""
-        firsts: list[dict[tuple, dict[float, tuple]]] = [{} for _ in pairs]
-        for combo in self.combos():
-            outcome = self.outcome(combo)
-            for pair, first in zip(pairs, firsts):
-                key = self.key(combo, stance, pair)
-                first.setdefault(key, {}).setdefault(outcome.pair_value(*pair), combo)
-        return firsts
 
 
 class _Trials(_Profiles):
@@ -843,7 +819,16 @@ class _IIA(_Axiom):
         # (base, partner, pair, parameters) over the entries' hits is the
         # witness.
         pairs = self.pairs(space)
-        tables = space.first_by_value(self.stance, pairs)
+        # per pair, the stance of every item, by digit
+        stances = [[self.stance(p, *pair) for p in space.prefs] for pair in pairs]
+        # per pair, each key's first profile, in enumeration order, taking
+        # each outcome value on the pair (at most three per key)
+        tables: list[dict[tuple, dict[float, tuple]]] = [{} for _ in pairs]
+        for combo in space.combos():
+            outcome = space.outcome(combo)
+            for pair, stance, table in zip(pairs, stances, tables):
+                key = tuple(map(stance.__getitem__, combo))
+                table.setdefault(key, {}).setdefault(outcome.pair_value(*pair), combo)
         found = min(
             (
                 (first, min(hits), rank, params)

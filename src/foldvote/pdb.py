@@ -18,7 +18,6 @@ kept atom names, in file order) and ``xyz``, one float64 array of shape
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,7 +71,6 @@ def parse_pdb(text: str, id: str) -> ProteinStructure:
     # (chain, resSeq) pairs claimed by a (residue name, insertion code)
     # we skipped or by an earlier occurrence; later claimants are dropped.
     claimed: dict[tuple[str, int], tuple[str, str]] = {}
-    isfinite = math.isfinite
     # A residue's atoms usually come in one run of lines sharing columns
     # 17-26 (resName, chainID, resSeq, iCode). `run` holds those columns
     # of the last line past the altloc filter, and names/coords the lists
@@ -100,8 +98,11 @@ def parse_pdb(text: str, id: str) -> ProteinStructure:
             x, y, z = float(line[30:38]), float(line[38:46]), float(line[46:54])
         except ValueError as exc:
             raise MalformedRecord(f"unparseable ATOM fields: {line!r}") from exc
-        if not (isfinite(x) and isfinite(y) and isfinite(z)):
-            raise MalformedRecord(f"non-finite coordinate in ATOM line: {line!r}")
+        # no %8.3f field reaches 1e8; NaN fails every comparison
+        if not (-1e8 < x < 1e8 and -1e8 < y < 1e8 and -1e8 < z < 1e8):
+            raise MalformedRecord(
+                f"non-finite or huge (|v| >= 1e8) coordinate in ATOM line: {line!r}"
+            )
         if line[16] not in " A":
             continue  # keep the blank or 'A' alternate location only
         if key != run:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping, Sequence
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .aminoacids import InteractionClass, Universe, slot_index
@@ -76,9 +76,6 @@ class RankingWithTies:
     universe: Universe
     tiers: tuple[tuple[InteractionClass, ...], ...]
 
-    # tier index per universe slot, filled from the tiers
-    _slots: tuple = field(default=(), repr=False, compare=False)
-
     def __post_init__(self) -> None:
         if not all(self.tiers):
             raise ValueError("empty tier")
@@ -94,6 +91,8 @@ class RankingWithTies:
                 slots[i] = idx
         if None in slots:
             raise ValueError("tiers must partition the universe")
+        # tier index per universe slot: a plain attribute, not a field, so
+        # equality, hashing, repr and JSON read the tiers alone
         object.__setattr__(self, "_slots", tuple(slots))
 
     def slots(self) -> tuple[int, ...]:
@@ -200,6 +199,7 @@ def universe_from_json(obj: dict) -> Universe:
     return universe
 
 
+@json_faults()
 def ranking_from_json(obj, universe: Universe) -> RankingWithTies:
     shaped(obj, dict, "an individual")
     owner = shaped(obj["owner"], str, "owner")
@@ -209,9 +209,11 @@ def ranking_from_json(obj, universe: Universe) -> RankingWithTies:
     return RankingWithTies(owner, universe, tiers)
 
 
+@json_faults()
 def utility_from_json(obj, universe: Universe) -> UtilityVector:
     """One value per class of the universe, each named once, by either of
-    its labels ("C-A" or "A-C")."""
+    its labels ("C-A" or "A-C"). A missing key, a field of the wrong shape
+    or a bad label raise MalformedProfile."""
     shaped(obj, dict, "an individual")
     owner = shaped(obj["owner"], str, "owner")
     values = {}

@@ -16,7 +16,7 @@ from functools import cached_property
 from itertools import combinations, repeat
 
 from .aminoacids import InteractionClass, Universe
-from .errors import BadIndex, TooLarge, TransformOverflow, WrongMode
+from .errors import BadIndex, NonFiniteUtility, TooLarge, TransformOverflow, WrongMode
 from .preferences import RankingWithTies, UtilityVector
 from .profiles import Profile
 
@@ -317,13 +317,17 @@ def utilitarian(profile: Profile) -> AggregationOutcome:
     """Rank classes by the sum of individual utilities.
 
     Sums use math.fsum, so the outcome is exactly invariant under
-    individual reordering.
+    individual reordering. A sum past the float range raises
+    NonFiniteUtility naming its class.
     """
     _require_mode(profile, "utility", "utilitarian")
-    totals = [
-        math.fsum(column)
-        for column in zip(*(ind.values for ind in profile.individuals))
-    ]
+    totals: list[float] = []
+    try:
+        for column in zip(*(ind.values for ind in profile.individuals)):
+            totals.append(math.fsum(column))
+    except OverflowError:
+        cls = profile.universe[len(totals)].render()
+        raise NonFiniteUtility(f"summed utility of {cls} overflows") from None
     return _by_key("utilitarian", profile.universe, totals)
 
 

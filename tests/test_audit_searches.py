@@ -36,11 +36,16 @@ def _prefers(prefs, i, j):
     return prefs[i] < prefs[j]
 
 
+def _key(space, combo, stance, pair):
+    """Each individual's stance on the pair, read off its order."""
+    return tuple(stance(space.prefs[d], *pair) for d in combo)
+
+
 def _groups(space, stance, pair):
     """Profiles by stance key, each group in enumeration order."""
     groups = {}
     for combo in space.combos():
-        groups.setdefault(space.key(combo, stance, pair), []).append(combo)
+        groups.setdefault(_key(space, combo, stance, pair), []).append(combo)
     return groups
 
 
@@ -57,7 +62,7 @@ def reference_iia(axiom, space):
     first = min(mixed)
     candidates = []
     for p_idx, pair in enumerate(space.pairs):
-        group = _groups(space, axiom.stance, pair)[space.key(first, axiom.stance, pair)]
+        group = _groups(space, axiom.stance, pair)[_key(space, first, axiom.stance, pair)]
         for other in group:
             views = (space.view(first), space.view(other))
             detail = axiom.check(space.universe, views, pair)
@@ -78,7 +83,7 @@ def reference_responsiveness(axiom, space):
         for p_rank, pair in enumerate(ordered_pairs):
             if not _armed(base.outcome.pair_value(*pair)):
                 continue
-            key = space.key(combo, _prefers, pair)
+            key = _key(space, combo, _prefers, pair)
             for uplifted in range(space.n):
                 if key[uplifted]:
                     continue

@@ -706,6 +706,23 @@ class TestAggregateCommand:
             "cycle_witness": None,
         }
 
+    def test_utilitarian_sum_past_the_float_range_is_input_error(self):
+        profile = {
+            "universe": ["A-A", "A-C"],
+            "mode": "utility",
+            "individuals": [
+                {"owner": "a", "values": {"A-A": 1e308, "A-C": 0}},
+                {"owner": "b", "values": {"A-A": 1e308, "A-C": 1}},
+            ],
+        }
+        proc = run(
+            "aggregate", "--rule", "utilitarian", stdin=json.dumps(profile), check=2
+        )
+        assert proc.stderr == (
+            "error: NonFiniteUtility: summed utility of A-A overflows\n"
+        )
+        assert proc.stdout == ""
+
 
 class TestRestrictCommand:
     def test_single_peaked_profile(self):

@@ -6,6 +6,9 @@ seed, and must either succeed or fail in its documented way:
 - `instances_from_csv` returns a list or raises `MalformedContacts`;
 - `Profile.from_json_dict`, and every standard rule run on a profile it
   loads, return or raise a `FoldvoteError`;
+- `RankingWithTies.from_json_dict`, `UtilityVector.from_json_dict` and
+  `utility_from_json` return or raise `MalformedProfile` (or
+  `NonFiniteUtility` for a non-finite value);
 - `parse_pdb`, and `extract_instances` in every distance mode on a
   structure it parses, return or raise a `FoldvoteError`;
 - `parse_score_table` returns a `Scorer` or raises `BadTable`;
@@ -28,6 +31,7 @@ import json
 import math
 import os
 import random
+from functools import partial
 
 import numpy as np
 
@@ -37,8 +41,11 @@ from foldvote.cli import main
 from foldvote.contacts import ContactConfig, Scorer, extract_instances
 from foldvote.contacts import parse_score_table
 from foldvote.errors import BadTable, FoldvoteError, MalformedContacts
+from foldvote.errors import MalformedProfile, NonFiniteUtility
 from foldvote.interchange import InteractionInstance, instances_from_csv
 from foldvote.pdb import DISTANCE_MODES, parse_pdb
+from foldvote.preferences import RankingWithTies, UtilityVector
+from foldvote.preferences import universe_from_json, utility_from_json
 from foldvote.profiles import Profile
 from foldvote.rules import standard_rules
 from test_audit_frozen import CASES, DIGESTS, RULES, _run
@@ -172,6 +179,58 @@ def test_profile_json_loads_and_rules_run_or_raise_foldvote_errors():
     assert loaded > 100
 
 
+# one individual of each mode, with its universe
+RANKING = {
+    "universe": ["A-A", "A-C", "A-D"],
+    "owner": "v1",
+    "tiers": [["A-A"], ["C-A", "A-D"]],
+}
+VECTOR = {
+    "universe": ["A-A", "A-C", "A-D"],
+    "owner": "v1",
+    "values": {"A-A": 1.0, "C-A": 0.5, "A-D": 0},
+}
+
+
+def _loads(read, document, seed, trials):
+    """How many mutations of the document read loads. Every other one
+    must raise MalformedProfile, or NonFiniteUtility when it holds a
+    non-finite value (json.loads reads NaN and Infinity), which has its
+    own typed error."""
+    rng = random.Random(seed)
+    loaded = 0
+    for _ in range(trials * SCALE):
+        obj = document
+        for _ in range(rng.randint(1, 2)):
+            obj = _mutate(rng, obj)
+        if rng.random() < 0.02:
+            obj = copy.deepcopy(rng.choice(VALUES))  # not an object at all
+        try:
+            read(obj)
+        except MalformedProfile:
+            continue
+        except NonFiniteUtility:
+            assert not all(map(math.isfinite, obj["values"].values()))
+            continue
+        loaded += 1
+    return loaded
+
+
+def test_ranking_json_loads_or_raises_malformed_profile():
+    assert _loads(RankingWithTies.from_json_dict, RANKING, 2401, 4_000) > 100
+
+
+def test_utility_vector_json_loads_or_raises_malformed_profile():
+    assert _loads(UtilityVector.from_json_dict, VECTOR, 2402, 4_000) > 100
+
+
+def test_utility_from_json_loads_or_raises_malformed_profile():
+    # the per-individual reader of a utility profile, over a fixed universe
+    individual = {k: v for k, v in VECTOR.items() if k != "universe"}
+    read = partial(utility_from_json, universe=universe_from_json(VECTOR))
+    assert _loads(read, individual, 2403, 4_000) > 100
+
+
 # two chains, an altloc pair, an inserted residue, a nonstandard residue,
 # a water and a second model, so the edits can reach every filter
 PDB = "\n".join(
@@ -198,17 +257,24 @@ PDB = "\n".join(
 )
 # what the fixed columns hold, NUL, non-ASCII letters and a tab
 PDB_CHARACTERS = " .-+eE0123456789ACGHLMNTWXa\x00é∞\t"
+# whole coordinate fields that no one-character edit makes: huge,
+# non-finite and the widest fixed-point values
+PDB_FIELDS = ["   1e300", "  -1e300", "     1e8", "     nan", "    -inf", "99999999"]
 
 
 def _pdb_edit(rng, lines):
-    """One line edited in a column, cut short or repeated."""
+    """One line edited in a column, cut short, repeated or given a new
+    coordinate field."""
     at = rng.randrange(len(lines))
     line = lines[at]
-    kind = rng.randrange(4)
+    kind = rng.randrange(5)
     if kind == 0:
         lines[at] = line[: rng.randrange(len(line) + 1)]
     elif kind == 1:
         lines.insert(rng.randrange(len(lines) + 1), line)
+    elif kind == 4:
+        column = rng.choice((30, 38, 46))
+        lines[at] = line[:column] + rng.choice(PDB_FIELDS) + line[column + 8 :]
     else:
         column = rng.randrange(len(line) + 1)
         # replace the column's character, or insert one before it

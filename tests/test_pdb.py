@@ -1,4 +1,3 @@
-import math
 import random
 from dataclasses import dataclass, field
 
@@ -63,8 +62,10 @@ def reference_atom_line(line):
         xyz = [float(line[30:38]), float(line[38:46]), float(line[46:54])]
     except ValueError as exc:
         raise MalformedRecord(f"unparseable ATOM fields: {line!r}") from exc
-    if not all(map(math.isfinite, xyz)):
-        raise MalformedRecord(f"non-finite coordinate in ATOM line: {line!r}")
+    if not all(abs(v) < 1e8 for v in xyz):  # NaN fails the comparison too
+        raise MalformedRecord(
+            f"non-finite or huge (|v| >= 1e8) coordinate in ATOM line: {line!r}"
+        )
     name = line[12:16].strip()
     altloc = line[16:17]
     resname = line[17:20].strip()
@@ -242,7 +243,11 @@ class TestParse:
         with pytest.raises(MalformedRecord):
             parse_both(broken, "bad")
 
-    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    # a huge value: no %8.3f field reaches 1e8, and extraction would
+    # square it past the float range
+    @pytest.mark.parametrize(
+        "bad", ["nan", "inf", "-inf", "1e300", "-1e300", "1e8", "-1.0e8"]
+    )
     @pytest.mark.parametrize("column", [30, 38, 46])
     def test_non_finite_coordinate_is_malformed(self, bad, column):
         line = atom_line(1, " CA ", "ALA", "A", 1, 0, 0, 0)
@@ -250,6 +255,13 @@ class TestParse:
         text = "\n".join([broken, atom_line(2, " CA ", "GLY", "A", 5, 1, 0, 0)])
         with pytest.raises(MalformedRecord, match="non-finite"):
             parse_both(text, "bad")
+
+    @pytest.mark.parametrize("wide", ["99999999", "-9999999", "9.9999e7"])
+    def test_widest_fixed_point_coordinates_parse(self, wide):
+        line = atom_line(1, " CA ", "ALA", "A", 1, 0, 0, 0)
+        text = line[:30] + wide + line[38:]
+        (residue,) = parse_both(text, "wide").chains[0][1]
+        assert residue.xyz[0, 0] == float(wide)
 
     def test_deterministic(self):
         text = "\n".join(

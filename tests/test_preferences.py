@@ -3,7 +3,8 @@
 import json
 import math
 import random
-from itertools import permutations, product
+from dataclasses import fields
+from itertools import permutations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -22,7 +23,6 @@ from foldvote.preferences import (
     ordinal_from_utility,
     utility_from_instances,
 )
-from foldvote.audit import _UtilityIIA, _relation, _Space, standard_rules
 from foldvote.profiles import (
     SYNTH_KINDS,
     Profile,
@@ -466,6 +466,17 @@ class TestSlots:
         assert a == b and hash(a) == hash(b)
         assert (repr(a), hash(a), a.to_json_dict()) == before
 
+    def test_slots_are_no_field(self):
+        # the constructor takes the three fields and nothing else
+        assert [f.name for f in fields(RankingWithTies)] == ["owner", "universe", "tiers"]
+        u2 = synthetic_universe(2)
+        tiers = ((u2[1],), (u2[0],))
+        with pytest.raises(TypeError):
+            RankingWithTies("p", u2, tiers, (0, 1))
+        r = RankingWithTies("p", u2, tiers)
+        assert repr(r) == f"RankingWithTies(owner='p', universe={u2!r}, tiers={tiers!r})"
+        assert r == RankingWithTies.from_slot_order("p", u2, (1, 0))
+
 
 def _fisher_yates(rng: random.Random, items: list) -> list:
     """A shuffled copy of items by a hand-written Fisher-Yates shuffle,
@@ -569,25 +580,3 @@ def test_generate_draws_as_the_class_list_reference(kind, m):
         assert [r.slots() for r in got.individuals] == [
             r.slots() for r in want.individuals
         ]
-
-
-# a boolean stance, tabled beside _relation's -1/0/1 one
-def _prefers(prefs, i, j):
-    return prefs[i] < prefs[j]
-
-
-@pytest.mark.parametrize(
-    "mode,m,n,stances",
-    [
-        ("ordinal", 3, 3, (_prefers, _relation)),
-        ("ordinal", 4, 2, (_prefers, _relation)),
-        ("utility", 2, 2, (_UtilityIIA.stance,)),
-    ],
-)
-def test_space_key_tables_match_direct_stances(mode, m, n, stances):
-    rule = standard_rules()["utilitarian" if mode == "utility" else "may"]
-    space = _Space(m, n, rule, False)
-    for stance, pair in product(stances, space.pairs):
-        for combo in space.combos():
-            direct = tuple(stance(space.prefs[d], *pair) for d in combo)
-            assert space.key(combo, stance, pair) == direct

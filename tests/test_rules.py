@@ -9,7 +9,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import foldvote.rules
-from foldvote.errors import BadIndex, TooLarge, TransformOverflow, WrongMode
+from foldvote.errors import (
+    BadIndex,
+    NonFiniteUtility,
+    TooLarge,
+    TransformOverflow,
+    WrongMode,
+)
 from foldvote.preferences import RankingWithTies, UtilityVector
 from foldvote.profiles import (
     Profile,
@@ -266,6 +272,13 @@ class TestUtilitarian:
             rows = [[rng.randint(-5, 5) for _ in range(4)] for _ in range(3)]
             out = utilitarian(utility_profile(rows))
             assert out.transitive
+
+    def test_sum_past_the_float_range_names_its_class(self):
+        # math.fsum raises OverflowError; the rule names the class instead
+        p = utility_profile([[0.0, 1e308, -1e308], [1.0, 1e308, -1e308]])
+        message = f"^summed utility of {Y.render()} overflows$"
+        with pytest.raises(NonFiniteUtility, match=message):
+            utilitarian(p)
 
     def test_wrong_mode(self):
         with pytest.raises(WrongMode):
