@@ -3,7 +3,9 @@
 Every ordinal rule returns an AggregationOutcome wrapping the complete
 pairwise weak relation it decided. The outcome reads from that relation
 whether it is transitive, its cycle witness when it is not, and its
-ranking when it is.
+ranking when it is. A rule that ranks classes by one number each keeps
+those numbers instead, and the outcome builds its relation from them only
+when the relation itself is read.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import math
 import operator
 import struct
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, repeat
@@ -35,16 +38,39 @@ class AggregationOutcome:
 
     `transitive`, `cycle_witness` and `ranking` are derived from the
     relation, each worked out once, when first read.
+
+    An outcome made by _by_key holds its key, one number per class, in
+    place of the relation. Its relation is built from the key on first
+    read, and its derived reads come from the key alone, so they never
+    build it. Such an outcome has the same fields, equality, hash, repr and
+    JSON as one given the relation at construction.
     """
 
     rule_name: str
     universe: Universe
     relation: Relation
 
+    _key = None  # set by _by_key only; not a field
+
+    def __getattr__(self, name: str):
+        # reached when normal lookup fails: a key-ranked outcome's relation
+        # before its first read, or a property that raised AttributeError,
+        # whose own error the second lookup raises again
+        key = self._key
+        if name != "relation" or key is None:
+            return object.__getattribute__(self, name)
+        relation = tuple(tuple(map(operator.le, key, repeat(ki))) for ki in key)
+        object.__setattr__(self, "relation", relation)
+        return relation
+
     @cached_property
     def _dominance(self) -> list[int]:
         """How many classes each class strictly beats. In a total
         preorder these counts are exactly the indifference tiers."""
+        if self._key is not None:
+            # class i strictly beats the classes with a smaller key
+            ordered = sorted(self._key)
+            return [bisect_left(ordered, k) for k in self._key]
         relation, m = self.relation, len(self.universe)
         if len(relation) != m or any(len(row) != m for row in relation):
             raise ValueError(
@@ -56,8 +82,11 @@ class AggregationOutcome:
 
     @cached_property
     def _triple(self) -> tuple[int, int, int] | None:
-        # a total preorder is the order of its dominance counts, which
-        # takes O(m^2) to confirm; only other relations need the triple scan
+        # a key orders the classes in a total preorder. Any other total
+        # preorder is the order of its dominance counts, which takes O(m^2)
+        # to confirm; only other relations need the triple scan
+        if self._key is not None:
+            return None
         key = self._dominance
         if all(
             row == tuple(k >= other for other in key)
@@ -151,9 +180,18 @@ def first_intransitive_triple(relation: Relation) -> tuple[int, int, int] | None
 
 def _by_key(rule_name: str, universe: Universe, key) -> AggregationOutcome:
     """The total preorder ranking classes by their key, one per slot:
-    class i weakly beats class j when key[i] >= key[j]."""
-    relation = tuple(tuple(map(operator.le, key, repeat(ki))) for ki in key)
-    return AggregationOutcome(rule_name, universe, relation)
+    class i weakly beats class j when key[i] >= key[j].
+
+    Keys are ints or finite floats, never NaN, so they are totally ordered.
+    The outcome keeps the key and builds the m x m relation only when the
+    relation is read; see AggregationOutcome.
+    """
+    outcome = object.__new__(AggregationOutcome)
+    set_field = object.__setattr__
+    set_field(outcome, "rule_name", rule_name)
+    set_field(outcome, "universe", universe)
+    set_field(outcome, "_key", tuple(key))
+    return outcome
 
 
 def outcome_distance(a: AggregationOutcome, b: AggregationOutcome) -> float:
@@ -308,7 +346,10 @@ def dictator(profile: Profile, k: int) -> AggregationOutcome:
 
 
 def check_dictator_index(k: int, n: int) -> None:
-    """Raise BadIndex unless k (1-based) names one of n individuals."""
+    """Raise BadIndex unless k, an int (not a bool), names one of n
+    individuals, counting from 1."""
+    if type(k) is bool or not isinstance(k, int):
+        raise BadIndex(f"dictator index must be an int, got {k!r}")
     if not 1 <= k <= n:
         raise BadIndex(f"dictator index {k} outside 1..{n}")
 

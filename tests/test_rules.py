@@ -1,6 +1,7 @@
 """Aggregation rules against spec'd examples plus independent oracles."""
 
 import math
+import pickle
 import random
 from dataclasses import dataclass, fields
 from itertools import combinations, permutations, product
@@ -245,6 +246,12 @@ class TestDictator:
             dictator(condorcet(), 4)
         with pytest.raises(BadIndex):
             dictator(condorcet(), 0)
+
+    @pytest.mark.parametrize("k", [1.0, True, "1", None])
+    def test_an_index_that_is_not_an_int_is_refused(self, k):
+        # 1.0 raised a bare TypeError and True ran as dictator[True]
+        with pytest.raises(BadIndex, match="^dictator index must be an int, got "):
+            dictator(condorcet(), k)
 
 
 class TestUtilitarian:
@@ -658,6 +665,104 @@ def test_by_key_relation_matches_on_seeded_keys():
             outcome = _by_key("k", synthetic_universe(m), key)
             assert outcome.relation == old_by_key_relation(key)
             assert outcome.transitive
+
+
+# A key-ranked outcome keeps its key and builds its relation on first read.
+# It must be indistinguishable from an outcome given the relation the old
+# _by_key built, and its derived reads must not build the relation.
+
+
+def assert_key_outcome_matches_eager(key):
+    universe = synthetic_universe(len(key))
+    eager = AggregationOutcome("k", universe, old_by_key_relation(key))
+    # derived reads first, on an outcome whose relation is still unbuilt
+    lazy = _by_key("k", universe, key)
+    assert lazy.transitive == eager.transitive
+    assert lazy.cycle_witness == eager.cycle_witness
+    assert lazy.ranking == eager.ranking
+    assert lazy.to_json_dict() == eager.to_json_dict()
+    assert lazy._dominance == eager._dominance
+    assert "relation" not in vars(lazy)
+    # then the reads that show the relation, each on a fresh outcome
+
+    def fresh():
+        return _by_key("k", universe, key)
+
+    assert fresh() == eager
+    assert hash(fresh()) == hash(eager)
+    assert repr(fresh()) == repr(eager)
+    assert type(fresh()) is AggregationOutcome and fields(fresh()) == fields(eager)
+    thawed = pickle.loads(pickle.dumps(fresh()))
+    assert thawed == eager and thawed.to_json_dict() == eager.to_json_dict()
+    assert pickle.loads(pickle.dumps(lazy)) == eager
+    m = len(key)
+    pairs = [(i, j) for i in range(m) for j in range(m)]
+    outcome = fresh()
+    assert [outcome.pair_value(*p) for p in pairs] == [
+        eager.pair_value(*p) for p in pairs
+    ]
+    assert outcome.relation is outcome.relation
+
+
+KEY_POOL = [0, 1, -1, 2, 0.0, -0.0, 0.5, -0.5, 1.0, 1.5, 2**70, -(2**70), 2**70 + 1]
+
+
+def test_key_outcome_matches_eager_outcome_on_seeded_keys():
+    rng = random.Random(25)
+    for m in (1, 2, 3, 4, 5, 8, 13, 40, 210):
+        for _ in range(8):
+            # a few distinct values give many ties
+            pool = rng.sample(KEY_POOL, rng.randint(1, len(KEY_POOL)))
+            assert_key_outcome_matches_eager([rng.choice(pool) for _ in range(m)])
+
+
+@given(
+    st.lists(
+        st.one_of(
+            st.integers(-3, 3),
+            st.integers(-(2**72), 2**72),
+            st.integers(-8, 8).map(lambda h: h / 2),
+            st.sampled_from([0.0, -0.0, float(2**70)]),
+            st.floats(allow_nan=False, allow_infinity=False),
+        ),
+        min_size=1,
+        max_size=12,
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_key_outcome_matches_eager_outcome_on_drawn_keys(key):
+    assert_key_outcome_matches_eager(key)
+
+
+def test_standard_rules_leave_the_relation_unbuilt_until_read():
+    ordinal = generate(SynthSpec("impartial_culture", 8, 7, seed=25))
+    utility = utility_profile([[1.0, 0.0, 2.0, 2.0], [0.5, 2.0, 2.0, -1.0]])
+    for name, rule in standard_rules(3).items():
+        if name == "may":
+            continue
+        out = rule(utility if rule.mode == "utility" else ordinal)
+        out.transitive, out.cycle_witness, out.ranking, out.to_json_dict()
+        assert "relation" not in vars(out), name
+        assert out.relation == ref_ranking_relation(out.ranking), name
+
+
+class UnlistableUniverse(tuple):
+    """A universe that raises AttributeError when its classes are listed."""
+
+    def __iter__(self):
+        raise AttributeError("this universe cannot be listed")
+
+
+def test_an_attribute_error_in_a_derived_read_keeps_its_message():
+    # a property that raises AttributeError sends Python to __getattr__,
+    # which must raise that error again, not "no attribute 'ranking'"
+    universe = UnlistableUniverse(synthetic_universe(3))
+    eager = AggregationOutcome("e", universe, old_by_key_relation([1, 0, 2]))
+    for outcome in (eager, _by_key("k", universe, [1, 0, 2])):
+        with pytest.raises(AttributeError, match="^this universe cannot be listed$"):
+            outcome.ranking
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_read'"):
+        eager.no_such_read
 
 
 # The class-keyed Borda scores and utilitarian totals that the per-slot
