@@ -47,8 +47,8 @@ from .aminoacids import CLASSES, InteractionClass, Universe
 from .errors import BadSpec, BudgetExceeded, InapplicableAxiom, MalformedProfile
 from .errors import NonFiniteUtility
 from .preferences import RankingWithTies, UtilityVector
-from .profiles import Profile, _integers, _kendall_slots, _summed_kendall
-from .profiles import synthetic_universe
+from .profiles import Profile, _choice, _integers, _kendall_slots, _shuffled
+from .profiles import _summed_kendall, synthetic_universe
 # Rule and standard_rules are imported from here as well as from rules
 from .rules import Rule, outcome_distance, standard_rules
 
@@ -325,9 +325,11 @@ class _Space(_Profiles):
 
 class _Trials(_Profiles):
     """The seeded draws of one sampled audit. Orders are drawn as class
-    indices (a shuffle consumes the generator the same way whatever it
-    shuffles), and each profile drawn is evaluated at once: a trial runs
-    the rule on everything it draws."""
+    indices by profiles._shuffled, and pairs, grid values and individuals
+    are picked by profiles._choice: both read the generator's getrandbits
+    output and draw what Random.shuffle and Random.choice draw. Each
+    profile drawn is evaluated at once: a trial runs the rule on
+    everything it draws."""
 
     def __init__(self, rule: Rule, space: SearchSpace, catches: bool):
         super().__init__(space.m, space.n, rule, catches)
@@ -335,15 +337,13 @@ class _Trials(_Profiles):
         self.rng = random.Random(space.seed)
 
     def order(self) -> tuple[int, ...]:
-        order = list(range(self.m))
-        self.rng.shuffle(order)
-        return tuple(order)
+        return tuple(_shuffled(self.rng, range(self.m)))
 
     def pair(self) -> tuple[int, int]:
-        return self.rng.choice(self.pairs)
+        return _choice(self.rng, self.pairs)
 
     def grid_vector(self) -> list[float]:
-        return [self.rng.choice(UTILITY_GRID) for _ in range(self.m)]
+        return [_choice(self.rng, UTILITY_GRID) for _ in range(self.m)]
 
     def profile(self, items) -> tuple[Profile, _View]:
         individuals = tuple(self.individual(k, item) for k, item in enumerate(items))
@@ -577,7 +577,7 @@ class _StrictUnanimity(_Unanimity):
         vectors = []
         for _ in range(trials.n):
             vec = trials.grid_vector()
-            delta = trials.rng.choice(grid)
+            delta = _choice(trials.rng, grid)
             vec[i] = min(vec[j] + delta, max(grid))
             vectors.append(vec)
         return [trials.profile(vectors)], [(i, j)]
@@ -625,8 +625,7 @@ class _Symmetry(_Axiom):
 
     def draw(self, trials):
         orders, base = trials.base()
-        perm = list(range(self.size(trials.m, trials.n)))
-        trials.rng.shuffle(perm)
+        perm = _shuffled(trials.rng, range(self.size(trials.m, trials.n)))
         return [base, trials.profile(self.move(orders, perm))], (perm,)
 
 
@@ -933,7 +932,7 @@ class _PositiveResponsiveness(_IIA):
         losers = [pos for pos, o in enumerate(orders) if o.index(b) < o.index(a)]
         if not losers:
             return None
-        uplifted = trials.rng.choice(losers)
+        uplifted = _choice(trials.rng, losers)
         partner = _partner(trials, orders, a, b, lifted=uplifted)
         return [base, partner], (uplifted + 1, (a, b))
 

@@ -70,7 +70,15 @@ class UtilityVector:
 
 @dataclass(frozen=True)
 class RankingWithTies:
-    """Ordered tiers of classes, most preferred first; a total preorder."""
+    """Ordered tiers of classes, most preferred first; a total preorder.
+
+    Every ranking also keeps the tier index of each universe slot (see
+    slots()) and its tier count, plain attributes rather than fields. A
+    strict ranking made by from_slot_order keeps only those, and builds
+    `tiers` from its slots when `tiers` is first read; it has the same
+    fields, equality, hash, repr, JSON and pickling as one given its
+    tiers at construction.
+    """
 
     owner: str
     universe: Universe
@@ -91,9 +99,23 @@ class RankingWithTies:
                 slots[i] = idx
         if None in slots:
             raise ValueError("tiers must partition the universe")
-        # tier index per universe slot: a plain attribute, not a field, so
-        # equality, hashing, repr and JSON read the tiers alone
+        # tier index per universe slot and tier count: plain attributes,
+        # not fields, so equality, hashing, repr and JSON read the tiers alone
         object.__setattr__(self, "_slots", tuple(slots))
+        object.__setattr__(self, "_tier_count", len(self.tiers))
+
+    def __getattr__(self, name: str):
+        # reached when normal lookup fails: a slot-order ranking's tiers
+        # before their first read, or any other missing attribute, whose
+        # AttributeError the second lookup raises
+        if name != "tiers":
+            return object.__getattribute__(self, name)
+        slots, universe = self._slots, self.universe
+        # such a ranking is strict: slot i holds the class of tier slots[i]
+        order = sorted(range(len(slots)), key=slots.__getitem__)
+        tiers = tuple((universe[i],) for i in order)
+        object.__setattr__(self, "tiers", tiers)
+        return tiers
 
     def slots(self) -> tuple[int, ...]:
         """Tier index of each universe slot: slots()[i] is the tier of
@@ -102,7 +124,7 @@ class RankingWithTies:
 
     @property
     def is_strict(self) -> bool:
-        return all(len(t) == 1 for t in self.tiers)
+        return self._tier_count == len(self.universe)
 
     def to_json_dict(self) -> dict:
         return {
@@ -134,23 +156,25 @@ class RankingWithTies:
         """The strict ranking listing universe[order[0]] first, then
         universe[order[1]], and so on: what from_strict_order gives for
         those classes, built without the checked constructor's label
-        lookups. `order` must name each index of the universe once (a
-        negative index counts from the end, as in indexing); anything else
-        raises that constructor's ValueError."""
+        lookups. It keeps only its slots and tier count, building `tiers`
+        when they are first read. `order` must name each index of the
+        universe once (a negative index counts from the end, as in
+        indexing, and any integer type indexing takes will do); anything
+        else raises that constructor's ValueError."""
         slots: list[int | None] = [None] * len(universe)
         try:
             for tier, slot in enumerate(order):
                 slots[slot] = tier
-        except IndexError:
-            slots = [None]  # an index past the universe, refused below
+        except (IndexError, TypeError):
+            slots = [None]  # past the universe or not an index, refused below
         if len(order) != len(universe) or None in slots:
             raise ValueError("tiers must partition the universe")
         ranking = object.__new__(cls)
         set_field = object.__setattr__
         set_field(ranking, "owner", owner)
         set_field(ranking, "universe", universe)
-        set_field(ranking, "tiers", tuple((universe[i],) for i in order))
         set_field(ranking, "_slots", tuple(slots))
+        set_field(ranking, "_tier_count", len(slots))
         return ranking
 
 

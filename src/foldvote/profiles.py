@@ -31,15 +31,40 @@ from .preferences import (
 
 SYNTH_KINDS = ("impartial_culture", "single_peaked", "condorcet_cycle")
 
-# Seeded randomness uses the stdlib Mersenne Twister (random.Random) and
-# its own shuffle, so generated profiles are reproducible across
-# platforms and sessions for a fixed seed; tests/test_preferences.py
-# checks that shuffle against a hand-written Fisher-Yates.
+# Seeded randomness uses the stdlib Mersenne Twister (random.Random), so
+# generated profiles are reproducible across platforms and sessions for a
+# fixed seed. Shuffles and index draws read its documented getrandbits
+# output directly, drawing what Random.shuffle and Random.choice draw on
+# CPython 3.10-3.13; tests/test_preferences.py checks both against them.
 
 
-def _shuffled(rng: random.Random, items: list) -> list:
+def _choice(rng: random.Random, seq):
+    """A uniform pick from a non-empty sequence, as Random.choice picks
+    it: the index is len(seq).bit_length() random bits, drawn again while
+    it reaches len(seq)."""
+    n = len(seq)
+    if not n:
+        raise IndexError("cannot choose from an empty sequence")
+    k = n.bit_length()
+    i = rng.getrandbits(k)
+    while i >= n:
+        i = rng.getrandbits(k)
+    return seq[i]
+
+
+def _shuffled(rng: random.Random, items) -> list:
+    """The items in a list shuffled as Random.shuffle shuffles them: a
+    Fisher-Yates pass from the end, each swap index over range(i + 1)
+    drawn as _choice draws its index (inlined, with getrandbits bound
+    once)."""
     out = list(items)
-    rng.shuffle(out)
+    getrandbits = rng.getrandbits
+    for i in range(len(out) - 1, 0, -1):
+        k = (i + 1).bit_length()
+        j = getrandbits(k)
+        while j > i:
+            j = getrandbits(k)
+        out[i], out[j] = out[j], out[i]
     return out
 
 

@@ -232,7 +232,7 @@ def majority_tournament(profile: Profile) -> Counts:
     rows = [0] * m
     for ind in individuals:
         slots = ind.slots()
-        masks = [0] * len(ind.tiers)
+        masks = [0] * ind._tier_count
         for bit, tier in zip(bits, slots):
             masks[tier] += bit
         # below[t]: the mask of every class in a tier after t
@@ -258,10 +258,21 @@ def may_rule(profile: Profile) -> AggregationOutcome:
 
 
 def _borda_scores(profile: Profile) -> list[float]:
-    """Borda score per universe slot, added up one individual at a time."""
+    """Borda score per universe slot.
+
+    A strict individual scores each class m - 1 - its slot, so the strict
+    individuals' slots are summed by column and each class gets
+    (m - 1) * (their count) - (its column sum). Tied individuals are added
+    up one at a time. Every score is a half, so the float sums are exact
+    whatever order they are added in.
+    """
     m = profile.m
     scores = [0.0] * m
+    strict = []
     for ind in profile.individuals:
+        if ind._tier_count == m:
+            strict.append(ind.slots())
+            continue
         below, tier_scores = m, []
         for tier in ind.tiers:
             below -= len(tier)
@@ -269,6 +280,10 @@ def _borda_scores(profile: Profile) -> list[float]:
             tier_scores.append(below + (len(tier) - 1) / 2.0)
         for i, tier in enumerate(ind.slots()):
             scores[i] += tier_scores[tier]
+    if strict:
+        top = (m - 1) * len(strict)
+        columns = map(sum, zip(*strict))
+        scores = [score + (top - column) for score, column in zip(scores, columns)]
     return scores
 
 

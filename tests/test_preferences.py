@@ -1,14 +1,19 @@
 """Utility construction and ordinal collapse."""
 
+import copy
 import json
 import math
+import pickle
 import random
-from dataclasses import fields
+from dataclasses import asdict, fields
+from functools import partial
 from itertools import permutations
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from foldvote.audit import UTILITY_GRID
 from foldvote.contacts import InteractionClass, Scorer, class_universe
 from foldvote.contacts import InteractionInstance
 from foldvote.errors import (
@@ -27,6 +32,8 @@ from foldvote.profiles import (
     SYNTH_KINDS,
     Profile,
     SynthSpec,
+    _choice,
+    _shuffled,
     _single_peaked_order,
     generate,
     synthetic_universe,
@@ -489,19 +496,31 @@ def _fisher_yates(rng: random.Random, items: list) -> list:
 
 
 def test_stdlib_draws_match_the_hand_written_ones():
-    # seeded profiles and sampled audits draw with Random.shuffle and
-    # Random.choice; the frozen digests hold only while those consume the
-    # generator exactly as a hand-written Fisher-Yates and an index draw
+    # seeded profiles and sampled audits draw with profiles._shuffled and
+    # profiles._choice, which read getrandbits directly. The frozen digests
+    # were recorded with Random.shuffle and Random.choice, so on the
+    # interpreter under test all must consume the generator alike, and as
+    # a hand-written Fisher-Yates and index draw do; the random() after
+    # them shows each left the generator in the same state
+    grid = UTILITY_GRID
     for seed in range(200):
         for m in (1, 2, 3, 4, 7, 12, 20, 50, 210):
-            ours, ref = random.Random(seed), random.Random(seed)
+            ours, stdlib, ref = (random.Random(seed) for _ in range(3))
             seq = list(range(m))
             for _ in range(3):
                 shuffled = list(seq)
-                ours.shuffle(shuffled)
-                assert shuffled == _fisher_yates(ref, seq)
-                assert ours.choice(seq) == seq[ref.randrange(len(seq))]
-            assert ours.random() == ref.random()
+                stdlib.shuffle(shuffled)
+                assert _shuffled(ours, seq) == shuffled == _fisher_yates(ref, seq)
+                drawn = _choice(ours, seq)
+                assert drawn == stdlib.choice(seq) == seq[ref.randrange(m)]
+                drawn = _choice(ours, grid)
+                assert drawn == stdlib.choice(grid) == grid[ref.randrange(len(grid))]
+            assert ours.random() == stdlib.random() == ref.random()
+    # an empty sequence is refused as Random.choice refuses it, not
+    # drawn from forever
+    for choose in (random.Random(0).choice, partial(_choice, random.Random(0))):
+        with pytest.raises(IndexError):
+            choose([])
 
 
 class TestFromSlotOrder:
@@ -515,6 +534,10 @@ class TestFromSlotOrder:
             [0, 1],  # built two slots over three classes
             [0, 1, 2, 0],
             [],
+            [0, 1.0, 2],  # entries that are not indices raised a bare TypeError
+            [0, "1", 2],
+            [0, None, 2],
+            [np.float64(0), 1, 2],
         ],
     )
     def test_a_non_permutation_is_refused(self, order):
@@ -523,14 +546,46 @@ class TestFromSlotOrder:
 
     @staticmethod
     def assert_same(universe, order):
-        fast = RankingWithTies.from_slot_order("p", universe, order)
+        # a slot-order ranking keeps its slots and builds its tiers on
+        # first read; it must be indistinguishable from the checked one
         checked = RankingWithTies.from_strict_order(
             "p", universe, tuple(universe[i] for i in order)
         )
-        assert fast == checked
-        assert fast.tiers == checked.tiers
+
+        def fresh():
+            ranking = RankingWithTies.from_slot_order("p", universe, order)
+            assert "tiers" not in vars(ranking)
+            return ranking
+
+        fast = fresh()
         assert fast.slots() == checked.slots()
-        assert hash(fast) == hash(checked) and repr(fast) == repr(checked)
+        assert fast.is_strict and checked.is_strict
+        assert "tiers" not in vars(fast)
+        # each read that shows the tiers, on a fresh ranking
+        assert fresh() == checked and checked == fresh()
+        assert hash(fresh()) == hash(checked)
+        assert repr(fresh()) == repr(checked)
+        assert fresh().to_json_dict() == checked.to_json_dict()
+        assert asdict(fresh()) == asdict(checked)
+        assert fields(fresh()) == fields(checked)
+        for copied in (copy.copy(fresh()), pickle.loads(pickle.dumps(fresh()))):
+            assert copied.slots() == checked.slots() and copied.is_strict
+            assert copied == checked
+        # and once the tiers are built
+        read = fresh()
+        assert read.tiers == checked.tiers and read.tiers is read.tiers
+        assert copy.copy(read) == checked
+        assert pickle.loads(pickle.dumps(read)) == checked
+
+    @pytest.mark.parametrize(
+        "order",
+        [
+            [-2, 0, -1, 1],
+            [np.int64(2), np.int32(0), np.intp(-1), np.int8(1)],
+        ],
+    )
+    def test_negative_and_numpy_indices_name_their_classes(self, order):
+        self.assert_same(synthetic_universe(4), order)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
     def test_every_strict_order_up_to_five_classes(self, m):

@@ -3,6 +3,7 @@
 import math
 import pickle
 import random
+import struct
 from dataclasses import dataclass, fields
 from itertools import combinations, permutations, product
 
@@ -23,6 +24,7 @@ from foldvote.profiles import (
     SynthSpec,
     generate,
     kendall_distance,
+    profile_distance,
     synthetic_universe,
 )
 from foldvote.restrictions import is_quasi_transitive
@@ -763,6 +765,54 @@ def test_an_attribute_error_in_a_derived_read_keeps_its_message():
             outcome.ranking
     with pytest.raises(AttributeError, match="has no attribute 'no_such_read'"):
         eager.no_such_read
+
+
+def test_slot_order_rankings_keep_their_tiers_unbuilt_through_the_rules():
+    # generate makes every individual with from_slot_order; the rules and
+    # the distance read its slots and tier count, never its tiers
+    a = generate(SynthSpec("impartial_culture", 8, 7, seed=26))
+    b = generate(SynthSpec("single_peaked", 8, 7, seed=26))
+    majority_tournament(a)
+    for rule in (may_rule, borda, kemeny):
+        rule(a).to_json_dict()
+    profile_distance(a, b)
+    for ind in a.individuals + b.individuals:
+        assert "tiers" not in vars(ind)
+
+
+def loop_borda_scores(profile):
+    """_borda_scores as it was before strict individuals were summed by
+    column: every individual added one at a time, in profile order."""
+    m = profile.m
+    scores = [0.0] * m
+    for ind in profile.individuals:
+        below, tier_scores = m, []
+        for tier in ind.tiers:
+            below -= len(tier)
+            tier_scores.append(below + (len(tier) - 1) / 2.0)
+        for i, tier in enumerate(ind.slots()):
+            scores[i] += tier_scores[tier]
+    return scores
+
+
+def float_bits(values):
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+@pytest.mark.parametrize(
+    "m,n", [(1, 2), (2, 3), (3, 5), (4, 7), (8, 20), (20, 50), (210, 100)]
+)
+def test_column_borda_matches_the_loop_bitwise(m, n):
+    rng = random.Random(26 * m + n)
+    universe = synthetic_universe(m)
+    for seed in range(3):
+        strict = generate(SynthSpec("impartial_culture", m, n, seed)).individuals
+        tied = [random_weak_order(rng, universe, f"t{k}") for k in range(n)]
+        mixed = [rng.choice(pair) for pair in zip(strict, tied)]
+        for individuals in (strict, tied, mixed):
+            profile = Profile(universe, tuple(individuals))
+            got = _borda_scores(profile)
+            assert float_bits(got) == float_bits(loop_borda_scores(profile))
 
 
 # The class-keyed Borda scores and utilitarian totals that the per-slot
