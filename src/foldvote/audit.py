@@ -24,14 +24,14 @@ Witness minimality: exhaustive searches report the first profile with a
 violation, then the first class pair (anonymity and neutrality: the
 first permutation in itertools order; IIA and responsiveness: the
 smallest partner profile, then pair and uplifted individual; proximity:
-the smallest near, then far, profile). For a rule marked `pairwise` the
-single-profile searches visit one profile per orbit of the individual
-permutations, C(m! + n - 1, n) of the (m!)^n; the first violation is
-one of those, because sorting a profile's digits keeps its count matrix,
-so its outcome and its check, and does not make it larger. The verdict
-still speaks for the whole space. Anonymity of such a rule passes by
-declaration: every permuted copy reads the same kept outcome. Sampled
-passes are qualified by the space actually searched.
+the smallest near, then far, profile). For a rule given as a function
+of the pairwise counts the single-profile searches visit one profile per
+orbit of the individual permutations, C(m! + n - 1, n) of the (m!)^n;
+the first violation is one of those, because sorting a profile's digits
+keeps its count matrix, so its outcome and its check, and does not make
+it larger. The verdict still speaks for the whole space. Such a rule is
+anonymous by construction: every permuted copy has the same counts.
+Sampled passes are qualified by the space actually searched.
 """
 from __future__ import annotations
 
@@ -50,7 +50,7 @@ from .preferences import RankingWithTies, UtilityVector
 from .profiles import Profile, _choice, _integers, _kendall_slots, _shuffled
 from .profiles import _summed_kendall, synthetic_universe
 # Rule and standard_rules are imported from here as well as from rules
-from .rules import Rule, outcome_distance, standard_rules
+from .rules import Counts, Rule, outcome_distance, standard_rules
 
 
 class AxiomId(str, Enum):
@@ -191,13 +191,13 @@ def _prefs(individuals) -> tuple:
     )
 
 
-def _outcome(rule: Rule, profile: Profile, catches: bool):
-    """The rule's outcome; with catches set, the exception it raised
-    instead, which is what unrestricted domain looks for."""
+def _outcome(catches: bool, fn, *args):
+    """A rule's outcome, fn(*args); with catches set, the exception it
+    raised instead, which is what unrestricted domain looks for."""
     if not catches:
-        return rule(profile)
+        return fn(*args)
     try:
-        return rule(profile)
+        return fn(*args)
     except Exception as exc:  # any failure to produce an outcome
         return exc
 
@@ -253,15 +253,14 @@ class _Space(_Profiles):
     once (the symmetries also read each moved copy); the count memo below
     is the one cache a space keeps.
 
-    An ordinal rule marked `pairwise` is run once per pairwise count
-    matrix: a profile's matrix is the sum of its items' pairwise 0/1
-    matrices, and the outcome is kept by that sum. Any other rule runs
-    each time an outcome is read. Permuting the individuals keeps the
-    matrix, so such a space is `anonymous`: the single-profile searches
-    and anonymity walk only `orbits`, C(len(items) + n - 1, n) profiles
-    of the len(items) ** n (126 of 1296 at m=3, n=4). A rule wrongly
-    marked `pairwise` is made anonymous by the memo, so it passes
-    anonymity whatever it does."""
+    A rule with a count function runs once per pairwise count matrix: a
+    profile's matrix is the sum of its items' pairwise 0/1 matrices, and
+    the outcome is kept by that sum, decoded into counts on a miss. Any
+    other rule runs on a Profile each time an outcome is read. Permuting
+    the individuals keeps the matrix, so such a space is `anonymous`: the
+    single-profile searches and anonymity walk only `orbits`,
+    C(len(items) + n - 1, n) profiles of the len(items) ** n (126 of 1296
+    at m=3, n=4)."""
 
     def __init__(self, m: int, n: int, rule: Rule, catches: bool):
         super().__init__(m, n, rule, catches)
@@ -276,8 +275,10 @@ class _Space(_Profiles):
             for position in range(n)
         ]
         self.prefs = _prefs(self.individuals[0])
-        self._by_counts: dict[int, object] | None = None
-        if rule.pairwise and rule.mode == "ordinal":
+        # outcomes kept by count matrix: every profile of an orbit reads
+        # the outcome of its first profile
+        self.anonymous = rule.from_counts is not None
+        if self.anonymous:
             # each item's flattened m x m matrix (1 where class i is above
             # class j) as the digits of one base n + 1 number; no count
             # exceeds n, so adding the numbers adds the matrices digit-wise
@@ -286,7 +287,7 @@ class _Space(_Profiles):
                 sum((n + 1) ** (i * m + j) for i, j in cells if p[i] < p[j])
                 for p in self.prefs
             ]
-            self._by_counts = {}
+            self._by_counts: dict[int, object] = {}
         self.count = len(self.items) ** n
 
     def combos(self):
@@ -299,25 +300,26 @@ class _Space(_Profiles):
         order, C(len(items) + n - 1, n) of them."""
         return combinations_with_replacement(range(len(self.items)), self.n)
 
-    @property
-    def anonymous(self) -> bool:
-        """Outcomes are kept by count matrix, so every profile of an orbit
-        reads one outcome: the one of its first profile."""
-        return self._by_counts is not None
-
     def profile(self, combo: tuple[int, ...]) -> Profile:
         individuals = tuple(map(list.__getitem__, self.individuals, combo))
         return Profile(self.universe, individuals, self.rule.mode)
 
     def outcome(self, combo: tuple[int, ...]):
-        if self._by_counts is None:
-            return _outcome(self.rule, self.profile(combo), self.catches)
+        if not self.anonymous:
+            return _outcome(self.catches, self.rule, self.profile(combo))
         summed = sum(map(self.matrices.__getitem__, combo))
         outcome = self._by_counts.get(summed)
         if outcome is None:
-            outcome = _outcome(self.rule, self.profile(combo), self.catches)
+            args = self.universe, self.counts(summed), self.n
+            outcome = _outcome(self.catches, self.rule.from_counts, *args)
             self._by_counts[summed] = outcome
         return outcome
+
+    def counts(self, summed: int) -> Counts:
+        """The count matrix whose cells are the base n + 1 digits of summed."""
+        base = self.n + 1
+        digits = [summed // base**k % base for k in range(self.m * self.m)]
+        return tuple(zip(*[iter(digits)] * self.m))
 
     def view(self, combo: tuple[int, ...]) -> _View:
         return _View(tuple(map(self.prefs.__getitem__, combo)), self.outcome(combo))
@@ -348,7 +350,7 @@ class _Trials(_Profiles):
     def profile(self, items) -> tuple[Profile, _View]:
         individuals = tuple(self.individual(k, item) for k, item in enumerate(items))
         profile = Profile(self.universe, individuals, self.rule.mode)
-        view = _View(_prefs(individuals), _outcome(self.rule, profile, self.catches))
+        view = _View(_prefs(individuals), _outcome(self.catches, self.rule, profile))
         return profile, view
 
     def base(self) -> tuple[list, tuple[Profile, _View]]:
@@ -456,9 +458,7 @@ class _Axiom:
         On an anonymous space the sorted digits of a flagged profile share
         its outcome, so they are flagged too, with the same fields, and are
         no larger: the first flagged profile is an orbit's first, and the
-        walk visits only those. The count memo's first profile per matrix
-        is sorted as well, so each matrix runs the rule on the profile it
-        would have run on in a full walk (and an error keeps its text)."""
+        walk visits only those."""
         for combo in space.orbits() if space.anonymous else space.combos():
             detail = self.check(space.universe, [space.view(combo)])
             if detail is not None:
@@ -645,8 +645,8 @@ class _Anonymity(_Symmetry):
 
     def search(self, space):
         # On an anonymous space every moved copy reads its base's outcome,
-        # so the check cannot fire: a rule marked pairwise passes by its
-        # declaration. Each base is still read, so a raising rule raises.
+        # so the check cannot fire: a function of the counts is anonymous
+        # by construction. Each base is still read, so a raising rule raises.
         if not space.anonymous:
             return super().search(space)
         for combo in space.orbits():
@@ -1135,7 +1135,7 @@ def verify_result(rule: Rule, result: AuditResult) -> bool:
     if None in params:
         return False
     views = [
-        _View(_prefs(p.individuals), _outcome(rule, p, axiom.catches)) for p in profiles
+        _View(_prefs(p.individuals), _outcome(axiom.catches, rule, p)) for p in profiles
     ]
     if not axiom.premise(universe, views, *params):
         return False

@@ -246,15 +246,18 @@ def majority_tournament(profile: Profile) -> Counts:
     return tuple(unpack(row.to_bytes(m * size, "little")) for row in rows)
 
 
-def may_rule(profile: Profile) -> AggregationOutcome:
-    """Simple pairwise majority: a weakly beats b when at least as many
-    individuals strictly prefer a to b as prefer b to a."""
-    counts = majority_tournament(profile)
+def may_from_counts(universe: Universe, counts: Counts, n: int) -> AggregationOutcome:
     # row i holds N(i > j) and column i holds N(j > i); the diagonal is 0 >= 0
     relation = tuple(
         tuple(map(operator.ge, row, col)) for row, col in zip(counts, zip(*counts))
     )
-    return AggregationOutcome("may", profile.universe, relation)
+    return AggregationOutcome("may", universe, relation)
+
+
+def may_rule(profile: Profile) -> AggregationOutcome:
+    """Simple pairwise majority: a weakly beats b when at least as many
+    individuals strictly prefer a to b as prefer b to a (may_from_counts)."""
+    return may_from_counts(profile.universe, majority_tournament(profile), profile.n)
 
 
 def _borda_scores(profile: Profile) -> list[float]:
@@ -294,24 +297,32 @@ def borda(profile: Profile) -> AggregationOutcome:
     return _by_key("borda", profile.universe, _borda_scores(profile))
 
 
-def kemeny(profile: Profile) -> AggregationOutcome:
-    """Strict order minimizing total Kendall distance to the profile.
+def borda_from_counts(universe: Universe, counts: Counts, n: int) -> AggregationOutcome:
+    """Borda on the counts. A class's score is ((m - 1) * n + R - C) / 2,
+    R and C its row and column sums, so R - C ranks the classes alike."""
+    key = [sum(row) - sum(col) for row, col in zip(counts, zip(*counts))]
+    return _by_key("borda", universe, key)
 
-    Dynamic programming over subsets of classes on the majority
-    tournament (Betzler et al. 2009): O(2^m * m) once the tournament is
-    counted, so the search does not grow with the number of individuals
+
+def kemeny(profile: Profile) -> AggregationOutcome:
+    """kemeny_from_counts on the profile, its class cap checked first."""
+    _require_mode(profile, "ordinal", "kemeny")
+    if profile.m > KEMENY_MAX_CLASSES:
+        raise TooLarge(f"kemeny supports at most {KEMENY_MAX_CLASSES} classes")
+    return kemeny_from_counts(profile.universe, majority_tournament(profile), profile.n)
+
+
+def kemeny_from_counts(universe: Universe, counts: Counts, n: int) -> AggregationOutcome:
+    """Strict order minimizing total Kendall distance to the profile whose
+    counts these are, by dynamic programming over subsets of classes
+    (Betzler et al. 2009): O(2^m * m), whatever the number of individuals
     (class count capped at 8). Among distance ties the lexicographically
     first order wins, as if all m! orders were scanned in permutation
     order, so the result is deterministic but deliberately not neutral on
-    tie profiles.
-    """
-    _require_mode(profile, "ordinal", "kemeny")
-    universe = profile.universe
+    tie profiles."""
     m = len(universe)
     if m > KEMENY_MAX_CLASSES:
         raise TooLarge(f"kemeny supports at most {KEMENY_MAX_CLASSES} classes")
-    counts = majority_tournament(profile)
-    n = profile.n
     size = 1 << m
     # lead[c][s]: distance, in halves, paid on the pairs {c, j} for j in bit
     # set s when c is ranked above all of them; per pair that is 2 for each
@@ -412,16 +423,20 @@ def apply_transform(profile: Profile, transform: UtilityTransform) -> Profile:
 class Rule:
     """In-process rule interface: a name, a callable, and its input mode.
 
-    A rule whose outcome depends only on the pairwise counts N(a > b) and
-    n (a C2 rule, as may, Borda and Kemeny are) may set `pairwise`;
-    exhaustive audits then run it once per count matrix and give its
-    outcome to every profile with that matrix.
+    An ordinal rule deciding from the pairwise counts N(a > b) and n alone
+    (a C2 rule, as may, Borda and Kemeny are) may give that decision as
+    `from_counts`; exhaustive audits run it once per count matrix, and
+    re-verify witnesses with `fn`, which must agree with it.
     """
 
     name: str
     fn: object  # Profile -> AggregationOutcome
     mode: str = "ordinal"
-    pairwise: bool = False
+    from_counts: object = None  # (Universe, Counts, n) -> AggregationOutcome
+
+    def __post_init__(self) -> None:
+        if self.from_counts is not None and self.mode != "ordinal":
+            raise WrongMode(f"{self.name}: a count function needs an ordinal rule")
 
     def __call__(self, profile: Profile) -> AggregationOutcome:
         return self.fn(profile)
@@ -429,9 +444,9 @@ class Rule:
 
 def standard_rules(dictator_index: int = 1) -> dict[str, Rule]:
     return {
-        "may": Rule("may", may_rule, pairwise=True),
-        "borda": Rule("borda", borda, pairwise=True),
-        "kemeny": Rule("kemeny", kemeny, pairwise=True),
+        "may": Rule("may", may_rule, from_counts=may_from_counts),
+        "borda": Rule("borda", borda, from_counts=borda_from_counts),
+        "kemeny": Rule("kemeny", kemeny, from_counts=kemeny_from_counts),
         "dictator": Rule(
             f"dictator[{dictator_index}]",
             lambda p, _k=dictator_index: dictator(p, _k),

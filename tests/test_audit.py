@@ -33,10 +33,10 @@ from foldvote.audit import (
     verify_result,
 )
 from foldvote.audit import _AXIOMS, _prefs, _Space, _View
-from foldvote.errors import BadSpec, BudgetExceeded, InapplicableAxiom
+from foldvote.errors import BadSpec, BudgetExceeded, InapplicableAxiom, WrongMode
 from foldvote.preferences import RankingWithTies
 from foldvote.profiles import Profile, SynthSpec, generate, synthetic_universe
-from foldvote.rules import majority_tournament
+from foldvote.rules import majority_tournament, may_from_counts
 from test_audit_frozen import RULES as PROBE_RULES
 
 RULES = standard_rules()
@@ -769,8 +769,8 @@ class TestDeterminism:
 
 
 class TestCountMemo:
-    """An exhaustive space runs a rule marked pairwise once per pairwise
-    count matrix, and any other rule once per profile."""
+    """An exhaustive space runs a rule's count function once per pairwise
+    count matrix, and a rule without one once per profile."""
 
     DISTINCT = {(3, 2): 19, (3, 3): 44, (3, 4): 85, (4, 2): 219, (4, 3): 1136}
 
@@ -779,56 +779,73 @@ class TestCountMemo:
         space = _Space(m, n, rule, catches)
         return space, [space.view(combo).outcome for combo in space.combos()]
 
-    @pytest.mark.parametrize("m,n", sorted(DISTINCT))
-    def test_one_rule_call_per_matrix(self, m, n):
-        calls = []
+    @staticmethod
+    def counting(name, from_counts=None):
+        """RULES[name], its fn and the given count function recording
+        each call: (rule, fn calls, count function calls)."""
+        calls, counted = [], []
 
         def fn(profile):
-            calls.append(majority_tournament(profile))
-            return RULES["may"](profile)
+            calls.append(profile)
+            return RULES[name](profile)
 
-        _, memoised = self.walk(Rule("may", fn, pairwise=True), m, n)
-        assert len(calls) == len(set(calls)) == self.DISTINCT[m, n]
+        def counting_from_counts(universe, counts, n):
+            counted.append(counts)
+            return from_counts(universe, counts, n)
+
+        kept = None if from_counts is None else counting_from_counts
+        return Rule(name, fn, RULES[name].mode, kept), calls, counted
+
+    @pytest.mark.parametrize("m,n", sorted(DISTINCT))
+    def test_one_count_call_per_matrix(self, m, n):
+        rule, calls, counted = self.counting("may", may_from_counts)
+        _, memoised = self.walk(rule, m, n)
+        assert len(counted) == len(set(counted)) == self.DISTINCT[m, n]
+        assert calls == []
         # the same rule rebuilt from (name, fn, mode) is run on every profile
-        calls.clear()
-        space, outcomes = self.walk(Rule("may", fn, "ordinal"), m, n)
+        space, outcomes = self.walk(Rule("may", rule.fn, "ordinal"), m, n)
         assert len(calls) == space.count
         assert outcomes == memoised
 
+    @pytest.mark.parametrize("m,n", sorted(DISTINCT))
+    def test_a_decoded_key_is_the_tournament(self, m, n):
+        space = _Space(m, n, RULES["may"], False)
+        for combo in space.orbits():
+            summed = sum(space.matrices[d] for d in combo)
+            assert space.counts(summed) == majority_tournament(space.profile(combo))
+
     def test_a_raised_error_is_kept_per_matrix(self):
-        # the rule fails whenever every individual puts A-A above A-C;
-        # unrestricted domain reads the error, once per matrix
-        calls = []
+        # the count function fails whenever every individual puts A-A above
+        # A-C; unrestricted domain reads the error, once per matrix
+        def picky(universe, counts, n):
+            if counts[0][1] == n:
+                raise ValueError(f"unanimous on the first pair: {counts[0][1]} of {n}")
+            return may_from_counts(universe, counts, n)
 
-        def fn(profile):
-            counts = majority_tournament(profile)
-            calls.append(counts)
-            if counts[0][1] == profile.n:
-                raise ValueError("unanimous on the first pair")
-            return RULES["may"](profile)
-
-        rule = Rule("picky", fn, pairwise=True)
+        rule, calls, counted = self.counting("may", picky)
         _, outcomes = self.walk(rule, 3, 3, catches=True)
-        assert len(calls) == self.DISTINCT[3, 3]
+        assert len(counted) == self.DISTINCT[3, 3]
+        assert calls == []
         errors = [o for o in outcomes if isinstance(o, Exception)]
         assert len(errors) == 3**3  # each individual: 3 of the 6 orders
         # one error per matrix that raised, shared by its profiles
-        assert len({id(e) for e in errors}) == sum(c[0][1] == 3 for c in calls)
-        res = audit(rule, AxiomId.UNRESTRICTED_DOMAIN, exhaustive(3, 3))
-        assert res.witness["error"] == "ValueError: unanimous on the first pair"
-        assert verify_result(rule, res)
-
-
-    @staticmethod
-    def counting(name, record=lambda profile: 1, **kwargs):
-        """A rule that runs RULES[name] and records each call."""
-        calls = []
+        assert len({id(e) for e in errors}) == sum(c[0][1] == 3 for c in counted)
+        # without catches the first error propagates
+        with pytest.raises(ValueError, match="3 of 3"):
+            self.walk(rule, 3, 3)
 
         def fn(profile):
-            calls.append(record(profile))
-            return RULES[name](profile)
+            return picky(profile.universe, majority_tournament(profile), profile.n)
 
-        return Rule(name, fn, RULES[name].mode, **kwargs), calls
+        rule = Rule("picky", fn, from_counts=picky)
+        res = audit(rule, AxiomId.UNRESTRICTED_DOMAIN, exhaustive(3, 3))
+        assert res.witness["error"] == "ValueError: unanimous on the first pair: 3 of 3"
+        assert verify_result(rule, res)
+
+    def test_a_utility_rule_refuses_a_count_function(self):
+        with pytest.raises(WrongMode, match="utilitarian"):
+            Rule("utilitarian", RULES["utilitarian"].fn, "utility", may_from_counts)
+        assert Rule("utilitarian", RULES["utilitarian"].fn, "utility").from_counts is None
 
     @pytest.mark.parametrize(
         "axiom_id",
@@ -836,22 +853,25 @@ class TestCountMemo:
         + sorted(UTILITY_AXIOMS),
     )
     def test_a_search_reads_each_outcome_once(self, axiom_id):
-        # a rule not marked pairwise runs on every profile of the walk,
-        # and again on at most three witness profiles
+        # a rule without a count function runs on every profile of the
+        # walk, and again on at most three witness profiles
         utility = axiom_id in UTILITY_AXIOMS
         name, (m, n) = ("utilitarian", (2, 2)) if utility else ("dictator", (3, 3))
-        rule, calls = self.counting(name)
+        rule, calls, _ = self.counting(name)
         axiom = _AXIOMS[axiom_id]
         space = _Space(m, n, rule, axiom.catches)
         axiom.search(space)
         assert len(calls) <= space.count + 3
 
     @pytest.mark.parametrize("axiom_id", sorted(ORDINAL_AXIOMS))
-    def test_a_pairwise_search_runs_once_per_matrix(self, axiom_id):
-        rule, calls = self.counting("may", majority_tournament, pairwise=True)
-        axiom = _AXIOMS[axiom_id]
-        axiom.search(_Space(3, 3, rule, axiom.catches))
-        assert len(calls) == len(set(calls)) <= self.DISTINCT[3, 3]
+    def test_a_counted_audit_runs_once_per_matrix(self, axiom_id):
+        # the count function runs once per matrix the search reaches; fn
+        # runs only to re-verify a witness, on at most three profiles
+        rule, calls, counted = self.counting("may", may_from_counts)
+        res = audit(rule, axiom_id, exhaustive(3, 3))
+        assert len(counted) == len(set(counted)) <= self.DISTINCT[3, 3]
+        assert len(calls) == (len(_AXIOMS[axiom_id].profile_keys) if res.failed else 0)
+        assert len(calls) <= 3
 
     @pytest.mark.parametrize(
         "axiom_id,names,m,n",
@@ -944,26 +964,37 @@ class TestOrbitFirsts:
         return counted
 
     @pytest.mark.parametrize(
-        "axiom_id,pairwise,calls",
+        "axiom_id,counts,calls,count_calls",
         [
-            (AxiomId.ANONYMITY, False, 15600),
-            (AxiomId.ANONYMITY, True, 0),
-            (AxiomId.NEUTRALITY, True, 13824),
+            (AxiomId.ANONYMITY, False, 15600, 0),
+            (AxiomId.ANONYMITY, True, 0, 1136),
+            (AxiomId.NEUTRALITY, True, 13824, 1136),
         ],
         ids=["anonymity-15600", "memoised-anonymity-0", "neutrality-13824"],
     )
-    def test_moved_calls_of_a_full_walk(self, monkeypatch, axiom_id, pairwise, calls):
+    def test_moved_calls_of_a_full_walk(
+        self, monkeypatch, axiom_id, counts, calls, count_calls
+    ):
         # may passes both, so the search walks every orbit at (4, 3):
         # C(26, 3) = 2600 firsts times 3! individual permutations, and
-        # 24^2 = 576 firsts times 4! relabelings. Marked pairwise, every
-        # individual permutation keeps its count matrix, so anonymity
-        # passes without a moved copy; a relabeling moves the matrix.
+        # 24^2 = 576 firsts times 4! relabelings. Given as a count function,
+        # every individual permutation keeps its count matrix, so anonymity
+        # passes without a moved copy; a relabeling moves the matrix. Either
+        # walk reaches all 1136 matrices, and runs the count function once
+        # on each.
         axiom = _AXIOMS[axiom_id]
         counted = self.count_calls(monkeypatch, type(axiom), "moved")
-        rule = Rule("may", RULES["may"].fn, pairwise=pairwise)
+        decoded = []
+
+        def from_counts(universe, matrix, n):
+            decoded.append(matrix)
+            return may_from_counts(universe, matrix, n)
+
+        rule = Rule("may", RULES["may"].fn, from_counts=from_counts if counts else None)
         res = audit(rule, axiom_id, exhaustive(4, 3))
         assert res.verdict == PASS
         assert len(counted) == calls
+        assert len(decoded) == len(set(decoded)) == count_calls
 
     @pytest.mark.parametrize(
         "name,axiom_id,m,n,views",

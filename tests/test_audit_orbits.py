@@ -1,9 +1,9 @@
-"""Exhaustive audits of rules marked pairwise against the full walks
-they replaced.
+"""Exhaustive audits of rules given as count functions against the full
+walks they replaced.
 
-A rule marked pairwise is run once per pairwise count matrix, so every
-profile of an orbit under permutations of the individuals reads one
-outcome. Agreement, transitivity, unrestricted domain and unanimity
+A rule with a count function is run once per pairwise count matrix, so
+every profile of an orbit under permutations of the individuals reads
+one outcome. Agreement, transitivity, unrestricted domain and unanimity
 then walk only each orbit's first profile, and anonymity reads each
 first without moving it. The references below are those searches as
 they were before: the single-profile search walked every profile in
@@ -12,16 +12,15 @@ individual permutation.
 
 Both sides are compared through `audit(...).to_json_dict()`, or the type
 and message of what the audit raised, over May, Borda and Kemeny and
-probes marked pairwise: two of the frozen suite's, which fail agreement
-and unanimity; one that raises an error naming the profile's slots, so
-its text shows which profile of a matrix the rule ran on; and one that
-copies individual 1, so it is not anonymous at all. Set
+four probes: two count functions of the frozen suite's, which fail
+agreement and unanimity; one that raises an error naming the counts it
+read; and one whose count function is Borda's but whose `fn` copies
+individual 1, so only its count function is anonymous. Set
 FOLDVOTE_ORBIT_SPACES (for example "4x4 3x6") to compare other spaces
 than the default ones.
 """
 
 import os
-from dataclasses import replace
 from functools import cache
 from itertools import combinations_with_replacement, permutations, product
 
@@ -29,26 +28,51 @@ import pytest
 
 from foldvote.audit import _AXIOMS, FAIL, PASS, AxiomId, Rule, audit, exhaustive
 from foldvote.audit import standard_rules
-from foldvote.rules import dictator, majority_tournament, may_rule
-from test_audit_frozen import RULES as FROZEN_RULES
+from foldvote.rules import AggregationOutcome, borda_from_counts, dictator
+from foldvote.rules import majority_tournament, may_from_counts
 
 
-def _raiser(profile):
-    # decides from the counts alone, but its message names the profile
-    if majority_tournament(profile)[-1][0] == profile.n:
-        slots = [list(ind.slots()) for ind in profile.individuals]
-        raise ValueError(f"everyone puts the last class above the first: {slots}")
-    return may_rule(profile)
+def _strict_majority(universe, counts, n):
+    # a >= b only on a strict majority, so a tied count leaves the pair
+    # incomparable
+    m = len(universe)
+    relation = tuple(
+        tuple(i == j or counts[i][j] > counts[j][i] for j in range(m))
+        for i in range(m)
+    )
+    return AggregationOutcome("strict_majority", universe, relation)
+
+
+def _inverse_may(universe, counts, n):
+    # majority read backwards: a unanimous a > b yields b > a
+    relation = may_from_counts(universe, counts, n).relation
+    return AggregationOutcome("inverse_may", universe, tuple(zip(*relation)))
+
+
+def _raiser(universe, counts, n):
+    if counts[-1][0] == n:
+        raise ValueError(f"everyone puts the last class above the first: {counts}")
+    return may_from_counts(universe, counts, n)
+
+
+def _counted(name, from_counts):
+    """The rule deciding by from_counts, on a profile's tournament too."""
+
+    def fn(profile):
+        return from_counts(profile.universe, majority_tournament(profile), profile.n)
+
+    return Rule(name, fn, from_counts=from_counts)
 
 
 RULES = {
-    **{name: rule for name, rule in standard_rules().items() if rule.pairwise},
-    **{
-        name: replace(FROZEN_RULES[name], pairwise=True)
-        for name in ("strict_majority", "inverse_may")
-    },
-    "raiser": Rule("raiser", _raiser, pairwise=True),
-    "liar": Rule("liar", lambda profile: dictator(profile, 1), pairwise=True),
+    **{name: r for name, r in standard_rules().items() if r.from_counts is not None},
+    "strict_majority": _counted("strict_majority", _strict_majority),
+    "inverse_may": _counted("inverse_may", _inverse_may),
+    "raiser": _counted("raiser", _raiser),
+    # exhaustive searches read the count function alone, never fn
+    "liar": Rule(
+        "liar", lambda profile: dictator(profile, 1), from_counts=borda_from_counts
+    ),
 }
 AXIOMS = (
     AxiomId.AGREEMENT,
@@ -123,7 +147,7 @@ def test_orbit_walk_matches_full_walk(rule, axiom_id, m, n):
 def test_every_outcome_is_compared():
     # over the default spaces the references give fails, passes and the
     # raiser's error (caught as a fail by unrestricted domain), and the
-    # liar passes anonymity, by its declaration alone
+    # liar passes anonymity, by its count function alone
     kinds = {}
     for rule, axiom_id, (m, n) in product(RULES, AXIOMS, DEFAULT_SPACES):
         expected = _compared(rule, axiom_id, m, n)[1]

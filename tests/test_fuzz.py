@@ -36,7 +36,7 @@ from functools import partial
 import numpy as np
 
 from foldvote.aminoacids import ONE_LETTER
-from foldvote.audit import FAIL, Rule, verify_result
+from foldvote.audit import FAIL, verify_result
 from foldvote.cli import main
 from foldvote.contacts import ContactConfig, Scorer, extract_instances
 from foldvote.contacts import parse_score_table
@@ -385,7 +385,7 @@ def _own(rule):
             raised.append(exc)
             raise
 
-    return Rule(rule.name, fn, rule.mode, rule.pairwise), raised
+    return dataclasses.replace(rule, fn=fn), raised
 
 
 FAIL_WITNESSES = sorted(c for c, (verdict, _) in DIGESTS.items() if verdict == FAIL)

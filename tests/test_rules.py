@@ -1127,44 +1127,48 @@ class TestDerivedOutcome:
 
 
 # may, borda and kemeny read a profile only through its pairwise counts
-# and n, so standard_rules marks them pairwise and exhaustive audits run
-# each once per count matrix, giving its outcome to every profile with
-# that matrix. Profiles with equal counts must get equal outcomes.
+# and n, so standard_rules gives each its count function, which exhaustive
+# audits run once per count matrix. may and kemeny run that function on
+# the tournament; borda's profile path sums columns instead, so each rule
+# is compared with its count function on the profile's tournament.
 
-PAIRWISE_RULES = ("may", "borda", "kemeny")
+COUNTED_RULES = ("may", "borda", "kemeny")
 
 
-def assert_same_outcome_per_count_matrix(profiles):
-    keyed = [(ref_tournament(profile), profile) for profile in profiles]
-    for rule in standard_rules().values():
-        if not rule.pairwise:
-            continue
-        by_counts = {}
-        for counts, profile in keyed:
-            outcome = rule(profile)
-            first = by_counts.setdefault(counts, outcome)
-            assert (outcome.rule_name, outcome.universe, outcome.relation) == (
-                first.rule_name,
-                first.universe,
-                first.relation,
-            ), rule.name
+def assert_counts_decide(profiles, names=COUNTED_RULES):
+    rules = standard_rules()
+    for profile in profiles:
+        counts = majority_tournament(profile)
+        for name in names:
+            got = rules[name](profile)
+            counted = rules[name].from_counts(profile.universe, counts, profile.n)
+            assert got.relation == counted.relation, name
+            assert got.ranking == counted.ranking, name
+            assert got.to_json_dict() == counted.to_json_dict(), name
+
+
+def test_only_c2_rules_have_count_functions():
+    rules = standard_rules()
+    assert [name for name, rule in rules.items() if rule.from_counts] == list(
+        COUNTED_RULES
+    )
 
 
 @pytest.mark.parametrize("m,n", [(3, 2), (3, 3), (3, 4), (4, 2), (4, 3)])
-def test_pairwise_rules_agree_per_count_matrix_on_strict_space(m, n):
+def test_count_functions_match_the_rules_on_strict_space(m, n):
     universe = synthetic_universe(m)
     orders = list(permutations(universe))
     rankings = [
         [strict(order, f"v{v + 1}", universe) for order in orders] for v in range(n)
     ]
-    assert_same_outcome_per_count_matrix(
+    assert_counts_decide(
         Profile(universe, tuple(rankings[v][k] for v, k in enumerate(combo)))
         for combo in product(range(len(orders)), repeat=n)
     )
 
 
 @pytest.mark.parametrize("m", [3, 5, 8])
-def test_pairwise_rules_agree_per_count_matrix_on_tied_profiles(m):
+def test_count_functions_match_the_rules_on_tied_profiles(m):
     # a strict order and its reverse add 1 to every N(a > b) whatever the
     # order, so a tied profile joined by two such pairs has one matrix
     rng = random.Random(1977 + m)
@@ -1182,14 +1186,19 @@ def test_pairwise_rules_agree_per_count_matrix_on_tied_profiles(m):
             )
             joined.append(Profile(universe, base + pair))
         assert ref_tournament(joined[0]) == ref_tournament(joined[1])
-        assert_same_outcome_per_count_matrix(joined)
+        assert_counts_decide(joined)
 
 
-def test_only_pairwise_rules_are_marked():
-    rules = standard_rules()
-    assert [name for name, rule in rules.items() if rule.pairwise] == list(
-        PAIRWISE_RULES
-    )
+@pytest.mark.parametrize("m,n", [(20, 50), (210, 100)])
+def test_borda_counts_match_its_column_sums_on_tied_profiles(m, n):
+    rng = random.Random(27 * m + n)
+    universe = synthetic_universe(m)
+    for seed in range(2):
+        orders = generate(SynthSpec("impartial_culture", m, n, seed)).individuals
+        tied = [random_weak_order(rng, universe, f"t{k}") for k in range(n)]
+        mixed = [rng.choice(pair) for pair in zip(orders, tied)]
+        profiles = [Profile(universe, tuple(ind)) for ind in (tied, mixed)]
+        assert_counts_decide(profiles, names=("borda",))
 
 
 def test_kemeny_refuses_too_many_classes_before_counting(monkeypatch):
