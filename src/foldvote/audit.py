@@ -37,20 +37,21 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from enum import Enum
 from itertools import combinations, combinations_with_replacement, islice
 from itertools import permutations, product
 from typing import NamedTuple
 
 from .aminoacids import CLASSES, InteractionClass, Universe
-from .errors import BadSpec, BudgetExceeded, InapplicableAxiom, MalformedProfile
-from .errors import NonFiniteUtility
+from .errors import BadSpec, BudgetExceeded, DisagreeingRule, InapplicableAxiom
+from .errors import MalformedProfile, NonFiniteUtility
 from .preferences import RankingWithTies, UtilityVector
 from .profiles import Profile, _choice, _integers, _kendall_slots, _shuffled
 from .profiles import _summed_kendall, synthetic_universe
 # Rule and standard_rules are imported from here as well as from rules
-from .rules import Counts, Rule, outcome_distance, standard_rules
+from .rules import Counts, Rule, majority_tournament, outcome_distance
+from .rules import standard_rules
 
 
 class AxiomId(str, Enum):
@@ -159,15 +160,7 @@ class AuditResult:
         return self.verdict == FAIL
 
     def to_json_dict(self) -> dict:
-        return {
-            "rule_name": self.rule_name,
-            "axiom": self.axiom.value,
-            "verdict": self.verdict,
-            "witness": self.witness,
-            "search_budget": self.search_budget,
-            "seed": self.seed,
-            "notes": self.notes,
-        }
+        return {**asdict(self), "axiom": self.axiom.value}
 
 
 # --------------------------------------------------------------------------
@@ -359,6 +352,30 @@ class _Trials(_Profiles):
         return orders, self.profile(orders)
 
 
+def _decision(fn, *args):
+    """The relation fn(*args) decides, or the type and message of what it
+    raised instead."""
+    try:
+        return fn(*args).relation
+    except Exception as exc:  # an error is a decision to compare as well
+        return type(exc), str(exc)
+
+
+def _check_forms_agree(rule: Rule, profile: Profile) -> None:
+    """Raise DisagreeingRule unless the rule's fn and its count function,
+    run on the profile's tournament, decide the profile alike."""
+    counted = _decision(
+        rule.from_counts, profile.universe, majority_tournament(profile), profile.n
+    )
+    if _decision(rule.fn, profile) != counted:
+        import json  # here only, so importing the module does not load it
+
+        raise DisagreeingRule(
+            f"rule {rule.name!r}: fn and from_counts decide differently on "
+            f"profile {json.dumps(profile.to_json_dict())}"
+        )
+
+
 # --------------------------------------------------------------------------
 # the axioms
 
@@ -444,6 +461,10 @@ class _Axiom:
             notes=self.notes,
         )
         if result.failed and not verify_result(rule, result):
+            if rule.from_counts is not None:
+                # exhaustive searches ran from_counts, verification ran fn
+                for profile in profiles:
+                    _check_forms_agree(rule, profile)
             raise AssertionError(
                 f"internal error: {self.axiom.value} witness failed re-verification"
             )

@@ -74,6 +74,8 @@ def _load_profile(path: str):
 
 
 def _cmd_extract(args) -> int:
+    from dataclasses import asdict
+
     from .contacts import (
         ContactConfig,
         Scorer,
@@ -111,10 +113,7 @@ def _cmd_extract(args) -> int:
         "command": "extract",
         "inputs": [str(p) for p in paths],
         "out_dir": str(out_dir),
-        "threshold_tau": args.tau,
-        "mode": args.mode,
-        "min_seq_separation": args.min_seq_separation,
-        "cross_chain": args.cross_chain,
+        **asdict(config),
         "scorer": "table" if args.table else "unit_count",
         "table": args.table,
         "negate": (not args.no_negate) if args.table else None,
@@ -174,18 +173,14 @@ def _cmd_rank(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    from dataclasses import asdict
+
     from .profiles import SynthSpec, generate
 
     kind = "condorcet_cycle" if args.kind == "condorcet" else args.kind
     spec = SynthSpec(kind=kind, m=args.m, n=args.n, seed=args.seed)
     profile = generate(spec)
-    config = {
-        "command": "synth",
-        "kind": kind,
-        "m": args.m,
-        "n": args.n,
-        "seed": args.seed,
-    }
+    config = {"command": "synth", **asdict(spec)}
     _emit(args.out, config, profile=profile.to_json_dict())
     return EXIT_OK
 

@@ -99,6 +99,11 @@ class InapplicableAxiom(FoldvoteError):
     """The axiom does not apply to the rule's input mode."""
 
 
+class DisagreeingRule(FoldvoteError):
+    """A rule's count function and its profile function decide one
+    profile differently."""
+
+
 # ---------------------------------------------------------------------- cli
 
 class NotAnObject(FoldvoteError):

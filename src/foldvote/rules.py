@@ -23,7 +23,7 @@ from .errors import BadIndex, NonFiniteUtility, TooLarge, TransformOverflow, Wro
 from .preferences import RankingWithTies, UtilityVector
 from .profiles import Profile
 
-KEMENY_MAX_CLASSES = 8
+KEMENY_MAX_CLASSES = 16
 
 Relation = tuple[tuple[bool, ...], ...]  # weak preference, row >= column
 Counts = tuple[tuple[int, ...], ...]  # counts[i][j] = #{strictly prefer i to j}
@@ -120,7 +120,9 @@ class AggregationOutcome:
         return RankingWithTies(self.rule_name, self.universe, ordered)
 
     def pair_value(self, i: int, j: int) -> float:
-        """1.0 if class i beats class j, 0.0 if beaten, 0.5 on a tie."""
+        """1.0 if class i beats class j, 0.0 if beaten, 0.5 on a tie, and
+        0.0 both ways on a pair that neither class weakly beats, which only
+        an incomplete relation holds (a strict majority on a tied count)."""
         fwd, back = self.relation[i][j], self.relation[j][i]
         if fwd and back:
             return 0.5
@@ -316,10 +318,10 @@ def kemeny_from_counts(universe: Universe, counts: Counts, n: int) -> Aggregatio
     """Strict order minimizing total Kendall distance to the profile whose
     counts these are, by dynamic programming over subsets of classes
     (Betzler et al. 2009): O(2^m * m), whatever the number of individuals
-    (class count capped at 8). Among distance ties the lexicographically
-    first order wins, as if all m! orders were scanned in permutation
-    order, so the result is deterministic but deliberately not neutral on
-    tie profiles."""
+    (class count capped at 16, where the tables hold about 2^20 ints).
+    Among distance ties the lexicographically first order wins, as if all
+    m! orders were scanned in permutation order, so the result is
+    deterministic but deliberately not neutral on tie profiles."""
     m = len(universe)
     if m > KEMENY_MAX_CLASSES:
         raise TooLarge(f"kemeny supports at most {KEMENY_MAX_CLASSES} classes")
@@ -426,7 +428,8 @@ class Rule:
     An ordinal rule deciding from the pairwise counts N(a > b) and n alone
     (a C2 rule, as may, Borda and Kemeny are) may give that decision as
     `from_counts`; exhaustive audits run it once per count matrix, and
-    re-verify witnesses with `fn`, which must agree with it.
+    re-verify witnesses with `fn`, which must agree with it. A fail that
+    does not re-verify because they disagree raises DisagreeingRule.
     """
 
     name: str

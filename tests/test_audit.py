@@ -33,10 +33,11 @@ from foldvote.audit import (
     verify_result,
 )
 from foldvote.audit import _AXIOMS, _prefs, _Space, _View
-from foldvote.errors import BadSpec, BudgetExceeded, InapplicableAxiom, WrongMode
+from foldvote.errors import BadSpec, BudgetExceeded, DisagreeingRule
+from foldvote.errors import InapplicableAxiom, WrongMode
 from foldvote.preferences import RankingWithTies
 from foldvote.profiles import Profile, SynthSpec, generate, synthetic_universe
-from foldvote.rules import majority_tournament, may_from_counts
+from foldvote.rules import dictator, majority_tournament, may_from_counts, may_rule
 from test_audit_frozen import RULES as PROBE_RULES
 
 RULES = standard_rules()
@@ -841,6 +842,42 @@ class TestCountMemo:
         res = audit(rule, AxiomId.UNRESTRICTED_DOMAIN, exhaustive(3, 3))
         assert res.witness["error"] == "ValueError: unanimous on the first pair: 3 of 3"
         assert verify_result(rule, res)
+
+    def test_a_count_function_disagreeing_with_fn_is_named(self):
+        # the search finds may's Condorcet cycle; re-verification runs fn,
+        # the first individual's order, and sees no cycle
+        liar = Rule("liar", lambda p: dictator(p, 1), from_counts=may_from_counts)
+        with pytest.raises(DisagreeingRule, match="rule 'liar'") as raised:
+            audit(liar, AxiomId.TRANSITIVITY, exhaustive(3, 3))
+        named = json.loads(str(raised.value).split(" on profile ", 1)[1])
+        profile = Profile.from_json_dict(named)
+        assert not may_rule(profile).transitive
+        assert dictator(profile, 1).transitive
+
+    @pytest.mark.parametrize(
+        "fn_error", [None, "a different message"], ids=["no_error", "other_error"]
+    )
+    def test_forms_raising_differently_are_named(self, fn_error):
+        # the count function raises where every individual puts A-A above
+        # A-C; fn decides there, or raises another error
+        def picky(universe, counts, n):
+            if counts[0][1] == n:
+                raise ValueError("unanimous on the first pair")
+            return may_from_counts(universe, counts, n)
+
+        def fn(profile):
+            if fn_error is not None and majority_tournament(profile)[0][1] == profile.n:
+                raise ValueError(fn_error)
+            return may_rule(profile)
+
+        rule = Rule("picky", fn, from_counts=picky)
+        with pytest.raises(DisagreeingRule, match="rule 'picky'"):
+            audit(rule, AxiomId.UNRESTRICTED_DOMAIN, exhaustive(3, 3))
+
+    def test_a_witness_both_forms_agree_on_is_an_internal_error(self, monkeypatch):
+        monkeypatch.setattr("foldvote.audit.verify_result", lambda rule, res: False)
+        with pytest.raises(AssertionError, match="transitivity witness failed"):
+            audit(RULES["may"], AxiomId.TRANSITIVITY, exhaustive(3, 3))
 
     def test_a_utility_rule_refuses_a_count_function(self):
         with pytest.raises(WrongMode, match="utilitarian"):

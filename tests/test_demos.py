@@ -2,7 +2,9 @@
 
 Every demo is deterministic, so a change to any printed value, label or
 ordering changes its digest. A change that means to alter a demo's
-output records the new digest here with the reason.
+output records the new digest here with the reason. Each demo runs with
+warnings as errors, as the suite itself does (pyproject.toml), since that
+setting does not reach a subprocess.
 """
 
 import hashlib
@@ -33,7 +35,7 @@ def test_every_demo_is_frozen():
 @pytest.mark.parametrize("name", sorted(DIGESTS))
 def test_demo_output(name):
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / name)],
+        [sys.executable, "-W", "error", str(ROOT / "demos" / name)],
         capture_output=True,
         timeout=120,
         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),

@@ -221,16 +221,46 @@ class TestKemeny:
             )
             assert got_total == best[0]
 
+    @pytest.mark.parametrize("m", range(9, KEMENY_MAX_CLASSES + 1))
+    def test_no_adjacent_swap_lowers_the_distance(self, m):
+        # past the brute-force oracles' reach, a Kemeny order is still
+        # locally optimal, and a swap keeping its distance must not give a
+        # lexicographically earlier order
+        rng = random.Random(m)
+        universe = synthetic_universe(m)
+        n = 5 + m % 4
+        strict_orders = tuple(
+            strict(tuple(rng.sample(universe, m)), f"v{v}", universe) for v in range(n)
+        )
+        tied = tuple(random_weak_order(rng, universe, f"t{v}") for v in range(n))
+        for individuals in (strict_orders, tied):
+            out = kemeny(Profile(universe, individuals))
+            assert out.transitive
+            assert all(len(tier) == 1 for tier in out.ranking.tiers)
+            order = [tier[0] for tier in out.ranking.tiers]
+
+            def summed(o):
+                cand = RankingWithTies.from_strict_order("o", universe, o)
+                return sum(kendall_distance(cand, ind) for ind in individuals)
+
+            least = summed(order)
+            for k in range(m - 1):
+                a, b = order[k], order[k + 1]
+                moved = summed(order[:k] + [b, a] + order[k + 2 :])
+                assert moved > least or (
+                    moved == least and universe.index(a) < universe.index(b)
+                )
+
     def test_too_large(self):
-        u9 = synthetic_universe(9)
+        u17 = synthetic_universe(17)
         p = Profile(
-            u9,
+            u17,
             (
-                RankingWithTies.from_strict_order("a", u9, u9),
-                RankingWithTies.from_strict_order("b", u9, u9),
+                RankingWithTies.from_strict_order("a", u17, u17),
+                RankingWithTies.from_strict_order("b", u17, u17),
             ),
         )
-        with pytest.raises(TooLarge):
+        with pytest.raises(TooLarge, match="at most 16 classes"):
             kemeny(p)
 
 
@@ -332,6 +362,18 @@ class TestUtilitarian:
             ),
         ):
             apply_transform(p, UtilityTransform(1.0, {"v0": -1.7e308}))
+
+
+def test_pair_value_is_zero_both_ways_on_an_incomparable_pair():
+    # X beats Y, X ties Z, and neither of Y and Z weakly beats the other
+    relation = ((True, True, True), (False, True, False), (True, False, True))
+    out = AggregationOutcome("incomplete", U3, relation)
+    assert [out.pair_value(i, j) for i, j in permutations(range(3), 2)] == [
+        1.0, 0.5, 0.0, 0.0, 0.5, 0.0
+    ]
+    # outcome_distance reads the incomparable pair as a 0 against a tie's 1/2
+    all_tied = AggregationOutcome("tied", U3, ((True,) * 3,) * 3)
+    assert outcome_distance(out, all_tied) == 1.0
 
 
 class TestOutcomeDistance:
@@ -1206,6 +1248,6 @@ def test_kemeny_refuses_too_many_classes_before_counting(monkeypatch):
         raise AssertionError("counted the tournament")
 
     monkeypatch.setattr(foldvote.rules, "majority_tournament", no_count)
-    u9 = synthetic_universe(9)
+    u17 = synthetic_universe(17)
     with pytest.raises(TooLarge):
-        kemeny(Profile(u9, (strict(u9, "v1", u9),) * 100))
+        kemeny(Profile(u17, (strict(u17, "v1", u17),) * 100))
