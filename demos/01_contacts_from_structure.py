@@ -37,7 +37,7 @@ for i in range(len(residues)):
 
 # default config: 8 A threshold, sequence separation >= 3, same chain only
 config = ContactConfig(threshold_tau=8.0, mode="c_alpha", min_seq_separation=3)
-instances = extract_instances(structure, config, Scorer("unit_count"))
+instances = extract_instances(structure, config, Scorer())
 
 print(f"\n{len(instances)} instances at tau={config.threshold_tau}:")
 for inst in instances:

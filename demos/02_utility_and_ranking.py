@@ -14,7 +14,7 @@ from foldvote.pdb import parse_pdb
 from foldvote.preferences import ordinal_from_utility, utility_from_instances
 
 structure = parse_pdb(four_residue_pdb_path().read_text(), "four_residue")
-instances = extract_instances(structure, ContactConfig(), Scorer("unit_count"))
+instances = extract_instances(structure, ContactConfig(), Scorer())
 
 # the full universe is every unordered amino-acid pair: 210 classes
 universe = class_universe(include_homopairs=True)

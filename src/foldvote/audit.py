@@ -131,6 +131,11 @@ class SearchSpace:
                 raise BadSpec("a sampled space needs a seed, got None")
         elif self.mode != "exhaustive":
             raise BadSpec(f"mode must be exhaustive or sampled, got {self.mode!r}")
+        elif self.trials is not None or self.seed is not None:  # it draws nothing
+            raise BadSpec(
+                f"an exhaustive space takes no trials or seed, "
+                f"got trials={self.trials} seed={self.seed}"
+            )
         if self.n < 2:
             raise BadSpec(f"n must be >= 2, got {self.n}")
         if not 2 <= self.m <= len(CLASSES):
@@ -361,19 +366,23 @@ def _decision(fn, *args):
         return type(exc), str(exc)
 
 
-def _check_forms_agree(rule: Rule, profile: Profile) -> None:
-    """Raise DisagreeingRule unless the rule's fn and its count function,
-    run on the profile's tournament, decide the profile alike."""
-    counted = _decision(
-        rule.from_counts, profile.universe, majority_tournament(profile), profile.n
-    )
-    if _decision(rule.fn, profile) != counted:
-        import json  # here only, so importing the module does not load it
-
-        raise DisagreeingRule(
-            f"rule {rule.name!r}: fn and from_counts decide differently on "
-            f"profile {json.dumps(profile.to_json_dict())}"
+def _check_forms_agree(rule: Rule, profiles: list[Profile]) -> None:
+    """Raise DisagreeingRule unless the rule has no count function or its
+    fn and its count function, run on each profile's tournament, decide
+    every profile alike."""
+    if rule.from_counts is None:
+        return
+    for profile in profiles:
+        counted = _decision(
+            rule.from_counts, profile.universe, majority_tournament(profile), profile.n
         )
+        if _decision(rule.fn, profile) != counted:
+            import json  # here only, so importing the module does not load it
+
+            raise DisagreeingRule(
+                f"rule {rule.name!r}: fn and from_counts decide differently on "
+                f"profile {json.dumps(profile.to_json_dict())}"
+            )
 
 
 # --------------------------------------------------------------------------
@@ -460,14 +469,20 @@ class _Axiom:
             seed=space.seed,
             notes=self.notes,
         )
-        if result.failed and not verify_result(rule, result):
-            if rule.from_counts is not None:
-                # exhaustive searches ran from_counts, verification ran fn
-                for profile in profiles:
-                    _check_forms_agree(rule, profile)
-            raise AssertionError(
-                f"internal error: {self.axiom.value} witness failed re-verification"
-            )
+        if result.failed:
+            # exhaustive searches ran from_counts, verification runs fn: a
+            # witness that fn raises on or does not confirm names the rule
+            # when the two forms disagree on it
+            try:
+                verified = verify_result(rule, result)
+            except Exception:
+                _check_forms_agree(rule, profiles)
+                raise
+            if not verified:
+                _check_forms_agree(rule, profiles)
+                raise AssertionError(
+                    f"internal error: {self.axiom.value} witness failed re-verification"
+                )
         return result
 
     def search(self, space: _Space):
@@ -1137,7 +1152,15 @@ def verify_result(rule: Rule, result: AuditResult) -> bool:
     A non-dictatorship witness re-checks only its demo profile, and the
     demo outcome tiers when it gives them (sampled witnesses give None),
     so it proves no dictator: kemeny, which passes non-dictatorship over
-    exhaustive (3, 2), re-verifies dictator's (3, 2) witness."""
+    exhaustive (3, 2), re-verifies dictator's (3, 2) witness.
+
+    A continuity result raises InapplicableAxiom, as audit() refuses that
+    axiom: its witness is the mean-direction aggregator's, not a rule's,
+    and continuity_check re-verifies it by re-running the aggregator."""
+    if result.axiom == AxiomId.CONTINUITY:
+        raise InapplicableAxiom(
+            "a continuity witness is re-verified by continuity_check, not verify_result"
+        )
     if not result.failed:
         return True
     axiom = _AXIOMS.get(result.axiom)

@@ -105,7 +105,7 @@ def _cmd_extract(args) -> int:
     if args.table is not None:
         scorer = load_score_table(args.table, negate=not args.no_negate)
     else:
-        scorer = Scorer("unit_count")
+        scorer = Scorer()
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -45,20 +45,15 @@ class ContactConfig:
 
 @dataclass(frozen=True, eq=False)
 class Scorer:
-    """Scores an interaction class: unit counting or a 20x20 table lookup."""
+    """Scores an interaction class: its entry in a 20x20 table, indexed in
+    ONE_LETTER order, or 1.0 (unit counting) when there is no table."""
 
-    kind: str = "unit_count"  # "unit_count" | "table"
-    table: np.ndarray | None = None  # indexed by ONE_LETTER order
-    negate: bool = False
+    table: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("unit_count", "table"):
-            raise ValueError(f"unknown scorer kind {self.kind!r}")
-        if self.kind == "table":
+        if self.table is not None:
             # a table that cannot give every class a finite score is
-            # refused here, not when extraction first scores a class
-            if self.table is None:
-                raise ValueError("table scorer needs a table")
+            # refused here, not when extraction first scores a class;
             # nested lists too are read as an array, which score indexes
             table = np.asarray(self.table, dtype=float)
             if table.shape != (20, 20):
@@ -68,14 +63,9 @@ class Scorer:
             object.__setattr__(self, "table", table)
 
     def score(self, cls: InteractionClass) -> float:
-        if self.kind == "unit_count":
-            raw = 1.0
-        else:
-            assert self.table is not None
-            raw = float(
-                self.table[LETTER_INDEX[cls.first], LETTER_INDEX[cls.second]]
-            )
-        return -raw if self.negate else raw
+        if self.table is None:
+            return 1.0
+        return float(self.table[LETTER_INDEX[cls.first], LETTER_INDEX[cls.second]])
 
 
 def parse_score_table(text: str, negate: bool = True) -> Scorer:
@@ -85,7 +75,8 @@ def parse_score_table(text: str, negate: bool = True) -> Scorer:
     then 20 rows each starting with its code. A non-finite entry,
     asymmetry beyond 1e-9, any dimension/label problem or a line the CSV
     reader cannot split (a bare carriage return outside quotes) raises
-    BadTable.
+    BadTable. The scorer holds the negated table unless `negate` is
+    False, so contact energies, lower for a stronger contact, score high.
     """
     try:
         rows = list(csv.reader(io.StringIO(text)))
@@ -120,7 +111,7 @@ def parse_score_table(text: str, negate: bool = True) -> Scorer:
         asymmetry = np.abs(table - table.T).max()
     if asymmetry > 1e-9:
         raise BadTable("table is asymmetric beyond 1e-9")
-    return Scorer(kind="table", table=table, negate=negate)
+    return Scorer(-table if negate else table)
 
 
 def load_score_table(path: str | Path, negate: bool = True) -> Scorer:

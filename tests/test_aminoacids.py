@@ -1,6 +1,7 @@
 """The interaction classes and their universe, and the layering they
 allow: the collective side runs without the structure side or numpy."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -86,6 +87,18 @@ def test_one_definition_of_the_contact_interchange():
     for name in names:
         assert getattr(contacts, name) is getattr(interchange, name), name
     assert foldvote.InteractionInstance is interchange.InteractionInstance
+
+
+@pytest.mark.parametrize("name", foldvote.__all__)
+def test_each_public_name_is_its_submodules(name):
+    defining = importlib.import_module(f"foldvote.{foldvote._EXPORTS[name]}")
+    assert getattr(foldvote, name) is getattr(defining, name)
+    assert name in dir(foldvote)
+
+
+def test_a_name_outside_the_export_table_is_no_attribute():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        foldvote.no_such_name
 
 
 def nested_loop_universe(include_homopairs):

@@ -6,6 +6,7 @@ spaces are small enough to re-run on every test invocation.
 """
 
 import json
+import re
 from itertools import permutations
 
 import pytest
@@ -384,6 +385,15 @@ class TestSampled:
         with pytest.raises(BadSpec, match="needs a seed"):
             may_coincidence_check(RULES["may"], 3, 2, 10, None)
 
+    @pytest.mark.parametrize(
+        "trials,seed", [(7, 5), (7, None), (-3, None), (None, 5), (None, 0)]
+    )
+    def test_an_exhaustive_space_takes_no_trials_or_seed(self, trials, seed):
+        # they drew nothing, yet a seed was echoed in the report
+        want = f"takes no trials or seed, got trials={trials} seed={seed}"
+        with pytest.raises(BadSpec, match=f"^an exhaustive space {re.escape(want)}$"):
+            SearchSpace("exhaustive", 3, 3, trials=trials, seed=seed)
+
     @pytest.mark.parametrize("mode", ["Exhaustive", "sample", ""])
     def test_unknown_mode_rejected(self, mode):
         with pytest.raises(BadSpec, match="mode must be exhaustive or sampled"):
@@ -411,6 +421,12 @@ class TestContinuityCheck:
         assert res.search_budget == "constructive probe dimension=3 epsilon=0.001 seed=4"
         assert res.witness["input_distance"] <= 2e-3
         assert res.witness["output_distance"] >= 1.0
+
+    def test_verify_result_refuses_a_continuity_witness(self):
+        # it used to return False for a witness continuity_check verified
+        res = continuity_check(3, 1e-3, 4)
+        with pytest.raises(InapplicableAxiom, match="re-verified by continuity_check"):
+            verify_result(RULES["may"], res)
 
     def test_probe_errors_stand_for_library_callers(self):
         with pytest.raises(ValueError, match="dimension must be >= 2"):
@@ -873,6 +889,19 @@ class TestCountMemo:
         rule = Rule("picky", fn, from_counts=picky)
         with pytest.raises(DisagreeingRule, match="rule 'picky'"):
             audit(rule, AxiomId.UNRESTRICTED_DOMAIN, exhaustive(3, 3))
+
+    def test_a_count_function_deciding_where_fn_raises_is_named(self):
+        # the search finds may's Condorcet cycle by the count function;
+        # re-verification runs fn, which raises on the cycle instead
+        def fn(profile):
+            outcome = may_rule(profile)
+            if not outcome.transitive:
+                raise ValueError("no transitive outcome")
+            return outcome
+
+        rule = Rule("r", fn, from_counts=may_from_counts)
+        with pytest.raises(DisagreeingRule, match="^rule 'r': fn and from_counts"):
+            audit(rule, AxiomId.TRANSITIVITY, exhaustive(3, 3))
 
     def test_a_witness_both_forms_agree_on_is_an_internal_error(self, monkeypatch):
         monkeypatch.setattr("foldvote.audit.verify_result", lambda rule, res: False)

@@ -1,5 +1,6 @@
 """Interaction classes, contact extraction, score tables, CSV round trip."""
 
+import dataclasses
 import math
 import re
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from foldvote.aminoacids import ONE_LETTER
+from foldvote.aminoacids import LETTER_INDEX, ONE_LETTER
 from foldvote.contacts import (
     CSV_HEADER,
     ContactConfig,
@@ -89,7 +90,7 @@ class TestClassUniverse:
 class TestExtract:
     def test_four_residue_example(self):
         s = ca_structure(FOUR_RESIDUE)
-        inst = extract_instances(s, ContactConfig(), Scorer("unit_count"))
+        inst = extract_instances(s, ContactConfig(), Scorer())
         keyed = {(i.residues, i.distance) for i in inst}
         assert keyed == {
             ((("A", 1), ("A", 5)), 6.0),
@@ -100,13 +101,13 @@ class TestExtract:
     def test_tiny_threshold_empty(self):
         s = ca_structure(FOUR_RESIDUE)
         inst = extract_instances(
-            s, ContactConfig(threshold_tau=0.5), Scorer("unit_count")
+            s, ContactConfig(threshold_tau=0.5), Scorer()
         )
         assert inst == []
 
     def test_unit_scores(self):
         s = ca_structure(FOUR_RESIDUE)
-        inst = extract_instances(s, ContactConfig(), Scorer("unit_count"))
+        inst = extract_instances(s, ContactConfig(), Scorer())
         assert all(i.score == 1.0 for i in inst)
 
     def test_cross_chain(self):
@@ -115,10 +116,10 @@ class TestExtract:
             ("B", "V", 1, (1, 0, 0)),
         ]
         s = ca_structure(spec)
-        off = extract_instances(s, ContactConfig(), Scorer("unit_count"))
+        off = extract_instances(s, ContactConfig(), Scorer())
         assert off == []
         on = extract_instances(
-            s, ContactConfig(cross_chain=True), Scorer("unit_count")
+            s, ContactConfig(cross_chain=True), Scorer()
         )
         assert len(on) == 1
         # separation predicate is intra-chain only
@@ -129,7 +130,7 @@ class TestExtract:
         seen = set()
         for tau in (1.0, 2.0, 6.0, 8.0, 40.0):
             inst = extract_instances(
-                s, ContactConfig(threshold_tau=tau), Scorer("unit_count")
+                s, ContactConfig(threshold_tau=tau), Scorer()
             )
             now = {i.residues for i in inst}
             assert seen <= now
@@ -150,7 +151,7 @@ class TestExtract:
         )
         s = ProteinStructure(id="x", chains=[("A", [bad, ok])])
         with pytest.raises(MissingAtom):
-            extract_instances(s, ContactConfig(), Scorer("unit_count"))
+            extract_instances(s, ContactConfig(), Scorer())
 
     def test_bad_config(self):
         with pytest.raises(ValueError):
@@ -275,7 +276,8 @@ def random_structure(rng, n_chains, max_residues=16, ca=True):
 
 def random_scorer(rng):
     table = rng.normal(size=(20, 20))
-    return Scorer("table", table + table.T, negate=bool(rng.integers(2)))
+    table = table + table.T
+    return Scorer(-table if rng.integers(2) else table)
 
 
 def assert_matches_reference(structure, config, scorer=Scorer()):
@@ -534,13 +536,22 @@ def table_csv(value_fn):
 
 
 class TestScorerValidation:
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="^unknown scorer kind 'blosum'$"):
-            Scorer("blosum")
+    def test_the_table_is_the_only_field(self):
+        assert [f.name for f in dataclasses.fields(Scorer)] == ["table"]
 
-    def test_table_scorer_needs_a_table(self):
-        with pytest.raises(ValueError, match="^table scorer needs a table$"):
-            Scorer("table")
+    def test_no_table_counts_each_contact_once(self):
+        cls = InteractionClass.of("G", "A")
+        assert Scorer().score(cls) == Scorer(None).score(cls) == 1.0
+
+    @pytest.mark.parametrize("by_keyword", [False, True])
+    def test_a_given_table_is_scored(self, by_keyword):
+        # a table given by keyword used to be ignored: the scorer's kind
+        # defaulted to unit counting and scored every class 1.0
+        values = np.arange(400.0).reshape(20, 20)
+        scorer = Scorer(table=values) if by_keyword else Scorer(values)
+        for cls in class_universe():
+            want = values[LETTER_INDEX[cls.first], LETTER_INDEX[cls.second]]
+            assert scorer.score(cls) == want
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_table_must_be_finite(self, bad):
@@ -550,22 +561,22 @@ class TestScorerValidation:
         with pytest.raises(
             ValueError, match=r"^table has a non-finite entry \(nan, inf or -inf\)$"
         ):
-            Scorer("table", table)
+            Scorer(table)
 
     def test_table_given_as_nested_lists(self):
         # score indexes the table as an array; a list of lists used to
         # raise a bare TypeError there
         values = np.arange(400.0).reshape(20, 20)
-        as_lists = Scorer("table", values.tolist())
+        as_lists = Scorer(values.tolist())
         cls = InteractionClass.of("G", "A")
-        assert as_lists.score(cls) == Scorer("table", values).score(cls) == 5.0
+        assert as_lists.score(cls) == Scorer(values).score(cls) == 5.0
 
     @pytest.mark.parametrize("shape", [(3, 3), (20,), (20, 21), (21, 20), (400,)])
     def test_table_must_be_20_by_20(self, shape):
         # a 3x3 table used to raise a bare IndexError from score
         want = re.escape(f"table must be 20x20, got shape {shape}")
         with pytest.raises(ValueError, match=f"^{want}$"):
-            Scorer("table", np.zeros(shape))
+            Scorer(np.zeros(shape))
 
 
 class TestScoreTable:
@@ -580,6 +591,15 @@ class TestScoreTable:
         text = table_csv(lambda a, b: 2.5)
         scorer = parse_score_table(text)
         assert scorer.score(InteractionClass.of("A", "V")) == -2.5
+
+    def test_a_negated_zero_scores_minus_zero(self):
+        # the scorer holds the negated table, so a zero entry scores -0.0
+        # as negating its score did
+        text = table_csv(lambda a, b: 0.0)
+        cls = InteractionClass.of("A", "V")
+        negated = parse_score_table(text).score(cls)
+        kept = parse_score_table(text, negate=False).score(cls)
+        assert (math.copysign(1.0, negated), math.copysign(1.0, kept)) == (-1.0, 1.0)
 
     def test_missing_row(self):
         text = table_csv(lambda a, b: 1.0)
@@ -655,7 +675,7 @@ class TestScoreTable:
 class TestCsvRoundTrip:
     def test_roundtrip(self):
         s = ca_structure(FOUR_RESIDUE)
-        inst = extract_instances(s, ContactConfig(), Scorer("unit_count"))
+        inst = extract_instances(s, ContactConfig(), Scorer())
         text = instances_to_csv(inst)
         back = instances_from_csv(text)
         assert [
@@ -690,7 +710,7 @@ class TestCsvRoundTrip:
         # read back without its quotes; a bare carriage return was written
         # unquoted and ended the row
         inst = extract_instances(
-            ca_structure(FOUR_RESIDUE, pid), ContactConfig(), Scorer("unit_count")
+            ca_structure(FOUR_RESIDUE, pid), ContactConfig(), Scorer()
         )
         assert inst and all(i.protein_id == pid for i in inst)
         assert instances_from_csv(instances_to_csv(inst)) == inst

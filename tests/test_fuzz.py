@@ -11,7 +11,10 @@ seed, and must either succeed or fail in its documented way:
   `NonFiniteUtility` for a non-finite value);
 - `parse_pdb`, and `extract_instances` in every distance mode on a
   structure it parses, return or raise a `FoldvoteError`;
-- `parse_score_table` returns a `Scorer` or raises `BadTable`;
+- `parse_score_table` returns a `Scorer` or raises `BadTable`, and
+  `Scorer` given a table of any shape, nested lists, non-finite entries
+  or strings builds a scorer with a finite score for every class or
+  raises `ValueError`;
 - `verify_result` on a mutated frozen fail witness returns a bool, and
   only the audited rule's own exceptions escape it;
 - `cli.main` returns an exit code in {0, 1, 2, 3}, or argparse exits
@@ -38,7 +41,7 @@ import numpy as np
 from foldvote.aminoacids import ONE_LETTER
 from foldvote.audit import FAIL, verify_result
 from foldvote.cli import main
-from foldvote.contacts import ContactConfig, Scorer, extract_instances
+from foldvote.contacts import ContactConfig, Scorer, class_universe, extract_instances
 from foldvote.contacts import parse_score_table
 from foldvote.errors import BadTable, FoldvoteError, MalformedContacts
 from foldvote.errors import MalformedProfile, NonFiniteUtility
@@ -372,6 +375,48 @@ def test_score_table_parses_or_raises_bad_table():
         assert np.abs(scorer.table - scorer.table.T).max() <= 1e-9
     # enough tables stay readable for the read path to be fuzzed
     assert read > 100
+
+
+def _scorer_table(rng):
+    """A bare string, or an array of a random shape (20x20 half of the
+    time), perhaps with non-finite entries, perhaps as nested lists with
+    string entries or one row cut short."""
+    if rng.random() < 0.1:
+        return rng.choice(TABLE_VALUES)
+    if rng.random() < 0.5:
+        shape = (20, 20)
+    else:
+        shape = tuple(rng.randint(0, 21) for _ in range(rng.randint(0, 3)))
+    table = np.array([rng.gauss(0.0, 10.0) for _ in range(math.prod(shape))])
+    table = table.reshape(shape)
+    for _ in range(rng.choice([0, 0, 1, 3]) if table.size else 0):
+        at = rng.randrange(table.size)
+        table.flat[at] = rng.choice([math.nan, math.inf, -math.inf])
+    if table.ndim < 2 or rng.random() < 0.5:
+        return table
+    cells = table.tolist()
+    if table.size:
+        for _ in range(rng.choice([0, 0, 1, 2])):
+            row = rng.choice(cells)
+            row[rng.randrange(len(row))] = rng.choice(TABLE_VALUES)
+        if rng.random() < 0.1:
+            del rng.choice(cells)[-1]
+    return cells
+
+
+def test_scorer_builds_a_finite_scorer_or_raises_value_error():
+    rng = random.Random(2304)
+    built = 0
+    for _ in range(2_000 * SCALE):
+        table = _scorer_table(rng)
+        try:
+            scorer = Scorer(table)
+        except ValueError:
+            continue
+        built += 1
+        assert all(math.isfinite(scorer.score(cls)) for cls in class_universe())
+    # enough tables build for the scoring path to be fuzzed
+    assert built > 200
 
 
 def _own(rule):
