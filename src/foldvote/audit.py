@@ -525,11 +525,10 @@ class _Agreement(_Axiom):
     fields = "profile incomparable_pair"
 
     def check(self, universe, views):
-        relation = views[0].outcome.relation
-        for i, j in combinations(range(len(universe)), 2):
-            if not (relation[i][j] or relation[j][i]):
-                return {"incomparable_pair": _labels(universe, (i, j))}
-        return None
+        pair = views[0].outcome.incomparable_pair()
+        if pair is None:
+            return None
+        return {"incomparable_pair": _labels(universe, pair)}
 
 
 class _Transitivity(_Axiom):
@@ -696,7 +695,7 @@ class _Anonymity(_Symmetry):
         return list(permuted) == self.move(base, sigma)
 
     def check(self, universe, views, sigma):
-        if views[1].outcome.relation == views[0].outcome.relation:
+        if views[0].outcome.same_relation(views[1].outcome):
             return None
         return {"individual_permutation": list(sigma)}
 
@@ -732,17 +731,14 @@ class _Neutrality(_Symmetry):
         )
 
     def check(self, universe, views, pi):
-        relation = views[0].outcome.relation
-        m = len(relation)
-        inv = [0] * m
+        base, moved = views[0].outcome, views[1].outcome
+        inv = [0] * len(pi)
         for old, new in enumerate(pi):
             inv[new] = old
-        expected = tuple(
-            tuple(relation[inv[x]][inv[y]] for y in range(m)) for x in range(m)
-        )
-        got = views[1].outcome.relation
-        if got == expected:
+        if base.same_relation(moved, inv):
             return None
+        relation, got = base.relation, moved.relation
+        expected = tuple(tuple(relation[a][b] for b in inv) for a in inv)
         return {
             "class_permutation": list(pi),
             "expected_relation": [list(map(bool, r)) for r in expected],

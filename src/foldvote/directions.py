@@ -36,7 +36,17 @@ class DirectionPoint:
 
 def _direction(vector: tuple[float, ...], fault: Exception) -> DirectionPoint:
     """The vector scaled onto the unit sphere; raises fault below norm 1e-12."""
-    norm = math.sqrt(math.fsum(x * x for x in vector))
+    try:
+        squares = math.fsum(x * x for x in vector)
+    except OverflowError:  # finite squares whose sum passes the float range
+        squares = math.inf
+    if squares == math.inf:
+        # divided by its largest |x|, the vector keeps its direction and
+        # its squares sum to between 1 and its length
+        top = max(map(abs, vector))
+        vector = tuple(x / top for x in vector)
+        squares = math.fsum(x * x for x in vector)
+    norm = math.sqrt(squares)
     if norm < DEGENERATE_NORM:
         raise fault
     return DirectionPoint(tuple(x / norm for x in vector))

@@ -4,8 +4,9 @@ Every ordinal rule returns an AggregationOutcome wrapping the complete
 pairwise weak relation it decided. The outcome reads from that relation
 whether it is transitive, its cycle witness when it is not, and its
 ranking when it is. A rule that ranks classes by one number each keeps
-those numbers instead, and the outcome builds its relation from them only
-when the relation itself is read.
+those numbers instead: the outcome answers pair values and order
+comparisons from them, and builds its relation only when the relation
+itself is read.
 """
 
 from __future__ import annotations
@@ -37,13 +38,15 @@ class AggregationOutcome:
     """The weak relation a rule decided over the universe's classes.
 
     `transitive`, `cycle_witness` and `ranking` are derived from the
-    relation, each worked out once, when first read.
+    relation, each worked out once, when first read; `pair_value`,
+    `incomparable_pair` and `same_relation` answer what audits ask of it.
 
     An outcome made by _by_key holds its key, one number per class, in
     place of the relation. Its relation is built from the key on first
-    read, and its derived reads come from the key alone, so they never
-    build it. Such an outcome has the same fields, equality, hash, repr and
-    JSON as one given the relation at construction.
+    read. Its derived reads, pair values and order comparisons come from
+    the key alone, so they never build it. Such an outcome has the same
+    fields, equality, hash, repr and JSON as one given the relation at
+    construction.
     """
 
     rule_name: str
@@ -122,11 +125,45 @@ class AggregationOutcome:
     def pair_value(self, i: int, j: int) -> float:
         """1.0 if class i beats class j, 0.0 if beaten, 0.5 on a tie, and
         0.0 both ways on a pair that neither class weakly beats, which only
-        an incomplete relation holds (a strict majority on a tied count)."""
+        an incomplete relation holds (a strict majority on a tied count).
+        A key-ranked outcome compares key[i] with key[j]."""
+        key = self._key
+        if key is not None:
+            a, b = key[i], key[j]
+            return 1.0 if a > b else 0.0 if a < b else 0.5
         fwd, back = self.relation[i][j], self.relation[j][i]
         if fwd and back:
             return 0.5
         return 1.0 if fwd else 0.0
+
+    def incomparable_pair(self) -> tuple[int, int] | None:
+        """The first pair (i, j), i < j, that neither class weakly beats,
+        or None when the relation is complete, as a key-ranked one is."""
+        if self._key is not None:
+            return None
+        relation = self.relation
+        for i, j in combinations(range(len(self.universe)), 2):
+            if not (relation[i][j] or relation[j][i]):
+                return i, j
+        return None
+
+    def same_relation(
+        self, other: AggregationOutcome, inv: list[int] | None = None
+    ) -> bool:
+        """Whether other decided this outcome's relation with each class x
+        of other in the place of class inv[x] of this one (inv None: every
+        class in its own place). Two key-ranked outcomes are total
+        preorders, whose relations are equal exactly when their dominance
+        counts are, so they compare those and build no relation."""
+        if self._key is not None and other._key is not None:
+            dominance = self._dominance
+            if inv is not None:
+                dominance = [dominance[old] for old in inv]
+            return other._dominance == dominance
+        relation = self.relation
+        if inv is not None:
+            relation = tuple(tuple(relation[a][b] for b in inv) for a in inv)
+        return other.relation == relation
 
     def to_json_dict(self) -> dict:
         return {

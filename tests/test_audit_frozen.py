@@ -15,6 +15,7 @@ responsiveness or the two utility axioms.
 
 import hashlib
 import json
+import sys
 from functools import cache
 
 import pytest
@@ -921,6 +922,39 @@ def test_dictator_witness_rejected_under_majority(n):
     _verdict, result, _text = _run(f"exhaustive:dictator:non_dictatorship:3x{n}")
     assert verify_result(RULES["dictator"], result)
     assert not verify_result(RULES["may"], result)
+
+
+def test_key_ranked_outcomes_build_relations_only_for_neutrality_witnesses():
+    # a key-ranked outcome answers pair values, incomparable pairs and
+    # order comparisons from its key; only a failed neutrality check builds
+    # relations, for its expected_relation and actual_relation fields
+    real = AggregationOutcome.__getattr__
+    builds = []
+
+    def counting(self, name):
+        # reached for "relation" only while it is unbuilt
+        if name == "relation" and self._key is not None:
+            caller = sys._getframe(1)
+            owner = type(caller.f_locals.get("self")).__name__
+            builds.append(f"{owner}.{caller.f_code.co_name}")
+        return real(self, name)
+
+    AggregationOutcome.__getattr__ = counting
+    try:
+        by_case = {}
+        for case_id in CASES:
+            builds.clear()
+            _run.__wrapped__(case_id)
+            by_case[case_id] = set(builds)
+    finally:
+        AggregationOutcome.__getattr__ = real
+    built = {case_id: sites for case_id, sites in by_case.items() if sites}
+    # kemeny's tie-break is not neutral, so its neutrality witnesses build
+    assert "exhaustive:kemeny:neutrality:3x2" in built
+    for case_id, sites in built.items():
+        assert sites == {"_Neutrality.check"}, case_id
+        assert CASES[case_id][2] == AxiomId.NEUTRALITY, case_id
+        assert DIGESTS[case_id][0] == FAIL, case_id
 
 
 def test_budget_refusal_messages_frozen():

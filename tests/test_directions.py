@@ -51,6 +51,16 @@ class TestDirectionFromUtility:
         d = direction_from_utility(uvec(-3.0, 4.0))
         assert d.coordinates == (-0.6, 0.8)
 
+    @pytest.mark.parametrize("big", [1e200, 1e154, 1.7e308])
+    def test_squares_past_the_float_range(self, big):
+        # the squares overflow one by one (1e200) or only summed (1e154);
+        # divided by its largest entry the vector reads (1, -1) or (0.75, 1),
+        # exactly
+        d = direction_from_utility(uvec(big, -big))
+        assert d.coordinates == direction_from_utility(uvec(1.0, -1.0)).coordinates
+        d = direction_from_utility(uvec(0.75 * 2.0**1000, 2.0**1000))
+        assert d.coordinates == (0.6, 0.8)
+
 
 class TestDirectionPoint:
     def test_rejects_non_unit(self):

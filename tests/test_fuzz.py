@@ -17,6 +17,8 @@ seed, and must either succeed or fail in its documented way:
   raises `ValueError`;
 - `verify_result` on a mutated frozen fail witness returns a bool, and
   only the audited rule's own exceptions escape it;
+- `direction_from_utility` on a finite vector of any magnitude returns
+  a unit `DirectionPoint` or raises `ZeroVector`;
 - `cli.main` returns an exit code in {0, 1, 2, 3}, or argparse exits
   with one, whatever flag values it is given.
 
@@ -43,13 +45,14 @@ from foldvote.audit import FAIL, verify_result
 from foldvote.cli import main
 from foldvote.contacts import ContactConfig, Scorer, class_universe, extract_instances
 from foldvote.contacts import parse_score_table
+from foldvote.directions import UNIT_TOLERANCE, DirectionPoint, direction_from_utility
 from foldvote.errors import BadTable, FoldvoteError, MalformedContacts
-from foldvote.errors import MalformedProfile, NonFiniteUtility
+from foldvote.errors import MalformedProfile, NonFiniteUtility, ZeroVector
 from foldvote.interchange import InteractionInstance, instances_from_csv
 from foldvote.pdb import DISTANCE_MODES, parse_pdb
 from foldvote.preferences import RankingWithTies, UtilityVector
 from foldvote.preferences import universe_from_json, utility_from_json
-from foldvote.profiles import Profile
+from foldvote.profiles import Profile, synthetic_universe
 from foldvote.rules import standard_rules
 from test_audit_frozen import CASES, DIGESTS, RULES, _run
 from test_pdb import atom_line
@@ -232,6 +235,40 @@ def test_utility_from_json_loads_or_raises_malformed_profile():
     individual = {k: v for k, v in VECTOR.items() if k != "universe"}
     read = partial(utility_from_json, universe=universe_from_json(VECTOR))
     assert _loads(read, individual, 2403, 4_000) > 100
+
+
+def _magnitude(rng, exponent):
+    """A random sign times a mantissa in [1, 10) times 10**exponent, or 0."""
+    if rng.random() < 0.1:
+        return 0.0
+    return rng.choice((-1.0, 1.0)) * rng.uniform(1.0, 10.0) * 10.0**exponent
+
+
+def test_direction_is_a_unit_point_or_a_zero_vector_at_any_magnitude():
+    rng = random.Random(2305)
+    units = zeros = 0
+    for _ in range(2_000 * SCALE):
+        m = rng.randint(1, 8)
+        # each value's exponent is a shared one, near it or anywhere, from
+        # 1e-320 to 1e308; a shared one near 154 gives finite squares whose
+        # sum overflows
+        shared = rng.choice((rng.randint(-320, 307), rng.randint(152, 155)))
+        near = min(307, max(-320, shared + rng.randint(-3, 3)))
+        exponents = [rng.choice((shared, near, rng.randint(-320, 307))) for _ in range(m)]
+        values = tuple(_magnitude(rng, e) for e in exponents)
+        u = UtilityVector("p", synthetic_universe(m), values)
+        try:
+            d = direction_from_utility(u)
+        except ZeroVector:
+            zeros += 1
+            continue
+        units += 1
+        assert type(d) is DirectionPoint and d.dimension == m
+        norm = math.sqrt(math.fsum(x * x for x in d.coordinates))
+        assert abs(norm - 1.0) <= UNIT_TOLERANCE, values
+        # no coordinate changes sign
+        assert all(x * v >= 0 for x, v in zip(d.coordinates, values))
+    assert units > 500 and zeros > 100
 
 
 # two chains, an altloc pair, an inserted residue, a nonstandard residue,

@@ -1,6 +1,7 @@
 """Aggregation rules against spec'd examples plus independent oracles."""
 
 import math
+import os
 import pickle
 import random
 import struct
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import foldvote.rules
+from foldvote.audit import _AXIOMS, AxiomId, _View
 from foldvote.errors import (
     BadIndex,
     NonFiniteUtility,
@@ -739,22 +741,36 @@ def assert_key_outcome_matches_eager(key):
     thawed = pickle.loads(pickle.dumps(fresh()))
     assert thawed == eager and thawed.to_json_dict() == eager.to_json_dict()
     assert pickle.loads(pickle.dumps(lazy)) == eager
+    # pair values come from the key: every ordered pair, i == j and
+    # negative indices included, then indices out of range
     m = len(key)
-    pairs = [(i, j) for i in range(m) for j in range(m)]
+    pairs = [(i, j) for i in range(-m, m) for j in range(-m, m)]
     outcome = fresh()
     assert [outcome.pair_value(*p) for p in pairs] == [
         eager.pair_value(*p) for p in pairs
     ]
+    for p in ((m, 0), (0, m), (-m - 1, 0), (0, -m - 1)):
+        for either in (outcome, eager):
+            with pytest.raises(IndexError):
+                either.pair_value(*p)
+    assert outcome.incomparable_pair() is None
+    assert "relation" not in vars(outcome)
     assert outcome.relation is outcome.relation
 
 
-KEY_POOL = [0, 1, -1, 2, 0.0, -0.0, 0.5, -0.5, 1.0, 1.5, 2**70, -(2**70), 2**70 + 1]
+# ints and floats that compare equal (0, 0.0 and -0.0; 2**70 and its float)
+# and one that a float cannot tell apart from its neighbour (2**70 + 1)
+KEY_POOL = [0, 1, -1, 2, 0.0, -0.0, 0.5, -0.5, 1.0, 1.5]
+KEY_POOL += [2**70, -(2**70), 2**70 + 1, float(2**70)]
+# FOLDVOTE_FUZZ_SCALE (a positive integer, default 1) multiplies the
+# seeded key-outcome draws
+SCALE = int(os.environ.get("FOLDVOTE_FUZZ_SCALE", "1"))
 
 
 def test_key_outcome_matches_eager_outcome_on_seeded_keys():
     rng = random.Random(25)
     for m in (1, 2, 3, 4, 5, 8, 13, 40, 210):
-        for _ in range(8):
+        for _ in range(8 * SCALE):
             # a few distinct values give many ties
             pool = rng.sample(KEY_POOL, rng.randint(1, len(KEY_POOL)))
             assert_key_outcome_matches_eager([rng.choice(pool) for _ in range(m)])
@@ -776,6 +792,69 @@ def test_key_outcome_matches_eager_outcome_on_seeded_keys():
 @settings(max_examples=200, deadline=None)
 def test_key_outcome_matches_eager_outcome_on_drawn_keys(key):
     assert_key_outcome_matches_eager(key)
+
+
+def _relabeled_key(rng, key, pi):
+    """key moved by pi (class c's key goes to class pi[c]), then, at
+    random, kept, doubled, which keeps the order but not the numbers, or
+    given one new entry."""
+    moved = [None] * len(key)
+    for old, new in enumerate(pi):
+        moved[new] = key[old]
+    kind = rng.randrange(3)
+    if kind == 1:
+        moved = [2 * k for k in moved]
+    elif kind == 2:
+        moved[rng.randrange(len(moved))] = rng.choice(KEY_POOL)
+    return moved
+
+
+def test_key_outcome_symmetry_and_agreement_checks_match_eager():
+    # anonymity, neutrality and agreement give the same fields whether
+    # their outcomes keep keys, relations, or one of each
+    anonymity, neutrality, agreement = (
+        _AXIOMS[a] for a in (AxiomId.ANONYMITY, AxiomId.NEUTRALITY, AxiomId.AGREEMENT)
+    )
+    rng = random.Random(30)
+    verdicts = {True: 0, False: 0}
+    for m in range(1, 6):
+        universe = synthetic_universe(m)
+        perms = (
+            list(permutations(range(m)))
+            if m <= 4
+            else [tuple(rng.sample(range(m), m)) for _ in range(24)]
+        )
+        for _ in range(32 * SCALE):
+            pool = rng.sample(KEY_POOL, rng.randint(1, len(KEY_POOL)))
+            key_a = [rng.choice(pool) for _ in range(m)]
+            for pi in perms:
+                key_b = _relabeled_key(rng, key_a, pi)
+
+                def checks(a, b):
+                    views = [_View((), a), _View((), b)]
+                    return (
+                        anonymity.check(universe, views, pi),
+                        neutrality.check(universe, views, pi),
+                        agreement.check(universe, views[:1]),
+                    )
+
+                eager_a, eager_b = (
+                    AggregationOutcome("k", universe, old_by_key_relation(key))
+                    for key in (key_a, key_b)
+                )
+                expected = checks(eager_a, eager_b)
+                verdicts[expected[1] is None] += 1
+                lazy_a, lazy_b = (_by_key("k", universe, key) for key in (key_a, key_b))
+                assert checks(lazy_a, lazy_b) == expected
+                # two key-ranked outcomes build relations only for a
+                # neutrality witness
+                if expected[1] is None:
+                    assert "relation" not in vars(lazy_a)
+                    assert "relation" not in vars(lazy_b)
+                assert checks(_by_key("k", universe, key_a), eager_b) == expected
+                assert checks(eager_a, _by_key("k", universe, key_b)) == expected
+    # relabeled keys pass neutrality, new entries mostly fail it
+    assert verdicts[True] > 800 and verdicts[False] > 200
 
 
 def test_standard_rules_leave_the_relation_unbuilt_until_read():
