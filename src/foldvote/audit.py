@@ -97,6 +97,7 @@ MAY_PREMISES = (
 )
 
 BUDGET_LIMIT = 10_000_000
+QUOTED_DIGITS = 300  # a refusal quotes a count of at most this many digits in full
 UTILITY_GRID = (0.0, 0.5, 1.0)
 
 PROXIMITY_NOTE = (
@@ -112,7 +113,6 @@ FAIL = "fail"
 
 @dataclass(frozen=True)
 class SearchSpace:
-    mode: str  # "exhaustive" | "sampled"
     m: int
     n: int
     trials: int | None = None
@@ -122,20 +122,14 @@ class SearchSpace:
         trials = 1 if self.trials is None else self.trials  # None is checked below
         seed = 0 if self.seed is None else self.seed
         _integers(m=self.m, n=self.n, trials=trials, seed=seed)
-        if self.seed is not None:  # random.Random and JSON take Python ints only
-            object.__setattr__(self, "seed", int(self.seed))
-        if self.mode == "sampled":
+        for field in ("m", "n", "trials", "seed"):  # plain ints: int64 products wrap
+            if getattr(self, field) is not None:
+                object.__setattr__(self, field, int(getattr(self, field)))
+        if self.trials is not None or self.seed is not None:  # sampled
             if self.trials is None or self.trials < 1:
                 raise BadSpec(f"trials must be >= 1, got {self.trials}")
             if self.seed is None:
                 raise BadSpec("a sampled space needs a seed, got None")
-        elif self.mode != "exhaustive":
-            raise BadSpec(f"mode must be exhaustive or sampled, got {self.mode!r}")
-        elif self.trials is not None or self.seed is not None:  # it draws nothing
-            raise BadSpec(
-                f"an exhaustive space takes no trials or seed, "
-                f"got trials={self.trials} seed={self.seed}"
-            )
         if self.n < 2:
             raise BadSpec(f"n must be >= 2, got {self.n}")
         if not 2 <= self.m <= len(CLASSES):
@@ -143,11 +137,13 @@ class SearchSpace:
 
 
 def exhaustive(m: int, n: int) -> SearchSpace:
-    return SearchSpace("exhaustive", m, n)
+    return SearchSpace(m, n)
 
 
 def sampled(m: int, n: int, trials: int, seed: int) -> SearchSpace:
-    return SearchSpace("sampled", m, n, trials, seed)
+    if trials is None:  # with no seed either, the space would be exhaustive
+        raise BadSpec("trials must be >= 1, got None")
+    return SearchSpace(m, n, trials, seed)
 
 
 @dataclass(frozen=True)
@@ -391,6 +387,12 @@ def _check_forms_agree(rule: Rule, profiles: list[Profile]) -> None:
 _AXIOMS: dict[AxiomId, _Axiom] = {}
 
 
+def _more_than(log10: float) -> str:
+    """'more than 10^K' for a count whose log10 is at least log10, with K
+    rounded down past the float error."""
+    return f"more than 10^{math.floor(log10 * (1 - 1e-12))}"
+
+
 class _Axiom:
     """One axiom: its witness schema, its check, and the way the
     exhaustive and sampled drivers reach the check. Defining a subclass
@@ -425,30 +427,41 @@ class _Axiom:
 
     def price(self, space: SearchSpace) -> str:
         """The request's search budget text; BudgetExceeded past BUDGET_LIMIT
-        enumerations (its trials, or its profiles times `cost`)."""
+        enumerations (the trials times n individuals it draws, or its
+        profiles times `cost`). A profile count past QUOTED_DIGITS digits
+        is refused from its logarithm, before it is built."""
         m, n = space.m, space.n
-        if space.mode == "sampled":
-            cost = space.trials
-            budget = f"sampled {cost} trials m={m} n={n} seed={space.seed}"
-        else:
+        if space.trials is None:
             utility = self.axiom in UTILITY_AXIOMS
-            count = (len(UTILITY_GRID) ** m if utility else math.factorial(m)) ** n
+            items = len(UTILITY_GRID) ** m if utility else math.factorial(m)
+            digits = min(n, 10**12) * math.log10(items)  # n capped to stay a float
+            if digits > QUOTED_DIGITS:  # the count alone is past the limit
+                raise self.refusal(m, n, _more_than(digits))
+            count = items**n
             cost = count * self.cost(m, n, count)
             kind = "grid-utility" if utility else "strict-order"
             note = f"grid {UTILITY_GRID}, " if utility else ""
             budget = f"exhaustive {kind} profiles m={m} n={n} ({note}{count} profiles)"
+        else:
+            cost = space.trials * n
+            budget = f"sampled {space.trials} trials m={m} n={n} seed={space.seed}"
         if cost > BUDGET_LIMIT:
-            raise BudgetExceeded(
-                f"{self.axiom.value} over m={m} n={n} needs {cost} "
-                f"enumerations (limit {BUDGET_LIMIT})"
+            raise self.refusal(
+                m, n, cost if cost < 10**QUOTED_DIGITS else _more_than(math.log10(cost))
             )
         return budget
+
+    def refusal(self, m: int, n: int, needs) -> BudgetExceeded:
+        return BudgetExceeded(
+            f"{self.axiom.value} over m={m} n={n} needs {needs} "
+            f"enumerations (limit {BUDGET_LIMIT})"
+        )
 
     def run(self, rule: Rule, space: SearchSpace) -> AuditResult:
         """Price the request, build the driver, search or sample, build
         the witness, and re-verify a fail before returning it."""
         budget = self.price(space)
-        if space.mode == "exhaustive":
+        if space.trials is None:
             grid = _Space(space.m, space.n, rule, self.catches)
             found = self.search(grid)
             if found is not None:

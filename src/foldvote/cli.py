@@ -11,10 +11,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .errors import BudgetExceeded, FoldvoteError, NotAnObject
+from .errors import BudgetExceeded, FoldvoteError, MalformedProfile, NotAnObject
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -57,11 +58,11 @@ def _require_object(obj, where: str) -> dict:
 def _load_profile(path: str):
     from .profiles import Profile
 
-    if path == "-":
-        obj = json.load(sys.stdin)
-    else:
-        with open(path) as fh:
+    with nullcontext(sys.stdin) if path == "-" else open(path) as fh:
+        try:
             obj = json.load(fh)
+        except RecursionError:  # nesting past the interpreter's recursion limit
+            raise MalformedProfile(f"{path}: JSON nested too deeply") from None
     obj = _require_object(obj, path)
     if "profile" in obj and "individuals" not in obj:
         # accept wrapped reports from synth

@@ -5,6 +5,7 @@ enumeration before being frozen here; the exhaustive (3, 2) and (3, 3)
 spaces are small enough to re-run on every test invocation.
 """
 
+import dataclasses
 import json
 import re
 from itertools import permutations
@@ -251,6 +252,46 @@ class TestGuards:
             audit(RULES["may"], AxiomId.PROXIMITY_PRESERVATION, exhaustive(3, 5))
         assert BUDGET_LIMIT == 10_000_000
 
+    @pytest.mark.parametrize("axiom", list(_AXIOMS))
+    def test_numpy_sizes_are_priced_in_python_ints(self, axiom):
+        # (10!)^9 wrapped to 0 in int64, and the request was admitted
+        import numpy as np
+
+        with pytest.raises(BudgetExceeded):
+            _AXIOMS[axiom].price(exhaustive(np.int64(10), np.int64(9)))
+
+    @pytest.mark.parametrize(
+        "m,n,needs",
+        [
+            # (210!)^11 has 4379 digits, past the int-to-str conversion limit
+            (210, 11, "more than 10^4378"),
+            (210, 2, "more than 10^796"),
+            (3, 10**7, "more than 10^7781512"),
+            (3, 10**9, "more than 10^778151250"),
+            # past the float range; the bound is taken at n = 10^12
+            (2, 10**400, "more than 10^301029995663"),
+            (2, 997, "more than 10^300"),
+            # 2^995 has 300 digits, quoted in full
+            (2, 995, str(2**995)),
+        ],
+    )
+    def test_huge_counts_are_refused_from_their_logarithm(self, m, n, needs):
+        # building 6^(10^7) took seconds, and quoting a count of over 4300
+        # digits raised an untyped ValueError
+        with pytest.raises(BudgetExceeded) as exc:
+            _AXIOMS[AxiomId.UNANIMITY].price(exhaustive(m, n))
+        assert str(exc.value) == (
+            f"unanimity over m={m} n={n} needs {needs} enumerations "
+            f"(limit {BUDGET_LIMIT})"
+        )
+
+    def test_a_cost_past_the_quoted_digits_is_bounded(self):
+        # anonymity at (2, 400): 2^400 profiles times 400! permutations
+        with pytest.raises(BudgetExceeded, match=r"needs more than 10\^989 "):
+            _AXIOMS[AxiomId.ANONYMITY].price(exhaustive(2, 400))
+        with pytest.raises(BudgetExceeded, match=r"needs more than 10\^400 "):
+            _AXIOMS[AxiomId.IIA].price(sampled(3, 3, 10**400, seed=0))
+
     @pytest.mark.parametrize("n", [0, -1, 1])
     def test_fewer_than_two_individuals_rejected(self, n):
         with pytest.raises(BadSpec, match=f"n must be >= 2, got {n}"):
@@ -282,7 +323,7 @@ class TestGuards:
             (lambda: sampled(3, 3, 5, 1.5), "seed must be an integer, got 1.5"),
             (lambda: sampled(3, 3, 5, "abc"), "seed must be an integer, got 'abc'"),
             (
-                lambda: SearchSpace("exhaustive", 3, 3, seed=2.0),
+                lambda: SearchSpace(3, 3, seed=2.0),
                 "seed must be an integer, got 2.0",
             ),
             (
@@ -307,7 +348,6 @@ class TestGuards:
 
         for space in (exhaustive(3, 2), sampled(3, 2, 50, seed=1)):
             wide = SearchSpace(
-                space.mode,
                 np.int64(space.m),
                 np.int64(space.n),
                 None if space.trials is None else np.int64(space.trials),
@@ -315,8 +355,11 @@ class TestGuards:
             )
             want = audit(RULES["may"], AxiomId.IIA, space)
             assert audit(RULES["may"], AxiomId.IIA, wide) == want
-            # the seed reaches random.Random and the report as a Python int
-            assert type(wide.seed) is type(space.seed)
+            # every size reaches pricing, random.Random and the report as a
+            # Python int: numpy sizes multiplied in int64 and wrapped
+            for value in dataclasses.astuple(wide):
+                assert value is None or type(value) is int
+            assert wide == space
 
     @pytest.mark.parametrize("name", ["nonsense", "", None])
     def test_unknown_axiom_rejected(self, name):
@@ -335,19 +378,36 @@ class TestRunPath:
         rule = Rule("untouchable", untouchable)
         with pytest.raises(BudgetExceeded) as exc:
             may_coincidence_check(rule, 3, 3, BUDGET_LIMIT + 1, seed=0)
+        # a sample is priced at the individuals it draws, trials times n
         assert str(exc.value) == (
-            f"may_coincidence over m=3 n=3 needs {BUDGET_LIMIT + 1} "
+            f"may_coincidence over m=3 n=3 needs {3 * (BUDGET_LIMIT + 1)} "
             f"enumerations (limit {BUDGET_LIMIT})"
         )
 
     def test_coincidence_sample_at_the_limit_is_priced_like_audit(self):
         # the same trial count is admitted or refused by both entry points
         coincidence = _AXIOMS[AxiomId.MAY_COINCIDENCE]
-        assert coincidence.price(sampled(3, 3, BUDGET_LIMIT, seed=0)) == (
-            f"sampled {BUDGET_LIMIT} trials m=3 n=3 seed=0"
+        trials = BUDGET_LIMIT // 3
+        assert coincidence.price(sampled(3, 3, trials, seed=0)) == (
+            f"sampled {trials} trials m=3 n=3 seed=0"
         )
         with pytest.raises(BudgetExceeded):
-            audit(RULES["may"], AxiomId.IIA, sampled(3, 3, BUDGET_LIMIT + 1, seed=0))
+            audit(RULES["may"], AxiomId.IIA, sampled(3, 3, trials + 1, seed=0))
+
+    @pytest.mark.parametrize("axiom", list(_AXIOMS))
+    def test_a_sample_is_priced_at_the_individuals_it_draws(self, axiom):
+        # one trial of n individuals used to cost 1 whatever n was, so a
+        # sample of 10^8 individuals was admitted, its memory growing with n
+        price = _AXIOMS[axiom].price
+        assert price(sampled(3, BUDGET_LIMIT // 2, 2, seed=0)) == (
+            f"sampled 2 trials m=3 n={BUDGET_LIMIT // 2} seed=0"
+        )
+        with pytest.raises(BudgetExceeded) as exc:
+            price(sampled(3, BUDGET_LIMIT + 1, 1, seed=0))
+        assert str(exc.value) == (
+            f"{axiom.value} over m=3 n={BUDGET_LIMIT + 1} needs {BUDGET_LIMIT + 1} "
+            f"enumerations (limit {BUDGET_LIMIT})"
+        )
 
 
 class TestSampled:
@@ -376,28 +436,44 @@ class TestSampled:
     def test_a_sampled_space_needs_trials(self, trials):
         # trials=0 used to make audit() pass over zero trials
         with pytest.raises(BadSpec, match=f"trials must be >= 1, got {trials}"):
-            SearchSpace("sampled", 3, 2, trials=trials, seed=1)
+            SearchSpace(3, 2, trials=trials, seed=1)
 
     def test_a_sampled_space_needs_a_seed(self):
         # seed=None used to draw from an unseeded generator
         with pytest.raises(BadSpec, match="needs a seed"):
-            SearchSpace("sampled", 3, 2, trials=10, seed=None)
+            SearchSpace(3, 2, trials=10, seed=None)
         with pytest.raises(BadSpec, match="needs a seed"):
             may_coincidence_check(RULES["may"], 3, 2, 10, None)
 
     @pytest.mark.parametrize(
-        "trials,seed", [(7, 5), (7, None), (-3, None), (None, 5), (None, 0)]
+        "trials,seed,message",
+        [
+            (7, 5, None),
+            (7, None, "a sampled space needs a seed, got None"),
+            (-3, None, "trials must be >= 1, got -3"),
+            (None, 5, "trials must be >= 1, got None"),
+            (None, 0, "trials must be >= 1, got None"),
+        ],
     )
-    def test_an_exhaustive_space_takes_no_trials_or_seed(self, trials, seed):
-        # they drew nothing, yet a seed was echoed in the report
-        want = f"takes no trials or seed, got trials={trials} seed={seed}"
-        with pytest.raises(BadSpec, match=f"^an exhaustive space {re.escape(want)}$"):
-            SearchSpace("exhaustive", 3, 3, trials=trials, seed=seed)
+    def test_trials_and_a_seed_come_together(self, trials, seed, message):
+        # trials and a seed make a sampled space, neither an exhaustive one;
+        # a lone seed drew nothing, yet was echoed in the report
+        if message is None:
+            assert SearchSpace(3, 3, trials, seed) == sampled(3, 3, trials, seed)
+            return
+        with pytest.raises(BadSpec, match=f"^{re.escape(message)}$"):
+            SearchSpace(3, 3, trials=trials, seed=seed)
 
-    @pytest.mark.parametrize("mode", ["Exhaustive", "sample", ""])
-    def test_unknown_mode_rejected(self, mode):
-        with pytest.raises(BadSpec, match="mode must be exhaustive or sampled"):
-            SearchSpace(mode, 3, 2)
+    def test_a_space_is_its_sizes_and_its_draws(self):
+        assert [f.name for f in dataclasses.fields(SearchSpace)] == [
+            "m", "n", "trials", "seed"
+        ]
+        assert SearchSpace(3, 3) == exhaustive(3, 3)
+
+    def test_sampled_refuses_missing_trials_without_a_seed(self):
+        # SearchSpace(3, 3, None, None) is exhaustive, which sampled never returns
+        with pytest.raises(BadSpec, match="^trials must be >= 1, got None$"):
+            sampled(3, 3, None, None)
 
     def test_request_faults_reported_trials_then_n_then_m(self):
         with pytest.raises(BadSpec, match="trials"):

@@ -54,15 +54,16 @@ def run(*args, stdin=None, check=None):
     return _checked(proc, check)
 
 
-def run_child(*args, stdin=None, check=None):
-    """The command run as `python -m foldvote.cli` in a child process."""
+def run_child(*args, stdin=None, check=None, **env):
+    """The command run as `python -m foldvote.cli` in a child process, with
+    env added to its environment."""
     proc = subprocess.run(
         CLI + list(args),
         input=stdin,
         capture_output=True,
         text=True,
         timeout=120,
-        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        env=dict(os.environ, PYTHONPATH=str(SRC), **env),
     )
     return _checked(proc, check)
 
@@ -153,6 +154,20 @@ class TestExitCodes:
     def test_malformed_json(self):
         proc = run("aggregate", stdin="this is not json")
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("command", ["aggregate", "restrict"])
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_deeply_nested_json_is_input_error(self, command, source, tmp_path):
+        # json.load's RecursionError printed a traceback and exited 1
+        text = "[" * 100_000 + "]" * 100_000
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        where = "-" if source == "stdin" else str(path)
+        proc = run(command, where, stdin=text)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == (
+            f"error: MalformedProfile: {where}: JSON nested too deeply\n"
+        )
 
     @pytest.mark.parametrize("command", ["aggregate", "restrict"])
     @pytest.mark.parametrize(
@@ -365,22 +380,59 @@ class TestExitCodes:
         assert [r["axiom"] for r in report["results"]] == ["transitivity"]
 
     def test_oversized_coincidence_sample_is_refused(self):
-        # the coincidence sample is priced as any sampled audit is, before
-        # its premise audits run
+        # the coincidence sample is priced as any sampled audit is, at its
+        # trials times n individuals, before its premise audits run
         proc = run(
             "audit", "--rule", "may", "--axioms", "may_coincidence",
             "--trials", "1000000000",
         )
         assert proc.returncode == 3
         assert proc.stderr == (
-            "budget exceeded: may_coincidence over m=3 n=3 needs 1000000000 "
+            "budget exceeded: may_coincidence over m=3 n=3 needs 3000000000 "
             "enumerations (limit 10000000)\n"
         )
         report = jout(proc)
         assert report["results"] == []
         assert report["error"] == (
-            "BudgetExceeded: may_coincidence over m=3 n=3 needs 1000000000 "
+            "BudgetExceeded: may_coincidence over m=3 n=3 needs 3000000000 "
             "enumerations (limit 10000000)"
+        )
+
+    def test_a_sample_of_too_many_individuals_is_refused(self):
+        # one trial used to cost 1 whatever n was, so this one was admitted
+        # and drew 10^7 + 1 orders
+        proc = run(
+            "audit", "--rule", "may", "--axioms", "transitivity", "--mode",
+            "sampled", "--n", "10000001", "--trials", "1",
+        )
+        assert proc.returncode == 3
+        assert proc.stderr == (
+            "budget exceeded: transitivity over m=3 n=10000001 needs 10000001 "
+            "enumerations (limit 10000000)\n"
+        )
+        assert jout(proc)["results"] == []
+
+    @pytest.mark.parametrize(
+        "m,n,digits,needs",
+        [
+            ("210", "11", None, "more than 10^4378"),
+            # at the interpreter's floor of the int-to-str limit
+            ("210", "2", "640", "more than 10^796"),
+            ("3", "10000000", "640", "more than 10^7781512"),
+        ],
+    )
+    def test_huge_exhaustive_counts_are_refused(self, m, n, digits, needs):
+        # quoting (210!)^11 raised an untyped ValueError past the int-to-str
+        # limit, and exited 2
+        env = {} if digits is None else {"PYTHONINTMAXSTRDIGITS": digits}
+        proc = run_child(
+            "audit", "--rule", "may", "--axioms", "unanimity", "--m", m, "--n", n,
+            **env,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr == (
+            f"budget exceeded: unanimity over m={m} n={n} needs {needs} "
+            "enumerations (limit 10000000)\n"
         )
 
     def test_bad_synth_size_is_input_error(self):

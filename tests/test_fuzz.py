@@ -19,6 +19,9 @@ seed, and must either succeed or fail in its documented way:
   only the audited rule's own exceptions escape it;
 - `direction_from_utility` on a finite vector of any magnitude returns
   a unit `DirectionPoint` or raises `ZeroVector`;
+- `SearchSpace`, `exhaustive` and `sampled`, given sizes of any type,
+  raise `BadSpec` or hold plain ints, and every axiom's `price` of such
+  a space returns its budget text or raises `BudgetExceeded`, at once;
 - `cli.main` returns an exit code in {0, 1, 2, 3}, or argparse exits
   with one, whatever flag values it is given.
 
@@ -36,17 +39,21 @@ import json
 import math
 import os
 import random
+import time
+import warnings
 from functools import partial
 
 import numpy as np
 
 from foldvote.aminoacids import ONE_LETTER
-from foldvote.audit import FAIL, verify_result
+from foldvote.audit import _AXIOMS, FAIL, SearchSpace, exhaustive, sampled
+from foldvote.audit import verify_result
 from foldvote.cli import main
 from foldvote.contacts import ContactConfig, Scorer, class_universe, extract_instances
 from foldvote.contacts import parse_score_table
 from foldvote.directions import UNIT_TOLERANCE, DirectionPoint, direction_from_utility
-from foldvote.errors import BadTable, FoldvoteError, MalformedContacts
+from foldvote.errors import BadSpec, BadTable, BudgetExceeded, FoldvoteError
+from foldvote.errors import MalformedContacts
 from foldvote.errors import MalformedProfile, NonFiniteUtility, ZeroVector
 from foldvote.interchange import InteractionInstance, instances_from_csv
 from foldvote.pdb import DISTANCE_MODES, parse_pdb
@@ -269,6 +276,48 @@ def test_direction_is_a_unit_point_or_a_zero_vector_at_any_magnitude():
         # no coordinate changes sign
         assert all(x * v >= 0 for x, v in zip(d.coordinates, values))
     assert units > 500 and zeros > 100
+
+
+def _size(rng):
+    """A size as a caller might pass it: a small, mid or huge Python int,
+    a numpy int32 or int64, None, a bool or a float."""
+    value = rng.choice((rng.randint(-2, 12), rng.randint(13, 300), rng.randint(0, 10**9)))
+    return rng.choice(
+        (value, value, np.int32(min(value, 2**31 - 1)), np.int64(value), None,
+         value % 2 == 1, float(value))
+    )
+
+
+def test_search_spaces_hold_ints_and_are_priced_or_refused_at_once():
+    # numpy sizes were multiplied in int64, which wrapped (10!)^9 to 0 and
+    # admitted it, and a huge exhaustive count was built in full and then
+    # failed to print with an untyped ValueError
+    rng = random.Random(2311)
+    outcomes = {"bad_spec": 0, "priced": 0, "refused": 0}
+    start = time.perf_counter()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warnings included
+        for _ in range(2_000 * SCALE):
+            m, n, trials, seed = (_size(rng) for _ in range(4))
+            build = rng.choice(
+                (partial(SearchSpace, m, n, trials, seed), partial(exhaustive, m, n),
+                 partial(sampled, m, n, trials, seed))
+            )
+            try:
+                space = build()
+            except BadSpec:
+                outcomes["bad_spec"] += 1
+                continue
+            assert all(type(v) is int for v in dataclasses.astuple(space) if v is not None)
+            for spec in _AXIOMS.values():
+                try:
+                    assert type(spec.price(space)) is str
+                    outcomes["priced"] += 1
+                except BudgetExceeded:
+                    outcomes["refused"] += 1
+    # a budget decided from sizes alone takes microseconds per request
+    assert time.perf_counter() - start < 5 * SCALE
+    assert min(outcomes.values()) > 100, outcomes
 
 
 # two chains, an altloc pair, an inserted residue, a nonstandard residue,
