@@ -31,6 +31,15 @@ the first violation is one of those, because sorting a profile's digits
 keeps its count matrix, so its outcome and its check, and does not make
 it larger. The verdict still speaks for the whole space. Such a rule is
 anonymous by construction: every permuted copy has the same counts.
+IIA and responsiveness then depend only on each pair's count N(a > b)
+(May 1952; Fishburn 1977): a partner keeps every stance on the pair
+(IIA, the same count) or lifts one individual to a (responsiveness, the
+count plus one), and every key with a given count reaches the values
+that count reaches. So the orbit firsts decide, and a fail's witness is
+the one the full search gives: its base, the first profile whose pair,
+count and value are flagged, is an orbit's first, and its partner is
+read by walking the profiles from the first, the pair order breaking
+ties as before.
 Sampled passes are qualified by the space actually searched.
 """
 from __future__ import annotations
@@ -130,6 +139,8 @@ class SearchSpace:
                 raise BadSpec(f"trials must be >= 1, got {self.trials}")
             if self.seed is None:
                 raise BadSpec("a sampled space needs a seed, got None")
+            if abs(self.seed) >= 10**QUOTED_DIGITS:  # reports quote the seed
+                raise BadSpec(f"seed must have at most {QUOTED_DIGITS} digits")
         if self.n < 2:
             raise BadSpec(f"n must be >= 2, got {self.n}")
         if not 2 <= self.m <= len(CLASSES):
@@ -252,7 +263,8 @@ class _Space(_Profiles):
     the outcome is kept by that sum, decoded into counts on a miss. Any
     other rule runs on a Profile each time an outcome is read. Permuting
     the individuals keeps the matrix, so such a space is `anonymous`: the
-    single-profile searches and anonymity walk only `orbits`,
+    single-profile searches, anonymity, and the decisions of IIA and
+    responsiveness walk only `orbits`,
     C(len(items) + n - 1, n) profiles of the len(items) ** n (126 of 1296
     at m=3, n=4)."""
 
@@ -824,7 +836,7 @@ def _overrule(view: _View, overruled: list[bool], pairs) -> None:
 class _IIA(_Axiom):
     """Profiles sharing every individual's stance on a pair must get the
     same outcome on it. Responsiveness shares its search, giving its own
-    pairs, partner keys and flagged values."""
+    pairs, partner keys and counts, and flagged values."""
 
     axiom = AxiomId.IIA
     fields = "profile_a profile_b pair value_a value_b"
@@ -851,11 +863,25 @@ class _IIA(_Axiom):
         """(partner key, check parameters) of a base's partners on the pair."""
         return [(key, (pair,))]
 
+    def partner_count(self, count: int, value: float, n: int) -> int | None:
+        """The count N(a > b) of every partner key of a base key with this
+        count, or None without partners: a kept key keeps its count."""
+        return count
+
+    def rejects(self, value: float, other: float) -> bool:
+        """Whether the check flags a partner taking `other` on the pair."""
+        return other != value
+
     def flagged(self, value: float, firsts: dict) -> list[tuple]:
         """The first profiles of a partner key that the check flags."""
-        return [combo for v, combo in firsts.items() if v != value]
+        return [combo for v, combo in firsts.items() if self.rejects(value, v)]
 
     def search(self, space):
+        if space.anonymous:
+            return self.count_search(space)
+        return self.table_search(space)
+
+    def table_search(self, space):
         # Whether a base has a flagged partner on a pair depends only on
         # its key and its value there, so the first violating base is the
         # smallest first entry of the tables that has one. Each of its
@@ -889,6 +915,53 @@ class _IIA(_Axiom):
         base, other, _, params = found
         views = (space.view(base), space.view(other))
         return (base, other), self.check(space.universe, views, *params)
+
+    def count_search(self, space):
+        # A (pair, count, value) is flagged when its partner count reaches
+        # a value the check rejects (module docstring). The base is the
+        # first orbit with a flagged pair; its partner is the first profile
+        # holding a partner key with a rejected value, the least pair rank
+        # breaking ties, as the table walk finds them.
+        pairs, n = self.pairs(space), space.n
+        rows = {}  # per reachable matrix: its first profile, (count, value) per pair
+        for combo in space.orbits():
+            summed = sum(map(space.matrices.__getitem__, combo))
+            if summed not in rows:
+                outcome, counts = space.outcome(combo), space.counts(summed)
+                row = [(counts[a][b], outcome.pair_value(a, b)) for a, b in pairs]
+                rows[summed] = combo, row
+        reached = [[set() for _ in range(n + 1)] for _ in pairs]
+        for _, row in rows.values():
+            for (count, value), by_count in zip(row, reached):
+                by_count[count].add(value)
+        flagged = {
+            (rank, count, value)
+            for rank, by_count in enumerate(reached)
+            for count, values in enumerate(by_count)
+            for value in values
+            if (other := self.partner_count(count, value, n)) is not None
+            and any(self.rejects(value, v) for v in by_count[other])
+        }
+        for base, row in rows.values():  # in enumeration order
+            if any((rank, *cell) in flagged for rank, cell in enumerate(row)):
+                break
+        else:
+            return None
+        wanted = []  # per flagged pair, in rank order: stances, value, partners
+        for rank, (pair, (count, value)) in enumerate(zip(pairs, row)):
+            if (rank, count, value) in flagged:
+                stances = [self.stance(p, *pair) for p in space.prefs]
+                key = tuple(map(stances.__getitem__, base))
+                partners = dict(self.partners(key, pair, value))
+                wanted.append((pair, stances, value, partners))
+        for combo in space.combos():
+            for pair, stances, value, partners in wanted:
+                params = partners.get(tuple(map(stances.__getitem__, combo)))
+                if params is None:
+                    continue
+                if self.rejects(value, space.outcome(combo).pair_value(*pair)):
+                    views = (space.view(base), space.view(combo))
+                    return (base, combo), self.check(space.universe, views, *params)
 
     def draw(self, trials):
         orders, base = trials.base()
@@ -964,8 +1037,12 @@ class _PositiveResponsiveness(_IIA):
         ups = [u for u, s in enumerate(key) if s != 1] if _armed(value) else []
         return [(key[:u] + (1,) + key[u + 1 :], (u + 1, pair)) for u in ups]
 
-    def flagged(self, value, firsts):
-        return [combo for v, combo in firsts.items() if v < self.required]
+    def partner_count(self, count, value, n):
+        # the flip raises N(a > b) by one
+        return count + 1 if _armed(value) and count < n else None
+
+    def rejects(self, value, other):
+        return other < self.required
 
     def draw(self, trials):
         orders, base = trials.base()

@@ -483,6 +483,23 @@ class TestSampled:
         with pytest.raises(BadSpec, match="trials"):
             may_coincidence_check(RULES["may"], 1, 1, 0, seed=0)
 
+    @pytest.mark.parametrize(
+        "seed", [10**300, -(10**300), 10**5000], ids=["1e300", "-1e300", "1e5000"]
+    )
+    def test_a_seed_past_the_quoted_digits_is_refused(self, seed):
+        # reports quote the seed; past 4300 digits (or PYTHONINTMAXSTRDIGITS)
+        # quoting it raised an untyped ValueError
+        with pytest.raises(BadSpec, match="^seed must have at most 300 digits$"):
+            audit(RULES["may"], AxiomId.TRANSITIVITY, sampled(3, 3, 10, seed))
+        with pytest.raises(BadSpec, match="^seed must have at most 300 digits$"):
+            may_coincidence_check(RULES["may"], 3, 3, 10, seed)
+
+    def test_a_seed_of_the_quoted_digits_is_reported(self):
+        seed = -(10**300 - 1)
+        res = audit(RULES["may"], AxiomId.TRANSITIVITY, sampled(3, 3, 10, seed))
+        assert res.seed == seed
+        assert res.search_budget.endswith(f"seed={seed}")
+
     def test_sampled_pass_is_not_a_theorem(self):
         res = audit(RULES["borda"], AxiomId.TRANSITIVITY, sampled(3, 3, 50, seed=0))
         assert res.verdict == PASS
@@ -1018,17 +1035,16 @@ class TestCountMemo:
     @pytest.mark.parametrize(
         "axiom_id,names,m,n",
         [
-            (AxiomId.IIA, ("borda", "may"), 3, 3),
+            (AxiomId.MONOTONIC_RESPONSIVENESS, ("inverse_may", "dictator"), 3, 3),
             (AxiomId.UTILITY_IIA, ("utility_borda", "utilitarian"), 3, 2),
-            (AxiomId.POSITIVE_RESPONSIVENESS, ("borda", "may"), 3, 3),
-            (AxiomId.MONOTONIC_RESPONSIVENESS, ("inverse_may", "may"), 3, 3),
         ],
     )
     def test_a_partner_search_walks_the_space_once(
         self, monkeypatch, axiom_id, names, m, n
     ):
-        # a fail, then a pass: the witness is read off the key tables that
-        # the one walk fills, not found by walking the space again
+        # a fail, then a pass, by rules without a count function: the
+        # witness is read off the key tables that the one walk fills, not
+        # found by walking the space again
         walks = []
         combos = _Space.combos
 
@@ -1044,6 +1060,41 @@ class TestCountMemo:
             verdicts.append(result.verdict)
             assert len(walks) == 1
         assert verdicts == [FAIL, PASS]
+
+    @pytest.mark.parametrize(
+        "axiom_id",
+        [
+            AxiomId.IIA,
+            AxiomId.POSITIVE_RESPONSIVENESS,
+            AxiomId.MONOTONIC_RESPONSIVENESS,
+        ],
+    )
+    def test_a_count_rule_passes_on_its_matrices(self, monkeypatch, axiom_id):
+        # may passes at (3, 4): the orbit firsts decide, with one count call
+        # per distinct matrix, and no profile is walked in enumeration order
+        walks = []
+        monkeypatch.setattr(_Space, "combos", lambda space: walks.append(space))
+        rule, calls, counted = self.counting("may", may_from_counts)
+        res = audit(rule, axiom_id, exhaustive(3, 4))
+        assert res.verdict == PASS
+        assert len(counted) == len(set(counted)) <= self.DISTINCT[3, 4]
+        assert walks == []
+        assert calls == []
+
+    def test_a_count_rule_fail_reads_fewer_outcomes_than_profiles(self, monkeypatch):
+        # borda fails IIA at (3, 3): the orbit firsts decide and give the
+        # base, and the walk for its partner stops at the partner
+        reads = []
+        outcome = _Space.outcome
+
+        def counting(space, combo):
+            reads.append(combo)
+            return outcome(space, combo)
+
+        monkeypatch.setattr(_Space, "outcome", counting)
+        res = audit(RULES["borda"], AxiomId.IIA, exhaustive(3, 3))
+        assert res.failed
+        assert len(reads) < 6**3
 
 
 class TestOrbitFirsts:

@@ -5,19 +5,29 @@ A rule with a count function is run once per pairwise count matrix, so
 every profile of an orbit under permutations of the individuals reads
 one outcome. Agreement, transitivity, unrestricted domain and unanimity
 then walk only each orbit's first profile, and anonymity reads each
-first without moving it. The references below are those searches as
-they were before: the single-profile search walked every profile in
-enumeration order, and anonymity moved each orbit's first by every
-individual permutation.
+first without moving it. IIA and both responsiveness axioms decide from
+the outcome values each pair count N(a > b) reaches, and walk profiles
+only to find a fail's witness. The references below are those searches
+as they were before: the single-profile search walked every profile in
+enumeration order, anonymity moved each orbit's first by every
+individual permutation, and IIA and responsiveness tabled every
+profile's stance keys (the table walk that spaces without a count
+function still take).
 
-Both sides are compared through `audit(...).to_json_dict()`, or the type
-and message of what the audit raised, over May, Borda and Kemeny and
-four probes: two count functions of the frozen suite's, which fail
+The single-profile searches and anonymity are compared through
+`audit(...).to_json_dict()`, or the type and message of what the audit
+raised. IIA and responsiveness are searched directly on one `_Space`,
+bypassing the price, which refuses them at (3, 5) and (4, 3); both sides
+give the witness's profile digits and fields, or the type and message of
+what the search raised. Every comparison runs over May, Borda and Kemeny
+and five probes: two count functions of the frozen suite's, which fail
 agreement and unanimity; one that raises an error naming the counts it
-read; and one whose count function is Borda's but whose `fn` copies
-individual 1, so only its count function is anonymous. Set
-FOLDVOTE_ORBIT_SPACES (for example "4x4 3x6") to compare other spaces
-than the default ones.
+read; one that ties every pair except where all individuals hold the
+first order, so that one partner profile serves several pairs and the
+pair order breaks the tie; and one whose count function is Borda's but
+whose `fn` copies individual 1, so only its count function is
+anonymous. Set FOLDVOTE_ORBIT_SPACES (for example "4x4 3x6") to compare
+other spaces than the default ones.
 """
 
 import os
@@ -26,8 +36,8 @@ from itertools import combinations_with_replacement, permutations, product
 
 import pytest
 
-from foldvote.audit import _AXIOMS, FAIL, PASS, AxiomId, Rule, audit, exhaustive
-from foldvote.audit import standard_rules
+from foldvote.audit import _AXIOMS, FAIL, PASS, AxiomId, Rule, _Space, audit
+from foldvote.audit import exhaustive, standard_rules
 from foldvote.rules import AggregationOutcome, borda_from_counts, dictator
 from foldvote.rules import majority_tournament, may_from_counts
 
@@ -55,6 +65,15 @@ def _raiser(universe, counts, n):
     return may_from_counts(universe, counts, n)
 
 
+def _lone_order(universe, counts, n):
+    # every pair tied, except where everyone holds the first order: one
+    # partner profile then keeps the stances on several flagged pairs
+    m = len(universe)
+    if all(counts[i][j] == n for i in range(m) for j in range(i + 1, m)):
+        return may_from_counts(universe, counts, n)
+    return AggregationOutcome("lone_order", universe, ((True,) * m,) * m)
+
+
 def _counted(name, from_counts):
     """The rule deciding by from_counts, on a profile's tournament too."""
 
@@ -69,6 +88,7 @@ RULES = {
     "strict_majority": _counted("strict_majority", _strict_majority),
     "inverse_may": _counted("inverse_may", _inverse_may),
     "raiser": _counted("raiser", _raiser),
+    "lone_order": _counted("lone_order", _lone_order),
     # exhaustive searches read the count function alone, never fn
     "liar": Rule(
         "liar", lambda profile: dictator(profile, 1), from_counts=borda_from_counts
@@ -80,6 +100,11 @@ AXIOMS = (
     AxiomId.UNRESTRICTED_DOMAIN,
     AxiomId.UNANIMITY,
     AxiomId.ANONYMITY,
+)
+PARTNER_AXIOMS = (
+    AxiomId.IIA,
+    AxiomId.POSITIVE_RESPONSIVENESS,
+    AxiomId.MONOTONIC_RESPONSIVENESS,
 )
 DEFAULT_SPACES = [(2, n) for n in range(2, 6)] + [(3, n) for n in range(2, 6)]
 DEFAULT_SPACES += [(4, 2), (4, 3)]
@@ -132,15 +157,39 @@ def _compared(rule, axiom_id, m, n):
     return found, expected
 
 
-@pytest.mark.parametrize(
-    "rule,axiom_id,m,n",
-    [
+def _searched(search, space):
+    """The search's (profile digits, witness fields) or None, or the type
+    and message of what it raised."""
+    try:
+        return search(space)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@cache
+def _compared_partners(rule, axiom_id, m, n):
+    """(what the search gives, what the table walk gives) on one space."""
+    axiom = _AXIOMS[axiom_id]
+    space = _Space(m, n, RULES[rule], axiom.catches)
+    return _searched(axiom.search, space), _searched(axiom.table_search, space)
+
+
+def _cases(axioms):
+    return [
         pytest.param(rule, axiom_id, m, n, id=f"{rule}:{axiom_id.value}:{m}x{n}")
-        for rule, axiom_id, (m, n) in product(RULES, AXIOMS, SPACES)
-    ],
-)
+        for rule, axiom_id, (m, n) in product(RULES, axioms, SPACES)
+    ]
+
+
+@pytest.mark.parametrize("rule,axiom_id,m,n", _cases(AXIOMS))
 def test_orbit_walk_matches_full_walk(rule, axiom_id, m, n):
     found, expected = _compared(rule, axiom_id, m, n)
+    assert found == expected
+
+
+@pytest.mark.parametrize("rule,axiom_id,m,n", _cases(PARTNER_AXIOMS))
+def test_count_search_matches_table_walk(rule, axiom_id, m, n):
+    found, expected = _compared_partners(rule, axiom_id, m, n)
     assert found == expected
 
 
@@ -153,6 +202,13 @@ def test_every_outcome_is_compared():
         expected = _compared(rule, axiom_id, m, n)[1]
         kind = expected["verdict"] if isinstance(expected, dict) else expected[0]
         kinds.setdefault(axiom_id, set()).add(kind)
+    for rule, axiom_id, (m, n) in product(RULES, PARTNER_AXIOMS, DEFAULT_SPACES):
+        expected = _compared_partners(rule, axiom_id, m, n)[1]
+        if expected is None:
+            kind = PASS
+        else:
+            kind = ValueError if expected[0] is ValueError else FAIL
+        kinds.setdefault(axiom_id, set()).add(kind)
     fail_pass_raise = {FAIL, PASS, ValueError}
     assert kinds == {
         AxiomId.AGREEMENT: fail_pass_raise,
@@ -160,6 +216,9 @@ def test_every_outcome_is_compared():
         AxiomId.UNRESTRICTED_DOMAIN: {FAIL, PASS},
         AxiomId.UNANIMITY: fail_pass_raise,
         AxiomId.ANONYMITY: {PASS, ValueError},
+        AxiomId.IIA: fail_pass_raise,
+        AxiomId.POSITIVE_RESPONSIVENESS: fail_pass_raise,
+        AxiomId.MONOTONIC_RESPONSIVENESS: fail_pass_raise,
     }
     assert all(
         _compared("liar", AxiomId.ANONYMITY, m, n)[1]["verdict"] == PASS
