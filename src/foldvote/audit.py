@@ -31,15 +31,18 @@ the first violation is one of those, because sorting a profile's digits
 keeps its count matrix, so its outcome and its check, and does not make
 it larger. The verdict still speaks for the whole space. Such a rule is
 anonymous by construction: every permuted copy has the same counts.
-IIA and responsiveness then depend only on each pair's count N(a > b)
-(May 1952; Fishburn 1977): a partner keeps every stance on the pair
-(IIA, the same count) or lifts one individual to a (responsiveness, the
-count plus one), and every key with a given count reaches the values
-that count reaches. So the orbit firsts decide, and a fail's witness is
-the one the full search gives: its base, the first profile whose pair,
-count and value are flagged, is an orbit's first, and its partner is
-read by walking the profiles from the first, the pair order breaking
-ties as before.
+IIA and responsiveness table each pair's class: whether a base has a
+flagged partner on a pair depends only on its class there and its value.
+The class is the stance key, or for such a rule the key's count
+N(a > b) (May 1952; Fishburn 1977): a partner keeps every stance on the
+pair (IIA, the same count) or lifts one individual to a
+(responsiveness, the count plus one), and every key with a given count
+reaches the values that count reaches. So the first profile of each
+class and value decides, an orbit's first for such a rule, and a fail's
+witness is the one the full search gives: its base is the least such
+first with a flagged partner, and its partner is read off the tables,
+or for such a rule found by walking the profiles from the first, the
+pair order breaking ties.
 Sampled passes are qualified by the space actually searched.
 """
 from __future__ import annotations
@@ -835,23 +838,28 @@ def _overrule(view: _View, overruled: list[bool], pairs) -> None:
 
 class _IIA(_Axiom):
     """Profiles sharing every individual's stance on a pair must get the
-    same outcome on it. Responsiveness shares its search, giving its own
-    pairs, partner keys and counts, and flagged values."""
+    same outcome on it. Responsiveness shares the premise, the check and
+    the search, giving its own pairs, partner keys and rejected values.
+    The search tables per pair each class's first profile taking each
+    value there (module docstring); the base is the least first with a
+    partner key that reaches, through its class, a value `rejects` flags."""
 
     axiom = AxiomId.IIA
     fields = "profile_a profile_b pair value_a value_b"
     params = ("pair",)
     stance = staticmethod(_relation)  # what keys profiles and the premise keeps
 
-    def premise(self, universe, views, pair):
-        return _kept(views, self.stance, pair)
+    def premise(self, universe, views, *params):
+        *uplifted, pair = params
+        return _kept(views, self.stance, pair, *(u - 1 for u in uplifted))
 
-    def check(self, universe, views, pair):
-        value_a = views[0].outcome.pair_value(*pair)
-        value_b = views[1].outcome.pair_value(*pair)
-        if value_a == value_b:
+    def check(self, universe, views, *params):
+        *_, pair = params
+        values = [view.outcome.pair_value(*pair) for view in views]
+        if not self.rejects(*values):
             return None
-        return {"pair": _labels(universe, pair), "value_a": value_a, "value_b": value_b}
+        detail = dict(zip(self.params, params), pair=_labels(universe, pair))
+        return {**detail, **dict(zip(self.keys[-2:], values))}
 
     def cost(self, m, n, count):
         return count
@@ -859,109 +867,79 @@ class _IIA(_Axiom):
     def pairs(self, space: _Space) -> list[tuple[int, int]]:
         return space.pairs
 
-    def partners(self, key: tuple, pair, value: float) -> list[tuple[tuple, tuple]]:
+    def partners(self, key: tuple, pair) -> list[tuple[tuple, tuple]]:
         """(partner key, check parameters) of a base's partners on the pair."""
         return [(key, (pair,))]
 
-    def partner_count(self, count: int, value: float, n: int) -> int | None:
-        """The count N(a > b) of every partner key of a base key with this
-        count, or None without partners: a kept key keeps its count."""
-        return count
-
     def rejects(self, value: float, other: float) -> bool:
-        """Whether the check flags a partner taking `other` on the pair."""
+        """Whether the check flags a base taking `value` on the pair and a
+        partner taking `other`."""
         return other != value
 
-    def flagged(self, value: float, firsts: dict) -> list[tuple]:
-        """The first profiles of a partner key that the check flags."""
-        return [combo for v, combo in firsts.items() if self.rejects(value, v)]
-
     def search(self, space):
-        if space.anonymous:
-            return self.count_search(space)
-        return self.table_search(space)
-
-    def table_search(self, space):
-        # Whether a base has a flagged partner on a pair depends only on
-        # its key and its value there, so the first violating base is the
-        # smallest first entry of the tables that has one. Each of its
-        # pairs with a flagged partner holds such an entry, so the least
-        # (base, partner, pair, parameters) over the entries' hits is the
-        # witness.
-        pairs = self.pairs(space)
+        pairs, anonymous = self.pairs(space), space.anonymous
         # per pair, the stance of every item, by digit
         stances = [[self.stance(p, *pair) for p in space.prefs] for pair in pairs]
-        # per pair, each key's first profile, in enumeration order, taking
-        # each outcome value on the pair (at most three per key)
-        tables: list[dict[tuple, dict[float, tuple]]] = [{} for _ in pairs]
-        for combo in space.combos():
+
+        def classed(key: tuple):
+            return key.count(1) if anonymous else key
+
+        # per pair, each class's first walked profile taking each outcome
+        # value on the pair (at most three per class); an orbit whose count
+        # matrix came earlier repeats that orbit's classes and values
+        tables: list[dict[object, dict[float, tuple]]] = [{} for _ in pairs]
+        seen = set()
+        for combo in space.orbits() if anonymous else space.combos():
+            if anonymous:
+                summed = sum(map(space.matrices.__getitem__, combo))
+                if summed in seen:
+                    continue
+                seen.add(summed)
             outcome = space.outcome(combo)
             for pair, stance, table in zip(pairs, stances, tables):
-                key = tuple(map(stance.__getitem__, combo))
+                key = classed(tuple(map(stance.__getitem__, combo)))
                 table.setdefault(key, {}).setdefault(outcome.pair_value(*pair), combo)
-        found = min(
-            (
-                (first, min(hits), rank, params)
-                for rank, (pair, table) in enumerate(zip(pairs, tables))
-                for key, firsts in table.items()
-                for value, first in firsts.items()
-                for other, params in self.partners(key, pair, value)
-                if (hits := self.flagged(value, table.get(other, {})))
-            ),
-            default=None,
-        )
-        if found is None:
+        # (first, pair rank, value, partner key, parameters, the flagged
+        # firsts of the partner's class) of every flagged entry, in rank order
+        flagged = [
+            (first, rank, value, other, params, hits)
+            for rank, (pair, stance, table) in enumerate(zip(pairs, stances, tables))
+            for firsts in table.values()
+            for value, first in firsts.items()
+            for other, params in self.partners(
+                tuple(map(stance.__getitem__, first)), pair
+            )
+            if (
+                hits := [
+                    combo
+                    for v, combo in table.get(classed(other), {}).items()
+                    if self.rejects(value, v)
+                ]
+            )
+        ]
+        if not flagged:
             return None
-        base, other, _, params = found
+        base = min(first for first, *_ in flagged)
+        if not anonymous:
+            _, other, _, params = min(
+                (first, min(hits), rank, params)
+                for first, rank, _, _, params, hits in flagged
+            )
+        else:  # the first profile holding a partner key with a rejected value
+            wanted = [
+                (pairs[rank], stances[rank], value, other, params)
+                for first, rank, value, other, params, _ in flagged
+                if first == base
+            ]
+            other, params = next(
+                (combo, params)
+                for combo in space.combos()
+                for pair, stance, value, key, params in wanted
+                if tuple(map(stance.__getitem__, combo)) == key
+                and self.rejects(value, space.outcome(combo).pair_value(*pair))
+            )
         views = (space.view(base), space.view(other))
         return (base, other), self.check(space.universe, views, *params)
-
-    def count_search(self, space):
-        # A (pair, count, value) is flagged when its partner count reaches
-        # a value the check rejects (module docstring). The base is the
-        # first orbit with a flagged pair; its partner is the first profile
-        # holding a partner key with a rejected value, the least pair rank
-        # breaking ties, as the table walk finds them.
-        pairs, n = self.pairs(space), space.n
-        rows = {}  # per reachable matrix: its first profile, (count, value) per pair
-        for combo in space.orbits():
-            summed = sum(map(space.matrices.__getitem__, combo))
-            if summed not in rows:
-                outcome, counts = space.outcome(combo), space.counts(summed)
-                row = [(counts[a][b], outcome.pair_value(a, b)) for a, b in pairs]
-                rows[summed] = combo, row
-        reached = [[set() for _ in range(n + 1)] for _ in pairs]
-        for _, row in rows.values():
-            for (count, value), by_count in zip(row, reached):
-                by_count[count].add(value)
-        flagged = {
-            (rank, count, value)
-            for rank, by_count in enumerate(reached)
-            for count, values in enumerate(by_count)
-            for value in values
-            if (other := self.partner_count(count, value, n)) is not None
-            and any(self.rejects(value, v) for v in by_count[other])
-        }
-        for base, row in rows.values():  # in enumeration order
-            if any((rank, *cell) in flagged for rank, cell in enumerate(row)):
-                break
-        else:
-            return None
-        wanted = []  # per flagged pair, in rank order: stances, value, partners
-        for rank, (pair, (count, value)) in enumerate(zip(pairs, row)):
-            if (rank, count, value) in flagged:
-                stances = [self.stance(p, *pair) for p in space.prefs]
-                key = tuple(map(stances.__getitem__, base))
-                partners = dict(self.partners(key, pair, value))
-                wanted.append((pair, stances, value, partners))
-        for combo in space.combos():
-            for pair, stances, value, partners in wanted:
-                params = partners.get(tuple(map(stances.__getitem__, combo)))
-                if params is None:
-                    continue
-                if self.rejects(value, space.outcome(combo).pair_value(*pair)):
-                    views = (space.view(base), space.view(combo))
-                    return (base, combo), self.check(space.universe, views, *params)
 
     def draw(self, trials):
         orders, base = trials.base()
@@ -1013,36 +991,20 @@ class _PositiveResponsiveness(_IIA):
     params = ("uplifted_individual", "pair")
     required = 1.0  # the least outcome value for a after the uplift
 
-    def premise(self, universe, views, uplifted, pair):
-        return _kept(views, self.stance, pair, uplifted - 1)
-
-    def check(self, universe, views, uplifted, pair):
-        before = views[0].outcome.pair_value(*pair)
-        after = views[1].outcome.pair_value(*pair)
-        if not (_armed(before) and after < self.required):
-            return None
-        return {
-            "uplifted_individual": uplifted,
-            "pair": _labels(universe, pair),
-            "value_before": before,
-            "value_after": after,
-        }
-
     def pairs(self, space):
         return sorted(space.pairs + [(j, i) for i, j in space.pairs])
 
-    def partners(self, key, pair, value):
-        # once the base is armed, any one individual not preferring a yet
-        # may flip to prefer it, everyone else keeping their stance
-        ups = [u for u, s in enumerate(key) if s != 1] if _armed(value) else []
-        return [(key[:u] + (1,) + key[u + 1 :], (u + 1, pair)) for u in ups]
-
-    def partner_count(self, count, value, n):
-        # the flip raises N(a > b) by one
-        return count + 1 if _armed(value) and count < n else None
+    def partners(self, key, pair):
+        # any one individual not preferring a yet may flip to prefer it,
+        # everyone else keeping their stance
+        return [
+            (key[:u] + (1,) + key[u + 1 :], (u + 1, pair))
+            for u, s in enumerate(key)
+            if s != 1
+        ]
 
     def rejects(self, value, other):
-        return other < self.required
+        return _armed(value) and other < self.required
 
     def draw(self, trials):
         orders, base = trials.base()

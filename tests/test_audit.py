@@ -39,7 +39,8 @@ from foldvote.errors import BadSpec, BudgetExceeded, DisagreeingRule
 from foldvote.errors import InapplicableAxiom, WrongMode
 from foldvote.preferences import RankingWithTies
 from foldvote.profiles import Profile, SynthSpec, generate, synthetic_universe
-from foldvote.rules import dictator, majority_tournament, may_from_counts, may_rule
+from foldvote.rules import borda, dictator, majority_tournament, may_from_counts
+from foldvote.rules import may_rule
 from test_audit_frozen import RULES as PROBE_RULES
 
 RULES = standard_rules()
@@ -1032,9 +1033,15 @@ class TestCountMemo:
         assert len(calls) == (len(_AXIOMS[axiom_id].profile_keys) if res.failed else 0)
         assert len(calls) <= 3
 
+    # the frozen suite's rules by name, with Borda given without its count
+    # function
+    COUNT_FREE = {**PROBE_RULES, "borda": Rule("borda", borda)}
+
     @pytest.mark.parametrize(
         "axiom_id,names,m,n",
         [
+            (AxiomId.IIA, ("borda", "dictator"), 3, 3),
+            (AxiomId.POSITIVE_RESPONSIVENESS, ("borda", "dictator"), 3, 3),
             (AxiomId.MONOTONIC_RESPONSIVENESS, ("inverse_may", "dictator"), 3, 3),
             (AxiomId.UTILITY_IIA, ("utility_borda", "utilitarian"), 3, 2),
         ],
@@ -1056,7 +1063,7 @@ class TestCountMemo:
         verdicts = []
         for name in names:
             walks.clear()
-            result = audit(PROBE_RULES[name], axiom_id, exhaustive(m, n))
+            result = audit(self.COUNT_FREE[name], axiom_id, exhaustive(m, n))
             verdicts.append(result.verdict)
             assert len(walks) == 1
         assert verdicts == [FAIL, PASS]

@@ -5,14 +5,14 @@ A rule with a count function is run once per pairwise count matrix, so
 every profile of an orbit under permutations of the individuals reads
 one outcome. Agreement, transitivity, unrestricted domain and unanimity
 then walk only each orbit's first profile, and anonymity reads each
-first without moving it. IIA and both responsiveness axioms decide from
-the outcome values each pair count N(a > b) reaches, and walk profiles
-only to find a fail's witness. The references below are those searches
-as they were before: the single-profile search walked every profile in
-enumeration order, anonymity moved each orbit's first by every
-individual permutation, and IIA and responsiveness tabled every
-profile's stance keys (the table walk that spaces without a count
-function still take).
+first without moving it. IIA and both responsiveness axioms table each
+pair's class: the stance key, or for such a rule its count N(a > b).
+They walk the orbit firsts to decide, and walk profiles only to find a
+fail's witness. The references below are those searches as they were
+before: the single-profile search walked every profile in enumeration
+order, anonymity moved each orbit's first by every individual
+permutation, and IIA and responsiveness tabled every profile's stance
+keys in `table_walk`.
 
 The single-profile searches and anonymity are compared through
 `audit(...).to_json_dict()`, or the type and message of what the audit
@@ -28,8 +28,14 @@ pair order breaks the tie; and one whose count function is Borda's but
 whose `fn` copies individual 1, so only its count function is
 anonymous. Set FOLDVOTE_ORBIT_SPACES (for example "4x4 3x6") to compare
 other spaces than the default ones.
+
+Rules without a count function take the same IIA and responsiveness
+search, classed by stance key. It is compared with `table_walk` over the
+dictator, the frozen suite's `inverse_may` and a Borda given without its
+count function, on the default spaces of at most 1296 profiles.
 """
 
+import math
 import os
 from functools import cache
 from itertools import combinations_with_replacement, permutations, product
@@ -38,8 +44,9 @@ import pytest
 
 from foldvote.audit import _AXIOMS, FAIL, PASS, AxiomId, Rule, _Space, audit
 from foldvote.audit import exhaustive, standard_rules
-from foldvote.rules import AggregationOutcome, borda_from_counts, dictator
+from foldvote.rules import AggregationOutcome, borda, borda_from_counts, dictator
 from foldvote.rules import majority_tournament, may_from_counts
+from test_audit_frozen import RULES as PROBE_RULES
 
 
 def _strict_majority(universe, counts, n):
@@ -112,6 +119,13 @@ SPACES = [
     tuple(map(int, space.split("x")))
     for space in os.environ.get("FOLDVOTE_ORBIT_SPACES", "").split()
 ] or DEFAULT_SPACES
+# rules without a count function, and the spaces their search is compared on
+KEY_RULES = {
+    "dictator": PROBE_RULES["dictator"],
+    "inverse_may": PROBE_RULES["inverse_may"],
+    "borda": Rule("borda", borda),
+}
+KEY_SPACES = [(m, n) for m, n in DEFAULT_SPACES if math.factorial(m) ** n <= 1296]
 
 
 def full_walk(axiom, space):
@@ -138,6 +152,43 @@ def moved_walk(axiom, space):
     return None
 
 
+def table_walk(axiom, space):
+    """Per pair, each stance key's first profile taking each outcome value
+    there, in one walk of every profile; the witness is the least (base,
+    partner, pair rank, parameters) over the entries whose first has a
+    partner key taking a value the axiom rejects."""
+    pairs = axiom.pairs(space)
+    stances = [[axiom.stance(p, *pair) for p in space.prefs] for pair in pairs]
+    tables = [{} for _ in pairs]
+    for combo in space.combos():
+        outcome = space.outcome(combo)
+        for pair, stance, table in zip(pairs, stances, tables):
+            key = tuple(map(stance.__getitem__, combo))
+            table.setdefault(key, {}).setdefault(outcome.pair_value(*pair), combo)
+    found = min(
+        (
+            (first, min(hits), rank, params)
+            for rank, (pair, table) in enumerate(zip(pairs, tables))
+            for key, firsts in table.items()
+            for value, first in firsts.items()
+            for other, params in axiom.partners(key, pair)
+            if (
+                hits := [
+                    combo
+                    for v, combo in table.get(other, {}).items()
+                    if axiom.rejects(value, v)
+                ]
+            )
+        ),
+        default=None,
+    )
+    if found is None:
+        return None
+    base, other, _, params = found
+    views = (space.view(base), space.view(other))
+    return (base, other), axiom.check(space.universe, views, *params)
+
+
 def _audited(rule, axiom_id, m, n):
     """The audit's report, or the type and message of what it raised."""
     try:
@@ -157,27 +208,28 @@ def _compared(rule, axiom_id, m, n):
     return found, expected
 
 
-def _searched(search, space):
+def _searched(search, *args):
     """The search's (profile digits, witness fields) or None, or the type
     and message of what it raised."""
     try:
-        return search(space)
+        return search(*args)
     except Exception as exc:
         return type(exc), str(exc)
 
 
 @cache
-def _compared_partners(rule, axiom_id, m, n):
-    """(what the search gives, what the table walk gives) on one space."""
+def _compared_partners(rule, axiom_id, m, n, keyed=False):
+    """(what the search gives, what the table walk gives) on one space, for
+    a rule of KEY_RULES if keyed, else of RULES."""
     axiom = _AXIOMS[axiom_id]
-    space = _Space(m, n, RULES[rule], axiom.catches)
-    return _searched(axiom.search, space), _searched(axiom.table_search, space)
+    space = _Space(m, n, (KEY_RULES if keyed else RULES)[rule], axiom.catches)
+    return _searched(axiom.search, space), _searched(table_walk, axiom, space)
 
 
-def _cases(axioms):
+def _cases(axioms, rules=RULES, spaces=SPACES):
     return [
         pytest.param(rule, axiom_id, m, n, id=f"{rule}:{axiom_id.value}:{m}x{n}")
-        for rule, axiom_id, (m, n) in product(RULES, axioms, SPACES)
+        for rule, axiom_id, (m, n) in product(rules, axioms, spaces)
     ]
 
 
@@ -190,6 +242,14 @@ def test_orbit_walk_matches_full_walk(rule, axiom_id, m, n):
 @pytest.mark.parametrize("rule,axiom_id,m,n", _cases(PARTNER_AXIOMS))
 def test_count_search_matches_table_walk(rule, axiom_id, m, n):
     found, expected = _compared_partners(rule, axiom_id, m, n)
+    assert found == expected
+
+
+@pytest.mark.parametrize(
+    "rule,axiom_id,m,n", _cases(PARTNER_AXIOMS, KEY_RULES, KEY_SPACES)
+)
+def test_key_search_matches_table_walk(rule, axiom_id, m, n):
+    found, expected = _compared_partners(rule, axiom_id, m, n, keyed=True)
     assert found == expected
 
 
@@ -224,3 +284,13 @@ def test_every_outcome_is_compared():
         _compared("liar", AxiomId.ANONYMITY, m, n)[1]["verdict"] == PASS
         for m, n in DEFAULT_SPACES
     )
+
+
+def test_every_key_outcome_is_compared():
+    # rules without a count function give the key differential a fail and
+    # a pass for each of the three axioms
+    kinds = {}
+    for rule, axiom_id, (m, n) in product(KEY_RULES, PARTNER_AXIOMS, KEY_SPACES):
+        expected = _compared_partners(rule, axiom_id, m, n, keyed=True)[1]
+        kinds.setdefault(axiom_id, set()).add(PASS if expected is None else FAIL)
+    assert kinds == dict.fromkeys(PARTNER_AXIOMS, {FAIL, PASS})
