@@ -25,24 +25,23 @@ violation, then the first class pair (anonymity and neutrality: the
 first permutation in itertools order; IIA and responsiveness: the
 smallest partner profile, then pair and uplifted individual; proximity:
 the smallest near, then far, profile). For a rule given as a function
-of the pairwise counts the single-profile searches visit one profile per
-orbit of the individual permutations, C(m! + n - 1, n) of the (m!)^n;
-the first violation is one of those, because sorting a profile's digits
-keeps its count matrix, so its outcome and its check, and does not make
-it larger. The verdict still speaks for the whole space. Such a rule is
-anonymous by construction: every permuted copy has the same counts.
-IIA and responsiveness table each pair's class: whether a base has a
-flagged partner on a pair depends only on its class there and its value.
-The class is the stance key, or for such a rule the key's count
-N(a > b) (May 1952; Fishburn 1977): a partner keeps every stance on the
-pair (IIA, the same count) or lifts one individual to a
-(responsiveness, the count plus one), and every key with a given count
-reaches the values that count reaches. So the first profile of each
-class and value decides, an orbit's first for such a rule, and a fail's
-witness is the one the full search gives: its base is the least such
-first with a flagged partner, and its partner is read off the tables,
-or for such a rule found by walking the profiles from the first, the
-pair order breaking ties.
+of the pairwise counts every exhaustive search reads only
+`_Space.firsts`, the first profile of each count matrix (85 of the 1296
+at m=3, n=4), and finds the violation, witness or error the full walk
+finds; `firsts` gives the argument. The verdict still speaks for the
+whole space. Such a rule is anonymous by construction: every permuted
+copy has the same counts. IIA and responsiveness table each pair's
+class: whether a base has a flagged partner on a pair depends only on
+its class there and its value. The class is the stance key, or for such
+a rule the key's count N(a > b) (May 1952; Fishburn 1977): a partner
+keeps every stance on the pair (IIA, the same count) or lifts one
+individual to a (responsiveness, the count plus one), and every key with
+a given count reaches the values that count reaches. So the first
+profile of each class and value decides, and a fail's witness is the
+one the full search gives: its base is the least such first with a
+flagged partner, and its partner is read off the tables, or for such a
+rule found by walking the profiles from the first, the pair order
+breaking ties.
 Sampled passes are qualified by the space actually searched.
 """
 from __future__ import annotations
@@ -51,8 +50,8 @@ import math
 import random
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
-from itertools import combinations, combinations_with_replacement, islice
-from itertools import permutations, product
+from itertools import combinations, combinations_with_replacement
+from itertools import permutations, product, takewhile
 from typing import NamedTuple
 
 from .aminoacids import CLASSES, InteractionClass, Universe
@@ -265,11 +264,8 @@ class _Space(_Profiles):
     profile's matrix is the sum of its items' pairwise 0/1 matrices, and
     the outcome is kept by that sum, decoded into counts on a miss. Any
     other rule runs on a Profile each time an outcome is read. Permuting
-    the individuals keeps the matrix, so such a space is `anonymous`: the
-    single-profile searches, anonymity, and the decisions of IIA and
-    responsiveness walk only `orbits`,
-    C(len(items) + n - 1, n) profiles of the len(items) ** n (126 of 1296
-    at m=3, n=4)."""
+    the individuals keeps the matrix, so such a space is `anonymous`, and
+    every exhaustive search walks only `firsts`."""
 
     def __init__(self, m: int, n: int, rule: Rule, catches: bool):
         super().__init__(m, n, rule, catches)
@@ -284,8 +280,8 @@ class _Space(_Profiles):
             for position in range(n)
         ]
         self.prefs = _prefs(self.individuals[0])
-        # outcomes kept by count matrix: every profile of an orbit reads
-        # the outcome of its first profile
+        # outcomes kept by count matrix: every profile with a matrix reads
+        # the outcome of the first one read
         self.anonymous = rule.from_counts is not None
         if self.anonymous:
             # each item's flattened m x m matrix (1 where class i is above
@@ -308,6 +304,29 @@ class _Space(_Profiles):
         individuals, in enumeration order: the digits in non-decreasing
         order, C(len(items) + n - 1, n) of them."""
         return combinations_with_replacement(range(len(self.items)), self.n)
+
+    def firsts(self):
+        """The profiles an exhaustive search must read, in enumeration
+        order: every profile, or on an anonymous space the first of each
+        count matrix (85 of 1296 at m=3, n=4).
+
+        The first profile with a given matrix is an orbit's first:
+        sorting the digits keeps the matrix and makes no profile later.
+        Orbits come in enumeration order, so the walk skips each orbit
+        whose matrix came earlier. A check that reads only the outcome and
+        the counts flags, with the same fields, or raises at, the first of
+        a matrix exactly when it does at every profile with that matrix,
+        so the first flagged profile, or the first error, is the one a
+        walk of every profile finds."""
+        if not self.anonymous:
+            yield from self.combos()
+            return
+        seen = set()
+        for combo in self.orbits():
+            summed = sum(map(self.matrices.__getitem__, combo))
+            if summed not in seen:
+                seen.add(summed)
+                yield combo
 
     def profile(self, combo: tuple[int, ...]) -> Profile:
         individuals = tuple(map(list.__getitem__, self.individuals, combo))
@@ -518,12 +537,10 @@ class _Axiom:
         (profile digits, witness fields) or None.
 
         The checks searched so (agreement, transitivity, unrestricted
-        domain, the unanimities) read the individuals' prefs in any order.
-        On an anonymous space the sorted digits of a flagged profile share
-        its outcome, so they are flagged too, with the same fields, and are
-        no larger: the first flagged profile is an orbit's first, and the
-        walk visits only those."""
-        for combo in space.orbits() if space.anonymous else space.combos():
+        domain, the unanimities) read the outcome and, of the prefs, only
+        the counts: a pair is unanimous when N(a > b) = n. So the walk
+        reads only `firsts`."""
+        for combo in space.firsts():
             detail = self.check(space.universe, [space.view(combo)])
             if detail is not None:
                 return (combo,), detail
@@ -664,7 +681,8 @@ class _Symmetry(_Axiom):
     form a group, so checking a profile against all of them covers its
     whole orbit; only the first profile of each orbit can be the first
     violation, and subclasses give those, firsts(space), in enumeration
-    order, read off the digits."""
+    order, read off the digits (neutrality, on an anonymous space, only
+    the first of each count matrix)."""
 
     def moved(self, space: _Space, combo: tuple, perm: tuple) -> tuple:
         """The digits of the moved profile."""
@@ -712,7 +730,7 @@ class _Anonymity(_Symmetry):
         # by construction. Each base is still read, so a raising rule raises.
         if not space.anonymous:
             return super().search(space)
-        for combo in space.orbits():
+        for combo in space.firsts():
             space.view(combo)
         return None
 
@@ -744,9 +762,13 @@ class _Neutrality(_Symmetry):
 
     def firsts(self, space):
         # exactly one relabeling sends individual 1's order to the identity
-        # order, item 0, so an orbit's first profile is the one with digit
-        # 0 first, and those are the first len(items) ** (n - 1) profiles
-        return islice(space.combos(), len(space.items) ** (space.n - 1))
+        # order, item 0, so an orbit's first profile is one with digit 0
+        # first, and those come first in enumeration order. On an anonymous
+        # space sorting the digits after the first keeps the matrix, and
+        # the moved copy of the sorted profile permutes the individuals of
+        # the old moved copy, so it keeps its matrix too: every relabeling
+        # reads as before, and the first of each matrix decides
+        return takewhile(lambda combo: combo[0] == 0, space.firsts())
 
     def premise(self, universe, views, pi):
         if sorted(pi) != list(range(len(universe))):
@@ -885,16 +907,9 @@ class _IIA(_Axiom):
             return key.count(1) if anonymous else key
 
         # per pair, each class's first walked profile taking each outcome
-        # value on the pair (at most three per class); an orbit whose count
-        # matrix came earlier repeats that orbit's classes and values
+        # value on the pair (at most three per class)
         tables: list[dict[object, dict[float, tuple]]] = [{} for _ in pairs]
-        seen = set()
-        for combo in space.orbits() if anonymous else space.combos():
-            if anonymous:
-                summed = sum(map(space.matrices.__getitem__, combo))
-                if summed in seen:
-                    continue
-                seen.add(summed)
+        for combo in space.firsts():
             outcome = space.outcome(combo)
             for pair, stance, table in zip(pairs, stances, tables):
                 key = classed(tuple(map(stance.__getitem__, combo)))

@@ -1107,8 +1107,10 @@ class TestCountMemo:
 class TestOrbitFirsts:
     """Anonymity and neutrality searches start from each orbit's first
     profile, read off its digits, and move it by each permutation. On an
-    anonymous space the single-profile searches and anonymity read only
-    each orbit's first profile under permutations of the individuals."""
+    anonymous space every exhaustive search reads `_Space.firsts()`: each
+    orbit's first profile under permutations of the individuals whose
+    count matrix no earlier orbit reached; neutrality reads those with
+    digit 0 first."""
 
     SPACES = [(2, 4), (3, 2), (3, 3), (3, 4), (4, 2), (4, 3)]
     SYMMETRIES = [AxiomId.ANONYMITY, AxiomId.NEUTRALITY]
@@ -1137,8 +1139,20 @@ class TestOrbitFirsts:
     @pytest.mark.parametrize("m,n", SPACES)
     def test_firsts_are_the_orbit_minima(self, axiom_id, m, n):
         axiom = _AXIOMS[axiom_id]
-        space = _Space(m, n, RULES["may"], False)
+        space = _Space(m, n, RULES["dictator"], False)
         assert list(axiom.firsts(space)) == self.orbit_minima(axiom, space)
+
+    @pytest.mark.parametrize("m,n", SPACES)
+    def test_neutrality_firsts_of_a_count_rule(self, m, n):
+        # of the relabeling orbits' minima, those whose digits after the
+        # first are sorted, the first per count matrix
+        axiom = _AXIOMS[AxiomId.NEUTRALITY]
+        space = _Space(m, n, RULES["may"], False)
+        kept = {}
+        for combo in self.orbit_minima(axiom, space):
+            if list(combo[1:]) == sorted(combo[1:]):
+                kept.setdefault(majority_tournament(space.profile(combo)), combo)
+        assert list(axiom.firsts(space)) == list(kept.values())
 
     @pytest.mark.parametrize("axiom_id", SYMMETRIES)
     def test_moved_digits_name_the_moved_profile(self, axiom_id):
@@ -1168,20 +1182,21 @@ class TestOrbitFirsts:
         [
             (AxiomId.ANONYMITY, False, 15600, 0),
             (AxiomId.ANONYMITY, True, 0, 1136),
-            (AxiomId.NEUTRALITY, True, 13824, 1136),
+            (AxiomId.NEUTRALITY, True, 5256, 1136),
         ],
-        ids=["anonymity-15600", "memoised-anonymity-0", "neutrality-13824"],
+        ids=["anonymity-15600", "memoised-anonymity-0", "neutrality-5256"],
     )
     def test_moved_calls_of_a_full_walk(
         self, monkeypatch, axiom_id, counts, calls, count_calls
     ):
-        # may passes both, so the search walks every orbit at (4, 3):
-        # C(26, 3) = 2600 firsts times 3! individual permutations, and
-        # 24^2 = 576 firsts times 4! relabelings. Given as a count function,
-        # every individual permutation keeps its count matrix, so anonymity
-        # passes without a moved copy; a relabeling moves the matrix. Either
-        # walk reaches all 1136 matrices, and runs the count function once
-        # on each.
+        # may passes both, so the search walks every first at (4, 3):
+        # C(26, 3) = 2600 orbit firsts times 3! individual permutations.
+        # Given as a count function, every individual permutation keeps its
+        # count matrix, so anonymity passes without a moved copy; neutrality
+        # reads the 219 matrix firsts with digit 0 first, of 576 relabeling
+        # orbit firsts, times 4! relabelings, and a relabeling moves the
+        # matrix. Either walk reaches all 1136 matrices, and runs the count
+        # function once on each.
         axiom = _AXIOMS[axiom_id]
         counted = self.count_calls(monkeypatch, type(axiom), "moved")
         decoded = []
@@ -1199,11 +1214,12 @@ class TestOrbitFirsts:
     @pytest.mark.parametrize(
         "name,axiom_id,m,n,views",
         [
-            # C(3! + 4 - 1, 4) = 126 and C(4! + 3 - 1, 3) = 2600 orbits
-            ("may", AxiomId.UNANIMITY, 3, 4, 126),
-            ("may", AxiomId.UNANIMITY, 4, 3, 2600),
-            ("borda", AxiomId.AGREEMENT, 4, 3, 2600),
-            ("may", AxiomId.ANONYMITY, 4, 3, 2600),
+            # the count matrices: 85 of C(3! + 4 - 1, 4) = 126 orbits, and
+            # 1136 of C(4! + 3 - 1, 3) = 2600
+            ("may", AxiomId.UNANIMITY, 3, 4, 85),
+            ("may", AxiomId.UNANIMITY, 4, 3, 1136),
+            ("borda", AxiomId.AGREEMENT, 4, 3, 1136),
+            ("may", AxiomId.ANONYMITY, 4, 3, 1136),
             # not anonymous: every profile is read
             ("dictator", AxiomId.UNANIMITY, 3, 4, 6**4),
         ],
@@ -1213,3 +1229,14 @@ class TestOrbitFirsts:
         res = audit(RULES[name], axiom_id, exhaustive(m, n))
         assert res.verdict == PASS
         assert len(counted) == len(set(counted)) == views
+
+    def test_neutrality_reads_each_matrix_once(self, monkeypatch):
+        # may passes neutrality at (4, 4): of the 24^3 = 13,824 profiles
+        # with digit 0 first, the bases are the 1136 whose count matrix
+        # comes first, each read once
+        axiom = _AXIOMS[AxiomId.NEUTRALITY]
+        counted = self.count_calls(monkeypatch, type(axiom), "moved")
+        res = audit(RULES["may"], AxiomId.NEUTRALITY, exhaustive(4, 4))
+        assert res.verdict == PASS
+        assert len(counted) == 1136 * 24
+        assert len({combo for _, combo, _ in counted}) == 1136

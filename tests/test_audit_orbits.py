@@ -2,19 +2,21 @@
 walks they replaced.
 
 A rule with a count function is run once per pairwise count matrix, so
-every profile of an orbit under permutations of the individuals reads
-one outcome. Agreement, transitivity, unrestricted domain and unanimity
-then walk only each orbit's first profile, and anonymity reads each
-first without moving it. IIA and both responsiveness axioms table each
-pair's class: the stance key, or for such a rule its count N(a > b).
-They walk the orbit firsts to decide, and walk profiles only to find a
-fail's witness. The references below are those searches as they were
-before: the single-profile search walked every profile in enumeration
-order, anonymity moved each orbit's first by every individual
-permutation, and IIA and responsiveness tabled every profile's stance
-keys in `table_walk`.
+every profile sharing a matrix reads one outcome. Every exhaustive
+search then walks `_Space.firsts()`, the first profile of each count
+matrix: agreement, transitivity, unrestricted domain and unanimity check
+each, anonymity reads each without moving it, and neutrality moves each
+with digit 0 first by every relabeling. IIA and both responsiveness
+axioms table each pair's class: the stance key, or for such a rule its
+count N(a > b). They walk the firsts to decide, and walk profiles only
+to find a fail's witness. The references below are those searches as
+they were before: the single-profile search walked every profile in
+enumeration order, anonymity moved each orbit's first by every
+individual permutation, neutrality moved every profile with digit 0
+first by every relabeling, and IIA and responsiveness tabled every
+profile's stance keys in `table_walk`.
 
-The single-profile searches and anonymity are compared through
+The single-profile searches and the symmetries are compared through
 `audit(...).to_json_dict()`, or the type and message of what the audit
 raised. IIA and responsiveness are searched directly on one `_Space`,
 bypassing the price, which refuses them at (3, 5) and (4, 3); both sides
@@ -38,7 +40,7 @@ count function, on the default spaces of at most 1296 profiles.
 import math
 import os
 from functools import cache
-from itertools import combinations_with_replacement, permutations, product
+from itertools import combinations_with_replacement, islice, permutations, product
 
 import pytest
 
@@ -107,6 +109,7 @@ AXIOMS = (
     AxiomId.UNRESTRICTED_DOMAIN,
     AxiomId.UNANIMITY,
     AxiomId.ANONYMITY,
+    AxiomId.NEUTRALITY,
 )
 PARTNER_AXIOMS = (
     AxiomId.IIA,
@@ -137,11 +140,11 @@ def full_walk(axiom, space):
     return None
 
 
-def moved_walk(axiom, space):
-    """Each orbit's first profile, in enumeration order, moved by every
-    individual permutation."""
-    perms = list(permutations(range(space.n)))
-    for combo in combinations_with_replacement(range(len(space.items)), space.n):
+def _symmetry_walk(axiom, space, bases, size):
+    """Each base, in the order given, moved by every permutation of size
+    things; the first move that the check flags."""
+    perms = list(permutations(range(size)))
+    for combo in bases:
         base = space.view(combo)
         for perm in perms:
             other = axiom.moved(space, combo, perm)
@@ -150,6 +153,20 @@ def moved_walk(axiom, space):
             if detail is not None:
                 return (combo, other), detail
     return None
+
+
+def moved_walk(axiom, space):
+    """Each orbit's first profile, in enumeration order, moved by every
+    individual permutation."""
+    bases = combinations_with_replacement(range(len(space.items)), space.n)
+    return _symmetry_walk(axiom, space, bases, space.n)
+
+
+def relabeled_walk(axiom, space):
+    """Every profile with digit 0 first, the first len(items) ** (n - 1)
+    in enumeration order, moved by every relabeling."""
+    bases = islice(space.combos(), len(space.items) ** (space.n - 1))
+    return _symmetry_walk(axiom, space, bases, space.m)
 
 
 def table_walk(axiom, space):
@@ -189,6 +206,9 @@ def table_walk(axiom, space):
     return (base, other), axiom.check(space.universe, views, *params)
 
 
+REFERENCES = {AxiomId.ANONYMITY: moved_walk, AxiomId.NEUTRALITY: relabeled_walk}
+
+
 def _audited(rule, axiom_id, m, n):
     """The audit's report, or the type and message of what it raised."""
     try:
@@ -201,7 +221,7 @@ def _audited(rule, axiom_id, m, n):
 def _compared(rule, axiom_id, m, n):
     """(what the audit gives, what it gives with the reference search)."""
     found = _audited(rule, axiom_id, m, n)
-    reference = moved_walk if axiom_id == AxiomId.ANONYMITY else full_walk
+    reference = REFERENCES.get(axiom_id, full_walk)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(type(_AXIOMS[axiom_id]), "search", reference)
         expected = _audited(rule, axiom_id, m, n)
@@ -276,6 +296,7 @@ def test_every_outcome_is_compared():
         AxiomId.UNRESTRICTED_DOMAIN: {FAIL, PASS},
         AxiomId.UNANIMITY: fail_pass_raise,
         AxiomId.ANONYMITY: {PASS, ValueError},
+        AxiomId.NEUTRALITY: fail_pass_raise,
         AxiomId.IIA: fail_pass_raise,
         AxiomId.POSITIVE_RESPONSIVENESS: fail_pass_raise,
         AxiomId.MONOTONIC_RESPONSIVENESS: fail_pass_raise,
