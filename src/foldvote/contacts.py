@@ -11,6 +11,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -161,20 +162,80 @@ def extract_instances(
     swap = rank[jj] < rank[ii]
     lo, hi = np.where(swap, jj, ii), np.where(swap, ii, jj)
     order = np.lexsort((rank[hi], rank[lo]))
-    pid = structure.id
-    return [
-        InteractionInstance(pid, classes[code], (keys[a], keys[b]), dist, scores[code])
-        for a, b, code, dist in zip(
-            lo[order].tolist(),
-            hi[order].tolist(),
-            codes[order].tolist(),
-            distances[order].tolist(),
-        )
-    ]
+    lo, hi, codes = lo[order].tolist(), hi[order].tolist(), codes[order].tolist()
+    # the instances' fields as columns; _make builds each from its row
+    # without the keyword handling of a call to the class
+    key = keys.__getitem__
+    rows = zip(
+        repeat(structure.id),
+        map(classes.__getitem__, codes),
+        zip(map(key, lo), map(key, hi)),
+        distances[order].tolist(),
+        map(scores.__getitem__, codes),
+    )
+    return list(map(InteractionInstance._make, rows))
 
 
 _BLOCK = 64  # rows of the residue-pair matrix handled at once
 _SLACK = 1e-6  # Angstrom; the prefilters' allowance for rounding
+
+
+def _points(flat: list, mode: str) -> tuple:
+    """Per-residue arrays for the pair search: (sizes, reps, radii,
+    atoms_i, atoms_j). A residue whose ``xyz`` is not of shape
+    (len(atoms), 3) raises ValueError.
+
+    The residues' rows are joined into one (atoms x 3) array, and every
+    per-residue quantity is built from it by indexing, for parsed and
+    caller-built residues alike. ``sizes`` holds each residue's atom count and ``reps`` its
+    representative point, NaN when it has none: its first CA row for
+    c_alpha, else its centroid. A centroid is the sum of a residue's
+    rows, added one atom rank at a time to +0.0 (the first atom of every
+    residue, then the second of every residue longer than one, ...), over
+    its atom count: the order and start of ``xyz.mean(axis=0)`` on a
+    C-ordered array, so each centroid equals it to the bit.
+    ``np.add.reduceat`` sums in another order and rounds differently.
+
+    For heavy_min, ``radii`` holds each residue's largest atom distance
+    from its centroid, and ``atoms_i``/``atoms_j`` its atoms as (3, n,
+    width) blocks, padded to a common width with +inf on a pair's first
+    residue and -inf on its second, so padding is never nearest; for the
+    other modes all three are None.
+    """
+    # rows are found by count alone, so a residue whose rows and atom
+    # names disagree would read its neighbour's rows
+    for _, res in flat:
+        if res.xyz.shape != (len(res.atoms), 3):
+            raise ValueError(
+                f"residue {res.seq_index} has {len(res.atoms)} atom names "
+                f"but coordinates of shape {res.xyz.shape}"
+            )
+    xyz = np.concatenate([res.xyz for _, res in flat], dtype=float)
+    sizes = np.array([len(res.atoms) for _, res in flat])
+    n, starts, width = len(flat), np.cumsum(sizes) - sizes, sizes.max()
+    reps = np.full((n, 3), np.nan)
+    if mode == "c_alpha":
+        ca = np.array([res.atoms.index("CA") if "CA" in res.atoms else -1 for _, res in flat])
+        has = np.flatnonzero(ca >= 0)
+        reps[has] = xyz[starts[has] + ca[has]]
+        return sizes, reps, None, None, None
+    sums = np.zeros((n, 3))
+    for rank in range(width):
+        longer = np.flatnonzero(sizes > rank)
+        sums[longer] += xyz[starts[longer] + rank]
+    np.divide(sums, sizes[:, None], out=reps, where=sizes[:, None] > 0)
+    if mode != "heavy_min":
+        return sizes, reps, None, None, None
+    nonempty = sizes > 0
+    owner = np.repeat(np.arange(n), sizes)
+    spread = np.sqrt(((xyz - reps[owner]) ** 2).sum(axis=1))
+    radii = np.full(n, np.nan)
+    radii[nonempty] = np.maximum.reduceat(spread, starts[nonempty])
+    rank = np.arange(len(xyz)) - starts[owner]
+    atoms_i = np.full((3, n, width), np.inf)
+    atoms_j = np.full((3, n, width), -np.inf)
+    atoms_i[:, owner, rank] = atoms_j[:, owner, rank] = xyz.T
+    return sizes, reps, radii, atoms_i, atoms_j
 
 
 def _contacts(
@@ -184,14 +245,18 @@ def _contacts(
     order, and their distances.
 
     The pair matrix is walked a block of rows at a time. A prefilter
-    drops pairs whose representative points (CA or centroid) lie farther
-    apart than tau, or for heavy_min farther than tau plus both
-    residues' bounding radii; the chain and separation predicates then
-    apply to the survivors, and their exact distance is taken with the
-    expressions of ``residue_distance``, so every float equals its value
-    there.
+    drops pairs whose representative points (CA or centroid, from
+    ``_points``) lie farther apart than tau, or for heavy_min farther
+    than tau plus both residues' bounding radii; the chain and
+    separation predicates then apply to the survivors, and their exact
+    distance is taken with the expressions of ``residue_distance``, so
+    every float equals its value there. A residue without a CA
+    (c_alpha), a finite centroid (centroid) or any atom (heavy_min)
+    raises MissingAtom when it has a candidate partner.
     """
     n, tau, mode = len(flat), config.threshold_tau, config.mode
+    if n == 0:
+        return np.empty(0, dtype=int), np.empty(0, dtype=int), np.empty(0)
     chain_ids: dict[str, int] = {}
     chains = np.array([chain_ids.setdefault(c, len(chain_ids)) for c, _ in flat])
     seqs = np.array([res.seq_index for _, res in flat])
@@ -201,29 +266,17 @@ def _contacts(
         apart = np.abs(seqs[i] - seqs[j]) >= config.min_seq_separation
         return np.where(chains[i] == chains[j], apart, config.cross_chain)
 
-    reps = np.full((n, 3), np.nan)
-    for k, (_, res) in enumerate(flat):
-        point = res.atom("CA") if mode == "c_alpha" else res.xyz.mean(axis=0)
-        if point is not None:
-            reps[k] = point
-    if mode != "heavy_min":
-        # a point that is missing (or not a number) is an error only for
-        # a residue with a candidate partner
-        for k in np.flatnonzero(np.isnan(reps).any(axis=1)):
-            if allowed(k, np.delete(index, k)).any():
-                raise MissingAtom(f"residue {flat[k][1].seq_index} has no CA atom")
+    sizes, reps, radii, atoms_i, atoms_j = _points(flat, mode)
+    # a point that is missing (or not a number), or for heavy_min a
+    # residue without atoms, is an error only for a residue with a
+    # candidate partner
+    if mode == "heavy_min":
+        missing, what = sizes == 0, "atoms"
     else:
-        # atoms padded to a common width, with +inf on a pair's first
-        # residue and -inf on its second, so padding is never nearest
-        coords = [res.xyz for _, res in flat]
-        radii = np.array(
-            [np.sqrt(((xyz - c) ** 2).sum(axis=1)).max() for xyz, c in zip(coords, reps)]
-        )
-        width = max((len(xyz) for xyz in coords), default=0)
-        atoms_i = np.full((3, n, width), np.inf)
-        atoms_j = np.full((3, n, width), -np.inf)
-        for k, xyz in enumerate(coords):
-            atoms_i[:, k, : len(xyz)] = atoms_j[:, k, : len(xyz)] = xyz.T
+        missing, what = np.isnan(reps).any(axis=1), "CA atom"
+    for k in np.flatnonzero(missing):
+        if allowed(k, np.delete(index, k)).any():
+            raise MissingAtom(f"residue {flat[k][1].seq_index} has no {what}")
 
     axes = [np.ascontiguousarray(reps[:, axis]) for axis in range(3)]
     found = []
@@ -242,11 +295,12 @@ def _contacts(
             atom_gaps = sum(
                 (a[ii][:, :, None] - b[jj][:, None, :]) ** 2 for a, b in zip(atoms_i, atoms_j)
             )
-            dist = np.sqrt(atom_gaps).min(axis=(1, 2))
+            # sqrt is monotone, so the root of the least square is the
+            # least root to the bit, for one root per pair; with no atom
+            # at all (width 0) the least is +inf
+            dist = np.sqrt(atom_gaps.min(axis=(1, 2), initial=np.inf))
         else:
             dist = point_distance(reps[ii], reps[jj])
         keep = dist <= tau
         found.append((ii[keep], jj[keep], dist[keep]))
-    if not found:
-        return np.empty(0, dtype=int), np.empty(0, dtype=int), np.empty(0)
     return tuple(np.concatenate(parts) for parts in zip(*found))

@@ -14,6 +14,9 @@ A Residue holds its one-letter code, its residue number, ``atoms`` (the
 kept atom names, in file order) and ``xyz``, one float64 array of shape
 (len(atoms), 3) whose row k holds the coordinates of atoms[k].
 ``atom(name)`` returns the row of the first atom so named, or None.
+The parser reads a structure's coordinates into one (atoms x 3) array,
+residue after residue, and each residue's ``xyz`` is a view of its rows
+of that array, so writing to it writes that array.
 """
 
 from __future__ import annotations
@@ -66,7 +69,7 @@ def parse_pdb(text: str, id: str) -> ProteinStructure:
     Raises MalformedRecord on a bad ATOM line and EmptyStructure when no
     standard residue survives the filters.
     """
-    # chain -> resSeq -> (one-letter code, atom names, atom coordinates)
+    # chain -> resSeq -> (one-letter code, atom names, x y z of each atom)
     chains: dict[str, dict[int, tuple[str, list, list]]] = {}
     # (chain, resSeq) pairs claimed by a (residue name, insertion code)
     # we skipped or by an earlier occurrence; later claimants are dropped.
@@ -120,18 +123,26 @@ def parse_pdb(text: str, id: str) -> ProteinStructure:
                 )
         if names is not None:
             names.append(line[12:16].strip())
-            coords.append((x, y, z))
+            coords += (x, y, z)
 
     if not chains:
         raise EmptyStructure(f"no standard residues in {id!r}")
-    ordered = [
-        (chain_id, [
-            Residue(one, seq, tuple(names), np.array(coords))
-            for seq, (one, names, coords) in sorted(residues.items())
-        ])
-        for chain_id, residues in chains.items()
-    ]
-    return ProteinStructure(id=id, chains=ordered)
+    ordered = [(chain_id, sorted(residues.items())) for chain_id, residues in chains.items()]
+    values = []
+    for _, residues in ordered:
+        for _, (_, _, coords) in residues:
+            values += coords
+    # one array for the structure; each residue's xyz is a view of its rows
+    xyz = np.fromiter(values, dtype=float, count=len(values)).reshape(-1, 3)
+    kept, start = [], 0
+    for chain_id, residues in ordered:
+        views = []
+        for seq, (one, names, _) in residues:
+            stop = start + len(names)
+            views.append(Residue(one, seq, tuple(names), xyz[start:stop]))
+            start = stop
+        kept.append((chain_id, views))
+    return ProteinStructure(id=id, chains=kept)
 
 
 def point_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:

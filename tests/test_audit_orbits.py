@@ -22,13 +22,15 @@ raised. IIA and responsiveness are searched directly on one `_Space`,
 bypassing the price, which refuses them at (3, 5) and (4, 3); both sides
 give the witness's profile digits and fields, or the type and message of
 what the search raised. Every comparison runs over May, Borda and Kemeny
-and five probes: two count functions of the frozen suite's, which fail
+and six probes: two count functions of the frozen suite's, which fail
 agreement and unanimity; one that raises an error naming the counts it
 read; one that ties every pair except where all individuals hold the
 first order, so that one partner profile serves several pairs and the
-pair order breaks the tie; and one whose count function is Borda's but
-whose `fn` copies individual 1, so only its count function is
-anonymous. Set FOLDVOTE_ORBIT_SPACES (for example "4x4 3x6") to compare
+pair order breaks the tie; one that leaves every pair incomparable
+where every pair is tied, a count matrix several orbits reach, so its
+agreement witness shows which orbit a search read; and one whose count
+function is Borda's but whose `fn` copies individual 1, so only its
+count function is anonymous. Set FOLDVOTE_ORBIT_SPACES (for example "4x4 3x6") to compare
 other spaces than the default ones.
 
 Rules without a count function take the same IIA and responsiveness
@@ -83,6 +85,18 @@ def _lone_order(universe, counts, n):
     return AggregationOutcome("lone_order", universe, ((True,) * m,) * m)
 
 
+def _blank_tie(universe, counts, n):
+    # every pair incomparable where every pair is tied, else May: at even
+    # n and m >= 3 several orbits reach that one flagged matrix (3 at
+    # (3, 2), 6 at (3, 4), 12 at (4, 2)), so agreement's witness tells
+    # which of them a search read
+    m = len(universe)
+    if all(2 * counts[i][j] == n for i in range(m) for j in range(i + 1, m)):
+        relation = tuple(tuple(i == j for j in range(m)) for i in range(m))
+        return AggregationOutcome("blank_tie", universe, relation)
+    return may_from_counts(universe, counts, n)
+
+
 def _counted(name, from_counts):
     """The rule deciding by from_counts, on a profile's tournament too."""
 
@@ -98,6 +112,7 @@ RULES = {
     "inverse_may": _counted("inverse_may", _inverse_may),
     "raiser": _counted("raiser", _raiser),
     "lone_order": _counted("lone_order", _lone_order),
+    "blank_tie": _counted("blank_tie", _blank_tie),
     # exhaustive searches read the count function alone, never fn
     "liar": Rule(
         "liar", lambda profile: dictator(profile, 1), from_counts=borda_from_counts

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import os
 import re
 
 import numpy as np
@@ -21,8 +22,10 @@ from foldvote.contacts import (
     instances_to_csv,
     parse_score_table,
 )
+from foldvote.contacts import _points
 from foldvote.errors import BadTable, MalformedContacts, MissingAtom
-from foldvote.pdb import ProteinStructure, Residue, residue_distance
+from foldvote.pdb import ProteinStructure, Residue, parse_pdb, residue_distance
+from test_pdb import atom_line
 
 
 def ca_structure(spec, pid="toy"):
@@ -493,6 +496,197 @@ class TestArrayPath:
         assert assert_matches_reference(ca_structure(far), config) == []
         assert assert_matches_reference(ca_structure(far[:1]), config) == []
         assert assert_matches_reference(ProteinStructure("none", []), config) == []
+
+
+MODES = ("c_alpha", "centroid", "heavy_min")
+# FOLDVOTE_FUZZ_SCALE (a positive integer, default 1) multiplies the
+# seeded structures of the coordinate differential
+SCALE = int(os.environ.get("FOLDVOTE_FUZZ_SCALE", "1"))
+
+
+def reference_points(flat, mode):
+    """The per-residue loop that _points replaced: (sizes, reps, radii,
+    atoms_i, atoms_j), each residue's point, radius and padded atoms
+    taken from its own xyz."""
+    n = len(flat)
+    sizes = np.array([len(res.xyz) for _, res in flat])
+    reps = np.full((n, 3), np.nan)
+    for k, (_, res) in enumerate(flat):
+        point = res.atom("CA") if mode == "c_alpha" else res.xyz.mean(axis=0)
+        if point is not None:
+            reps[k] = point
+    if mode != "heavy_min":
+        return sizes, reps, None, None, None
+    radii = np.array(
+        [np.sqrt(((res.xyz - c) ** 2).sum(axis=1)).max() for (_, res), c in zip(flat, reps)]
+    )
+    atoms_i = np.full((3, n, sizes.max()), np.inf)
+    atoms_j = np.full((3, n, sizes.max()), -np.inf)
+    for k, (_, res) in enumerate(flat):
+        atoms_i[:, k, : len(res.xyz)] = atoms_j[:, k, : len(res.xyz)] = res.xyz.T
+    return sizes, reps, radii, atoms_i, atoms_j
+
+
+def assert_bitwise(got, want):
+    # tobytes tells -0.0 from 0.0, which == and array_equal do not
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+
+
+def random_coordinates(rng, k):
+    """k atoms spread about a point by 1e-3 to 1e3, some rounded to the
+    PDB's three decimals, some zeros of either sign, and now and then a
+    column of -0.0 alone, whose mean is +0.0."""
+    xyz = rng.normal(rng.uniform(-50, 50, 3), 10.0 ** rng.integers(-3, 4), (k, 3))
+    if rng.random() < 0.5:
+        xyz = xyz.round(3)
+    xyz[rng.random((k, 3)) < 0.1] = 0.0
+    xyz[rng.random((k, 3)) < 0.1] = -0.0
+    if rng.random() < 0.2:
+        xyz[:, int(rng.integers(3))] = -0.0
+    return xyz
+
+
+def random_atoms(rng):
+    """1 to 20 atom names, a CA among them now and then twice, or not at all."""
+    k = int(rng.integers(1, 21))
+    names = [f"C{i}" for i in range(k)]
+    for _ in range(int(rng.integers(0, 3))):
+        names[int(rng.integers(k))] = "CA"
+    return tuple(names)
+
+
+def parsed_chain(rng, chain):
+    """PDB text of one chain of 1 to 8 residues of random atoms, their
+    coordinates clipped to what the fixed columns hold."""
+    lines = []
+    for seq in range(1, int(rng.integers(2, 10))):
+        names = random_atoms(rng)
+        xyz = random_coordinates(rng, len(names)).clip(-999, 9999)
+        for name, (x, y, z) in zip(names, xyz):
+            lines.append(atom_line(len(lines) + 1, f" {name:<3}", "ALA", chain, seq, x, y, z))
+    return "\n".join(lines)
+
+
+def mixed_structure(rng):
+    """A parsed structure of one to three chains, with residues built by
+    hand inserted into its chains and a chain built by hand appended."""
+    chains = "ABC"[: int(rng.integers(1, 4))]
+    structure = parse_pdb("\n".join(parsed_chain(rng, c) for c in chains), "mixed")
+    built = []
+    for seq in range(100, 100 + int(rng.integers(1, 8))):
+        names = random_atoms(rng)
+        built.append(Residue("G", seq, names, random_coordinates(rng, len(names))))
+    for res in built[::2]:
+        _, residues = structure.chains[int(rng.integers(len(structure.chains)))]
+        residues.insert(int(rng.integers(len(residues) + 1)), res)
+    structure.chains.append(("Z", built[1::2]))
+    return structure
+
+
+class TestJoinedCoordinates:
+    """The per-residue arrays of the pair search, built from one joined
+    coordinate array, against the per-residue loop they replaced, to the
+    bit; and the parser's one array per structure."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_points_match_per_residue_loop(self, mode):
+        negative_zero_columns = 0
+        for seed in range(10 * SCALE):
+            structure = mixed_structure(np.random.default_rng([seed, 35]))
+            flat = structure.residues()
+            got, want = _points(flat, mode), reference_points(flat, mode)
+            for g, w in zip(got, want):
+                assert_bitwise(g, w)
+            negative_zero_columns += sum(
+                bool(np.signbit(res.xyz).all(axis=0).any()) for _, res in flat
+            )
+        # columns of -0.0 alone, where starting a sum at the first atom
+        # instead of +0.0 would give a centroid of -0.0
+        assert negative_zero_columns > 5
+
+    def test_residues_of_one_parsed_structure_share_one_array(self):
+        structure = mixed_structure(np.random.default_rng(35))
+        parsed = [
+            res
+            for chain, residues in structure.chains
+            if chain != "Z"
+            for res in residues
+            if res.one_letter_code == "A"
+        ]
+        assert len(parsed) > 1
+        base = parsed[0].xyz.base
+        assert base is not None
+        for res in parsed:
+            assert res.xyz.base is base
+            assert res.xyz.shape == (len(res.atoms), 3)
+            assert res.xyz.dtype == np.float64
+            assert res.xyz.flags.c_contiguous
+        # a view: writing to a residue's rows writes the shared array
+        parsed[-1].xyz[-1, -1] = 12345.5
+        assert base[-1] == 12345.5
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize(
+        "atoms,xyz,shape",
+        [
+            ((), np.array([]), "(0,)"),
+            (("CB", "CA"), np.zeros((1, 3)), "(1, 3)"),
+            (("CA",), np.zeros((2, 3)), "(2, 3)"),
+            (("CA",), np.zeros((1, 2)), "(1, 2)"),
+        ],
+    )
+    def test_coordinates_must_match_atom_names(self, mode, atoms, xyz, shape):
+        # rows are found by count, so a short residue would read its
+        # neighbour's rows as its own
+        chain = [residue("A", 1, 0.0), Residue("G", 5, atoms, xyz), residue("V", 9, 7.0)]
+        structure = ProteinStructure("odd", [("A", chain)])
+        with pytest.raises(ValueError) as got:
+            extract_instances(structure, ContactConfig(mode=mode))
+        assert str(got.value) == (
+            f"residue 5 has {len(atoms)} atom names but coordinates of shape {shape}"
+        )
+
+
+class TestEmptyResidue:
+    """A residue without atoms, which only a caller can build, raises
+    MissingAtom in every mode when it has a candidate partner and is
+    ignored when it has none, wherever it stands."""
+
+    MESSAGE = {
+        "c_alpha": "residue 100 has no CA atom",
+        "centroid": "residue 100 has no CA atom",
+        "heavy_min": "residue 100 has no atoms",
+    }
+
+    @staticmethod
+    def chain():
+        spec = [("A", 10, 0.0), ("G", 20, 3.0), ("V", 30, 6.0), ("L", 40, 9.0)]
+        return [residue(code, seq, x) for code, seq, x in spec]
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("place", [0, 2, 4])
+    def test_with_a_partner_raises(self, mode, place):
+        residues = self.chain()
+        residues.insert(place, Residue("W", 100, (), np.empty((0, 3))))
+        structure = ProteinStructure("empty", [("A", residues)])
+        with pytest.raises(MissingAtom) as got:
+            extract_instances(structure, ContactConfig(mode=mode))
+        assert str(got.value) == self.MESSAGE[mode]
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("place", [0, 1, 2])
+    def test_without_a_partner_is_ignored(self, mode, place):
+        # alone in its chain, with cross-chain pairs off
+        chains = [("A", self.chain()), ("B", self.chain()[:2])]
+        with_empty = chains.copy()
+        with_empty.insert(place, ("E", [Residue("W", 100, (), np.empty((0, 3)))]))
+        config = ContactConfig(mode=mode)
+        want = assert_matches_reference(ProteinStructure("s", chains), config)
+        assert want
+        assert extract_instances(ProteinStructure("s", with_empty), config) == want
 
 
 class TestInstanceContract:
